@@ -30,10 +30,11 @@
 //!   of the cached hot path, including under ESS mobility).
 //! - `--shard-diff` — differential sharding mode: partition every
 //!   seed's deployment into interference shards and replay the
-//!   composition serially and under the windowed shard executor at 1,
-//!   2 and 4 workers, demanding byte-identical trace and metrics
-//!   digests (DESIGN.md §15). Range runs additionally verify a
-//!   multi-shard CITY-DCF grid the generated scenarios cannot reach.
+//!   composition as a sliced serial reference and as independent jobs
+//!   at 1, 2 and 4 workers, demanding byte-identical trace and metrics
+//!   digests (DESIGN.md §15). Range runs additionally run a
+//!   multi-shard CITY-DCF grid the generated scenarios cannot reach at
+//!   1, 2 and 4 workers.
 //!   Non-medium kinds (Bluetooth/ZigBee/WiMAX) are skipped.
 //! - `--grid-diff` — differential spatial-index mode: replay every
 //!   seed with the spatial grid index on (sparse neighbor rows,
@@ -42,11 +43,11 @@
 //!   (the grid's equivalence contract, DESIGN.md §17). Range runs
 //!   additionally plan a multi-cell CITY-DCF street grid through both
 //!   `shard_plan` and `shard_plan_exhaustive` and demand identical
-//!   partitions and lookaheads.
+//!   partitions.
 //! - `--qos` — the EDCA/A-MPDU corpus (DESIGN.md §16): every seed maps
 //!   to a QoS WLAN world (mixed-AC traffic, aggregation on/off, OBSS
 //!   twin cells), each run oracle-checked through both scheduler back
-//!   ends, the neighbor cache on/off, and the windowed shard executor,
+//!   ends, the neighbor cache on/off, and the shard differential,
 //!   demanding byte-identical fingerprints throughout. The leg then
 //!   runs two gates: the AIFSN-swap fail-point self-test (the planted
 //!   AC_VO/AC_BK parameter swap must be caught by the
@@ -61,9 +62,9 @@
 use wn_check::{
     check_range_gen, check_range_grid, check_range_opts, check_range_with, check_seed_with,
     range_digest, repro_command, run, shard_diff_range, shard_diff_range_gen, shard_diff_seed,
-    shrink, station_count, ScenarioGen, ShardDiffReport,
+    shrink, station_count, ScenarioGen, ShardDiffReport, SHARD_WORKER_COUNTS,
 };
-use wn_core::scenarios::{city_dcf_point, metro_dcf_planning_world, CITY_DCF_RANGE_M};
+use wn_core::scenarios::{city_dcf_run, metro_dcf_planning_world, CITY_DCF_RANGE_M};
 use wn_sim::stats::fnv1a;
 use wn_sim::{worker_count, SchedulerKind, SimTime};
 
@@ -310,21 +311,17 @@ fn run_grid_diff(opts: &Options) -> u64 {
 
     // The planning leg: a street grid the scenario generator cannot
     // produce, planned through the grid index and the exhaustive O(n²)
-    // scan. Both partitions, lookaheads and re-validation verdicts
-    // must match exactly.
+    // scan. Both partitions and re-validation verdicts must match
+    // exactly.
     let world = metro_dcf_planning_world(3, 4, 12, 60, 42);
     let grid_plan = world.shard_plan(SimTime::ZERO, Some(CITY_DCF_RANGE_M));
     let exhaustive_plan = world.shard_plan_exhaustive(SimTime::ZERO, Some(CITY_DCF_RANGE_M));
-    if grid_plan.shard_of != exhaustive_plan.shard_of
-        || grid_plan.lookahead != exhaustive_plan.lookahead
-    {
+    if grid_plan.shard_of != exhaustive_plan.shard_of {
         failures += 1;
         println!(
-            "CITY-DCF planning: GRID DIVERGENCE  grid {} shards lookahead {:?} vs exhaustive {} shards lookahead {:?}",
+            "CITY-DCF planning: GRID DIVERGENCE  grid {} shards vs exhaustive {} shards",
             grid_plan.shards.len(),
-            grid_plan.lookahead,
             exhaustive_plan.shards.len(),
-            exhaustive_plan.lookahead
         );
     }
     let grid_verdict = world.shard_plan_incoherence(&grid_plan, SimTime::ZERO);
@@ -349,9 +346,9 @@ fn run_grid_diff(opts: &Options) -> u64 {
     failures
 }
 
-/// Prints one failing shard differential, dual-style: the serial
-/// reference digests against every diverging windowed execution, plus
-/// any partition-soundness failure.
+/// Prints one failing shard differential, dual-style: the sliced
+/// reference digests against every diverging job run, plus any
+/// partition-soundness failure.
 fn report_shard_divergence(r: &ShardDiffReport) {
     println!(
         "seed {}: SHARD DIVERGENCE  {} ({} shards)",
@@ -361,11 +358,11 @@ fn report_shard_divergence(r: &ShardDiffReport) {
         println!("  plan incoherent: {why}");
     }
     println!(
-        "  serial:     events={} trace_fnv={:016x} metrics_fnv={:016x}",
-        r.serial.events, r.serial.trace_fnv, r.serial.metrics_fnv
+        "  sliced:     events={} trace_fnv={:016x} metrics_fnv={:016x}",
+        r.sliced.events, r.sliced.trace_fnv, r.sliced.metrics_fnv
     );
-    for (workers, w) in &r.windowed {
-        if *w != r.serial {
+    for (workers, w) in &r.runs {
+        if *w != r.sliced {
             println!(
                 "  {workers} worker(s): events={} trace_fnv={:016x} metrics_fnv={:016x}",
                 w.events, w.trace_fnv, w.metrics_fnv
@@ -376,9 +373,10 @@ fn report_shard_divergence(r: &ShardDiffReport) {
 }
 
 /// Differential sharding mode: every seed's deployment partitioned and
-/// replayed serial-vs-windowed; range runs add a fixed multi-shard
+/// replayed sliced vs as jobs; range runs add a fixed multi-shard
 /// CITY-DCF grid (12 cells on channels 1/6/11 — deeper than any
-/// generated scenario shards). Returns the number of failing seeds.
+/// generated scenario shards) at every worker count. Returns the
+/// number of failing seeds.
 fn run_shard_diff(opts: &Options) -> u64 {
     let t0 = std::time::Instant::now();
     let mut failures = 0u64;
@@ -391,13 +389,13 @@ fn run_shard_diff(opts: &Options) -> u64 {
             }
             Some(r) => println!(
                 "seed {seed}: ok  {} ({} shards, {} events, trace_fnv={:016x})",
-                r.summary, r.shards, r.serial.events, r.serial.trace_fnv
+                r.summary, r.shards, r.sliced.events, r.sliced.trace_fnv
             ),
         }
         if failures > 0 {
             return failures;
         }
-        println!("shard-diff: seed {seed} byte-identical across {{serial, 1, 2, 4 workers}}");
+        println!("shard-diff: seed {seed} byte-identical across {{sliced, 1, 2, 4 workers}}");
         return 0;
     }
 
@@ -421,38 +419,33 @@ fn run_shard_diff(opts: &Options) -> u64 {
 
     // The city leg: a grid the scenario generator cannot produce —
     // every cell its own shard, all worker counts, byte-identical.
-    let city = city_dcf_point(3, 4, 12, 60, 42);
-    if !city.byte_identical() {
+    let (rows, cols) = (3, 4);
+    let city: Vec<_> = SHARD_WORKER_COUNTS
+        .iter()
+        .map(|&w| (w, city_dcf_run(rows, cols, 12, 60, 42, Some(w))))
+        .collect();
+    let (_, first) = &city[0];
+    if first.shards != rows * cols || city.iter().any(|(_, r)| r != first) {
         failures += 1;
         println!(
-            "CITY-DCF grid: SHARD DIVERGENCE  {} cells -> {} shards{}",
-            city.cells,
-            city.shards,
-            city.incoherence
-                .as_deref()
-                .map(|w| format!("  (plan incoherent: {w})"))
-                .unwrap_or_default()
+            "CITY-DCF grid: SHARD DIVERGENCE  {} cells -> {} shards",
+            rows * cols,
+            first.shards
         );
-        println!(
-            "  serial:     events={} trace_fnv={:016x} metrics_fnv={:016x}",
-            city.serial.events, city.serial.trace_fnv, city.serial.metrics_fnv
-        );
-        for (workers, w) in &city.windowed {
-            if *w != city.serial {
-                println!(
-                    "  {workers} worker(s): events={} trace_fnv={:016x} metrics_fnv={:016x}",
-                    w.events, w.trace_fnv, w.metrics_fnv
-                );
-            }
+        for (workers, r) in &city {
+            println!(
+                "  {workers} worker(s): events={} trace_fnv={:016x} metrics_fnv={:016x}",
+                r.events, r.trace_fnv, r.metrics_fnv
+            );
         }
     }
 
     println!(
-        "shard-diff fuzz: {} seeds ({}..{}) x {{serial, 1, 2, 4 workers}} + a {}-cell CITY-DCF grid on {} workers in {:.2}s: {} failing ({} run, {} multi-shard, {} skipped)",
+        "shard-diff fuzz: {} seeds ({}..{}) x {{sliced, 1, 2, 4 workers}} + a {}-cell CITY-DCF grid on {} workers in {:.2}s: {} failing ({} run, {} multi-shard, {} skipped)",
         opts.count,
         opts.start,
         opts.start + opts.count,
-        city.cells,
+        rows * cols,
         opts.threads,
         t0.elapsed().as_secs_f64(),
         failures,
@@ -464,8 +457,8 @@ fn run_shard_diff(opts: &Options) -> u64 {
 }
 
 /// The QoS corpus leg: oracle-checked EDCA/A-MPDU worlds across both
-/// scheduler back ends, the neighbor cache on/off and the windowed
-/// shard executor, then the AIFSN-swap self-test and the
+/// scheduler back ends, the neighbor cache on/off and the shard
+/// differential, then the AIFSN-swap self-test and the
 /// legacy-equivalence differential. Returns the number of failures.
 fn run_qos(opts: &Options) -> u64 {
     let (start, count) = match opts.single {
@@ -526,7 +519,7 @@ fn run_qos(opts: &Options) -> u64 {
         }
     }
 
-    // Leg 3: the windowed shard executor against the serial reference.
+    // Leg 3: the shard job runs against the sliced reference.
     let mut multi = 0u64;
     for r in shard_diff_range_gen(gen, start, count, opts.threads)
         .iter()
@@ -593,7 +586,7 @@ fn run_qos(opts: &Options) -> u64 {
     }
 
     println!(
-        "qos fuzz: {} seeds ({}..{}) x {{heap, wheel, direct, shard executor}} + aifsn-swap self-test + {}-seed legacy digest on {} workers in {:.2}s: {} failing ({} multi-shard)",
+        "qos fuzz: {} seeds ({}..{}) x {{heap, wheel, direct, shard jobs}} + aifsn-swap self-test + {}-seed legacy digest on {} workers in {:.2}s: {} failing ({} multi-shard)",
         count,
         start,
         start + count,

@@ -45,8 +45,8 @@ pub use run::{
 };
 pub use scenario::{Scenario, ScenarioGen, ScenarioKind};
 pub use shard::{
-    component_seed, shard_diff_range, shard_diff_range_gen, shard_diff_scenario, shard_diff_seed,
-    ShardDiffReport, SHARD_WORKER_COUNTS,
+    component_seed, run_components_sliced, shard_diff_range, shard_diff_range_gen,
+    shard_diff_scenario, shard_diff_seed, ShardDiffReport, SHARD_WORKER_COUNTS,
 };
 pub use shrink::{shrink, station_count};
 

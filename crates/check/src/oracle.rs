@@ -279,8 +279,7 @@ impl Invariant for FrameLedgerBalanced {
 /// the runner computes the deployment's shard plan at construction
 /// time and re-validates it against the live world at every slice
 /// boundary (`WlanWorld::shard_plan_incoherence`) — no coupled pair
-/// straddling shards, every cross-shard pair's propagation delay at
-/// least the plan lookahead, station set unchanged. Mobility patches
+/// straddling shards, station set unchanged. Mobility patches
 /// land between slices, so a partition invalidated by movement (or a
 /// planner bug) surfaces here instead of silently desynchronizing a
 /// sharded execution.

@@ -494,7 +494,6 @@ fn run_ess(
     let plan = wn_mac80211::shard::ShardPlan {
         shard_of: vec![0; n],
         shards: vec![(0..n).collect()],
-        lookahead: SimDuration::MAX,
         max_interference_range_m: f64::INFINITY,
     };
     let end = SimTime::from_secs(e.duration_s);

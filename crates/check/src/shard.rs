@@ -1,24 +1,25 @@
-//! The sharded-vs-serial differential harness (DESIGN.md §15).
+//! The shard differential harness (DESIGN.md §15).
 //!
 //! A fuzz scenario's deployment is partitioned into interference
 //! shards ([`WlanWorld::shard_plan`]); each shard becomes its own
 //! component world, built by the *same* construction code the classic
-//! runner uses. The composition is then executed twice:
+//! runner uses. The composition is then executed two ways:
 //!
-//! - **serial** — each component advanced straight to the horizon
-//!   with one `run_until`, one after another;
-//! - **windowed** — all components advanced in lockstep lookahead
-//!   windows on scoped threads (1, 2 and 4 workers), barrier between
-//!   windows ([`wn_mac80211::shard::run_components_windowed`]).
+//! - **sliced** — the serial reference kept here for the fuzzer
+//!   ([`run_components_sliced`]): each component advanced to the
+//!   horizon in 8 equal `run_until` steps, one after another;
+//! - **jobs** — each component one independent job with a single
+//!   `run_until`, at 1, 2 and 4 workers
+//!   ([`wn_mac80211::shard::run_components`]).
 //!
 //! Traces and metrics are digested in shard order in both modes, and
-//! the digests must be byte-identical — the same differential
-//! contract `--dual` enforces across scheduler back ends and
-//! `--cache-diff` across propagation paths. A single-component plan
-//! additionally bridges to the classic engine: its serial composition
-//! is the very same construction `run_scenario` executes, so the
-//! digests must equal the classic fingerprints too (verified by a
-//! unit test here).
+//! the digests must be byte-identical — covering worker-count and
+//! slicing invariance at once, the same differential contract `--dual`
+//! enforces across scheduler back ends and `--cache-diff` across
+//! propagation paths. A single-component plan additionally bridges to
+//! the classic engine: its composition is the very same construction
+//! `run_scenario` executes, so the digests must equal the classic
+//! fingerprints too (verified by a unit test here).
 //!
 //! Non-WLAN scenario kinds (Bluetooth, ZigBee, WiMAX) have no shared
 //! medium to partition and are skipped ([`shard_diff_seed`] returns
@@ -31,26 +32,59 @@ use crate::run::{
 use crate::scenario::{EssScenario, Scenario, ScenarioGen, ScenarioKind, WlanScenario};
 use std::sync::{Arc, Mutex};
 use wn_mac80211::addr::MacAddr;
-use wn_mac80211::shard::{
-    executor_window, run_components_serial, run_components_windowed, ShardRunReport,
-};
+use wn_mac80211::shard::{run_components, ShardRunReport};
 use wn_mac80211::sim::{boot as wlan_boot, inject_at, qos_inject_at, WlanWorld};
 use wn_sim::par::par_map_with;
+use wn_sim::stats::fnv1a;
 use wn_sim::trace::Trace;
-use wn_sim::{SchedulerKind, SimDuration, SimTime, Simulation};
+use wn_sim::{SchedulerKind, SimTime, Simulation};
 
-/// The shard-executor worker counts every differential point runs
-/// under — the "1, 2 and 4 shard configurations" of the contract.
+/// The worker counts every differential point runs the jobs under —
+/// the "1, 2 and 4 shard configurations" of the contract.
 pub const SHARD_WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
-/// Smallest executor window the harness batches the lookahead up to
-/// (barrier crossings are pure overhead; see DESIGN.md §15 for why
-/// batching above the raw lookahead is sound here).
-const WINDOW_FLOOR: SimDuration = SimDuration::from_micros(64);
+/// Equal `run_until` steps the sliced reference advances each
+/// component in.
+const SLICES: u64 = 8;
 
 pub use wn_mac80211::shard::component_seed;
 
-/// One seed's sharded-vs-serial differential outcome.
+/// The serial reference composition: builds component `k` with
+/// `build(k)` for every `k` in order, advances it to `horizon` in 8
+/// equal `run_until` steps and digests the trace and metrics JSONL in
+/// shard order — what [`run_components`] must reproduce for any worker
+/// count.
+pub fn run_components_sliced<B>(
+    count: usize,
+    horizon: SimTime,
+    tag: &str,
+    build: B,
+) -> ShardRunReport
+where
+    B: Fn(usize) -> Simulation<WlanWorld>,
+{
+    let mut per_shard_events = Vec::with_capacity(count);
+    let mut trace_jsonl = String::new();
+    let mut metrics_jsonl = String::new();
+    for k in 0..count {
+        let mut sim = build(k);
+        let events = (1..=SLICES)
+            .map(|s| sim.run_until(SimTime::from_nanos(horizon.as_nanos() * s / SLICES)))
+            .sum();
+        per_shard_events.push(events);
+        trace_jsonl.push_str(&sim.world().trace.to_jsonl(tag));
+        metrics_jsonl.push_str(&sim.world().metrics_snapshot(horizon).to_jsonl(tag));
+    }
+    ShardRunReport {
+        shards: count,
+        events: per_shard_events.iter().sum(),
+        per_shard_events,
+        trace_fnv: fnv1a(trace_jsonl.as_bytes()),
+        metrics_fnv: fnv1a(metrics_jsonl.as_bytes()),
+    }
+}
+
+/// One seed's shard differential outcome.
 pub struct ShardDiffReport {
     /// The seed.
     pub seed: u64,
@@ -60,22 +94,44 @@ pub struct ShardDiffReport {
     pub kind: &'static str,
     /// Number of shards the deployment partitioned into.
     pub shards: usize,
-    /// The serial (reference) composition.
-    pub serial: ShardRunReport,
-    /// The windowed compositions, one per entry of
-    /// [`SHARD_WORKER_COUNTS`].
-    pub windowed: Vec<(usize, ShardRunReport)>,
+    /// The sliced serial reference.
+    pub sliced: ShardRunReport,
+    /// The job runs, one per entry of [`SHARD_WORKER_COUNTS`].
+    pub runs: Vec<(usize, ShardRunReport)>,
     /// A partition-soundness failure on the planning world, if any
     /// (`None` = the plan validates).
     pub incoherence: Option<String>,
 }
 
 impl ShardDiffReport {
-    /// Whether any windowed execution diverged from the serial
-    /// reference, or the plan failed validation.
+    /// Whether any job run diverged from the sliced reference, or the
+    /// plan failed validation.
     pub fn divergent(&self) -> bool {
-        self.incoherence.is_some() || self.windowed.iter().any(|(_, r)| *r != self.serial)
+        self.incoherence.is_some() || self.runs.iter().any(|(_, r)| *r != self.sliced)
     }
+}
+
+/// Runs `count` components sliced and as jobs at every
+/// [`SHARD_WORKER_COUNTS`] entry.
+fn sliced_and_runs<B>(
+    count: usize,
+    horizon: SimTime,
+    build: B,
+) -> (ShardRunReport, Vec<(usize, ShardRunReport)>)
+where
+    B: Fn(usize) -> Simulation<WlanWorld> + Sync,
+{
+    let sliced = run_components_sliced(count, horizon, "fuzz", &build);
+    let runs = SHARD_WORKER_COUNTS
+        .iter()
+        .map(|&workers| {
+            (
+                workers,
+                run_components(count, horizon, workers, "fuzz", &build),
+            )
+        })
+        .collect();
+    (sliced, runs)
 }
 
 /// Builds component `k` of a flat-WLAN scenario: the stations in
@@ -155,67 +211,41 @@ fn shard_diff_wlan(sc: &Scenario, w: &WlanScenario) -> ShardDiffReport {
         .shard_plan_incoherence(&plan, SimTime::ZERO)
         .map(|i| i.to_string());
 
-    let horizon = SimTime::from_millis(w.duration_ms);
-    let window = executor_window(&plan, horizon, WINDOW_FLOOR);
-    let build = |k: usize| build_wlan_component(sc.seed, w, &plan.shards[k], k);
-    let serial = run_components_serial(plan.shard_count(), horizon, "fuzz", build);
-    let windowed = SHARD_WORKER_COUNTS
-        .iter()
-        .map(|&workers| {
-            (
-                workers,
-                run_components_windowed(
-                    plan.shard_count(),
-                    horizon,
-                    window,
-                    workers,
-                    "fuzz",
-                    build,
-                ),
-            )
-        })
-        .collect();
+    let (sliced, runs) = sliced_and_runs(
+        plan.shard_count(),
+        SimTime::from_millis(w.duration_ms),
+        |k| build_wlan_component(sc.seed, w, &plan.shards[k], k),
+    );
     ShardDiffReport {
         seed: sc.seed,
         summary: sc.summary(),
         kind: sc.kind_tag(),
         shards: plan.shard_count(),
-        serial,
-        windowed,
+        sliced,
+        runs,
         incoherence,
     }
 }
 
 fn shard_diff_ess(sc: &Scenario, e: &EssScenario) -> ShardDiffReport {
     // An ESS is one shard (see `build_ess_sim`), so the differential
-    // degenerates to single-run_until vs windowed-run_until over the
-    // identical world — which is precisely the slicing-invariance leg
-    // of the contract, with the thread hand-off exercised on top.
-    let horizon = SimTime::from_secs(e.duration_s);
-    let window = SimDuration::from_nanos((horizon.as_nanos() / 8).max(1));
-    let build = |_k: usize| build_ess_sim(sc.seed, e, SchedulerKind::default(), true);
-    let serial = run_components_serial(1, horizon, "fuzz", build);
-    let windowed = SHARD_WORKER_COUNTS
-        .iter()
-        .map(|&workers| {
-            (
-                workers,
-                run_components_windowed(1, horizon, window, workers, "fuzz", build),
-            )
-        })
-        .collect();
+    // degenerates to sliced vs single-run_until over the identical
+    // world — the slicing-invariance leg of the contract.
+    let (sliced, runs) = sliced_and_runs(1, SimTime::from_secs(e.duration_s), |_k| {
+        build_ess_sim(sc.seed, e, SchedulerKind::default(), true)
+    });
     ShardDiffReport {
         seed: sc.seed,
         summary: sc.summary(),
         kind: sc.kind_tag(),
         shards: 1,
-        serial,
-        windowed,
+        sliced,
+        runs,
         incoherence: None,
     }
 }
 
-/// Runs the sharded-vs-serial differential for one explicit scenario;
+/// Runs the shard differential for one explicit scenario;
 /// `None` for kinds without a shared medium to partition.
 pub fn shard_diff_scenario(sc: &Scenario) -> Option<ShardDiffReport> {
     match &sc.kind {
@@ -225,8 +255,8 @@ pub fn shard_diff_scenario(sc: &Scenario) -> Option<ShardDiffReport> {
     }
 }
 
-/// Generates the scenario for `seed` and runs the sharded-vs-serial
-/// differential on it.
+/// Generates the scenario for `seed` and runs the shard differential
+/// on it.
 pub fn shard_diff_seed(seed: u64) -> Option<ShardDiffReport> {
     shard_diff_scenario(&ScenarioGen::default().scenario(seed))
 }
@@ -241,7 +271,7 @@ pub fn shard_diff_range(start: u64, count: u64, threads: usize) -> Vec<Option<Sh
 }
 
 /// [`shard_diff_range`] under an explicit scenario generator — the
-/// shard-executor leg of the `--qos` corpus.
+/// shard leg of the `--qos` corpus.
 pub fn shard_diff_range_gen(
     gen: ScenarioGen,
     start: u64,
@@ -258,7 +288,6 @@ pub fn shard_diff_range_gen(
 mod tests {
     use super::*;
     use crate::run::check_seed;
-    use wn_sim::stats::fnv1a;
 
     fn first_seed_of_kind(kind: &str, pred: impl Fn(&Scenario) -> bool) -> (u64, Scenario) {
         for seed in 0..500 {
@@ -283,14 +312,14 @@ mod tests {
         let diff = shard_diff_scenario(&sc).expect("wlan shards");
         assert_eq!(diff.shards, 1, "non-deaf flat WLAN must be one shard");
         let classic = check_seed(seed);
-        assert_eq!(diff.serial.trace_fnv, classic.trace_fnv);
-        assert_eq!(diff.serial.metrics_fnv, classic.metrics_fnv);
+        assert_eq!(diff.sliced.trace_fnv, classic.trace_fnv);
+        assert_eq!(diff.sliced.metrics_fnv, classic.metrics_fnv);
         assert!(!diff.divergent());
     }
 
     /// The deaf-sink fault parks the sink on an orthogonal channel,
-    /// which must split it into its own shard — and the windowed
-    /// executions must still be byte-identical to serial.
+    /// which must split it into its own shard — and the job runs must
+    /// still be byte-identical to the sliced reference.
     #[test]
     fn deaf_sink_splits_and_stays_identical() {
         let (_seed, sc) = first_seed_of_kind("wlan", |sc| match &sc.kind {
@@ -301,14 +330,14 @@ mod tests {
         assert_eq!(diff.shards, 2, "deaf sink must shard off: {}", diff.summary);
         assert!(!diff.divergent());
         // The digests are over non-empty content in every mode.
-        assert!(diff.serial.events > 0);
-        assert_ne!(diff.serial.trace_fnv, fnv1a(b""));
+        assert!(diff.sliced.events > 0);
+        assert_ne!(diff.sliced.trace_fnv, fnv1a(b""));
     }
 
     /// ESS scenarios pin to a single shard but still exercise the
-    /// windowed executor against the straight run.
+    /// sliced reference against the single-`run_until` job.
     #[test]
-    fn ess_windowed_matches_serial() {
+    fn ess_sliced_matches_jobs() {
         let (_seed, sc) = first_seed_of_kind("ess", |_| true);
         let diff = shard_diff_scenario(&sc).expect("ess shards");
         assert_eq!(diff.shards, 1);

@@ -8,10 +8,7 @@ use crate::experiment::ExperimentReport;
 use crate::registry::Technology;
 use wn_mac80211::addr::MacAddr;
 use wn_mac80211::frame::{DsBits, Frame, SequenceControl};
-use wn_mac80211::shard::{
-    component_seed, digest_components, executor_window, propagation_delay, run_components_serial,
-    run_components_windowed, ShardRunReport,
-};
+use wn_mac80211::shard::{component_seed, run_components, run_components_observed, ShardRunReport};
 use wn_mac80211::sim::{
     boot, inject_at, qos_inject_at, AccessCategory, MacConfig, NullUpper, WlanWorld,
 };
@@ -22,7 +19,7 @@ use wn_phy::medium::{LinkBudget, Radio};
 use wn_phy::modulation::PhyStandard;
 use wn_phy::propagation::{LogDistance, Shadowing};
 use wn_sim::stats::Figure;
-use wn_sim::{par_map, SchedulerKind, SimDuration, SimTime, Simulation};
+use wn_sim::{par_map, worker_count, SchedulerKind, SimDuration, SimTime, Simulation};
 
 /// FIG-1.1 — the classification scatter: nominal range vs peak rate
 /// per technology, measured.
@@ -1725,9 +1722,8 @@ pub fn scale_dcf(seed: u64) -> (Vec<ScaleDcfPoint>, ExperimentReport) {
 // 1/6/11 (colored so no two co-channel cells are closer than 200·√2 m),
 // one sink plus a sender ring per cell. The deployment partitions into
 // one interference shard per cell (`WlanWorld::shard_plan` with the
-// 250 m co-channel radius), and every point runs the composition twice
-// — serial reference vs the windowed shard executor at 1/2/4 workers —
-// and demands byte-identical digests (DESIGN.md §15).
+// 250 m co-channel radius), and every point runs each shard as an
+// independent job (DESIGN.md §15).
 // ---------------------------------------------------------------------
 
 /// Street-grid spacing between neighbouring cell centres [m].
@@ -1746,17 +1742,8 @@ pub const CITY_DCF_CHANNELS: [u8; 3] = [1, 6, 11];
 /// same-channel stations are treated as non-interfering.
 pub const CITY_DCF_RANGE_M: f64 = 250.0;
 
-/// Shard-executor worker counts every CITY-DCF point is verified at.
-pub const CITY_DCF_WORKER_COUNTS: [usize; 3] = [1, 2, 4];
-
-/// Smallest executor window the point batches the lookahead up to —
-/// same rationale as the fuzz harness (barrier crossings are pure
-/// overhead; batching is sound because shards are exactly decoupled).
-const CITY_DCF_WINDOW_FLOOR: SimDuration = SimDuration::from_micros(64);
-
-/// One CITY-DCF point: the city's shard partition plus the
-/// serial-vs-windowed differential outcome and the usual saturation
-/// observables, reduced cross-BSS.
+/// One CITY-DCF point: the city's shard partition, the composition's
+/// digest and the usual saturation observables, reduced cross-BSS.
 pub struct CityDcfPoint {
     /// Grid cells (= BSSes).
     pub cells: usize,
@@ -1768,10 +1755,6 @@ pub struct CityDcfPoint {
     pub duration_ms: u64,
     /// Shards the plan produced (must equal `cells`).
     pub shards: usize,
-    /// The plan's conservative cross-shard lookahead.
-    pub lookahead: SimDuration,
-    /// The executor window actually used.
-    pub window: SimDuration,
     /// Mean per-sender delivered goodput [kbps].
     pub per_station_kbps: f64,
     /// Aggregate delivered goodput [Mbps].
@@ -1783,18 +1766,8 @@ pub struct CityDcfPoint {
     pub saturated: bool,
     /// Partition-soundness failure on the planning world, if any.
     pub incoherence: Option<String>,
-    /// The serial (reference) composition.
-    pub serial: ShardRunReport,
-    /// Windowed compositions, one per [`CITY_DCF_WORKER_COUNTS`] entry.
-    pub windowed: Vec<(usize, ShardRunReport)>,
-}
-
-impl CityDcfPoint {
-    /// Whether every windowed execution matched the serial reference
-    /// byte-for-byte and the plan validated.
-    pub fn byte_identical(&self) -> bool {
-        self.incoherence.is_none() && self.windowed.iter().all(|(_, r)| *r == self.serial)
-    }
+    /// The composition's digest.
+    pub report: ShardRunReport,
 }
 
 /// The channel of grid cell `cell` in a `cols`-wide grid.
@@ -1913,10 +1886,9 @@ fn city_dcf_component(
 }
 
 /// Runs one CITY-DCF point: plan the partition on the full planning
-/// world, execute the composition serially (keeping the component
-/// worlds for per-BSS observables), then re-execute under the
-/// windowed shard executor at each worker count and digest everything
-/// in shard order for the byte-identity comparison.
+/// world, run every shard as an independent job on [`worker_count`]
+/// workers, and reduce each component's per-sender counters inside its
+/// job, before the world is dropped.
 pub fn city_dcf_point(
     rows: usize,
     cols: usize,
@@ -1934,62 +1906,36 @@ pub fn city_dcf_point(
     drop(planning);
 
     let horizon = SimTime::from_millis(duration_ms);
-    let window = executor_window(&plan, horizon, CITY_DCF_WINDOW_FLOOR);
-    let build = |k: usize| city_dcf_component(&plan.shards[k], k, cols, senders, duration_ms, seed);
-
-    // Serial reference, run by hand so the component worlds stay
-    // available for the cross-BSS reduction below.
-    let mut sims: Vec<Simulation<WlanWorld>> = (0..plan.shard_count()).map(build).collect();
-    let per_shard_events: Vec<u64> = sims.iter_mut().map(|s| s.run_until(horizon)).collect();
-    let serial = digest_components(&sims, per_shard_events, horizon, "CITY-DCF");
-
-    // Per-BSS completions and the queue-conservation saturation check,
-    // reduced over every component's metrics snapshot.
+    // Per component: each sender's (cell, completions) and whether
+    // every sender still holds an unserved backlog (queue conservation).
+    let (report, observed) = run_components_observed(
+        plan.shard_count(),
+        horizon,
+        worker_count(),
+        "CITY-DCF",
+        |k| city_dcf_component(&plan.shards[k], k, cols, senders, duration_ms, seed),
+        |k, world| {
+            let mut done = Vec::new();
+            let mut saturated = true;
+            for (local, &g) in plan.shards[k].iter().enumerate() {
+                if g % per_cell == 0 {
+                    continue;
+                }
+                let s = world.stats(local);
+                done.push((g / per_cell, s.tx_completions));
+                saturated &= s.queued > s.tx_completions + s.tx_failures + s.queue_drops;
+            }
+            (done, saturated)
+        },
+    );
     let mut cell_completions = vec![0u64; cells];
     let mut saturated = true;
-    for (k, sim) in sims.iter().enumerate() {
-        let snap = sim.world().metrics_snapshot(horizon);
-        let counter = |name: &str, local: usize| -> u64 {
-            snap.rows
-                .iter()
-                .find(|r| {
-                    r.kind == "counter"
-                        && r.key.layer == "mac"
-                        && r.key.name == name
-                        && r.key.station == Some(local as u32)
-                })
-                .map_or(0, |r| r.fields.first().map_or(0, |&(_, v)| v as u64))
-        };
-        for (local, &g) in plan.shards[k].iter().enumerate() {
-            if g % per_cell == 0 {
-                continue;
-            }
-            let done = counter("tx_completions", local);
-            cell_completions[g / per_cell] += done;
-            let queued = counter("queued", local);
-            let failed = counter("tx_failures", local);
-            let dropped = counter("queue_drops", local);
-            saturated &= queued > done + failed + dropped;
+    for (done, sat) in observed {
+        for (cell, n) in done {
+            cell_completions[cell] += n;
         }
+        saturated &= sat;
     }
-    drop(sims);
-
-    let windowed = CITY_DCF_WORKER_COUNTS
-        .iter()
-        .map(|&workers| {
-            (
-                workers,
-                run_components_windowed(
-                    plan.shard_count(),
-                    horizon,
-                    window,
-                    workers,
-                    "CITY-DCF",
-                    build,
-                ),
-            )
-        })
-        .collect();
 
     let total: u64 = cell_completions.iter().sum();
     let sum_sq: f64 = cell_completions
@@ -2010,23 +1956,19 @@ pub fn city_dcf_point(
         senders_per_cell: senders,
         duration_ms,
         shards: plan.shard_count(),
-        lookahead: plan.lookahead,
-        window,
         per_station_kbps: goodput_bits / duration_s / all_senders / 1_000.0,
         aggregate_mbps: goodput_bits / duration_s / 1e6,
         jain_cross_bss,
         saturated,
         incoherence,
-        serial,
-        windowed,
+        report,
     }
 }
 
-/// Runs the city once under a single executor mode — `None` = serial
-/// reference, `Some(workers)` = windowed shard executor — and returns
-/// the digest report. The perfsuite `shards` section times these
-/// calls individually (plan + build + run each time, so the modes pay
-/// identical setup cost) and asserts the digests agree.
+/// Runs the city once on `workers` workers (`None` = one) and returns
+/// the digest report, which is the same for any worker count. Each
+/// call plans, builds and runs from scratch, so timed calls at
+/// different worker counts pay identical set-up cost.
 pub fn city_dcf_run(
     rows: usize,
     cols: usize,
@@ -2038,15 +1980,13 @@ pub fn city_dcf_run(
     let planning = city_dcf_planning_world(rows, cols, senders, duration_ms, seed);
     let plan = planning.shard_plan(SimTime::ZERO, Some(CITY_DCF_RANGE_M));
     drop(planning);
-    let horizon = SimTime::from_millis(duration_ms);
-    let build = |k: usize| city_dcf_component(&plan.shards[k], k, cols, senders, duration_ms, seed);
-    match workers {
-        None => run_components_serial(plan.shard_count(), horizon, "CITY-DCF", build),
-        Some(w) => {
-            let window = executor_window(&plan, horizon, CITY_DCF_WINDOW_FLOOR);
-            run_components_windowed(plan.shard_count(), horizon, window, w, "CITY-DCF", build)
-        }
-    }
+    run_components(
+        plan.shard_count(),
+        SimTime::from_millis(duration_ms),
+        workers.unwrap_or(1),
+        "CITY-DCF",
+        |k| city_dcf_component(&plan.shards[k], k, cols, senders, duration_ms, seed),
+    )
 }
 
 /// The flagship city size `(rows, cols, senders_per_cell,
@@ -2087,12 +2027,6 @@ pub fn city_dcf(seed: u64) -> (Vec<CityDcfPoint>, ExperimentReport) {
     points.push(city_dcf_point(rows, cols, senders, duration_ms, seed));
     let city = points.last().expect("flagship point");
 
-    // The street gap between neighbouring cells' bounding boxes —
-    // what the plan's bbox lookahead should resolve to (± float slack
-    // on the ring hull).
-    let gap_floor = propagation_delay(CITY_DCF_SPACING_M - 2.0 * CITY_DCF_RING_M - 1.0);
-    let gap_ceil = propagation_delay(CITY_DCF_SPACING_M);
-
     let mut report = ExperimentReport::new(
         "CITY-DCF",
         "Spatially-sharded city of saturated BSSes on channels 1/6/11",
@@ -2105,16 +2039,6 @@ pub fn city_dcf(seed: u64) -> (Vec<CityDcfPoint>, ExperimentReport) {
         .claim(
             "every shard plan validates (no coupled pair straddles shards)",
             points.iter().all(|p| p.incoherence.is_none()),
-        )
-        .claim(
-            "windowed shard executor is byte-identical to serial at 1/2/4 workers",
-            points.iter().all(|p| p.byte_identical()),
-        )
-        .claim(
-            "cross-shard lookahead resolves the 184 m street gap",
-            points
-                .iter()
-                .all(|p| p.lookahead >= gap_floor && p.lookahead <= gap_ceil),
         )
         .claim(
             "cross-BSS Jain fairness >= 0.95 (symmetric cells, independent streams)",
@@ -2132,7 +2056,7 @@ pub fn city_dcf(seed: u64) -> (Vec<CityDcfPoint>, ExperimentReport) {
         )
         .claim(
             "the flagship city completes under the shard executor",
-            city.serial.events > 0 && city.windowed.iter().all(|(_, r)| r.events > 0),
+            city.report.events > 0,
         );
     (points, report)
 }
@@ -2149,11 +2073,6 @@ pub fn city_dcf(seed: u64) -> (Vec<CityDcfPoint>, ExperimentReport) {
 // exactly the per-cell component worlds CITY-DCF already runs.
 // ---------------------------------------------------------------------
 
-/// Shard-executor worker count each METRO-DCF point is verified at
-/// (one count, not CITY-DCF's three — the metro sweep trades executor
-/// breadth for deployment scale).
-pub const METRO_DCF_WORKER_COUNTS: [usize; 1] = [4];
-
 /// Largest deployment whose planning world also primes the sparse
 /// neighbor cache for the build-time/storage observables. Beyond this
 /// the rows (n·k entries) stop being an interesting measurement and
@@ -2161,8 +2080,7 @@ pub const METRO_DCF_WORKER_COUNTS: [usize; 1] = [4];
 const METRO_DCF_BUILD_CAP: usize = 20_000;
 
 /// One METRO-DCF point: the metro's grid-backed shard partition, the
-/// planning/build wall-clock observables, and the serial-vs-windowed
-/// differential outcome.
+/// planning/build wall-clock observables, and the composition's digest.
 pub struct MetroDcfPoint {
     /// Grid cells (= BSSes).
     pub cells: usize,
@@ -2174,10 +2092,6 @@ pub struct MetroDcfPoint {
     pub duration_ms: u64,
     /// Shards the plan produced (must equal `cells`).
     pub shards: usize,
-    /// The plan's conservative cross-shard lookahead.
-    pub lookahead: SimDuration,
-    /// The executor window actually used.
-    pub window: SimDuration,
     /// Wall-clock of the grid-backed `shard_plan` on the full
     /// planning world [ms].
     pub plan_ms: f64,
@@ -2192,19 +2106,11 @@ pub struct MetroDcfPoint {
     pub grid_coherent: bool,
     /// Partition-soundness failure on the planning world, if any.
     pub incoherence: Option<String>,
-    /// The serial (reference) composition.
-    pub serial: ShardRunReport,
-    /// Windowed compositions, one per [`METRO_DCF_WORKER_COUNTS`].
-    pub windowed: Vec<(usize, ShardRunReport)>,
+    /// The composition's digest.
+    pub report: ShardRunReport,
 }
 
 impl MetroDcfPoint {
-    /// Whether every windowed execution matched the serial reference
-    /// byte-for-byte and the plan validated.
-    pub fn byte_identical(&self) -> bool {
-        self.incoherence.is_none() && self.windowed.iter().all(|(_, r)| *r == self.serial)
-    }
-
     /// Dense-matrix pair count the sparse rows are measured against.
     pub fn dense_entries(&self) -> usize {
         self.stations * (self.stations - 1)
@@ -2239,9 +2145,8 @@ pub fn metro_dcf_sweep() -> Vec<(usize, usize, usize, u64)> {
 
 /// Runs one METRO-DCF point: time the grid-backed plan (and, under
 /// the build cap, the sparse neighbor-cache build) on the full
-/// planning world, validate the partition, then execute the
-/// composition serially and under the windowed shard executor and
-/// compare digests.
+/// planning world, validate the partition, then run every shard as an
+/// independent job on [`worker_count`] workers.
 pub fn metro_dcf_point(
     rows: usize,
     cols: usize,
@@ -2276,19 +2181,13 @@ pub fn metro_dcf_point(
         .map(|i| i.to_string());
     drop(planning);
 
-    let horizon = SimTime::from_millis(duration_ms);
-    let window = executor_window(&plan, horizon, CITY_DCF_WINDOW_FLOOR);
-    let build = |k: usize| city_dcf_component(&plan.shards[k], k, cols, senders, duration_ms, seed);
-    let serial = run_components_serial(plan.shard_count(), horizon, "METRO-DCF", build);
-    let windowed = METRO_DCF_WORKER_COUNTS
-        .iter()
-        .map(|&w| {
-            (
-                w,
-                run_components_windowed(plan.shard_count(), horizon, window, w, "METRO-DCF", build),
-            )
-        })
-        .collect();
+    let report = run_components(
+        plan.shard_count(),
+        SimTime::from_millis(duration_ms),
+        worker_count(),
+        "METRO-DCF",
+        |k| city_dcf_component(&plan.shards[k], k, cols, senders, duration_ms, seed),
+    );
 
     MetroDcfPoint {
         cells,
@@ -2296,15 +2195,12 @@ pub fn metro_dcf_point(
         senders_per_cell: senders,
         duration_ms,
         shards: plan.shard_count(),
-        lookahead: plan.lookahead,
-        window,
         plan_ms,
         build_ms,
         stored_entries,
         grid_coherent,
         incoherence,
-        serial,
-        windowed,
+        report,
     }
 }
 
@@ -2351,10 +2247,6 @@ pub fn metro_dcf(seed: u64) -> (Vec<MetroDcfPoint>, ExperimentReport) {
         .claim(
             "every grid-backed shard plan validates against the live world",
             points.iter().all(|p| p.incoherence.is_none()),
-        )
-        .claim(
-            "windowed shard executor is byte-identical to serial",
-            points.iter().all(|p| p.byte_identical()),
         )
         .claim(
             "the sweep reaches metropolitan scale",
@@ -3003,18 +2895,14 @@ mod tests {
         for p in &points {
             eprintln!(
                 "CITY-DCF cells={:3} stations={:5} senders/cell={:3} shards={:3} \
-                 lookahead={}ns window={}ns jain={:.4} per_sender={:.1} kbps \
-                 identical={} trace_fnv={:016x}",
+                 jain={:.4} per_sender={:.1} kbps trace_fnv={:016x}",
                 p.cells,
                 p.stations,
                 p.senders_per_cell,
                 p.shards,
-                p.lookahead.as_nanos(),
-                p.window.as_nanos(),
                 p.jain_cross_bss,
                 p.per_station_kbps,
-                p.byte_identical(),
-                p.serial.trace_fnv,
+                p.report.trace_fnv,
             );
         }
         assert!(report.passed(), "{}", report.to_markdown());

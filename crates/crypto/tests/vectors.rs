@@ -10,7 +10,7 @@ use wn_crypto::pbkdf2::pbkdf2_hmac_sha1;
 use wn_crypto::{crc32, Aes, Rc4, Sha1};
 
 fn unhex(s: &str) -> Vec<u8> {
-    assert!(s.len() % 2 == 0);
+    assert!(s.len().is_multiple_of(2));
     (0..s.len())
         .step_by(2)
         .map(|i| u8::from_str_radix(&s[i..i + 2], 16).expect("hex"))

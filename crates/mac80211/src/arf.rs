@@ -353,13 +353,13 @@ mod tests {
             a.on_failure(peer());
         }
         assert_eq!(a.current_rate(peer()).rate.mbps(), ladder[0].rate.mbps());
-        for rung in 1..ladder.len() {
+        for (rung, want) in ladder.iter().enumerate().skip(1) {
             for _ in 0..10 {
                 a.on_success(peer());
             }
             assert_eq!(
                 a.current_rate(peer()).rate.mbps(),
-                ladder[rung].rate.mbps(),
+                want.rate.mbps(),
                 "ten successes probe up to rung {rung}"
             );
         }

@@ -1,5 +1,5 @@
 //! Spatial interference shards: partitioning a deployment into
-//! independently-advancing worlds (DESIGN.md §15).
+//! independent worlds (DESIGN.md §15).
 //!
 //! The conflict graph couples two stations when their channels
 //! spectrally overlap **and** they are mutually relevant at RF level —
@@ -13,29 +13,18 @@
 //!
 //! [`WlanWorld::shard_plan`](crate::sim::WlanWorld::shard_plan)
 //! computes the partition; this module holds the plan type, the
-//! coherence checks behind the `shard-coherence` oracle, and the
-//! component-run harness that executes one simulation per shard —
-//! serially straight to the horizon, or windowed on scoped threads
-//! via [`wn_sim::run_shards_windowed`] — and digests the merged
-//! output in shard order so the two executions can be compared
-//! byte-for-byte.
+//! coherence checks behind the `shard-coherence` oracle, and
+//! [`run_components`], which runs one simulation per shard as an
+//! independent [`par_map_with`] job and digests the merged output in
+//! shard order, so the digest is the same for any worker count.
 
 use crate::sim::WlanWorld;
+use wn_sim::par::par_map_with;
 use wn_sim::stats::fnv1a;
-use wn_sim::{run_shards_windowed, SimDuration, SimTime, Simulation};
+use wn_sim::{SimTime, Simulation};
 
 /// Station index within a world (mirrors `sim::StationId`).
 pub type StationId = usize;
-
-/// Propagation speed, metres per nanosecond (vacuum light speed; the
-/// same constant the medium uses for airtime propagation delay).
-pub const METRES_PER_NANOSECOND: f64 = 0.299_792_458;
-
-/// The propagation delay across `dist_m` metres, rounded **down** to
-/// whole nanoseconds so it is a conservative (never optimistic) bound.
-pub fn propagation_delay(dist_m: f64) -> SimDuration {
-    SimDuration::from_nanos((dist_m / METRES_PER_NANOSECOND).floor() as u64)
-}
 
 /// A partition of a deployment's stations into interference shards.
 ///
@@ -51,11 +40,6 @@ pub struct ShardPlan {
     /// their smallest member id, so the partition (and everything
     /// merged in shard order) is deterministic.
     pub shards: Vec<Vec<StationId>>,
-    /// The smallest propagation delay between any two stations in
-    /// different shards (a lower bound computed from shard bounding
-    /// boxes): the classic conservative-DES lookahead. `MAX` when
-    /// there are fewer than two shards.
-    pub lookahead: SimDuration,
     /// The co-channel coupling radius the plan was computed with
     /// (infinite when the caller passed `None`).
     pub max_interference_range_m: f64,
@@ -88,16 +72,6 @@ pub enum ShardIncoherence {
         /// Their distance, metres.
         dist_m: f64,
     },
-    /// The plan's lookahead exceeds some cross-shard pair's actual
-    /// propagation delay (the conservative bound would be violated).
-    LookaheadExceedsDelay {
-        /// First station of the offending pair.
-        a: StationId,
-        /// Second station of the offending pair.
-        b: StationId,
-        /// That pair's propagation delay.
-        delay: SimDuration,
-    },
     /// The world gained or lost stations since the plan was computed.
     StationCountChanged {
         /// Stations the plan covers.
@@ -114,10 +88,6 @@ impl std::fmt::Display for ShardIncoherence {
                 f,
                 "coupled stations {a} and {b} ({dist_m:.1} m apart) straddle shards"
             ),
-            ShardIncoherence::LookaheadExceedsDelay { a, b, delay } => write!(
-                f,
-                "plan lookahead exceeds the {delay} propagation delay of cross-shard pair ({a}, {b})"
-            ),
             ShardIncoherence::StationCountChanged { planned, actual } => write!(
                 f,
                 "plan covers {planned} stations but the world holds {actual}"
@@ -127,7 +97,7 @@ impl std::fmt::Display for ShardIncoherence {
 }
 
 /// The digested output of a component run: everything the
-/// sharded-vs-serial differential contract compares.
+/// worker-count differential contract compares.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShardRunReport {
     /// Number of component worlds executed.
@@ -152,64 +122,15 @@ pub fn component_seed(base: u64, k: usize) -> u64 {
     base ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Digests a slice of already-run component simulations into a
-/// [`ShardRunReport`]: per-shard trace and metrics JSONL concatenated
-/// in shard order, then FNV-1a'd. Public so callers that need
-/// per-component observables (CITY-DCF extracts per-BSS counters) can
-/// run the components themselves and still produce the exact digest
-/// the differential contract compares.
-pub fn digest_components(
-    sims: &[Simulation<WlanWorld>],
-    per_shard_events: Vec<u64>,
-    horizon: SimTime,
-    tag: &str,
-) -> ShardRunReport {
-    let mut trace_jsonl = String::new();
-    let mut metrics_jsonl = String::new();
-    for sim in sims {
-        trace_jsonl.push_str(&sim.world().trace.to_jsonl(tag));
-        metrics_jsonl.push_str(&sim.world().metrics_snapshot(horizon).to_jsonl(tag));
-    }
-    ShardRunReport {
-        shards: sims.len(),
-        events: per_shard_events.iter().sum(),
-        trace_fnv: fnv1a(trace_jsonl.as_bytes()),
-        metrics_fnv: fnv1a(metrics_jsonl.as_bytes()),
-        per_shard_events,
-    }
-}
-
-/// Runs `count` component worlds **serially**: each is built by
-/// `build(k)` and advanced straight to `horizon` with a single
-/// `run_until` call. This is the reference execution of the
-/// differential contract.
-pub fn run_components_serial<B>(
+/// Runs `count` component worlds as independent jobs on up to
+/// `workers` threads. Job `k` builds component `k` with `build(k)`,
+/// advances it to `horizon` with one `run_until`, renders its trace
+/// and metrics JSONL under `tag` and drops the world. The pieces are
+/// merged in shard order, so the report is identical for any worker
+/// count: shards never exchange state (DESIGN.md §15).
+pub fn run_components<B>(
     count: usize,
     horizon: SimTime,
-    tag: &str,
-    build: B,
-) -> ShardRunReport
-where
-    B: Fn(usize) -> Simulation<WlanWorld>,
-{
-    let mut sims: Vec<Simulation<WlanWorld>> = (0..count).map(&build).collect();
-    let per_shard_events: Vec<u64> = sims.iter_mut().map(|s| s.run_until(horizon)).collect();
-    digest_components(&sims, per_shard_events, horizon, tag)
-}
-
-/// Runs `count` component worlds under the **windowed shard
-/// executor**: all components are built up front (in shard order,
-/// deterministically), then advanced in lockstep `window`-sized steps
-/// on up to `workers` scoped threads with a barrier between windows.
-///
-/// Worlds never exchange state, so the barrier discipline — and the
-/// worker count — cannot change any component's event execution; the
-/// differential harness verifies exactly that, byte for byte, against
-/// [`run_components_serial`].
-pub fn run_components_windowed<B>(
-    count: usize,
-    horizon: SimTime,
-    window: SimDuration,
     workers: usize,
     tag: &str,
     build: B,
@@ -217,39 +138,54 @@ pub fn run_components_windowed<B>(
 where
     B: Fn(usize) -> Simulation<WlanWorld> + Sync,
 {
-    let mut sims: Vec<Simulation<WlanWorld>> = (0..count).map(&build).collect();
-    let (per_shard_events, _msgs) =
-        run_shards_windowed(&mut sims, workers, window, horizon, |sim, deadline| {
-            sim.run_until(deadline)
-        });
-    digest_components(&sims, per_shard_events, horizon, tag)
+    run_components_observed(count, horizon, workers, tag, build, |_, _| ()).0
 }
 
-/// Picks the executor window for a plan: the cross-shard lookahead,
-/// batched up to at least `floor` (windows far smaller than the
-/// horizon only add barrier crossings — safe in either case because
-/// shards are *exactly* decoupled, see DESIGN.md §15), and clamped so
-/// a single-shard or infinite-lookahead plan still advances in a
-/// bounded number of windows.
-pub fn executor_window(plan: &ShardPlan, horizon: SimTime, floor: SimDuration) -> SimDuration {
-    let eighth = SimDuration::from_nanos((horizon.as_nanos() / 8).max(1));
-    // Degenerate lookaheads — single shard, unbounded (MAX), or zero
-    // (shards whose bounding boxes touch, e.g. a cross-channel shard
-    // inside another's hull) — fall back to horizon/8: the window is
-    // free to be anything because cross-shard coupling is exactly
-    // zero, and 8 windows bound the barrier count.
-    if plan.shard_count() < 2
-        || plan.lookahead == SimDuration::MAX
-        || plan.lookahead == SimDuration::ZERO
-    {
-        return eighth;
+/// [`run_components`] that also maps each finished component world
+/// through `observe(k, world)` inside its job, before the world is
+/// dropped. The observations come back in shard order.
+pub fn run_components_observed<B, O, T>(
+    count: usize,
+    horizon: SimTime,
+    workers: usize,
+    tag: &str,
+    build: B,
+    observe: O,
+) -> (ShardRunReport, Vec<T>)
+where
+    B: Fn(usize) -> Simulation<WlanWorld> + Sync,
+    O: Fn(usize, &WlanWorld) -> T + Sync,
+    T: Send,
+{
+    let pieces = par_map_with(workers, (0..count).collect(), |k| {
+        let mut sim = build(k);
+        let events = sim.run_until(horizon);
+        let world = sim.world();
+        (
+            events,
+            world.trace.to_jsonl(tag),
+            world.metrics_snapshot(horizon).to_jsonl(tag),
+            observe(k, world),
+        )
+    });
+    let mut per_shard_events = Vec::with_capacity(count);
+    let mut trace_jsonl = String::new();
+    let mut metrics_jsonl = String::new();
+    let mut observed = Vec::with_capacity(count);
+    for (events, trace, metrics, o) in pieces {
+        per_shard_events.push(events);
+        trace_jsonl.push_str(&trace);
+        metrics_jsonl.push_str(&metrics);
+        observed.push(o);
     }
-    let mut w = plan.lookahead;
-    if w < floor {
-        let mult = floor.as_nanos().div_ceil(w.as_nanos());
-        w = SimDuration::from_nanos(w.as_nanos().saturating_mul(mult));
-    }
-    w.min(eighth).max(SimDuration::from_nanos(1))
+    let report = ShardRunReport {
+        shards: count,
+        events: per_shard_events.iter().sum(),
+        trace_fnv: fnv1a(trace_jsonl.as_bytes()),
+        metrics_fnv: fnv1a(metrics_jsonl.as_bytes()),
+        per_shard_events,
+    };
+    (report, observed)
 }
 
 #[cfg(test)]
@@ -258,11 +194,10 @@ mod tests {
     use crate::arena::FrameId;
     use crate::neighbors::NeighborCache;
     use crate::sim::{MacConfig, WlanWorld};
-    use wn_sim::ShardMsg;
 
-    /// Compile-time `Send` audit (ISSUE 8 satellite): the whole shard
-    /// payload chain must stay `Send` so worlds can migrate onto
-    /// executor threads. A reintroduced `Rc`/`RefCell` anywhere in
+    /// Compile-time `Send` audit: the whole shard payload chain must
+    /// stay `Send` so worlds can be built and run on worker
+    /// threads. A reintroduced `Rc`/`RefCell` anywhere in
     /// these types fails this *at build time*.
     fn assert_send<T: Send>() {}
 
@@ -272,68 +207,46 @@ mod tests {
         assert_send::<NeighborCache>();
         assert_send::<WlanWorld>();
         assert_send::<Simulation<WlanWorld>>();
-        assert_send::<ShardMsg>();
         assert_send::<ShardPlan>();
         assert_send::<ShardRunReport>();
     }
 
-    #[test]
-    fn propagation_delay_rounds_down() {
-        // 300 m ≈ 1000.69 ns of flight time → 1000 ns conservative.
-        assert_eq!(propagation_delay(300.0), SimDuration::from_nanos(1000));
-        assert_eq!(propagation_delay(0.0), SimDuration::ZERO);
+    fn empty_world(k: usize) -> Simulation<WlanWorld> {
+        let mut cfg = MacConfig::new(wn_phy::PhyStandard::Dot11b);
+        cfg.seed = 0x5eed ^ k as u64;
+        Simulation::new(WlanWorld::new(cfg))
     }
 
     #[test]
-    fn executor_window_batches_lookahead_up_to_floor() {
-        let plan = ShardPlan {
-            shard_of: vec![0, 1],
-            shards: vec![vec![0], vec![1]],
-            lookahead: SimDuration::from_nanos(700),
-            max_interference_range_m: 250.0,
-        };
-        let w = executor_window(
-            &plan,
-            SimTime::from_millis(100),
-            SimDuration::from_micros(64),
-        );
-        // An integer multiple of the lookahead, at least the floor.
-        assert_eq!(w.as_nanos() % 700, 0);
-        assert!(w >= SimDuration::from_micros(64));
-        // Single-shard plans fall back to horizon/8.
-        let single = ShardPlan {
-            shard_of: vec![0],
-            shards: vec![vec![0]],
-            lookahead: SimDuration::MAX,
-            max_interference_range_m: f64::INFINITY,
-        };
-        let w1 = executor_window(
-            &single,
-            SimTime::from_millis(8),
-            SimDuration::from_micros(64),
-        );
-        assert_eq!(w1, SimDuration::from_millis(1));
+    fn zero_components_give_an_empty_report() {
+        let r = run_components(0, SimTime::from_millis(2), 4, "shard", empty_world);
+        assert_eq!(r.shards, 0);
+        assert_eq!(r.events, 0);
+        assert!(r.per_shard_events.is_empty());
+        assert_eq!(r.trace_fnv, fnv1a(b""));
+        assert_eq!(r.metrics_fnv, fnv1a(b""));
     }
 
     #[test]
-    fn component_harness_serial_equals_windowed_on_empty_worlds() {
-        let build = |k: usize| {
-            let mut cfg = MacConfig::new(wn_phy::PhyStandard::Dot11b);
-            cfg.seed = 0x5eed ^ k as u64;
-            Simulation::new(WlanWorld::new(cfg))
-        };
+    fn more_workers_than_components_is_fine() {
         let horizon = SimTime::from_millis(2);
-        let serial = run_components_serial(3, horizon, "shard", build);
-        for workers in [1, 2, 4] {
-            let windowed = run_components_windowed(
-                3,
-                horizon,
-                SimDuration::from_micros(64),
-                workers,
-                "shard",
-                build,
-            );
-            assert_eq!(serial, windowed, "workers {workers}");
-        }
+        let one = run_components(3, horizon, 1, "shard", empty_world);
+        assert_eq!(one.shards, 3);
+        assert_eq!(one, run_components(3, horizon, 8, "shard", empty_world));
+    }
+
+    #[test]
+    fn observations_come_back_in_shard_order() {
+        let (report, seen) = run_components_observed(
+            5,
+            SimTime::from_millis(1),
+            3,
+            "shard",
+            empty_world,
+            |k, w| (k, w.config().seed),
+        );
+        assert_eq!(report.shards, 5);
+        let want: Vec<(usize, u64)> = (0..5).map(|k| (k, 0x5eed ^ k as u64)).collect();
+        assert_eq!(seen, want);
     }
 }

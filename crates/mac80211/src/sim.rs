@@ -1533,7 +1533,6 @@ impl WlanWorld {
                         plan.shard_of, exhaustive.shard_of,
                         "grid shard plan diverged from the exhaustive scan"
                     );
-                    debug_assert_eq!(plan.lookahead, exhaustive.lookahead);
                 }
                 plan
             }
@@ -1696,10 +1695,8 @@ impl WlanWorld {
     /// Renumbers a union-find forest into the canonical plan:
     /// components in first-occurrence order (each shard's index is
     /// determined by its smallest member id, so the partition is a
-    /// pure function of the deployment), plus the bounding-box
-    /// lookahead.
+    /// pure function of the deployment).
     fn shard_plan_finish(&self, mut parent: Vec<usize>, range: f64) -> crate::shard::ShardPlan {
-        use crate::shard::propagation_delay;
         let n = parent.len();
         let mut shard_of = vec![usize::MAX; n];
         let mut shards: Vec<Vec<StationId>> = Vec::new();
@@ -1713,140 +1710,19 @@ impl WlanWorld {
             *slot = s;
             shards[s].push(i);
         }
-
-        // Lookahead: a lower bound on the smallest cross-shard
-        // distance via per-shard bounding boxes (O(K²) instead of
-        // O(n²); a lower bound keeps the propagation-delay claim
-        // conservative).
-        let mut lookahead = SimDuration::MAX;
-        if shards.len() >= 2 {
-            let boxes: Vec<([f64; 3], [f64; 3])> = shards
-                .iter()
-                .map(|members| {
-                    let mut lo = [f64::INFINITY; 3];
-                    let mut hi = [f64::NEG_INFINITY; 3];
-                    for &m in members {
-                        let p = self.stations[m].pos;
-                        for (k, v) in [p.x, p.y, p.z].into_iter().enumerate() {
-                            lo[k] = lo[k].min(v);
-                            hi[k] = hi[k].max(v);
-                        }
-                    }
-                    (lo, hi)
-                })
-                .collect();
-            let mut min_d2 = f64::INFINITY;
-            for a in 0..boxes.len() {
-                for b in (a + 1)..boxes.len() {
-                    let mut d2 = 0.0;
-                    for k in 0..3 {
-                        let gap = (boxes[a].0[k] - boxes[b].1[k])
-                            .max(boxes[b].0[k] - boxes[a].1[k])
-                            .max(0.0);
-                        d2 += gap * gap;
-                    }
-                    min_d2 = min_d2.min(d2);
-                }
-            }
-            lookahead = propagation_delay(min_d2.sqrt());
-        }
-
         crate::shard::ShardPlan {
             shard_of,
             shards,
-            lookahead,
             max_interference_range_m: range,
         }
     }
 
-    /// Incrementally re-plans after one station moved — the handoff
-    /// boundary path (DESIGN.md §17). Only edges incident to the
-    /// mover changed, so shards not containing it survive as union
-    /// seeds; the mover's old shard is re-scanned internally (the
-    /// mover may have been its only bridge) and the mover re-couples
-    /// against its grid neighborhood. O(|old shard|² + k + K²)
-    /// instead of a fresh O(n·k) plan; debug builds assert the result
-    /// identical to a full re-plan.
-    pub fn shard_replan_station(
-        &self,
-        plan: &crate::shard::ShardPlan,
-        moved: StationId,
-        now: SimTime,
-    ) -> crate::shard::ShardPlan {
-        let n = self.stations.len();
-        assert_eq!(
-            plan.shard_of.len(),
-            n,
-            "incremental replan needs a plan for this deployment"
-        );
-        let range = plan.max_interference_range_m;
-        let mut parent: Vec<usize> = (0..n).collect();
-        let old = plan.shard_of[moved];
-        // Surviving shards: none of their internal edges involved the
-        // mover, and no new edge can appear between two stations that
-        // did not move, so each collapses to a single seed union.
-        for (s, members) in plan.shards.iter().enumerate() {
-            if s == old {
-                continue;
-            }
-            for &m in &members[1..] {
-                Self::uf_union(&mut parent, members[0], m);
-            }
-        }
-        // The mover's old shard may split without it: re-derive its
-        // internal connectivity from scratch.
-        let residue: Vec<StationId> = plan.shards[old]
-            .iter()
-            .copied()
-            .filter(|&m| m != moved)
-            .collect();
-        for (ai, &a) in residue.iter().enumerate() {
-            for &b in &residue[ai + 1..] {
-                if Self::uf_find(&mut parent, a) != Self::uf_find(&mut parent, b)
-                    && self.pair_coupled(a, b, range, now)
-                {
-                    Self::uf_union(&mut parent, a, b);
-                }
-            }
-        }
-        // The mover re-couples against every possible partner: its
-        // grid neighborhood when the geometry is indexable, everyone
-        // otherwise.
-        let candidates: Vec<StationId> = match (range.is_finite(), self.audible_reach_m(now)) {
-            (true, Some(reach)) if self.grid_index => {
-                let cell = range.max(reach);
-                let grid = SpatialGrid::build(cell, self.stations.iter().map(|s| s.pos));
-                let mut hood = Vec::new();
-                grid.neighborhood_into(grid.cell_of(moved), &mut hood);
-                hood
-            }
-            _ => (0..n).collect(),
-        };
-        for &c in &candidates {
-            if c != moved && self.pair_coupled(moved, c, range, now) {
-                Self::uf_union(&mut parent, moved, c);
-            }
-        }
-        let replanned = self.shard_plan_finish(parent, range);
-        #[cfg(debug_assertions)]
-        {
-            let fresh = self.shard_plan(now, if range.is_finite() { Some(range) } else { None });
-            debug_assert_eq!(
-                replanned.shard_of, fresh.shard_of,
-                "incremental replan diverged from a fresh plan"
-            );
-            debug_assert_eq!(replanned.lookahead, fresh.lookahead);
-        }
-        replanned
-    }
-
     /// Re-validates a [`ShardPlan`](crate::shard::ShardPlan) against
-    /// the world's *current* state: station count unchanged, no
-    /// coupled pair straddling shards, and every cross-shard pair's
-    /// propagation delay at least the plan's lookahead. `None` means
-    /// coherent. The check behind the `shard-coherence` oracle —
-    /// mobility patches move stations after the plan is computed, and
-    /// a stale plan must be caught, not trusted.
+    /// the world's *current* state: station count unchanged and no
+    /// coupled pair straddling shards. `None` means coherent. The
+    /// check behind the `shard-coherence` oracle — mobility patches
+    /// move stations after the plan is computed, and a stale plan must
+    /// be caught, not trusted.
     pub fn shard_plan_incoherence(
         &self,
         plan: &crate::shard::ShardPlan,
@@ -1858,46 +1734,47 @@ impl WlanWorld {
         }
     }
 
+    /// The station-count half of re-validation, shared by both paths.
+    fn shard_plan_count_mismatch(
+        &self,
+        plan: &crate::shard::ShardPlan,
+    ) -> Option<crate::shard::ShardIncoherence> {
+        (plan.shard_of.len() != self.stations.len()).then_some(
+            crate::shard::ShardIncoherence::StationCountChanged {
+                planned: plan.shard_of.len(),
+                actual: self.stations.len(),
+            },
+        )
+    }
+
     /// Grid-accelerated re-validation. Outer `None` means the world is
     /// not grid eligible and the caller must fall back to the
-    /// exhaustive scan; `Some(verdict)` is authoritative. Both checks
-    /// are distance-bounded — coupling by `max(range, reach)` and the
-    /// lookahead claim by `lookahead · c` (`delay(d) < L ⇔ d < L·c`
-    /// because delay is a floor to integer nanoseconds) — so a sweep
-    /// over the 27-cell neighborhoods of a grid whose edge is the
-    /// larger bound enumerates every pair that could violate either.
-    /// An infinite interference range needs no geometry at all for
-    /// coupling: any spectral overlap couples, so cross-shard
-    /// violations reduce to channel classes straddling shards.
+    /// exhaustive scan; `Some(verdict)` is authoritative. Coupling is
+    /// distance-bounded by `max(range, reach)`, so a sweep over the
+    /// 27-cell neighborhoods of a grid with that edge enumerates every
+    /// pair that could straddle shards while coupled. An infinite
+    /// interference range needs no geometry at all: any spectral
+    /// overlap couples, so cross-shard violations reduce to channel
+    /// classes straddling shards.
     fn shard_plan_incoherence_grid(
         &self,
         plan: &crate::shard::ShardPlan,
         now: SimTime,
     ) -> Option<Option<crate::shard::ShardIncoherence>> {
-        use crate::shard::{propagation_delay, ShardIncoherence, METRES_PER_NANOSECOND};
+        use crate::shard::ShardIncoherence;
         use std::collections::BTreeMap;
         if !self.grid_index {
             return None;
         }
-        let n = self.stations.len();
-        if plan.shard_of.len() != n {
-            return Some(Some(ShardIncoherence::StationCountChanged {
-                planned: plan.shard_of.len(),
-                actual: n,
-            }));
+        if let Some(mismatch) = self.shard_plan_count_mismatch(plan) {
+            return Some(Some(mismatch));
         }
+        let n = self.stations.len();
         let range = plan.max_interference_range_m;
-        let coupling_cell = if range.is_finite() {
-            match self.audible_reach_m(now) {
-                Some(reach) => Some(range.max(reach)),
-                None => return None,
-            }
-        } else {
-            // Infinite range: every spectrally overlapping pair is
-            // coupled regardless of distance, so a cross-shard
-            // violation exists iff some overlapping channel pair
-            // straddles shards. BTreeMaps keep the scan — and the
-            // reported witness pair — deterministic.
+        if !range.is_finite() {
+            // Every spectrally overlapping pair is coupled regardless
+            // of distance. BTreeMaps keep the scan — and the reported
+            // witness pair — deterministic.
             let mut classes: BTreeMap<u8, BTreeMap<usize, StationId>> = BTreeMap::new();
             for i in 0..n {
                 classes
@@ -1933,43 +1810,23 @@ impl WlanWorld {
                     }
                 }
             }
-            None
-        };
-        let lookahead_dist = (plan.lookahead != SimDuration::MAX)
-            .then(|| plan.lookahead.as_nanos() as f64 * METRES_PER_NANOSECOND);
-        let cell = match (coupling_cell, lookahead_dist) {
-            (None, None) => return Some(None),
-            (a, b) => a.unwrap_or(0.0).max(b.unwrap_or(0.0)),
-        };
+            return Some(None);
+        }
+        let cell = range.max(self.audible_reach_m(now)?);
         let grid = SpatialGrid::build(cell, self.stations.iter().map(|s| s.pos));
         let mut hood = Vec::new();
         for i in 0..n {
             hood.clear();
             grid.neighborhood_into(grid.cell_of(i), &mut hood);
             for &j in &hood {
-                if j <= i || plan.shard_of[i] == plan.shard_of[j] {
-                    continue;
-                }
-                let d = self.stations[i].pos.distance_to(self.stations[j].pos);
-                if coupling_cell.is_some()
-                    && Self::channel_overlap(self.dcf.channel[i], self.dcf.channel[j]) > 0.0
+                if j > i
+                    && plan.shard_of[i] != plan.shard_of[j]
+                    && self.pair_coupled(i, j, range, now)
                 {
-                    let coupled = d <= range
-                        || self.audible_at(self.rx_power_at(i, j, now))
-                        || self.audible_at(self.rx_power_at(j, i, now));
-                    if coupled {
-                        return Some(Some(ShardIncoherence::CoupledAcrossShards {
-                            a: i,
-                            b: j,
-                            dist_m: d,
-                        }));
-                    }
-                }
-                if plan.lookahead != SimDuration::MAX && propagation_delay(d) < plan.lookahead {
-                    return Some(Some(ShardIncoherence::LookaheadExceedsDelay {
+                    return Some(Some(ShardIncoherence::CoupledAcrossShards {
                         a: i,
                         b: j,
-                        delay: propagation_delay(d),
+                        dist_m: self.stations[i].pos.distance_to(self.stations[j].pos),
                     }));
                 }
             }
@@ -1984,37 +1841,19 @@ impl WlanWorld {
         plan: &crate::shard::ShardPlan,
         now: SimTime,
     ) -> Option<crate::shard::ShardIncoherence> {
-        use crate::shard::{propagation_delay, ShardIncoherence};
-        let n = self.stations.len();
-        if plan.shard_of.len() != n {
-            return Some(ShardIncoherence::StationCountChanged {
-                planned: plan.shard_of.len(),
-                actual: n,
-            });
+        if let Some(mismatch) = self.shard_plan_count_mismatch(plan) {
+            return Some(mismatch);
         }
+        let n = self.stations.len();
         for i in 0..n {
             for j in (i + 1)..n {
-                if plan.shard_of[i] == plan.shard_of[j] {
-                    continue;
-                }
-                let d = self.stations[i].pos.distance_to(self.stations[j].pos);
-                if Self::channel_overlap(self.dcf.channel[i], self.dcf.channel[j]) > 0.0 {
-                    let coupled = d <= plan.max_interference_range_m
-                        || self.audible_at(self.rx_power_at(i, j, now))
-                        || self.audible_at(self.rx_power_at(j, i, now));
-                    if coupled {
-                        return Some(ShardIncoherence::CoupledAcrossShards {
-                            a: i,
-                            b: j,
-                            dist_m: d,
-                        });
-                    }
-                }
-                if plan.lookahead != SimDuration::MAX && propagation_delay(d) < plan.lookahead {
-                    return Some(ShardIncoherence::LookaheadExceedsDelay {
+                if plan.shard_of[i] != plan.shard_of[j]
+                    && self.pair_coupled(i, j, plan.max_interference_range_m, now)
+                {
+                    return Some(crate::shard::ShardIncoherence::CoupledAcrossShards {
                         a: i,
                         b: j,
-                        delay: propagation_delay(d),
+                        dist_m: self.stations[i].pos.distance_to(self.stations[j].pos),
                     });
                 }
             }

@@ -253,7 +253,7 @@ mod tests {
         let key = WepKey::new(b"\x0f\x33\xA2\x7e\x51\x00\xff\x10\x20\x30\x9a\x62\x04").unwrap();
         let (samples, reference) = directed_capture(&key);
         let r = recover_key(&samples, 13, &reference, 4, 200_000);
-        assert_eq!(r.key.as_deref(), Some(&key.secret()[..]));
+        assert_eq!(r.key.as_deref(), Some(key.secret()));
     }
 
     #[test]

@@ -70,10 +70,7 @@ pub use engine::{
     World, OP_POP,
 };
 pub use metrics::{MetricKey, MetricRow, MetricsRegistry, MetricsSnapshot};
-pub use par::{
-    par_map, par_map_with, run_shards_serial, run_shards_windowed, shard_boundaries, worker_count,
-    ShardMsg,
-};
+pub use par::{par_map, par_map_with, worker_count};
 pub use rng::Rng;
 pub use time::{SimDuration, SimTime};
 pub use trace::{

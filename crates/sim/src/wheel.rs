@@ -297,7 +297,7 @@ mod tests {
         let mut pairs = Vec::new();
         for seq in 0..5_000u64 {
             // Mixture of near (µs..ms) and far (up to ~hours) times.
-            let t = if rng.next_u64() % 8 == 0 {
+            let t = if rng.next_u64().is_multiple_of(8) {
                 rng.next_u64() % (1u64 << 47)
             } else {
                 rng.next_u64() % 2_000_000

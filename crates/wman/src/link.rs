@@ -221,8 +221,10 @@ mod tests {
 
     #[test]
     fn los_band_dies_when_obstructed() {
-        let mut l = WimaxLink::default();
-        l.band = WimaxBand::LineOfSight;
+        let l = WimaxLink {
+            band: WimaxBand::LineOfSight,
+            ..WimaxLink::default()
+        };
         assert!(l.rate_at(5_000.0, false).is_some());
         assert!(
             l.rate_at(5_000.0, true).is_none(),
@@ -241,8 +243,10 @@ mod tests {
         // service … communicate with each other over a greater
         // distance" — with clear LOS the high band still closes links
         // far out.
-        let mut l = WimaxLink::default();
-        l.band = WimaxBand::LineOfSight;
+        let l = WimaxLink {
+            band: WimaxBand::LineOfSight,
+            ..WimaxLink::default()
+        };
         assert!(l.rate_at(30_000.0, false).is_some());
     }
 
@@ -250,8 +254,10 @@ mod tests {
     fn snr_none_only_when_obstructed_los() {
         let l = WimaxLink::default();
         assert!(l.snr_at(10_000.0, true).is_some());
-        let mut los = WimaxLink::default();
-        los.band = WimaxBand::LineOfSight;
+        let los = WimaxLink {
+            band: WimaxBand::LineOfSight,
+            ..WimaxLink::default()
+        };
         assert!(los.snr_at(10_000.0, true).is_none());
     }
 }

@@ -479,9 +479,11 @@ mod tests {
         let run = |far: bool| {
             // Low masts: the two-ray crossover lands at ~3 km, so the
             // far subscriber genuinely falls down the profile ladder.
-            let mut link = WimaxLink::default();
-            link.bs_height_m = 10.0;
-            link.ss_height_m = 2.0;
+            let link = WimaxLink {
+                bs_height_m: 10.0,
+                ss_height_m: 2.0,
+                ..WimaxLink::default()
+            };
             let mut bs = BaseStation::new(link);
             bs.dl_ratio = 1.0;
             let a = bs

@@ -1,36 +1,34 @@
 //! CITY-DCF at full scale: the spatially-sharded city of saturated
-//! BSSes, proven byte-identical between the serial composition and
-//! the windowed shard executor (DESIGN.md §15), checked from the
-//! point observables rather than the experiment harness's own claims.
+//! BSSes, proven byte-identical between 1 and 2 workers (DESIGN.md
+//! §15), checked from the point observables rather than the
+//! experiment harness's own claims.
 //!
 //! The flagship city is release-sized (108 BSSes, 10,476 stations);
 //! the tier-1 debug suite skips this file and CI runs it in the
 //! release job, like `scale_dcf.rs`.
 
 use wireless_networks::core::scenarios::{
-    city_dcf_collapse_sweep, city_dcf_point, city_dcf_size, CityDcfPoint,
+    city_dcf_collapse_sweep, city_dcf_point, city_dcf_run, city_dcf_size, CityDcfPoint,
 };
 
 fn dump(p: &CityDcfPoint) {
     eprintln!(
-        "CITY-DCF cells={} stations={} senders/cell={} shards={} lookahead={}ns \
-         jain={:.4} per_sender={:.1} kbps identical={}",
+        "CITY-DCF cells={} stations={} senders/cell={} shards={} \
+         jain={:.4} per_sender={:.1} kbps trace_fnv={:016x}",
         p.cells,
         p.stations,
         p.senders_per_cell,
         p.shards,
-        p.lookahead.as_nanos(),
         p.jain_cross_bss,
         p.per_station_kbps,
-        p.byte_identical(),
+        p.report.trace_fnv,
     );
 }
 
 /// The headline contract: ≥100 BSSes / ≥10k stations partition into
-/// one shard per cell, complete under the shard executor at 1, 2 and
-/// 4 workers, and every execution digests byte-identically to the
-/// serial reference — with the cross-BSS load balanced (Jain ≥ 0.95)
-/// and every sender saturated to the horizon.
+/// one shard per cell, run to completion, and digest byte-identically
+/// at 1 and 2 workers — with the cross-BSS load balanced (Jain ≥
+/// 0.95) and every sender saturated to the horizon.
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -49,19 +47,14 @@ fn flagship_city_is_byte_identical_under_the_shard_executor() {
         "plan failed validation: {:?}",
         p.incoherence
     );
-    assert!(p.serial.events > 0, "the city must actually run");
+    assert!(p.report.events > 0, "the city must actually run");
+    let one = city_dcf_run(rows, cols, senders, duration_ms, 42, Some(1));
+    let two = city_dcf_run(rows, cols, senders, duration_ms, 42, Some(2));
+    assert_eq!(one, two, "the city diverged between 1 and 2 workers");
     assert_eq!(
-        p.windowed.iter().map(|(w, _)| *w).collect::<Vec<_>>(),
-        vec![1, 2, 4],
-        "all three worker counts must run"
+        one, p.report,
+        "the point's run diverged from the 1-worker run"
     );
-    for (workers, r) in &p.windowed {
-        assert_eq!(
-            (r.events, r.trace_fnv, r.metrics_fnv),
-            (p.serial.events, p.serial.trace_fnv, p.serial.metrics_fnv),
-            "windowed x{workers} diverged from the serial composition"
-        );
-    }
     assert!(
         p.jain_cross_bss >= 0.95,
         "cross-BSS Jain {:.4} < 0.95",
@@ -71,8 +64,8 @@ fn flagship_city_is_byte_identical_under_the_shard_executor() {
 }
 
 /// Densifying the cells collapses per-sender goodput monotonically
-/// while the partition stays one-shard-per-cell and every point stays
-/// byte-identical — contention is per-cell, sharding is free.
+/// while the partition stays one-shard-per-cell and every plan
+/// validates — contention is per-cell, sharding is free.
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -88,8 +81,8 @@ fn densification_collapses_per_sender_goodput_monotonically() {
         dump(p);
         assert_eq!(p.shards, p.cells);
         assert!(
-            p.byte_identical(),
-            "divergence at {} senders/cell",
+            p.incoherence.is_none(),
+            "plan failed validation at {} senders/cell",
             p.senders_per_cell
         );
         assert!(p.saturated);

@@ -4,7 +4,6 @@
 //! boundaries, in degenerate one-cell worlds, in worlds where nothing
 //! is audible, and under mobility that hops stations across cells.
 
-use wireless_networks::core::scenarios::{metro_dcf_planning_world, CITY_DCF_RANGE_M};
 use wireless_networks::mac80211::sim::{MacConfig, NullUpper, WlanWorld};
 use wireless_networks::phy::geom::Point;
 use wireless_networks::phy::modulation::PhyStandard;
@@ -31,17 +30,13 @@ fn assert_coherent(world: &mut WlanWorld, what: &str) {
 }
 
 /// Asserts the grid planner and the exhaustive O(n²) planner produce
-/// the identical partition and lookahead on `world`.
+/// the identical partition on `world`.
 fn assert_planners_agree(world: &WlanWorld, range: Option<f64>, what: &str) {
     let grid = world.shard_plan(SimTime::ZERO, range);
     let exhaustive = world.shard_plan_exhaustive(SimTime::ZERO, range);
     assert_eq!(
         grid.shard_of, exhaustive.shard_of,
         "{what}: planners disagree on the partition"
-    );
-    assert_eq!(
-        grid.lookahead, exhaustive.lookahead,
-        "{what}: planners disagree on the lookahead"
     );
     assert!(
         world.shard_plan_incoherence(&grid, SimTime::ZERO).is_none(),
@@ -158,41 +153,5 @@ fn mobility_crossing_cells_stays_coherent() {
             );
         }
         assert_planners_agree(&world, Some(150.0), "post-mobility");
-    }
-}
-
-/// Incremental re-planning: after one station moves, patching the old
-/// plan through `shard_replan_station` must equal a from-scratch
-/// `shard_plan` — including when the mover was a cut vertex whose
-/// departure splits its old shard, and when it bridges two shards.
-#[test]
-fn incremental_replan_matches_fresh_plan() {
-    let world = metro_dcf_planning_world(2, 3, 4, 20, 9);
-    let range = Some(CITY_DCF_RANGE_M);
-    let mut plan = world.shard_plan(SimTime::ZERO, range);
-    let mut world = world;
-    let mut rng = Rng::new(0xBEEF);
-    let n = plan.shard_of.len();
-    for hop in 0..12 {
-        let station = rng.below(n as u64) as usize;
-        let pos = Point::new(rng.f64_range(-300.0, 900.0), rng.f64_range(-300.0, 700.0));
-        world.set_position(station, pos, SimTime::ZERO);
-        let patched = world.shard_replan_station(&plan, station, SimTime::ZERO);
-        let fresh = world.shard_plan(SimTime::ZERO, range);
-        assert_eq!(
-            patched.shard_of, fresh.shard_of,
-            "hop {hop}: incremental replan diverged from the fresh plan"
-        );
-        assert_eq!(
-            patched.lookahead, fresh.lookahead,
-            "hop {hop}: incremental replan picked a different lookahead"
-        );
-        assert!(
-            world
-                .shard_plan_incoherence(&patched, SimTime::ZERO)
-                .is_none(),
-            "hop {hop}: patched plan failed re-validation"
-        );
-        plan = patched;
     }
 }

@@ -2,18 +2,19 @@
 //! must construct, plan and run at 100k+ stations — the size where the
 //! dense O(n²) paths stop being an option — with one interference
 //! shard per cell, a plan that re-validates coherent, and byte-
-//! identical digests between the serial composition and the windowed
-//! shard executor.
+//! identical digests between 1 and 2 workers.
 //!
 //! Like `city_dcf.rs` and `scale_dcf.rs`, the flagship sizes are
 //! release-only; the tier-1 debug suite runs the small sweep points.
 
-use wireless_networks::core::scenarios::{metro_dcf_point, metro_dcf_sweep, MetroDcfPoint};
+use wireless_networks::core::scenarios::{
+    city_dcf_run, metro_dcf_point, metro_dcf_sweep, MetroDcfPoint,
+};
 
 fn dump(p: &MetroDcfPoint) {
     eprintln!(
         "METRO-DCF cells={} stations={} shards={} plan={:.1}ms build={:?}ms \
-         stored={:?} coherent={} identical={}",
+         stored={:?} coherent={} trace_fnv={:016x}",
         p.cells,
         p.stations,
         p.shards,
@@ -21,7 +22,7 @@ fn dump(p: &MetroDcfPoint) {
         p.build_ms,
         p.stored_entries,
         p.grid_coherent,
-        p.byte_identical(),
+        p.report.trace_fnv,
     );
 }
 
@@ -33,11 +34,7 @@ fn assert_point_sound(p: &MetroDcfPoint) {
         p.incoherence
     );
     assert!(p.grid_coherent, "grid structure incoherent");
-    assert!(p.serial.events > 0, "the metro must actually run");
-    assert!(
-        p.byte_identical(),
-        "windowed execution diverged from the serial composition"
-    );
+    assert!(p.report.events > 0, "the metro must actually run");
     if let Some(stored) = p.stored_entries {
         assert!(
             stored < p.dense_entries(),
@@ -47,7 +44,7 @@ fn assert_point_sound(p: &MetroDcfPoint) {
 }
 
 /// Every sweep point — debug or release — plans one shard per cell,
-/// re-validates, and digests byte-identically under the executor.
+/// re-validates, and runs.
 #[test]
 fn every_sweep_point_is_sound() {
     for (rows, cols, senders, duration_ms) in metro_dcf_sweep() {
@@ -58,7 +55,8 @@ fn every_sweep_point_is_sound() {
 }
 
 /// The headline gate: the release flagship covers ≥100k stations and
-/// still constructs, grid-plans and runs end to end. Grid planning
+/// still constructs, grid-plans and runs end to end, byte-identically
+/// at 1 and 2 workers. Grid planning
 /// must stay in interactive territory (well under a minute — the
 /// O(n²) scan would take hours here), which is the whole point of the
 /// spatial index.
@@ -77,6 +75,11 @@ fn flagship_metro_reaches_100k_stations() {
         p.stations
     );
     assert_point_sound(&p);
+    assert_eq!(
+        city_dcf_run(rows, cols, senders, duration_ms, 42, Some(1)),
+        city_dcf_run(rows, cols, senders, duration_ms, 42, Some(2)),
+        "the metro diverged between 1 and 2 workers"
+    );
     assert!(
         p.plan_ms < 60_000.0,
         "grid planning took {:.0}ms at n={} — the spatial index is not doing its job",

@@ -1,27 +1,24 @@
 //! Partition properties of the interference shard planner and the
-//! byte-identity contract of the shard executor (DESIGN.md §15),
+//! byte-identity contract of `run_components` (DESIGN.md §15),
 //! checked end to end through the public facade:
 //!
 //! - no audible co-channel pair ever straddles a shard boundary (the
 //!   cached audible-neighbor lists are the witness);
-//! - the plan's cross-shard lookahead never exceeds any cross-shard
-//!   pair's actual propagation delay (the conservative-DES bound);
 //! - stale plans are caught by `shard_plan_incoherence` after the
 //!   world changes under them (the `shard-coherence` oracle's check);
-//! - the windowed shard executor produces byte-identical digests to
-//!   the serial composition at 1, 2 and 4 workers, and a
-//!   single-component composition bridges to a plain `run_until`.
+//! - `run_components` produces byte-identical digests to the sliced
+//!   serial reference at 1, 2, 4 and 8 workers on an uneven
+//!   partition, and a single-component composition bridges to a plain
+//!   `run_until`.
 
+use wireless_networks::check::run_components_sliced;
 use wireless_networks::mac80211::addr::MacAddr;
-use wireless_networks::mac80211::shard::{
-    component_seed, propagation_delay, run_components_serial, run_components_windowed,
-    ShardIncoherence,
-};
+use wireless_networks::mac80211::shard::{component_seed, run_components, ShardIncoherence};
 use wireless_networks::mac80211::sim::{boot, inject_at, MacConfig, NullUpper, WlanWorld};
 use wireless_networks::phy::geom::Point;
 use wireless_networks::phy::modulation::PhyStandard;
 use wireless_networks::sim::stats::fnv1a;
-use wireless_networks::sim::{SimDuration, SimTime, Simulation};
+use wireless_networks::sim::{SimTime, Simulation};
 
 /// A world of station clusters: each `(centre, channel, count)` entry
 /// puts one station at the centre and the rest on an 8 m ring.
@@ -96,41 +93,6 @@ fn audible_pairs_never_straddle_shards() {
     }
 }
 
-/// The plan's lookahead is a conservative bound: for every pair of
-/// stations in different shards, the pair's actual propagation delay
-/// is at least the plan's lookahead.
-#[test]
-fn cross_shard_lookahead_never_exceeds_any_pair_delay() {
-    // Three co-channel islands far apart plus one orthogonal-channel
-    // cluster sitting between them: four shards, mixed separations.
-    let w = cluster_world(
-        3,
-        &[
-            (Point::new(0.0, 0.0), 1, 5),
-            (Point::new(400.0, 0.0), 1, 5),
-            (Point::new(0.0, 500.0), 1, 5),
-            (Point::new(200.0, 30.0), 6, 5),
-        ],
-    );
-    let plan = w.shard_plan(SimTime::ZERO, Some(250.0));
-    assert_eq!(plan.shard_count(), 4, "four decoupled islands expected");
-    assert!(plan.lookahead > SimDuration::ZERO);
-    let n = plan.station_count();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if plan.shard_of[i] == plan.shard_of[j] {
-                continue;
-            }
-            let d = w.position(i).distance_to(w.position(j));
-            assert!(
-                propagation_delay(d) >= plan.lookahead,
-                "pair ({i}, {j}) at {d:.1} m beats the {} lookahead",
-                plan.lookahead
-            );
-        }
-    }
-}
-
 /// A plan computed against one deployment must fail validation once
 /// the world contradicts it — the check behind the `shard-coherence`
 /// oracle, which re-validates the partition after mobility patches.
@@ -169,14 +131,15 @@ fn stale_plans_are_caught_by_the_coherence_check() {
 }
 
 /// Builds one saturated component cell for the executor tests: a sink
-/// and three senders, 30 frames each.
-fn traffic_cell(seed: u64, k: usize, channel: u8) -> Simulation<WlanWorld> {
+/// and `stations - 1` senders, 30 frames each (a one-station cell is a
+/// lone sink with no traffic).
+fn traffic_cell(seed: u64, k: usize, channel: u8, stations: usize) -> Simulation<WlanWorld> {
     let centre = Point::new(k as f64 * 300.0, 0.0);
-    let mut w = cluster_world(component_seed(seed, k), &[(centre, channel, 4)]);
+    let mut w = cluster_world(component_seed(seed, k), &[(centre, channel, stations)]);
     w.set_neighbor_cache(true);
     let mut sim = Simulation::new(w);
     boot(&mut sim);
-    for sender in 1..4usize {
+    for sender in 1..stations {
         for f in 0..30u64 {
             inject_at(
                 &mut sim,
@@ -196,26 +159,20 @@ fn traffic_cell(seed: u64, k: usize, channel: u8) -> Simulation<WlanWorld> {
     sim
 }
 
-/// The executor differential at root level: three traffic-carrying
-/// cells on channels 1/6/11, serial vs windowed at 1, 2 and 4
-/// workers, byte-identical digests everywhere — and the worker count
-/// never changes the answer.
+/// The job differential at root level on an uneven partition: one
+/// large traffic-carrying cell plus several one-station cells, on
+/// channels 1/6/11. Every worker count — including more workers than
+/// components — digests byte-identically to the sliced serial
+/// reference.
 #[test]
-fn windowed_executor_is_byte_identical_to_serial() {
+fn run_components_is_byte_identical_across_worker_counts() {
     let horizon = SimTime::from_millis(30);
-    let build = |k: usize| traffic_cell(11, k, [1u8, 6, 11][k]);
-    let serial = run_components_serial(3, horizon, "shards", build);
-    assert!(serial.events > 0);
-    for workers in [1usize, 2, 4] {
-        let windowed = run_components_windowed(
-            3,
-            horizon,
-            SimDuration::from_micros(640),
-            workers,
-            "shards",
-            build,
-        );
-        assert_eq!(serial, windowed, "windowed x{workers} diverged from serial");
+    let build = |k: usize| traffic_cell(11, k, [1u8, 6, 11][k % 3], if k == 0 { 8 } else { 1 });
+    let reference = run_components_sliced(5, horizon, "shards", build);
+    assert!(reference.per_shard_events[0] > reference.per_shard_events[1]);
+    for workers in [1usize, 2, 4, 8] {
+        let report = run_components(5, horizon, workers, "shards", build);
+        assert_eq!(reference, report, "{workers} worker(s) diverged");
     }
 }
 
@@ -225,8 +182,8 @@ fn windowed_executor_is_byte_identical_to_serial() {
 #[test]
 fn single_component_composition_bridges_to_plain_run_until() {
     let horizon = SimTime::from_millis(30);
-    let report = run_components_serial(1, horizon, "shards", |k| traffic_cell(11, k, 1));
-    let mut sim = traffic_cell(11, 0, 1);
+    let report = run_components(1, horizon, 1, "shards", |k| traffic_cell(11, k, 1, 4));
+    let mut sim = traffic_cell(11, 0, 1, 4);
     let events = sim.run_until(horizon);
     let trace = fnv1a(sim.world().trace.to_jsonl("shards").as_bytes());
     let metrics = fnv1a(
