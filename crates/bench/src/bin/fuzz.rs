@@ -24,10 +24,15 @@
 //! - `--dual` — differential scheduler mode: replay every seed through
 //!   both the binary-heap and timer-wheel back ends and fail unless
 //!   the trace and metrics fingerprints are byte-identical.
-//! - `--cache-diff` — differential propagation mode: replay every seed
-//!   with the neighbor cache on and off and fail unless the trace and
-//!   metrics fingerprints are byte-identical (the equivalence contract
-//!   of the cached hot path, including under ESS mobility).
+//! - `--propagation-diff` — differential propagation mode: replay
+//!   every seed on the cached path (grid-backed sparse rows under the
+//!   static log-distance model) and on the direct path (the same loss
+//!   declared time-varying, evaluated per transmission) and fail
+//!   unless the trace and metrics fingerprints are byte-identical
+//!   (DESIGN.md §13/§17, including under ESS mobility). Every run
+//!   additionally plans a multi-cell CITY-DCF street grid through
+//!   `shard_plan` and `wn-check`'s brute-force reference planner and
+//!   demands identical partitions and coherent re-validation.
 //! - `--shard-diff` — differential sharding mode: partition every
 //!   seed's deployment into interference shards and replay the
 //!   composition as a sliced serial reference and as independent jobs
@@ -36,18 +41,11 @@
 //!   multi-shard CITY-DCF grid the generated scenarios cannot reach at
 //!   1, 2 and 4 workers.
 //!   Non-medium kinds (Bluetooth/ZigBee/WiMAX) are skipped.
-//! - `--grid-diff` — differential spatial-index mode: replay every
-//!   seed with the spatial grid index on (sparse neighbor rows,
-//!   grid-backed shard planning) and off (exhaustive dense scans) and
-//!   fail unless the trace and metrics fingerprints are byte-identical
-//!   (the grid's equivalence contract, DESIGN.md §17). Range runs
-//!   additionally plan a multi-cell CITY-DCF street grid through both
-//!   `shard_plan` and `shard_plan_exhaustive` and demand identical
-//!   partitions.
 //! - `--qos` — the EDCA/A-MPDU corpus (DESIGN.md §16): every seed maps
 //!   to a QoS WLAN world (mixed-AC traffic, aggregation on/off, OBSS
 //!   twin cells), each run oracle-checked through both scheduler back
-//!   ends, the neighbor cache on/off, and the shard differential,
+//!   ends, the cached and direct propagation paths, and the shard
+//!   differential,
 //!   demanding byte-identical fingerprints throughout. The leg then
 //!   runs two gates: the AIFSN-swap fail-point self-test (the planted
 //!   AC_VO/AC_BK parameter swap must be caught by the
@@ -60,9 +58,10 @@
 //! one-line repro command, and exits 1.
 
 use wn_check::{
-    check_range_gen, check_range_grid, check_range_opts, check_range_with, check_seed_with,
-    range_digest, repro_command, run, shard_diff_range, shard_diff_range_gen, shard_diff_seed,
-    shrink, station_count, ScenarioGen, ShardDiffReport, SHARD_WORKER_COUNTS,
+    check_range_gen, check_range_with, check_seed_with, range_digest, reference_shard_plan,
+    reference_shard_plan_incoherence, repro_command, run, shard_diff_range, shard_diff_range_gen,
+    shard_diff_seed, shrink, station_count, Propagation, ScenarioGen, ShardDiffReport,
+    SHARD_WORKER_COUNTS,
 };
 use wn_core::scenarios::{city_dcf_run, metro_dcf_planning_world, CITY_DCF_RANGE_M};
 use wn_sim::stats::fnv1a;
@@ -83,9 +82,8 @@ struct Options {
     shrink: bool,
     threads: usize,
     dual: bool,
-    cache_diff: bool,
+    propagation_diff: bool,
     shard_diff: bool,
-    grid_diff: bool,
     qos: bool,
     scheduler: SchedulerKind,
 }
@@ -98,9 +96,8 @@ fn parse(args: &[String]) -> Result<Options, String> {
         shrink: false,
         threads: worker_count(),
         dual: false,
-        cache_diff: false,
+        propagation_diff: false,
         shard_diff: false,
-        grid_diff: false,
         qos: false,
         scheduler: SchedulerKind::default(),
     };
@@ -133,9 +130,8 @@ fn parse(args: &[String]) -> Result<Options, String> {
             }
             "--shrink" => opts.shrink = true,
             "--dual" => opts.dual = true,
-            "--cache-diff" => opts.cache_diff = true,
+            "--propagation-diff" => opts.propagation_diff = true,
             "--shard-diff" => opts.shard_diff = true,
-            "--grid-diff" => opts.grid_diff = true,
             "--qos" => opts.qos = true,
             "--scheduler" => {
                 i += 1;
@@ -237,18 +233,21 @@ fn run_dual(opts: &Options) -> u64 {
     failures
 }
 
-/// Differential propagation mode: the same seed range with the
-/// neighbor cache on vs off, seed by seed, demanding identical
-/// fingerprints. Returns the number of disagreeing or violating seeds.
-fn run_cache_diff(opts: &Options) -> u64 {
+/// Differential propagation mode: the same seed range on the cached
+/// and direct paths, seed by seed, demanding identical fingerprints,
+/// plus a fixed multi-cell CITY-DCF planning world compared
+/// pair-for-pair through the grid planner and the brute-force
+/// reference. Returns the number of failures.
+fn run_propagation_diff(opts: &Options) -> u64 {
     let (start, count) = match opts.single {
         Some(seed) => (seed, 1),
         None => (opts.start, opts.count),
     };
     let t0 = std::time::Instant::now();
+    let gen = ScenarioGen::default();
     let kind = opts.scheduler;
-    let cached = check_range_opts(start, count, opts.threads, kind, true);
-    let direct = check_range_opts(start, count, opts.threads, kind, false);
+    let cached = check_range_gen(gen, start, count, opts.threads, kind, Propagation::Cached);
+    let direct = check_range_gen(gen, start, count, opts.threads, kind, Propagation::Direct);
     let mut failures = 0u64;
     for (c, d) in cached.iter().zip(&direct) {
         let agree =
@@ -256,89 +255,46 @@ fn run_cache_diff(opts: &Options) -> u64 {
         if !agree {
             failures += 1;
             println!(
-                "seed {}: NEIGHBOR-CACHE DIVERGENCE  {}\n  cached: events={} trace_fnv={:016x} metrics_fnv={:016x}\n  direct: events={} trace_fnv={:016x} metrics_fnv={:016x}",
+                "seed {}: PROPAGATION DIVERGENCE  {}\n  cached: events={} trace_fnv={:016x} metrics_fnv={:016x}\n  direct: events={} trace_fnv={:016x} metrics_fnv={:016x}",
                 c.seed, c.summary, c.events, c.trace_fnv, c.metrics_fnv, d.events, d.trace_fnv, d.metrics_fnv
             );
-            println!("  repro: {} --cache-diff", repro_command(c.seed));
+            println!("  repro: {} --propagation-diff", repro_command(c.seed));
         }
         if !c.violations.is_empty() {
             failures += 1;
             report_failure(c.seed, &c.summary, &c.violations, opts.shrink);
         }
     }
-    println!(
-        "cache-diff fuzz: {} seeds ({}..{}) x {{cached, direct}} on {} workers in {:.2}s: {} failing",
-        count,
-        start,
-        start + count,
-        opts.threads,
-        t0.elapsed().as_secs_f64(),
-        failures
-    );
-    failures
-}
-
-/// Differential spatial-index mode: the same seed range with the grid
-/// index on (sparse rows, grid shard planning) vs off (exhaustive
-/// dense scans), demanding identical fingerprints, plus a fixed
-/// multi-cell CITY-DCF planning world compared pair-for-pair through
-/// the grid and exhaustive planners. Returns the number of failures.
-fn run_grid_diff(opts: &Options) -> u64 {
-    let (start, count) = match opts.single {
-        Some(seed) => (seed, 1),
-        None => (opts.start, opts.count),
-    };
-    let t0 = std::time::Instant::now();
-    let gridded = check_range_grid(start, count, opts.threads, true);
-    let exhaustive = check_range_grid(start, count, opts.threads, false);
-    let mut failures = 0u64;
-    for (g, e) in gridded.iter().zip(&exhaustive) {
-        let agree =
-            g.events == e.events && g.trace_fnv == e.trace_fnv && g.metrics_fnv == e.metrics_fnv;
-        if !agree {
-            failures += 1;
-            println!(
-                "seed {}: GRID DIVERGENCE  {}\n  grid:       events={} trace_fnv={:016x} metrics_fnv={:016x}\n  exhaustive: events={} trace_fnv={:016x} metrics_fnv={:016x}",
-                g.seed, g.summary, g.events, g.trace_fnv, g.metrics_fnv, e.events, e.trace_fnv, e.metrics_fnv
-            );
-            println!("  repro: {} --grid-diff", repro_command(g.seed));
-        }
-        if !g.violations.is_empty() {
-            failures += 1;
-            report_failure(g.seed, &g.summary, &g.violations, opts.shrink);
-        }
-    }
 
     // The planning leg: a street grid the scenario generator cannot
-    // produce, planned through the grid index and the exhaustive O(n²)
-    // scan. Both partitions and re-validation verdicts must match
-    // exactly.
+    // produce, planned through the grid and the O(n²) reference. Both
+    // partitions and re-validation verdicts must match exactly.
     let world = metro_dcf_planning_world(3, 4, 12, 60, 42);
-    let grid_plan = world.shard_plan(SimTime::ZERO, Some(CITY_DCF_RANGE_M));
-    let exhaustive_plan = world.shard_plan_exhaustive(SimTime::ZERO, Some(CITY_DCF_RANGE_M));
-    if grid_plan.shard_of != exhaustive_plan.shard_of {
+    let plan = world.shard_plan(SimTime::ZERO, Some(CITY_DCF_RANGE_M));
+    let reference = reference_shard_plan(&world, SimTime::ZERO, Some(CITY_DCF_RANGE_M));
+    if plan.shard_of != reference.shard_of {
         failures += 1;
         println!(
-            "CITY-DCF planning: GRID DIVERGENCE  grid {} shards vs exhaustive {} shards",
-            grid_plan.shards.len(),
-            exhaustive_plan.shards.len(),
+            "CITY-DCF planning: PLANNER DIVERGENCE  grid {} shards vs reference {} shards",
+            plan.shards.len(),
+            reference.shards.len(),
         );
     }
-    let grid_verdict = world.shard_plan_incoherence(&grid_plan, SimTime::ZERO);
-    let exhaustive_verdict = world.shard_plan_incoherence_exhaustive(&grid_plan, SimTime::ZERO);
-    if grid_verdict.is_some() || exhaustive_verdict.is_some() {
+    let verdict = world.shard_plan_incoherence(&plan, SimTime::ZERO);
+    let reference_verdict = reference_shard_plan_incoherence(&world, &plan, SimTime::ZERO);
+    if verdict.is_some() || reference_verdict.is_some() {
         failures += 1;
         println!(
-            "CITY-DCF planning: INCOHERENT PLAN  grid verdict {grid_verdict:?}, exhaustive verdict {exhaustive_verdict:?}"
+            "CITY-DCF planning: INCOHERENT PLAN  grid verdict {verdict:?}, reference verdict {reference_verdict:?}"
         );
     }
 
     println!(
-        "grid-diff fuzz: {} seeds ({}..{}) x {{grid, exhaustive}} + a {}-station CITY-DCF planning check on {} workers in {:.2}s: {} failing",
+        "propagation-diff fuzz: {} seeds ({}..{}) x {{cached, direct}} + a {}-station CITY-DCF planning check on {} workers in {:.2}s: {} failing",
         count,
         start,
         start + count,
-        grid_plan.shard_of.len(),
+        plan.shard_of.len(),
         opts.threads,
         t0.elapsed().as_secs_f64(),
         failures
@@ -457,8 +413,8 @@ fn run_shard_diff(opts: &Options) -> u64 {
 }
 
 /// The QoS corpus leg: oracle-checked EDCA/A-MPDU worlds across both
-/// scheduler back ends, the neighbor cache on/off and the shard
-/// differential, then the AIFSN-swap self-test and the
+/// scheduler back ends, the cached and direct propagation paths and
+/// the shard differential, then the AIFSN-swap self-test and the
 /// legacy-equivalence differential. Returns the number of failures.
 fn run_qos(opts: &Options) -> u64 {
     let (start, count) = match opts.single {
@@ -476,7 +432,7 @@ fn run_qos(opts: &Options) -> u64 {
         count,
         opts.threads,
         SchedulerKind::BinaryHeap,
-        true,
+        Propagation::Cached,
     );
     let wheel = check_range_gen(
         gen,
@@ -484,7 +440,7 @@ fn run_qos(opts: &Options) -> u64 {
         count,
         opts.threads,
         SchedulerKind::TimerWheel,
-        true,
+        Propagation::Cached,
     );
     for (h, w) in heap.iter().zip(&wheel) {
         if h.events != w.events || h.trace_fnv != w.trace_fnv || h.metrics_fnv != w.metrics_fnv {
@@ -507,13 +463,13 @@ fn run_qos(opts: &Options) -> u64 {
         count,
         opts.threads,
         SchedulerKind::TimerWheel,
-        false,
+        Propagation::Direct,
     );
     for (c, d) in wheel.iter().zip(&direct) {
         if c.events != d.events || c.trace_fnv != d.trace_fnv || c.metrics_fnv != d.metrics_fnv {
             failures += 1;
             println!(
-                "seed {}: NEIGHBOR-CACHE DIVERGENCE (qos)  {}\n  cached: events={} trace_fnv={:016x} metrics_fnv={:016x}\n  direct: events={} trace_fnv={:016x} metrics_fnv={:016x}",
+                "seed {}: PROPAGATION DIVERGENCE (qos)  {}\n  cached: events={} trace_fnv={:016x} metrics_fnv={:016x}\n  direct: events={} trace_fnv={:016x} metrics_fnv={:016x}",
                 c.seed, c.summary, c.events, c.trace_fnv, c.metrics_fnv, d.events, d.trace_fnv, d.metrics_fnv
             );
         }
@@ -615,20 +571,14 @@ fn main() {
         }
         return;
     }
-    if opts.cache_diff {
-        if run_cache_diff(&opts) > 0 {
+    if opts.propagation_diff {
+        if run_propagation_diff(&opts) > 0 {
             std::process::exit(1);
         }
         return;
     }
     if opts.shard_diff {
         if run_shard_diff(&opts) > 0 {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if opts.grid_diff {
-        if run_grid_diff(&opts) > 0 {
             std::process::exit(1);
         }
         return;

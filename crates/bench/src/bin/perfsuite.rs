@@ -18,7 +18,8 @@
 //! A final pair of sections benchmarks the hot paths in isolation on
 //! the SCALE-DCF saturation workload: `neighbors` times the cached
 //! propagation path against the direct O(n) fan-out at 100 and 1000
-//! stations (digests must match bit-for-bit), and `scheduler` races
+//! stations — the direct side is the same log-distance loss declared
+//! time-varying, and digests must match bit-for-bit — and `scheduler` races
 //! the two queue back ends — the full simulation through each queue,
 //! plus the recorded push/pop op stream of that run replayed
 //! payload-free through each queue (the isolated queue-cost
@@ -37,13 +38,12 @@
 //! exactly and the aggregated run must deliver at least as much — the
 //! deterministic form of "aggregation amortises contention overhead".
 //!
-//! A `grid` section measures what the spatial hash grid buys on the
-//! CITY-DCF flagship city (DESIGN.md §17): the sparse grid-backed
-//! neighbor-cache build and shard plan against the dense O(n²)
-//! equivalents, both live in the same process so the before/after
-//! comparison is honest, plus a plan-only scaling row at the METRO-DCF
-//! 100k+ flagship. The partitions must be identical and the plan must
-//! re-validate coherent.
+//! A `grid` section measures the spatial hash grid on the CITY-DCF
+//! flagship city (DESIGN.md §17): the sparse grid-backed neighbor-cache
+//! build, and the grid shard plan against `wn-check`'s brute-force
+//! O(n²) reference planner live in the same process, plus a plan-only
+//! scaling row at the METRO-DCF 100k+ flagship. The partitions must be
+//! identical and the plan must re-validate coherent.
 //!
 //! `--section neighbors` (or `scheduler`, `arena`, `shards`, `qos`,
 //! `grid`) runs just that section and prints its JSON object — the CI
@@ -52,11 +52,13 @@
 
 use std::time::Instant;
 
+use wn_check::{reference_shard_plan, Propagation};
 use wn_core::runner;
 use wn_core::scenarios::{
     city_dcf_run, city_dcf_size, dense_obss_point_opts, metro_dcf_planning_world, metro_dcf_sweep,
-    scale_dcf_op_log, scale_dcf_point, scale_dcf_point_opts, CITY_DCF_RANGE_M, DENSE_OBSS_MIX,
+    scale_dcf_op_log, scale_dcf_point, scale_dcf_sim, CITY_DCF_RANGE_M, DENSE_OBSS_MIX,
 };
+use wn_sim::stats::fnv1a;
 use wn_sim::{
     global_events_processed, replay_ops, set_observability, worker_count, SchedulerKind, SimTime,
     OP_POP,
@@ -530,8 +532,10 @@ fn qos_section() -> String {
 /// Benchmarks the neighbor-cache hot path against the direct O(n)
 /// propagation fan-out on SCALE-DCF at 100 and 1000 stations and
 /// returns the `"neighbors"` JSON object (indented two spaces,
-/// trailing newline). Panics unless the cached and direct runs
-/// deliver the same event count and metrics digest at every size.
+/// trailing newline). The direct side runs the same world with its
+/// log-distance loss declared time-varying. Panics unless the cached
+/// and direct runs deliver the same event count and metrics digest at
+/// every size.
 fn neighbors_section() -> String {
     const DURATION_MS: u64 = 200;
     const SEED: u64 = 42;
@@ -539,29 +543,31 @@ fn neighbors_section() -> String {
 
     let mut rows = Vec::new();
     for stations in SIZES {
-        let timed = |cache: bool| {
-            let label = if cache { "cached" } else { "direct" };
+        let timed = |prop: Propagation| {
+            let label = match prop {
+                Propagation::Cached => "cached",
+                Propagation::Direct => "direct",
+            };
             eprintln!("perfsuite: SCALE-DCF n={stations} dur={DURATION_MS}ms {label} propagation…");
             let t0 = Instant::now();
-            let p = scale_dcf_point_opts(
-                stations,
-                DURATION_MS,
-                SEED,
-                SchedulerKind::BinaryHeap,
-                cache,
-            );
+            let end = SimTime::from_millis(DURATION_MS);
+            let mut sim = scale_dcf_sim(stations, DURATION_MS, SEED, SchedulerKind::BinaryHeap);
+            prop.install(sim.world_mut());
+            sim.run_until(end);
+            let snap = sim.world().metrics_snapshot(end);
+            let events = sim.processed();
+            let metrics_fnv = fnv1a(snap.to_jsonl("SCALE-DCF").as_bytes());
             let wall = t0.elapsed().as_secs_f64();
             eprintln!(
                 "perfsuite: SCALE-DCF n={stations} {label}: {wall:.3} s ({:.0} ev/s)",
-                p.events as f64 / wall
+                events as f64 / wall
             );
-            (wall, p)
+            (wall, (events, metrics_fnv))
         };
-        let (cached_s, cached) = timed(true);
-        let (direct_s, direct) = timed(false);
+        let (cached_s, cached) = timed(Propagation::Cached);
+        let (direct_s, direct) = timed(Propagation::Direct);
         assert_eq!(
-            (cached.events, cached.metrics_fnv),
-            (direct.events, direct.metrics_fnv),
+            cached, direct,
             "neighbor cache diverged from the direct path on SCALE-DCF n={stations}"
         );
         let speedup = direct_s / cached_s;
@@ -572,92 +578,79 @@ fn neighbors_section() -> String {
     let mut out = format!(
         "  \"neighbors\": {{\n    \"workload\": \"SCALE-DCF duration_ms={DURATION_MS} seed={SEED}, binary-heap scheduler, cached vs direct propagation\",\n"
     );
-    for (i, (stations, cached_s, direct_s, p, speedup)) in rows.iter().enumerate() {
+    for (i, (stations, cached_s, direct_s, (events, metrics_fnv), speedup)) in
+        rows.iter().enumerate()
+    {
         let sep = if i + 1 < rows.len() { "," } else { "" };
         out.push_str(&format!(
             "    \"n{stations}\": {{\n      \"cached\": {{ \"wall_s\": {cached_s:.3}, \"events_per_s\": {:.0} }},\n      \"direct\": {{ \"wall_s\": {direct_s:.3}, \"events_per_s\": {:.0} }},\n      \"events\": {},\n      \"metrics_fnv\": \"{:016x}\",\n      \"identical_output\": true,\n      \"cache_speedup\": {speedup:.2}\n    }}{sep}\n",
-            p.events as f64 / cached_s,
-            p.events as f64 / direct_s,
-            p.events,
-            p.metrics_fnv,
+            *events as f64 / cached_s,
+            *events as f64 / direct_s,
+            events,
+            metrics_fnv,
         ));
     }
     out.push_str("  }\n");
     out
 }
 
-/// Measures what the spatial hash grid buys on the CITY-DCF flagship
-/// planning world (DESIGN.md §17) and returns the `"grid"` JSON object
+/// Measures the spatial hash grid on the CITY-DCF flagship planning
+/// world (DESIGN.md §17) and returns the `"grid"` JSON object
 /// (indented two spaces, trailing newline): the sparse grid-backed
-/// neighbor-cache build and grid shard plan against the dense matrix
-/// build and exhaustive O(n²) plan, measured live in the same process,
-/// plus a plan-only scaling row at the METRO-DCF flagship (100k+
-/// stations in release, where the dense paths are no longer feasible).
-/// Panics unless both planners produce the identical partition and the
-/// plan re-validates coherent; the speedup verdict is always recorded
-/// (the section is single-threaded, so core count is irrelevant).
+/// neighbor-cache build, and the grid shard plan against `wn-check`'s
+/// brute-force O(n²) reference planner measured live in the same
+/// process, plus a plan-only scaling row at the METRO-DCF flagship
+/// (100k+ stations in release, where the reference is no longer
+/// feasible). Panics unless both planners produce the identical
+/// partition and the plan re-validates coherent; the speedup verdict
+/// is always recorded (the section is single-threaded, so core count
+/// is irrelevant).
 fn grid_section() -> String {
     const SEED: u64 = 42;
     let (rows, cols, senders, duration_ms) = city_dcf_size();
     let stations = rows * cols * (senders + 1);
 
-    // Grid path: sparse 27-cell-neighborhood cache build + grid plan.
-    let mut grid_world = metro_dcf_planning_world(rows, cols, senders, duration_ms, SEED);
+    // Sparse 27-cell-neighborhood cache build + grid plan.
+    let mut world = metro_dcf_planning_world(rows, cols, senders, duration_ms, SEED);
     eprintln!("perfsuite: grid CITY-DCF n={stations}: sparse cache build…");
     let t0 = Instant::now();
-    grid_world.prime_neighbor_cache(SimTime::ZERO);
-    let grid_build_s = t0.elapsed().as_secs_f64();
-    let (sparse, grid_stored) = grid_world
+    world.prime_neighbor_cache(SimTime::ZERO);
+    let build_s = t0.elapsed().as_secs_f64();
+    let (_, stored) = world
         .neighbor_cache_stats()
         .expect("planning world primes its neighbor cache");
-    assert!(sparse, "grid world built a dense cache");
-    let incoherent = grid_world.grid_incoherence(SimTime::ZERO);
+    let incoherent = world.grid_incoherence(SimTime::ZERO);
     assert!(incoherent.is_empty(), "grid incoherent: {incoherent:?}");
     eprintln!("perfsuite: grid plan…");
     let t0 = Instant::now();
-    let grid_plan = grid_world.shard_plan(SimTime::ZERO, Some(CITY_DCF_RANGE_M));
+    let grid_plan = world.shard_plan(SimTime::ZERO, Some(CITY_DCF_RANGE_M));
     let grid_plan_s = t0.elapsed().as_secs_f64();
     assert!(
-        grid_world
+        world
             .shard_plan_incoherence(&grid_plan, SimTime::ZERO)
             .is_none(),
         "grid plan failed re-validation"
     );
 
-    // Dense baseline, live: full n x n matrix build + exhaustive plan.
-    let mut dense_world = metro_dcf_planning_world(rows, cols, senders, duration_ms, SEED);
-    dense_world.set_grid_index(false);
-    eprintln!("perfsuite: dense CITY-DCF n={stations}: full matrix build…");
+    // The brute-force reference, live on the same world.
+    eprintln!("perfsuite: reference plan…");
     let t0 = Instant::now();
-    dense_world.prime_neighbor_cache(SimTime::ZERO);
-    let dense_build_s = t0.elapsed().as_secs_f64();
-    let (dense_sparse, dense_stored) = dense_world
-        .neighbor_cache_stats()
-        .expect("planning world primes its neighbor cache");
-    assert!(!dense_sparse, "grid-off world built a sparse cache");
-    eprintln!("perfsuite: exhaustive plan…");
-    let t0 = Instant::now();
-    let dense_plan = dense_world.shard_plan_exhaustive(SimTime::ZERO, Some(CITY_DCF_RANGE_M));
-    let dense_plan_s = t0.elapsed().as_secs_f64();
+    let reference = reference_shard_plan(&world, SimTime::ZERO, Some(CITY_DCF_RANGE_M));
+    let reference_plan_s = t0.elapsed().as_secs_f64();
     assert_eq!(
-        grid_plan.shard_of, dense_plan.shard_of,
-        "grid and exhaustive planners disagree on the partition"
+        grid_plan.shard_of, reference.shard_of,
+        "grid and reference planners disagree on the partition"
     );
-    assert!(
-        grid_stored <= dense_stored,
-        "sparse rows store more pairs than the dense matrix"
-    );
-
-    let build_speedup = dense_build_s / grid_build_s.max(f64::MIN_POSITIVE);
-    let plan_speedup = dense_plan_s / grid_plan_s.max(f64::MIN_POSITIVE);
+    let full_matrix = stations * (stations - 1);
+    let plan_speedup = reference_plan_s / grid_plan_s.max(f64::MIN_POSITIVE);
     eprintln!(
-        "perfsuite: grid at n={stations}: {build_speedup:.1}x build, {plan_speedup:.1}x plan, {grid_stored}/{dense_stored} stored pairs"
+        "perfsuite: grid at n={stations}: {plan_speedup:.1}x plan vs reference, {stored}/{full_matrix} stored pairs"
     );
 
     // The scaling row: plan-only at the METRO-DCF flagship, where the
-    // dense matrix (tens of GB) and the O(n²) pair scan are no longer
-    // an option. The grid planner is the only way to get a partition
-    // at this size; the row records that it stays tractable.
+    // O(n²) pair scan is no longer an option. The grid planner is the
+    // only way to get a partition at this size; the row records that
+    // it stays tractable.
     let (mrows, mcols, msenders, mduration) = *metro_dcf_sweep().last().expect("sweep non-empty");
     let metro_stations = mrows * mcols * (msenders + 1);
     eprintln!("perfsuite: METRO-DCF n={metro_stations}: grid plan-only scaling row…");
@@ -677,7 +670,7 @@ fn grid_section() -> String {
     );
 
     format!(
-        "  \"grid\": {{\n    \"workload\": \"CITY-DCF planning world rows={rows} cols={cols} senders_per_cell={senders} seed={SEED} ({stations} stations), grid vs dense, live in-process\",\n    \"cache_build\": {{\n      \"grid\": {{ \"wall_s\": {grid_build_s:.3}, \"stored_pairs\": {grid_stored} }},\n      \"dense\": {{ \"wall_s\": {dense_build_s:.3}, \"stored_pairs\": {dense_stored} }},\n      \"speedup\": {build_speedup:.2}\n    }},\n    \"shard_plan\": {{\n      \"grid\": {{ \"wall_s\": {grid_plan_s:.3} }},\n      \"exhaustive\": {{ \"wall_s\": {dense_plan_s:.3} }},\n      \"shards\": {},\n      \"identical_partition\": true,\n      \"speedup\": {plan_speedup:.2}\n    }},\n    \"metro_plan_only\": {{\n      \"note\": \"grid planner at the METRO-DCF flagship; the dense paths are infeasible at this size\",\n      \"stations\": {metro_stations},\n      \"shards\": {},\n      \"wall_s\": {metro_plan_s:.3}\n    }},\n    \"speedup_verdict\": \"grid over dense, single-threaded, measured live at n={stations}\"\n  }}\n",
+        "  \"grid\": {{\n    \"workload\": \"CITY-DCF planning world rows={rows} cols={cols} senders_per_cell={senders} seed={SEED} ({stations} stations), grid vs brute-force reference, live in-process\",\n    \"cache_build\": {{\n      \"wall_s\": {build_s:.3},\n      \"stored_pairs\": {stored},\n      \"full_matrix_pairs\": {full_matrix}\n    }},\n    \"shard_plan\": {{\n      \"grid\": {{ \"wall_s\": {grid_plan_s:.3} }},\n      \"reference\": {{ \"wall_s\": {reference_plan_s:.3} }},\n      \"shards\": {},\n      \"identical_partition\": true,\n      \"speedup\": {plan_speedup:.2}\n    }},\n    \"metro_plan_only\": {{\n      \"note\": \"grid planner at the METRO-DCF flagship; the O(n^2) reference is infeasible at this size\",\n      \"stations\": {metro_stations},\n      \"shards\": {},\n      \"wall_s\": {metro_plan_s:.3}\n    }},\n    \"speedup_verdict\": \"grid planner over the brute-force reference, single-threaded, measured live at n={stations}\"\n  }}\n",
         grid_plan.shards.len(),
         metro_plan.shards.len(),
     )

@@ -14,10 +14,6 @@
 //!   instrumented experiment as JSONL (registry order, byte-identical
 //!   for any `--threads`).
 //! - `--metrics-json PATH` — likewise for per-layer metric snapshots.
-//! - `--no-neighbor-cache` — run every experiment on the direct O(n)
-//!   propagation path instead of the neighbor cache. Output must stay
-//!   byte-identical; CI diffs the two to hold the cache to its
-//!   equivalence contract on the observe_* scenarios.
 //! - `--list` — print the experiment registry and exit.
 
 use wn_core::runner;
@@ -67,9 +63,6 @@ fn main() {
                 });
                 metrics_json = Some(path.clone());
             }
-            "--no-neighbor-cache" => {
-                wn_mac80211::set_neighbor_cache_default(false);
-            }
             "--list" => {
                 for e in runner::experiments() {
                     println!("{:12} {}", e.id, e.title);
@@ -79,7 +72,7 @@ fn main() {
             other => {
                 eprintln!(
                     "unknown flag '{other}' (supported: --only <id>, --threads N, \
-                     --trace-json PATH, --metrics-json PATH, --no-neighbor-cache, --list)"
+                     --trace-json PATH, --metrics-json PATH, --list)"
                 );
                 std::process::exit(2);
             }

@@ -31,17 +31,18 @@
 #![warn(missing_docs)]
 
 pub mod oracle;
+pub mod plan;
 pub mod run;
 pub mod scenario;
 pub mod shard;
 pub mod shrink;
 
 pub use oracle::{oracles, Invariant, Violation};
+pub use plan::{reference_shard_plan, reference_shard_plan_incoherence};
 pub use run::{
-    check_range, check_range_gen, check_range_grid, check_range_opts, check_range_with, check_seed,
-    check_seed_gen, check_seed_grid, check_seed_opts, check_seed_with, range_digest,
-    range_digest_with, run_oracles, run_scenario, run_scenario_grid, run_scenario_opts,
-    run_scenario_with, SeedReport,
+    check_range, check_range_gen, check_range_with, check_seed, check_seed_gen, check_seed_with,
+    range_digest, range_digest_with, run_oracles, run_scenario, run_scenario_with, Propagation,
+    SeedReport,
 };
 pub use scenario::{Scenario, ScenarioGen, ScenarioKind};
 pub use shard::{

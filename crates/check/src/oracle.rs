@@ -310,7 +310,8 @@ impl Invariant for ShardCoherence {
 /// the carrier-sense floor (`WlanWorld::grid_incoherence`). A stale
 /// cell after a mobility patch, or an audible pair the 27-cell
 /// neighborhood missed, surfaces here instead of silently deafening a
-/// station. Vacuous on dense (grid-off or anisotropic) worlds.
+/// station. Vacuous on directly evaluated worlds (a loss model without
+/// a distance floor builds no grid).
 pub struct GridCoherence;
 
 impl Invariant for GridCoherence {

@@ -19,6 +19,7 @@ use crate::scenario::{
 };
 use wn_mac80211::addr::MacAddr;
 use wn_mac80211::frame::{DsBits, Frame, SequenceControl, Subtype};
+use wn_mac80211::loss::LossModel;
 use wn_mac80211::sim::{
     boot as wlan_boot, inject_at, qos_inject_at, AccessCategory, MacConfig, StationStats, UpperCtx,
     UpperLayer, WlanWorld,
@@ -27,6 +28,7 @@ use wn_net80211::builder::{schedule_walk, EssBuilder};
 use wn_net80211::sta::StaConfig;
 use wn_net80211::Ssid;
 use wn_phy::geom::Point;
+use wn_phy::propagation::{LogDistance, PathLoss};
 use wn_phy::units::Dbm;
 use wn_sim::par::par_map_with;
 use wn_sim::stats::fnv1a;
@@ -82,8 +84,8 @@ pub struct WlanFacts {
     /// positions) plus the sparse neighbor rows' stored-vs-fresh
     /// check, which includes the soundness claim that every pair the
     /// grid omitted is below the carrier-sense floor. Always empty on
-    /// dense (grid-off or anisotropic) worlds; the `grid-coherence`
-    /// oracle reports anything else.
+    /// directly evaluated worlds; the `grid-coherence` oracle reports
+    /// anything else.
     pub grid_coherence: Vec<String>,
     /// EDCA was on (QoS corpus) — gates the QoS oracles.
     pub edca: bool,
@@ -192,33 +194,41 @@ pub fn run_scenario(sc: &Scenario) -> Artifacts {
 /// exists so the differential fuzz mode can replay the same seed
 /// through both queues and demand identical fingerprints.
 pub fn run_scenario_with(sc: &Scenario, kind: SchedulerKind) -> Artifacts {
-    run_scenario_opts(sc, kind, true)
+    run_scenario_via(sc, kind, Propagation::Cached)
 }
 
-/// Runs one scenario with an explicit scheduler back end *and*
-/// neighbor-cache switch. The cached and direct propagation paths must
-/// be byte-identical — the `--cache-diff` fuzz mode replays the same
-/// seed through both and demands identical fingerprints, exactly like
-/// the dual-scheduler mode does for queue back ends. Non-WLAN worlds
-/// have no such cache; the flag is ignored for them.
-pub fn run_scenario_opts(sc: &Scenario, kind: SchedulerKind, neighbor_cache: bool) -> Artifacts {
-    run_scenario_grid(sc, kind, neighbor_cache, true)
+/// Which received-power path a WLAN run takes. Both evaluate the
+/// same indoor log-distance loss, so their traces and metrics must be
+/// byte-identical — the `fuzz --propagation-diff` contract.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Propagation {
+    /// The world's own static, bounded model: grid-backed sparse rows.
+    #[default]
+    Cached,
+    /// The same loss declared time-varying, which the world evaluates
+    /// per transmission — production's direct path, as the reference.
+    Direct,
 }
 
-/// [`run_scenario_opts`] with an explicit spatial-grid-index switch.
-/// Grid-backed (sparse-row, O(n·k)) and exhaustive (dense, O(n²))
-/// scans must be byte-identical — the `--grid-diff` fuzz mode replays
-/// the same seed through both and demands identical fingerprints.
-/// Non-WLAN worlds have no grid; the flag is ignored for them.
-pub fn run_scenario_grid(
-    sc: &Scenario,
-    kind: SchedulerKind,
-    neighbor_cache: bool,
-    grid_index: bool,
-) -> Artifacts {
+impl Propagation {
+    /// Installs this path's loss model on a freshly built world.
+    pub fn install(self, world: &mut WlanWorld) {
+        if self == Propagation::Direct {
+            let model = LogDistance::indoor();
+            world.set_loss_model(LossModel::time_varying(move |a, b, f, _| {
+                model.loss(a.distance_to(b), f)
+            }));
+        }
+    }
+}
+
+/// Runs one scenario on an explicit scheduler back end and
+/// propagation path. Non-WLAN worlds have no such path; `prop` is
+/// ignored for them.
+fn run_scenario_via(sc: &Scenario, kind: SchedulerKind, prop: Propagation) -> Artifacts {
     match &sc.kind {
-        ScenarioKind::Wlan(w) => run_wlan(sc.seed, w, kind, neighbor_cache, grid_index),
-        ScenarioKind::Ess(e) => run_ess(sc.seed, e, kind, neighbor_cache, grid_index),
+        ScenarioKind::Wlan(w) => run_wlan(sc.seed, w, kind, prop),
+        ScenarioKind::Ess(e) => run_ess(sc.seed, e, kind, prop),
         ScenarioKind::Bluetooth(b) => run_bt(b, kind),
         ScenarioKind::Zigbee(z) => run_zigbee(sc.seed, z, kind),
         ScenarioKind::Wman(w) => run_wman(w, kind),
@@ -345,17 +355,10 @@ pub(crate) fn wlan_ac_of(g: usize, k: u64) -> AccessCategory {
     AccessCategory::from_index((g + k as usize) % 4).expect("4 ACs")
 }
 
-fn run_wlan(
-    seed: u64,
-    w: &WlanScenario,
-    kind: SchedulerKind,
-    neighbor_cache: bool,
-    grid_index: bool,
-) -> Artifacts {
+fn run_wlan(seed: u64, w: &WlanScenario, kind: SchedulerKind, prop: Propagation) -> Artifacts {
     let delivered = Arc::new(Mutex::new(Vec::new()));
     let mut world = WlanWorld::new(wlan_config(seed, w));
-    world.set_neighbor_cache(neighbor_cache);
-    world.set_grid_index(grid_index);
+    prop.install(&mut world);
     world.trace = Trace::new(TRACE_CAPACITY);
     for i in 0..w.total_stations() {
         world.add_station(
@@ -438,7 +441,6 @@ pub(crate) fn build_ess_sim(
     seed: u64,
     e: &EssScenario,
     kind: SchedulerKind,
-    neighbor_cache: bool,
 ) -> Simulation<WlanWorld> {
     let ssid = Ssid::new("Fuzz").expect("valid ssid");
     let mut mac = MacConfig::new(wn_phy::modulation::PhyStandard::Dot11g);
@@ -446,7 +448,6 @@ pub(crate) fn build_ess_sim(
     let channels: Vec<u8> = if e.aps == 2 { vec![1, 6] } else { vec![1] };
     let mut builder = EssBuilder::new(mac, ssid.clone())
         .scheduler(kind)
-        .neighbor_cache(neighbor_cache)
         .ap(Point::new(0.0, 0.0), 1);
     if e.aps == 2 {
         builder = builder.ap(Point::new(e.ap_spacing_m, 0.0), 6);
@@ -478,15 +479,9 @@ pub(crate) fn build_ess_sim(
     ess.sim
 }
 
-fn run_ess(
-    seed: u64,
-    e: &EssScenario,
-    kind: SchedulerKind,
-    neighbor_cache: bool,
-    grid_index: bool,
-) -> Artifacts {
-    let mut sim = build_ess_sim(seed, e, kind, neighbor_cache);
-    sim.world_mut().set_grid_index(grid_index);
+fn run_ess(seed: u64, e: &EssScenario, kind: SchedulerKind, prop: Propagation) -> Artifacts {
+    let mut sim = build_ess_sim(seed, e, kind);
+    prop.install(sim.world_mut());
     // The execution partition of an ESS is the trivial single shard
     // (see `build_ess_sim`); re-validating it at each slice still
     // catches station-set drift under mobility.
@@ -726,56 +721,26 @@ pub fn check_seed(seed: u64) -> SeedReport {
 
 /// [`check_seed`] on an explicit scheduler back end.
 pub fn check_seed_with(seed: u64, scheduler: SchedulerKind) -> SeedReport {
-    check_seed_opts(seed, scheduler, true)
-}
-
-/// [`check_seed`] with explicit scheduler and neighbor-cache choices.
-pub fn check_seed_opts(seed: u64, scheduler: SchedulerKind, neighbor_cache: bool) -> SeedReport {
-    check_seed_gen(&ScenarioGen::default(), seed, scheduler, neighbor_cache)
-}
-
-/// [`check_seed`] with an explicit spatial-grid-index switch — the
-/// `--grid-diff` fuzz mode runs every seed once with the grid on
-/// (sparse neighbor rows, grid-backed shard plans) and once off
-/// (exhaustive dense scans) and demands identical fingerprints.
-pub fn check_seed_grid(seed: u64, scheduler: SchedulerKind, grid_index: bool) -> SeedReport {
-    let sc = ScenarioGen::default().scenario(seed);
-    let art = run_scenario_grid(&sc, scheduler, true, grid_index);
-    let violations = run_oracles(&art);
-    SeedReport {
+    check_seed_gen(
+        &ScenarioGen::default(),
         seed,
-        summary: sc.summary(),
-        kind: sc.kind_tag(),
-        events: art.trace.events().count(),
-        trace_fnv: fnv1a(art.trace.to_jsonl("fuzz").as_bytes()),
-        metrics_fnv: art.metrics_fnv,
-        violations,
-    }
+        scheduler,
+        Propagation::Cached,
+    )
 }
 
-/// [`check_seed_grid`] over a seed range across `threads` workers.
-pub fn check_range_grid(
-    start: u64,
-    count: u64,
-    threads: usize,
-    grid_index: bool,
-) -> Vec<SeedReport> {
-    let seeds: Vec<u64> = (start..start + count).collect();
-    par_map_with(threads, seeds, move |seed| {
-        check_seed_grid(seed, SchedulerKind::default(), grid_index)
-    })
-}
-
-/// [`check_seed_opts`] under an explicit scenario generator — how the
-/// `--qos` corpus and the fail-point self-tests run seeds.
+/// [`check_seed`] under an explicit scenario generator, scheduler back
+/// end and propagation path — how the `--qos` corpus, the
+/// `--propagation-diff` differential and the fail-point self-tests run
+/// seeds.
 pub fn check_seed_gen(
     gen: &ScenarioGen,
     seed: u64,
     scheduler: SchedulerKind,
-    neighbor_cache: bool,
+    prop: Propagation,
 ) -> SeedReport {
     let sc = gen.scenario(seed);
-    let art = run_scenario_opts(&sc, scheduler, neighbor_cache);
+    let art = run_scenario_via(&sc, scheduler, prop);
     let violations = run_oracles(&art);
     SeedReport {
         seed,
@@ -804,39 +769,28 @@ pub fn check_range_with(
     threads: usize,
     scheduler: SchedulerKind,
 ) -> Vec<SeedReport> {
-    check_range_opts(start, count, threads, scheduler, true)
-}
-
-/// [`check_range`] with explicit scheduler and neighbor-cache choices.
-pub fn check_range_opts(
-    start: u64,
-    count: u64,
-    threads: usize,
-    scheduler: SchedulerKind,
-    neighbor_cache: bool,
-) -> Vec<SeedReport> {
     check_range_gen(
         ScenarioGen::default(),
         start,
         count,
         threads,
         scheduler,
-        neighbor_cache,
+        Propagation::Cached,
     )
 }
 
-/// [`check_range_opts`] under an explicit scenario generator.
+/// [`check_seed_gen`] over a seed range across `threads` workers.
 pub fn check_range_gen(
     gen: ScenarioGen,
     start: u64,
     count: u64,
     threads: usize,
     scheduler: SchedulerKind,
-    neighbor_cache: bool,
+    prop: Propagation,
 ) -> Vec<SeedReport> {
     let seeds: Vec<u64> = (start..start + count).collect();
     par_map_with(threads, seeds, move |seed| {
-        check_seed_gen(&gen, seed, scheduler, neighbor_cache)
+        check_seed_gen(&gen, seed, scheduler, prop)
     })
 }
 
@@ -869,4 +823,23 @@ pub fn range_digest_with(
         ));
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every configuration the generators draw — classic and QoS
+    /// corpora alike — passes `MacConfig::validate`, so no fuzz seed
+    /// trips the construction-time check.
+    #[test]
+    fn generated_wlan_configs_validate() {
+        for gen in [ScenarioGen::default(), ScenarioGen::with_qos()] {
+            for seed in 0..300 {
+                if let ScenarioKind::Wlan(w) = &gen.scenario(seed).kind {
+                    assert_eq!(wlan_config(seed, w).validate(), Ok(()), "seed {seed}");
+                }
+            }
+        }
+    }
 }

@@ -15,8 +15,8 @@
 //! Traces and metrics are digested in shard order in both modes, and
 //! the digests must be byte-identical — covering worker-count and
 //! slicing invariance at once, the same differential contract `--dual`
-//! enforces across scheduler back ends and `--cache-diff` across
-//! propagation paths. A single-component plan additionally bridges to
+//! enforces across scheduler back ends and `--propagation-diff`
+//! across propagation paths. A single-component plan additionally bridges to
 //! the classic engine: its composition is the very same construction
 //! `run_scenario` executes, so the digests must equal the classic
 //! fingerprints too (verified by a unit test here).
@@ -151,7 +151,6 @@ fn build_wlan_component(
     cfg.seed = component_seed(seed, k);
     let delivered = Arc::new(Mutex::new(Vec::new()));
     let mut world = WlanWorld::new(cfg);
-    world.set_neighbor_cache(true);
     world.trace = Trace::new(TRACE_CAPACITY);
     for &g in members {
         world.add_station(
@@ -232,7 +231,7 @@ fn shard_diff_ess(sc: &Scenario, e: &EssScenario) -> ShardDiffReport {
     // degenerates to sliced vs single-run_until over the identical
     // world — the slicing-invariance leg of the contract.
     let (sliced, runs) = sliced_and_runs(1, SimTime::from_secs(e.duration_s), |_k| {
-        build_ess_sim(sc.seed, e, SchedulerKind::default(), true)
+        build_ess_sim(sc.seed, e, SchedulerKind::default())
     });
     ShardDiffReport {
         seed: sc.seed,

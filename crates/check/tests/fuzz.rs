@@ -139,7 +139,7 @@ fn qos_scenario(aifsn_swap: bool) -> Scenario {
 fn qos_seeds_are_clean() {
     let gen = ScenarioGen::with_qos();
     for seed in 0..30 {
-        let r = wn_check::check_seed_gen(&gen, seed, Default::default(), true);
+        let r = wn_check::check_seed_gen(&gen, seed, Default::default(), Default::default());
         assert!(
             r.violations.is_empty(),
             "qos seed {} ({}) violated: {:?}",

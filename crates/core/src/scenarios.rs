@@ -8,6 +8,7 @@ use crate::experiment::ExperimentReport;
 use crate::registry::Technology;
 use wn_mac80211::addr::MacAddr;
 use wn_mac80211::frame::{DsBits, Frame, SequenceControl};
+use wn_mac80211::loss::LossModel;
 use wn_mac80211::shard::{component_seed, run_components, run_components_observed, ShardRunReport};
 use wn_mac80211::sim::{
     boot, inject_at, qos_inject_at, AccessCategory, MacConfig, NullUpper, WlanWorld,
@@ -1280,24 +1281,31 @@ pub fn adjacent_channels(seed: u64) -> (Figure, ExperimentReport) {
     (fig, report)
 }
 
+/// The ABL-FADING channel: indoor log-distance loss under Rayleigh
+/// fading with a 20 ms coherence time — time-varying, so worlds
+/// evaluate it per transmission.
+pub fn fading_loss_model(seed: u64) -> LossModel {
+    use wn_phy::fading::Fading;
+    use wn_phy::propagation::PathLoss;
+
+    let base = LogDistance::indoor();
+    let fade = Fading::rayleigh(0.02, seed);
+    LossModel::time_varying(move |a, b, f, t| {
+        base.loss(a.distance_to(b), f) - fade.fade_db(a, b, t.as_secs_f64())
+    })
+}
+
 /// ABL-FADING — rate adaptation under Rayleigh fading: a mid-range
 /// link whose channel swings ±15 dB every few milliseconds. ARF tracks
 /// the fades; a pinned top rate dies in every trough.
 pub fn fading_link(seed: u64) -> (Figure, ExperimentReport) {
-    use wn_phy::fading::Fading;
-    use wn_phy::propagation::PathLoss;
-
     let run = |arf: bool, faded: bool| -> f64 {
         let mut cfg = MacConfig::new(PhyStandard::Dot11g);
         cfg.seed = seed;
         cfg.arf = arf;
         let mut w = WlanWorld::new(cfg);
         if faded {
-            let base = LogDistance::indoor();
-            let fade = Fading::rayleigh(0.02, seed);
-            w.set_loss_model(Box::new(move |a, b, f, t| {
-                base.loss(a.distance_to(b), f) - fade.fade_db(a, b, t.as_secs_f64())
-            }));
+            w.set_loss_model(fading_loss_model(seed));
         }
         let tx = w.add_station(
             MacAddr::station(0),
@@ -1466,21 +1474,7 @@ pub fn scale_dcf_sim(
     seed: u64,
     kind: SchedulerKind,
 ) -> Simulation<WlanWorld> {
-    scale_dcf_sim_opts(stations, duration_ms, seed, kind, true)
-}
-
-/// [`scale_dcf_sim`] with the neighbor cache forced on or off — the
-/// lever the perfsuite `neighbors` section and the cache-equivalence
-/// checks use to time and compare the two propagation paths.
-pub fn scale_dcf_sim_opts(
-    stations: usize,
-    duration_ms: u64,
-    seed: u64,
-    kind: SchedulerKind,
-    neighbor_cache: bool,
-) -> Simulation<WlanWorld> {
-    let (mut world, frames_per_sender) = scale_dcf_world(stations, duration_ms, seed);
-    world.set_neighbor_cache(neighbor_cache);
+    let (world, frames_per_sender) = scale_dcf_world(stations, duration_ms, seed);
     let mut sim = Simulation::with_scheduler(world, kind);
     scale_dcf_load(&mut sim, stations, duration_ms, frames_per_sender);
     sim
@@ -1565,18 +1559,7 @@ pub fn scale_dcf_point(
     seed: u64,
     kind: SchedulerKind,
 ) -> ScaleDcfPoint {
-    scale_dcf_point_opts(stations, duration_ms, seed, kind, true)
-}
-
-/// [`scale_dcf_point`] with the neighbor cache forced on or off.
-pub fn scale_dcf_point_opts(
-    stations: usize,
-    duration_ms: u64,
-    seed: u64,
-    kind: SchedulerKind,
-    neighbor_cache: bool,
-) -> ScaleDcfPoint {
-    let mut sim = scale_dcf_sim_opts(stations, duration_ms, seed, kind, neighbor_cache);
+    let mut sim = scale_dcf_sim(stations, duration_ms, seed, kind);
     let end = SimTime::from_millis(duration_ms);
     sim.run_until(end);
 
@@ -1852,7 +1835,6 @@ fn city_dcf_component(
     let mut cfg = city_dcf_config(seed, senders, duration_ms);
     cfg.seed = component_seed(seed, k);
     let mut w = WlanWorld::new(cfg);
-    w.set_neighbor_cache(true);
     for &g in members {
         w.add_station(
             MacAddr::station(g as u32),
@@ -2361,7 +2343,6 @@ fn dense_obss_sim(
     cfg.ampdu_max_mpdus = ampdu_max_mpdus;
     cfg.queue_limit = counts.iter().sum::<u64>() as usize + 4;
     let mut w = WlanWorld::new(cfg);
-    w.set_neighbor_cache(true);
     for cell in 0..cells {
         let (row, col) = (cell / cols, cell % cols);
         let cx = col as f64 * DENSE_OBSS_SPACING_M;

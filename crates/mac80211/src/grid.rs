@@ -1,11 +1,10 @@
 //! Uniform spatial hash grid over station positions.
 //!
-//! Every position-driven scan in this crate used to be O(n) or O(n²):
-//! [`crate::neighbors::NeighborCache::build`] filled an n×n matrix,
-//! [`crate::sim::WlanWorld::shard_plan`] compared every pair, and a
-//! mobility patch touched every row. The grid cuts each of those to the
-//! stations that can possibly matter: with the cell edge at least the
-//! maximum audible range (the distance at which the strongest radio
+//! Every position-driven scan in this crate would otherwise be O(n)
+//! or O(n²): a full n×n rx-power matrix, a shard plan comparing every
+//! pair, a mobility patch touching every row. The grid cuts each of
+//! those to the stations that can possibly matter: with the cell edge
+//! at least the maximum audible range (the distance at which the strongest radio
 //! pair's received power falls below the carrier-sense floor), any two
 //! stations whose cells differ by more than one index along any axis
 //! are more than one cell edge apart and therefore inaudible by

@@ -22,6 +22,7 @@ pub mod dedup;
 pub mod duration;
 pub mod frame;
 pub mod grid;
+pub mod loss;
 pub mod neighbors;
 pub mod shard;
 pub mod sim;
@@ -29,7 +30,8 @@ pub mod sim;
 pub use addr::MacAddr;
 pub use arena::{FrameArena, FrameId};
 pub use frame::{DsBits, Frame, FrameControl, FrameType, SequenceControl, Subtype};
+pub use loss::LossModel;
 pub use sim::{
-    boot, inject_at, neighbor_cache_default, qos_inject_at, set_neighbor_cache_default,
-    AccessCategory, Command, MacConfig, MacEvent, StationId, UpperCtx, UpperLayer, WlanWorld,
+    boot, inject_at, qos_inject_at, AccessCategory, Command, MacConfig, MacEvent, StationId,
+    UpperCtx, UpperLayer, WlanWorld,
 };

@@ -7,18 +7,15 @@
 //! module provides the three data structures that cut those to the
 //! stations actually involved, without changing a single trace byte:
 //!
-//! - [`NeighborCache`] — pairwise rx-power rows (in dBm and, mirrored
+//! - [`NeighborCache`] — sparse rx-power rows (in dBm and, mirrored
 //!   bit-for-bit, in linear milliwatts for the interference sums)
 //!   plus, per transmitter, the sorted list of stations that can hear
-//!   it at the carrier-sense threshold. Static topologies compute
-//!   propagation once; mobility dirties only the moved station's row
-//!   and column. Rows come in two representations: *dense* (an entry
-//!   for every station, the original n×n matrix) and *sparse* (entries
-//!   only for the stations a [`crate::grid::SpatialGrid`] neighborhood
-//!   query returns — everyone within one cell edge, a superset of
+//!   it at the carrier-sense threshold. A row holds entries only for
+//!   the stations a [`crate::grid::SpatialGrid`] neighborhood query
+//!   returns — everyone within one cell edge, a superset of
 //!   audibility when the cell edge is at least the maximum audible
-//!   range). Sparse mode turns an O(n²) build into O(n·k) and a
-//!   mobility patch into O(k).
+//!   range. Static topologies compute propagation once, in O(n·k);
+//!   mobility patches only the moved station's neighborhood, in O(k).
 //! - [`AudibleSet`] — the per-station set of in-flight transmission
 //!   ids, with O(1) insert and O(members) removal instead of the old
 //!   `Vec::retain` full scan.
@@ -49,40 +46,34 @@ use crate::sim::StationId;
 use wn_phy::units::Dbm;
 
 /// One transmitter's received-power row, as snapshotted by an
-/// in-flight transmission record: power at every station in dBm plus
-/// the bit-exact linear-milliwatt mirror used by interference sums.
-///
-/// Dense rows (`keys == None`) index directly by station id and carry
-/// the +inf diagonal the original matrix had; the mW mirror is absent
-/// only on the uncached direct path, which converts per entry exactly
-/// as the pre-cache code did. Sparse rows store entries for the sorted
-/// `keys` subset only (self excluded) and answer −∞ for everyone else
-/// — omitted stations are below the carrier-sense floor by grid
-/// construction.
+/// in-flight transmission record.
 #[derive(Clone)]
-pub struct RxRow {
-    keys: Option<Arc<Vec<StationId>>>,
-    dbm: Arc<Vec<Dbm>>,
-    mw: Option<Arc<Vec<f64>>>,
+pub enum RxRow {
+    /// The uncached row of a directly evaluated world: power at every
+    /// station, indexed by id, with a +inf diagonal. Interference sums
+    /// convert each entry to milliwatts as they go.
+    Direct(Arc<Vec<Dbm>>),
+    /// A cached sparse row: entries for the sorted `keys` subset only
+    /// (self excluded); everyone else is below the carrier-sense floor
+    /// by grid construction and reads back as −∞.
+    Cached {
+        /// Stored station ids, ascending.
+        keys: Arc<Vec<StationId>>,
+        /// Received power at `keys[i]`.
+        dbm: Arc<Vec<Dbm>>,
+        /// `dbm[i]` in linear milliwatts, bit for bit.
+        mw: Arc<Vec<f64>>,
+    },
 }
 
 impl RxRow {
-    /// A dense row; `mw` is `None` on the uncached direct path.
-    pub fn dense(dbm: Arc<Vec<Dbm>>, mw: Option<Arc<Vec<f64>>>) -> Self {
-        RxRow {
-            keys: None,
-            dbm,
-            mw,
-        }
-    }
-
-    /// Received power at `dst`; −∞ for entries a sparse row omits
+    /// Received power at `dst`; −∞ for entries a cached row omits
     /// (beyond the grid neighborhood, hence below the CS floor).
     pub fn get(&self, dst: StationId) -> Dbm {
-        match &self.keys {
-            None => self.dbm[dst],
-            Some(k) => match k.binary_search(&dst) {
-                Ok(i) => self.dbm[i],
+        match self {
+            RxRow::Direct(dbm) => dbm[dst],
+            RxRow::Cached { keys, dbm, .. } => match keys.binary_search(&dst) {
+                Ok(i) => dbm[i],
                 Err(_) => Dbm(f64::NEG_INFINITY),
             },
         }
@@ -90,17 +81,17 @@ impl RxRow {
 
     /// [`get`](Self::get) for ascending `dst` sequences: `cursor`
     /// (starting at 0 for each fresh sequence) advances monotonically
-    /// through a sparse row's keys, making a whole candidates sweep
-    /// O(k) instead of O(c·log k). Dense rows ignore the cursor.
+    /// through a cached row's keys, making a whole candidates sweep
+    /// O(k) instead of O(c·log k). Direct rows ignore the cursor.
     pub fn get_seq(&self, dst: StationId, cursor: &mut usize) -> Dbm {
-        match &self.keys {
-            None => self.dbm[dst],
-            Some(k) => {
-                while *cursor < k.len() && k[*cursor] < dst {
+        match self {
+            RxRow::Direct(dbm) => dbm[dst],
+            RxRow::Cached { keys, dbm, .. } => {
+                while *cursor < keys.len() && keys[*cursor] < dst {
                     *cursor += 1;
                 }
-                if *cursor < k.len() && k[*cursor] == dst {
-                    self.dbm[*cursor]
+                if *cursor < keys.len() && keys[*cursor] == dst {
+                    dbm[*cursor]
                 } else {
                     Dbm(f64::NEG_INFINITY)
                 }
@@ -109,49 +100,36 @@ impl RxRow {
     }
 
     /// Adds this row's linear-milliwatt image into `acc` (full
-    /// spectral overlap), preserving the exact float semantics of the
-    /// pre-sparse code: cached dense rows add the memoized mirror
-    /// slice-wise; the direct path converts each dBm entry in place.
-    /// Sparse rows add their stored entries at their key slots, in
-    /// ascending key order — each slot still receives at most one term
-    /// per transmission, in the same record order as before.
+    /// spectral overlap): cached rows add their memoized mirror at
+    /// their key slots, in ascending key order; direct rows convert
+    /// each dBm entry in place. Each slot receives at most one term
+    /// per transmission.
     pub fn accumulate_mw(&self, acc: &mut [f64]) {
-        match (&self.keys, &self.mw) {
-            (None, Some(mw)) => {
-                for (a, m) in acc.iter_mut().zip(mw.iter()) {
-                    *a += m;
-                }
-            }
-            (None, None) => {
-                for (a, p) in acc.iter_mut().zip(self.dbm.iter()) {
+        match self {
+            RxRow::Direct(dbm) => {
+                for (a, p) in acc.iter_mut().zip(dbm.iter()) {
                     *a += p.to_milliwatts();
                 }
             }
-            (Some(keys), Some(mw)) => {
+            RxRow::Cached { keys, mw, .. } => {
                 for (&k, &m) in keys.iter().zip(mw.iter()) {
                     acc[k] += m;
-                }
-            }
-            (Some(keys), None) => {
-                for (&k, &p) in keys.iter().zip(self.dbm.iter()) {
-                    acc[k] += p.to_milliwatts();
                 }
             }
         }
     }
 
     /// Fractional-overlap variant of [`accumulate_mw`](Self::accumulate_mw):
-    /// every entry is discounted by `shift` dB before conversion,
-    /// exactly as the uncached path computed it.
+    /// every entry is discounted by `shift` dB before conversion.
     pub fn accumulate_shifted_mw(&self, shift: f64, acc: &mut [f64]) {
-        match &self.keys {
-            None => {
-                for (a, p) in acc.iter_mut().zip(self.dbm.iter()) {
+        match self {
+            RxRow::Direct(dbm) => {
+                for (a, p) in acc.iter_mut().zip(dbm.iter()) {
                     *a += Dbm(p.value() + shift).to_milliwatts();
                 }
             }
-            Some(keys) => {
-                for (&k, &p) in keys.iter().zip(self.dbm.iter()) {
+            RxRow::Cached { keys, dbm, .. } => {
+                for (&k, &p) in keys.iter().zip(dbm.iter()) {
                     acc[k] += Dbm(p.value() + shift).to_milliwatts();
                 }
             }
@@ -159,26 +137,23 @@ impl RxRow {
     }
 }
 
-/// Pairwise rx-power cache with per-transmitter audible-neighbor lists.
+/// Sparse pairwise rx-power cache with per-transmitter audible-neighbor
+/// lists.
 ///
-/// Dense mode (`keys == None`): `rows[src][dst]` is the raw received
-/// power at `dst` of a transmission from `src` (the diagonal is +inf:
-/// a station trivially "hears" itself at any threshold, and the MAC
-/// skips it explicitly). Sparse mode (`keys == Some`): `rows[src][i]`
-/// is the power at `keys[src][i]`, the sorted grid neighborhood of
-/// `src` with `src` itself excluded — stations beyond the neighborhood
-/// are below the carrier-sense floor by construction and read back as
-/// −∞. `mw_rows` mirrors `rows` in linear milliwatts
-/// (`Dbm::to_milliwatts` of the same entry, bit for bit) — the
-/// interference sums in the reception path run in the linear domain,
-/// and memoizing the dB→mW conversion is where most of the
-/// transcendental math in a saturated cell goes. `audible[src]` lists
-/// every `dst != src` whose raw power meets the carrier-sense
+/// `rows[src][i]` is the raw received power at `keys[src][i]`, the
+/// sorted grid neighborhood of `src` with `src` itself excluded —
+/// stations beyond the neighborhood are below the carrier-sense floor
+/// by construction and read back as −∞. `mw_rows` mirrors `rows` in
+/// linear milliwatts (`Dbm::to_milliwatts` of the same entry, bit for
+/// bit) — the interference sums in the reception path run in the
+/// linear domain, and memoizing the dB→mW conversion is where most of
+/// the transcendental math in a saturated cell goes. `audible[src]`
+/// lists every `dst != src` whose raw power meets the carrier-sense
 /// threshold, ascending; audible lists are always a subset of the
 /// stored keys.
 #[derive(Default)]
 pub struct NeighborCache {
-    keys: Option<Vec<Arc<Vec<StationId>>>>,
+    keys: Vec<Arc<Vec<StationId>>>,
     rows: Vec<Arc<Vec<Dbm>>>,
     mw_rows: Vec<Arc<Vec<f64>>>,
     audible: Vec<Arc<Vec<StationId>>>,
@@ -190,78 +165,29 @@ impl NeighborCache {
         Self::default()
     }
 
-    /// Whether [`build`](Self::build) or
-    /// [`build_sparse`](Self::build_sparse) has run since the last
-    /// [`clear`](Self::clear).
-    pub fn is_built(&self) -> bool {
-        !self.rows.is_empty()
-    }
-
-    /// Whether the cache holds sparse grid-backed rows.
-    pub fn is_sparse(&self) -> bool {
-        self.keys.is_some()
-    }
-
-    /// Total stored pair entries — n·(n−1) in dense mode, the sum of
-    /// neighborhood sizes in sparse mode (what the grid saved).
+    /// Total stored pair entries: the sum of neighborhood sizes (what
+    /// the grid saved against the n·(n−1) of a full matrix).
     pub fn stored_entries(&self) -> usize {
-        match &self.keys {
-            Some(keys) => keys.iter().map(|k| k.len()).sum(),
-            None => {
-                let n = self.rows.len();
-                n.saturating_mul(n.saturating_sub(1))
-            }
-        }
+        self.keys.iter().map(|k| k.len()).sum()
     }
 
     /// Drops all cached state (topology-shaping setup calls, e.g. a
     /// radio swap, call this; the next use rebuilds).
     pub fn clear(&mut self) {
-        self.keys = None;
+        self.keys.clear();
         self.rows.clear();
         self.mw_rows.clear();
         self.audible.clear();
     }
 
-    /// Builds the full dense matrix for `n` stations from
-    /// `power(src, dst)`, marking `dst` audible from `src` when the
-    /// raw power meets `cs`.
-    pub fn build(&mut self, n: usize, cs: Dbm, mut power: impl FnMut(StationId, StationId) -> Dbm) {
-        self.clear();
-        self.rows.reserve(n);
-        self.mw_rows.reserve(n);
-        self.audible.reserve(n);
-        for src in 0..n {
-            let mut row = Vec::with_capacity(n);
-            let mut mw = Vec::with_capacity(n);
-            let mut aud = Vec::new();
-            for dst in 0..n {
-                if dst == src {
-                    row.push(Dbm(f64::INFINITY));
-                    mw.push(f64::INFINITY);
-                    continue;
-                }
-                let p = power(src, dst);
-                if p.value() >= cs.value() {
-                    aud.push(dst);
-                }
-                row.push(p);
-                mw.push(p.to_milliwatts());
-            }
-            self.rows.push(Arc::new(row));
-            self.mw_rows.push(Arc::new(mw));
-            self.audible.push(Arc::new(aud));
-        }
-    }
-
-    /// Builds sparse grid-backed rows for `n` stations: for each
-    /// `src`, `neighbors_of(src, &mut scratch)` must append the sorted
+    /// Builds the rows for `n` stations: for each `src`,
+    /// `neighbors_of(src, &mut scratch)` must append the sorted
     /// candidate set (typically a 27-cell grid neighborhood; `src`
     /// itself may be included and is skipped). Only those pairs are
     /// evaluated and stored — O(n·k) instead of O(n²). Soundness is
     /// the caller's contract: every station outside the candidate set
     /// must be below `cs` from `src`.
-    pub fn build_sparse(
+    pub fn build(
         &mut self,
         n: usize,
         cs: Dbm,
@@ -269,7 +195,7 @@ impl NeighborCache {
         mut neighbors_of: impl FnMut(StationId, &mut Vec<StationId>),
     ) {
         self.clear();
-        let mut keys = Vec::with_capacity(n);
+        self.keys.reserve(n);
         self.rows.reserve(n);
         self.mw_rows.reserve(n);
         self.audible.reserve(n);
@@ -297,72 +223,24 @@ impl NeighborCache {
                 row.push(p);
                 mw.push(p.to_milliwatts());
             }
-            keys.push(Arc::new(ks));
+            self.keys.push(Arc::new(ks));
             self.rows.push(Arc::new(row));
             self.mw_rows.push(Arc::new(mw));
             self.audible.push(Arc::new(aud));
         }
-        self.keys = Some(keys);
     }
 
-    /// Recomputes one station's row and column after it moved (or
-    /// changed its radio): its own row and audible list are rebuilt
-    /// from scratch, and every other station's entry *to* it is
-    /// patched in place, maintaining the sorted audible lists by
-    /// binary search. Rows shared with in-flight transmission records
-    /// are cloned before writing (copy-on-write), so those records
-    /// keep their start-time snapshot. Dense mode only — sparse caches
-    /// patch via [`rebuild_station_sparse`](Self::rebuild_station_sparse).
-    pub fn rebuild_station(
-        &mut self,
-        id: StationId,
-        cs: Dbm,
-        mut power: impl FnMut(StationId, StationId) -> Dbm,
-    ) {
-        let n = self.rows.len();
-        debug_assert!(id < n, "rebuild_station on an unbuilt cache");
-        debug_assert!(self.keys.is_none(), "dense rebuild on a sparse cache");
-        let mut row = Vec::with_capacity(n);
-        let mut mw = Vec::with_capacity(n);
-        let mut aud = Vec::new();
-        for dst in 0..n {
-            if dst == id {
-                row.push(Dbm(f64::INFINITY));
-                mw.push(f64::INFINITY);
-                continue;
-            }
-            let p = power(id, dst);
-            if p.value() >= cs.value() {
-                aud.push(dst);
-            }
-            row.push(p);
-            mw.push(p.to_milliwatts());
-        }
-        self.rows[id] = Arc::new(row);
-        self.mw_rows[id] = Arc::new(mw);
-        self.audible[id] = Arc::new(aud);
-        for src in 0..n {
-            if src == id {
-                continue;
-            }
-            let p = power(src, id);
-            Arc::make_mut(&mut self.rows[src])[id] = p;
-            Arc::make_mut(&mut self.mw_rows[src])[id] = p.to_milliwatts();
-            let hears = p.value() >= cs.value();
-            self.patch_audible(src, id, hears);
-        }
-    }
-
-    /// Sparse-mode mobility patch: the moved station's row is rebuilt
-    /// over `new_keys` (its sorted post-move neighborhood, `id`
-    /// excluded), every station in `new_keys` gains or refreshes its
-    /// entry *to* `id`, and every station in `stale` (the pre-move
-    /// neighborhood minus the post-move one) drops its entry — O(k)
-    /// where the dense patch was O(n). Copy-on-write discipline is the
-    /// same as [`rebuild_station`](Self::rebuild_station): the keys,
-    /// powers and milliwatt mirror of a patched row always change
-    /// together, so an in-flight snapshot stays internally consistent.
-    pub fn rebuild_station_sparse(
+    /// Mobility patch after station `id` moved (or changed its radio):
+    /// its row is rebuilt over `new_keys` (its sorted post-move
+    /// neighborhood; `id` itself is skipped), every station in
+    /// `new_keys` gains or refreshes its entry *to* `id`, and every
+    /// station in `stale` (the pre-move neighborhood minus the
+    /// post-move one) drops its entry — O(k). Rows shared with
+    /// in-flight transmission records are cloned before writing
+    /// (copy-on-write), and the keys, powers and milliwatt mirror of a
+    /// patched row always change together, so those records keep an
+    /// internally consistent start-time snapshot.
+    pub fn patch_station(
         &mut self,
         id: StationId,
         cs: Dbm,
@@ -370,7 +248,7 @@ impl NeighborCache {
         new_keys: &[StationId],
         stale: &[StationId],
     ) {
-        debug_assert!(self.keys.is_some(), "sparse rebuild on a dense cache");
+        debug_assert!(id < self.rows.len(), "patch_station on an unbuilt cache");
         debug_assert!(new_keys.windows(2).all(|w| w[0] < w[1]));
         let mut ks = Vec::with_capacity(new_keys.len());
         let mut row = Vec::with_capacity(new_keys.len());
@@ -388,8 +266,7 @@ impl NeighborCache {
             row.push(p);
             mw.push(p.to_milliwatts());
         }
-        let keys = self.keys.as_mut().expect("checked sparse");
-        keys[id] = Arc::new(ks);
+        self.keys[id] = Arc::new(ks);
         self.rows[id] = Arc::new(row);
         self.mw_rows[id] = Arc::new(mw);
         self.audible[id] = Arc::new(aud);
@@ -399,15 +276,14 @@ impl NeighborCache {
                 continue;
             }
             let p = power(src, id);
-            let keys = self.keys.as_mut().expect("checked sparse");
-            match keys[src].binary_search(&id) {
+            match self.keys[src].binary_search(&id) {
                 Ok(i) => {
                     // Entry exists: refresh the value in place.
                     Arc::make_mut(&mut self.rows[src])[i] = p;
                     Arc::make_mut(&mut self.mw_rows[src])[i] = p.to_milliwatts();
                 }
                 Err(i) => {
-                    Arc::make_mut(&mut keys[src]).insert(i, id);
+                    Arc::make_mut(&mut self.keys[src]).insert(i, id);
                     Arc::make_mut(&mut self.rows[src]).insert(i, p);
                     Arc::make_mut(&mut self.mw_rows[src]).insert(i, p.to_milliwatts());
                 }
@@ -418,9 +294,8 @@ impl NeighborCache {
             if src == id {
                 continue;
             }
-            let keys = self.keys.as_mut().expect("checked sparse");
-            if let Ok(i) = keys[src].binary_search(&id) {
-                Arc::make_mut(&mut keys[src]).remove(i);
+            if let Ok(i) = self.keys[src].binary_search(&id) {
+                Arc::make_mut(&mut self.keys[src]).remove(i);
                 Arc::make_mut(&mut self.rows[src]).remove(i);
                 Arc::make_mut(&mut self.mw_rows[src]).remove(i);
             }
@@ -441,13 +316,12 @@ impl NeighborCache {
         }
     }
 
-    /// The cached power row for `src` (shared, copy-on-write), in
-    /// whichever representation the cache was built with.
+    /// The cached power row for `src` (shared, copy-on-write).
     pub fn row(&self, src: StationId) -> RxRow {
-        RxRow {
-            keys: self.keys.as_ref().map(|k| Arc::clone(&k[src])),
+        RxRow::Cached {
+            keys: Arc::clone(&self.keys[src]),
             dbm: Arc::clone(&self.rows[src]),
-            mw: Some(Arc::clone(&self.mw_rows[src])),
+            mw: Arc::clone(&self.mw_rows[src]),
         }
     }
 
@@ -458,11 +332,11 @@ impl NeighborCache {
 
     /// Verifies every cached entry (powers and audible lists) against
     /// a fresh evaluation — the oracle behind the mobility-invalidation
-    /// property test and the grid-coherence fuzz oracle. In sparse
-    /// mode an *absent* pair is coherent only if its fresh power is
-    /// below `cs` (the grid's soundness claim) and it is not listed
-    /// audible; such a violation reports the −∞ the row would answer.
-    /// Returns the first mismatch as `(src, dst, cached, fresh)`.
+    /// property test and the grid-coherence fuzz oracle. An *absent*
+    /// pair is coherent only if its fresh power is below `cs` (the
+    /// grid's soundness claim) and it is not listed audible; such a
+    /// violation reports the −∞ the row would answer. Returns the
+    /// first mismatch as `(src, dst, cached, fresh)`.
     pub fn find_incoherence(
         &self,
         cs: Dbm,
@@ -470,37 +344,25 @@ impl NeighborCache {
     ) -> Option<(StationId, StationId, Dbm, Dbm)> {
         let n = self.rows.len();
         for src in 0..n {
-            let row = self.row(src);
             for dst in 0..n {
                 if dst == src {
                     continue;
                 }
                 let fresh = power(src, dst);
-                let cached = row.get(dst);
                 let listed = self.audible[src].binary_search(&dst).is_ok();
-                let stored = match &self.keys {
-                    None => true,
-                    Some(keys) => keys[src].binary_search(&dst).is_ok(),
-                };
-                if !stored {
+                let Ok(i) = self.keys[src].binary_search(&dst) else {
                     // Omitted by the grid: must be genuinely sub-CS.
                     if fresh.value() >= cs.value() || listed {
-                        return Some((src, dst, cached, fresh));
+                        return Some((src, dst, Dbm(f64::NEG_INFINITY), fresh));
                     }
                     continue;
-                }
+                };
                 // The mw mirror must stay bit-identical to the dBm
                 // entry's conversion, not merely numerically close.
-                let mw_cached = match &self.keys {
-                    None => self.mw_rows[src][dst],
-                    Some(keys) => {
-                        let i = keys[src].binary_search(&dst).expect("stored");
-                        self.mw_rows[src][i]
-                    }
-                };
+                let cached = self.rows[src][i];
                 if cached.value() != fresh.value()
                     || listed != (fresh.value() >= cs.value())
-                    || mw_cached.to_bits() != fresh.to_milliwatts().to_bits()
+                    || self.mw_rows[src][i].to_bits() != fresh.to_milliwatts().to_bits()
                 {
                     return Some((src, dst, cached, fresh));
                 }
@@ -665,16 +527,16 @@ mod tests {
     #[test]
     fn cache_builds_and_patches_moved_station() {
         // Powers derived from a mutable "position" table so the test
-        // can move a station and demand row+column patching.
+        // can move a station and demand its row and column patched.
+        // The neighborhood is everyone, so every pair is stored.
         let mut xs = [0.0f64, 10.0, 20.0, 80.0];
         let cs = Dbm(-82.0);
         fn power(xs: &[f64; 4]) -> impl FnMut(StationId, StationId) -> Dbm + '_ {
             move |a, b| Dbm(-((xs[a] - xs[b]).abs()) - 40.0)
         }
+        let everyone = |_: StationId, out: &mut Vec<StationId>| out.extend(0..4);
         let mut c = NeighborCache::new();
-        c.build(4, cs, power(&xs));
-        assert!(c.is_built());
-        assert!(!c.is_sparse());
+        c.build(4, cs, power(&xs), everyone);
         assert_eq!(c.stored_entries(), 12);
         assert!(c.find_incoherence(cs, power(&xs)).is_none());
         // 0 hears 1 (−50) and 2 (−60) but not 3 (−120).
@@ -685,7 +547,7 @@ mod tests {
         // cache the new — in dBm and in the milliwatt mirror alike.
         let snapshot = c.row(0);
         xs[3] = 5.0;
-        c.rebuild_station(3, cs, power(&xs));
+        c.patch_station(3, cs, power(&xs), &[0, 1, 2, 3], &[]);
         assert_eq!(snapshot.get(3), Dbm(-120.0));
         assert_eq!(c.row(0).get(3), Dbm(-45.0));
         let mut mw = vec![0.0; 4];
@@ -696,7 +558,7 @@ mod tests {
         assert!(c.find_incoherence(cs, power(&xs)).is_none());
 
         c.clear();
-        assert!(!c.is_built());
+        assert_eq!(c.stored_entries(), 0);
     }
 
     #[test]
@@ -715,8 +577,7 @@ mod tests {
             }
         }
         let mut c = NeighborCache::new();
-        c.build_sparse(4, cs, power(&xs), hood(&xs));
-        assert!(c.is_sparse());
+        c.build(4, cs, power(&xs), hood(&xs));
         assert!(c.stored_entries() < 12, "sparse must omit far pairs");
         assert!(c.find_incoherence(cs, power(&xs)).is_none());
         assert_eq!(*c.audible_list(0), vec![1, 2]);
@@ -736,7 +597,7 @@ mod tests {
         let snapshot = c.row(0);
         xs[3] = 5.0;
         let new_keys = [0usize, 1, 2];
-        c.rebuild_station_sparse(3, cs, power(&xs), &new_keys, &[]);
+        c.patch_station(3, cs, power(&xs), &new_keys, &[]);
         assert_eq!(snapshot.get(3), Dbm(f64::NEG_INFINITY));
         assert_eq!(c.row(0).get(3), Dbm(-45.0));
         assert_eq!(*c.audible_list(0), vec![1, 2, 3]);
@@ -745,7 +606,7 @@ mod tests {
 
         // And back out again: stale entries must disappear.
         xs[3] = 80.0;
-        c.rebuild_station_sparse(3, cs, power(&xs), &[], &new_keys);
+        c.patch_station(3, cs, power(&xs), &[], &new_keys);
         assert_eq!(c.row(0).get(3), Dbm(f64::NEG_INFINITY));
         assert_eq!(*c.audible_list(0), vec![1, 2]);
         assert!(c.find_incoherence(cs, power(&xs)).is_none());
@@ -759,7 +620,7 @@ mod tests {
         let xs = [0.0f64, 10.0];
         let cs = Dbm(-75.0);
         let mut c = NeighborCache::new();
-        c.build_sparse(
+        c.build(
             2,
             cs,
             |a, b| Dbm(-((xs[a] - xs[b]).abs()) - 40.0),

@@ -21,7 +21,6 @@
 //! drive the MAC with [`Command`]s.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::addr::MacAddr;
@@ -31,12 +30,13 @@ use crate::dedup::DedupCache;
 use crate::duration::{ack_airtime, airtime, cts_airtime, data_duration, rts_duration};
 use crate::frame::{Frame, FrameType, SequenceControl, SequenceCounter, Subtype};
 use crate::grid::SpatialGrid;
+use crate::loss::LossModel;
 use crate::neighbors::{AudibleSet, IdBitSet, NeighborCache, RxRow};
 use wn_phy::geom::Point;
 use wn_phy::medium::{coupled_rx_power, LinkBudget, Radio};
 use wn_phy::modulation::{PhyStandard, RateStep};
-use wn_phy::propagation::{LogDistance, PathLoss};
-use wn_phy::units::{Db, Dbm, Hertz};
+use wn_phy::propagation::LogDistance;
+use wn_phy::units::Dbm;
 use wn_sim::metrics::{MetricsRegistry, MetricsSnapshot};
 use wn_sim::stats::{Histogram, Summary, TimeWeighted};
 use wn_sim::trace::{DropReason, FrameKind, Level, Trace, TraceEvent};
@@ -71,23 +71,6 @@ pub fn frame_kind(subtype: Subtype) -> FrameKind {
 
 /// Index of a station within a [`WlanWorld`].
 pub type StationId = usize;
-
-/// Process-wide default for the propagation neighbor cache of newly
-/// built worlds (on unless flipped). The cached and direct paths are
-/// byte-identical on static topologies — this switch exists so the
-/// perfsuite and the differential fuzz can time and compare them;
-/// per-world overrides go through [`WlanWorld::set_neighbor_cache`].
-static NEIGHBOR_CACHE_DEFAULT: AtomicBool = AtomicBool::new(true);
-
-/// Sets the process-wide neighbor-cache default for new worlds.
-pub fn set_neighbor_cache_default(on: bool) {
-    NEIGHBOR_CACHE_DEFAULT.store(on, Ordering::Relaxed);
-}
-
-/// The current process-wide neighbor-cache default.
-pub fn neighbor_cache_default() -> bool {
-    NEIGHBOR_CACHE_DEFAULT.load(Ordering::Relaxed)
-}
 
 /// MAC-level configuration shared by all stations in the world.
 #[derive(Clone, Debug)]
@@ -279,6 +262,45 @@ impl MacConfig {
                 txop_us: 0,
             },
         }
+    }
+
+    /// Checks the fields the MAC cannot run with; the error names the
+    /// offending field. [`WlanWorld::new`] rejects any configuration
+    /// that fails here — a zero fragmentation threshold, for one,
+    /// would otherwise split every MSDU into empty fragments forever.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.frag_threshold == 0 {
+            return Err("frag_threshold must be >= 1".into());
+        }
+        if self.queue_limit == 0 {
+            return Err("queue_limit must be >= 1".into());
+        }
+        if self.ampdu_max_mpdus == 0 {
+            return Err("ampdu_max_mpdus must be >= 1".into());
+        }
+        if self.ampdu_max_bytes == 0 {
+            return Err("ampdu_max_bytes must be >= 1".into());
+        }
+        if self.cw_min() > self.cw_max() {
+            return Err(format!(
+                "cw_min_override/cw_max_override: CWmin {} exceeds CWmax {}",
+                self.cw_min(),
+                self.cw_max()
+            ));
+        }
+        if !(0.0..=1.0).contains(&self.ampdu_per_mpdu_loss) {
+            return Err(format!(
+                "ampdu_per_mpdu_loss must be in [0, 1], got {}",
+                self.ampdu_per_mpdu_loss
+            ));
+        }
+        if !self.cs_threshold.value().is_finite() {
+            return Err(format!(
+                "cs_threshold must be finite, got {:?}",
+                self.cs_threshold
+            ));
+        }
+        Ok(())
     }
 
     /// The effective CWmin after overrides.
@@ -793,7 +815,9 @@ pub struct WlanWorld {
     /// bump on the shared rate ladder instead of a rebuild per station.
     arf_template: Arf,
     budget: LinkBudget,
-    loss: Box<dyn Fn(Point, Point, Hertz, SimTime) -> Db + Send>,
+    /// The propagation description; its floor decides between the
+    /// cached grid path and direct evaluation.
+    loss: LossModel,
     stations: Vec<Station>,
     /// Per-station DCF state, flattened column-wise ([`DcfState`]).
     dcf: DcfState,
@@ -805,27 +829,13 @@ pub struct WlanWorld {
     /// Arena references parked on scheduled `Inject`/`TxDropped`
     /// events (a term of the [`frame_ledger`](Self::frame_ledger)).
     staged: u64,
-    /// Pairwise rx-power / audibility cache (built lazily at the first
-    /// transmission when `neighbor_cache` is on).
+    /// Sparse pairwise rx-power / audibility rows (built lazily at
+    /// the first transmission under a bounded static loss model).
     neighbors: NeighborCache,
-    /// Whether this world memoizes propagation. Forced off by
-    /// [`set_loss_model`](Self::set_loss_model) (time-varying models
-    /// cannot be cached).
-    neighbor_cache: bool,
-    /// The spatial hash grid backing sparse neighbor rows; alive
-    /// exactly while the cache is built in sparse mode, kept in sync
-    /// with station positions by [`set_position`](Self::set_position).
+    /// The spatial hash grid keying the sparse rows; alive exactly
+    /// while they are built, kept in sync with station positions by
+    /// [`set_position`](Self::set_position).
     grid: Option<SpatialGrid>,
-    /// Whether position-driven scans may use the spatial grid (on by
-    /// default; engaging additionally requires an isotropic loss model
-    /// and a finite probed audible reach).
-    grid_index: bool,
-    /// Whether the loss closure is a pure monotone function of the
-    /// pair's distance — the precondition for probing the audible
-    /// reach along a single ray. True for the built-in log-distance
-    /// model; cleared by every loss-model replacement except
-    /// [`set_loss_model_static_isotropic`](Self::set_loss_model_static_isotropic).
-    loss_isotropic: bool,
     /// Reused scratch for grid neighborhood queries during mobility
     /// patches.
     hood_scratch: Vec<StationId>,
@@ -874,10 +884,17 @@ pub struct WlanWorld {
 impl WlanWorld {
     /// Creates a world with the default consumer radio and indoor
     /// log-distance propagation.
+    ///
+    /// # Panics
+    ///
+    /// On a configuration [`MacConfig::validate`] rejects, naming the
+    /// offending field.
     pub fn new(cfg: MacConfig) -> Self {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid MacConfig: {e}");
+        }
         let std = cfg.standard;
         let budget = LinkBudget::for_standard(std, Radio::consumer_wifi());
-        let model = LogDistance::indoor();
         let rng = Rng::new(cfg.seed);
         let arf_template = Arf::new(
             std,
@@ -891,17 +908,14 @@ impl WlanWorld {
         WlanWorld {
             arf_template,
             budget,
-            loss: Box::new(move |a, b, f, _t| model.loss(a.distance_to(b), f)),
+            loss: LossModel::distance(LogDistance::indoor()),
             stations: Vec::new(),
             dcf: DcfState::default(),
             records: Vec::new(),
             frames: FrameArena::new(),
             staged: 0,
             neighbors: NeighborCache::new(),
-            neighbor_cache: neighbor_cache_default(),
             grid: None,
-            grid_index: true,
-            loss_isotropic: true,
             hood_scratch: Vec::new(),
             contenders: IdBitSet::new(),
             rearm_scratch: Vec::new(),
@@ -938,85 +952,19 @@ impl WlanWorld {
         }
     }
 
-    /// Replaces the propagation model (position- and time-aware; the
-    /// time argument enables fading models). A time-varying loss
-    /// cannot be memoized, so this also disables the neighbor cache;
-    /// models that ignore the time argument should go through
-    /// [`set_loss_model_static`](Self::set_loss_model_static) instead.
-    pub fn set_loss_model(&mut self, loss: Box<dyn Fn(Point, Point, Hertz, SimTime) -> Db + Send>) {
-        self.loss = loss;
-        self.neighbor_cache = false;
-        self.loss_isotropic = false;
+    /// Replaces the propagation model. The world derives its received
+    /// power path from the description: bounded static models get the
+    /// grid-backed sparse cache, time-varying and unbounded ones are
+    /// evaluated per transmission.
+    pub fn set_loss_model(&mut self, model: LossModel) {
+        self.loss = model;
         self.invalidate_neighbors();
-    }
-
-    /// Replaces the propagation model with one the caller guarantees
-    /// ignores the time argument (any pure function of geometry), so
-    /// the neighbor cache stays eligible. The model may still be
-    /// anisotropic (walls, shadowing), so the audible-reach probe —
-    /// and with it the spatial grid — is disabled; the cache falls
-    /// back to dense rows.
-    pub fn set_loss_model_static(
-        &mut self,
-        loss: Box<dyn Fn(Point, Point, Hertz, SimTime) -> Db + Send>,
-    ) {
-        self.loss = loss;
-        self.loss_isotropic = false;
-        self.invalidate_neighbors();
-    }
-
-    /// Replaces the propagation model with one the caller guarantees
-    /// is a pure **monotone function of the pair's distance** (no time
-    /// dependence, no geometry beyond `a.distance_to(b)`): the
-    /// strongest contract, keeping both the neighbor cache and the
-    /// spatial grid's radial reach probe sound.
-    pub fn set_loss_model_static_isotropic(
-        &mut self,
-        loss: Box<dyn Fn(Point, Point, Hertz, SimTime) -> Db + Send>,
-    ) {
-        self.loss = loss;
-        self.loss_isotropic = true;
-        self.invalidate_neighbors();
-    }
-
-    /// Enables or disables the propagation neighbor cache for this
-    /// world, overriding the process default
-    /// ([`set_neighbor_cache_default`]). The cache assumes the loss
-    /// model is time-invariant; enabling it under a fading model set
-    /// via [`set_loss_model`](Self::set_loss_model) is unsound.
-    pub fn set_neighbor_cache(&mut self, on: bool) {
-        self.neighbor_cache = on;
-        if !on {
-            self.invalidate_neighbors();
-        }
-    }
-
-    /// Enables or disables the spatial grid index for this world's
-    /// position-driven scans (sparse neighbor rows, grid-backed shard
-    /// planning). On by default; turning it off forces the dense
-    /// O(n²) representations — the reference the `fuzz --grid-diff`
-    /// differential leg compares against.
-    pub fn set_grid_index(&mut self, on: bool) {
-        if self.grid_index != on {
-            self.grid_index = on;
-            self.invalidate_neighbors();
-        }
-    }
-
-    /// Whether position-driven scans may use the spatial grid.
-    pub fn grid_index_enabled(&self) -> bool {
-        self.grid_index
     }
 
     /// The live spatial grid (present only while the neighbor cache is
-    /// built in sparse mode). Test and oracle hook.
+    /// built). Test and oracle hook.
     pub fn spatial_grid(&self) -> Option<&SpatialGrid> {
         self.grid.as_ref()
-    }
-
-    /// Whether this world memoizes propagation.
-    pub fn neighbor_cache_enabled(&self) -> bool {
-        self.neighbor_cache
     }
 
     /// The propagation neighbor cache (empty until primed or first
@@ -1288,7 +1236,7 @@ impl WlanWorld {
     fn rx_power_at(&self, src: StationId, dst: StationId, now: SimTime) -> Dbm {
         let a = &self.stations[src];
         let b = &self.stations[dst];
-        let loss = (self.loss)(a.pos, b.pos, self.budget.frequency, now);
+        let loss = self.loss.loss(a.pos, b.pos, self.budget.frequency, now);
         coupled_rx_power(&a.radio, &b.radio, loss)
     }
 
@@ -1301,17 +1249,18 @@ impl WlanWorld {
 
     /// The maximum distance at which any pair of this world's radios
     /// can meet the carrier-sense threshold, probed radially against
-    /// the loss closure (exponential search for the first inaudible
-    /// distance, then bisection — the same shape as
+    /// the loss model's distance floor (exponential search for the
+    /// first inaudible distance, then bisection — the same shape as
     /// `LinkBudget::max_range_for_rate`). Uses the worst-case coupling
     /// over the radios actually present: the strongest EIRP paired
     /// with the highest receive gain, so the bound holds for every
-    /// pair. `None` when the model is not isotropic (a single ray
-    /// would under-estimate reach through wall-free directions) or the
-    /// reach exceeds the probe horizon — callers must then fall back
-    /// to exhaustive scans.
-    pub fn audible_reach_m(&self, now: SimTime) -> Option<f64> {
-        if !self.loss_isotropic || self.stations.is_empty() {
+    /// pair. The real loss never undercuts the floor, so no pair is
+    /// audible beyond the reach. `None` when the model has no floor
+    /// (time-varying or unbounded), the world is empty, or the reach
+    /// exceeds the probe horizon.
+    pub fn audible_reach_m(&self, _now: SimTime) -> Option<f64> {
+        let floor = self.loss.floor()?;
+        if self.stations.is_empty() {
             return None;
         }
         let mut eirp = f64::NEG_INFINITY;
@@ -1321,9 +1270,7 @@ impl WlanWorld {
             rx_gain = rx_gain.max(s.radio.rx_gain.value());
         }
         let max_loss = eirp + rx_gain - self.cfg.cs_threshold.value();
-        let origin = Point::new(0.0, 0.0);
-        let loss_at =
-            |d: f64| (self.loss)(origin, Point::new(d, 0.0), self.budget.frequency, now).value();
+        let loss_at = |d: f64| floor.loss(d, self.budget.frequency).value();
         // Propagation models clamp below 1 m, and the grid clamps its
         // cell edge to 1 m anyway.
         if loss_at(1.0) > max_loss {
@@ -1351,65 +1298,57 @@ impl WlanWorld {
         Some(hi)
     }
 
-    /// Builds the spatial grid for the current deployment when
-    /// eligible: grid indexing on, an isotropic loss model, and a
-    /// finite probed audible reach (the cell edge).
-    fn build_grid(&self, now: SimTime) -> Option<SpatialGrid> {
-        if !self.grid_index {
-            return None;
-        }
-        let reach = self.audible_reach_m(now)?;
-        Some(SpatialGrid::build(
-            reach,
-            self.stations.iter().map(|s| s.pos),
-        ))
+    /// The grid cell edge that makes a 27-cell neighborhood cover
+    /// every pair coupled within `range` metres or by audibility:
+    /// `max(range, audible reach)`, and a single all-covering cell
+    /// when the reach is past the probe horizon. `None` when the
+    /// model has no distance floor — no distance then bounds
+    /// audibility.
+    fn grid_cell_m(&self, now: SimTime, range: f64) -> Option<f64> {
+        self.loss.floor()?;
+        Some(range.max(self.audible_reach_m(now).unwrap_or(f64::INFINITY)))
     }
 
-    /// Builds the neighbor cache if it is not current (the matrix is
-    /// otherwise built lazily at the first transmission): sparse
-    /// grid-backed rows when the grid is eligible — O(n·k) — dense
-    /// O(n²) otherwise.
-    fn ensure_neighbors(&mut self, now: SimTime) {
-        if self.neighbors.is_built() {
-            return;
+    /// Builds the sparse neighbor rows and their grid if they are not
+    /// current (otherwise they are built lazily at the first
+    /// transmission). Returns whether the cached path is live: false
+    /// under a model without a distance floor, which the world
+    /// evaluates directly instead.
+    fn ensure_neighbors(&mut self, now: SimTime) -> bool {
+        if self.grid.is_some() {
+            return true;
         }
+        let Some(cell) = self.grid_cell_m(now, 0.0) else {
+            return false;
+        };
+        let grid = SpatialGrid::build(cell, self.stations.iter().map(|s| s.pos));
         let mut cache = std::mem::take(&mut self.neighbors);
-        match self.build_grid(now) {
-            Some(grid) => {
-                cache.build_sparse(
-                    self.stations.len(),
-                    self.cfg.cs_threshold,
-                    |a, b| self.rx_power_at(a, b, now),
-                    |src, out| grid.neighborhood_into(grid.cell_of(src), out),
-                );
-                self.grid = Some(grid);
-            }
-            None => {
-                cache.build(self.stations.len(), self.cfg.cs_threshold, |a, b| {
-                    self.rx_power_at(a, b, now)
-                });
-                self.grid = None;
-            }
-        }
+        cache.build(
+            self.stations.len(),
+            self.cfg.cs_threshold,
+            |a, b| self.rx_power_at(a, b, now),
+            |src, out| grid.neighborhood_into(grid.cell_of(src), out),
+        );
         self.neighbors = cache;
+        self.grid = Some(grid);
+        true
     }
 
-    /// Forces the lazy neighbor-cache build now; no-op when the cache
-    /// is disabled. Test/bench hook.
+    /// Forces the lazy neighbor-cache build now; no-op under a model
+    /// the world evaluates directly. Test/bench hook.
     pub fn prime_neighbor_cache(&mut self, now: SimTime) {
-        if self.neighbor_cache {
-            self.ensure_neighbors(now);
-        }
+        self.ensure_neighbors(now);
     }
 
     /// `(sparse, stored pair entries)` of the built neighbor cache —
-    /// `None` before the lazy build. Entries are n·(n−1) dense; sparse
-    /// rows store only grid neighborhoods, and this is the hook the
+    /// `None` before the lazy build and under direct evaluation. Rows
+    /// are always sparse (the flag stays for callers that read it);
+    /// they store only grid neighborhoods, and this is the hook the
     /// storage-factor claims and the perfsuite grid section read.
     pub fn neighbor_cache_stats(&self) -> Option<(bool, usize)> {
-        self.neighbors
-            .is_built()
-            .then(|| (self.neighbors.is_sparse(), self.neighbors.stored_entries()))
+        self.grid
+            .as_ref()
+            .map(|_| (true, self.neighbors.stored_entries()))
     }
 
     /// Compares every cached (src, dst) power and audibility entry
@@ -1429,8 +1368,8 @@ impl WlanWorld {
     /// positions, plus the sparse rows' stored-vs-fresh check — which
     /// includes the grid-soundness claim that every omitted pair is
     /// below the carrier-sense floor. Empty when coherent, or when no
-    /// grid is active (dense worlds have nothing grid-shaped to
-    /// contradict).
+    /// grid is active (directly evaluated worlds have nothing
+    /// grid-shaped to contradict).
     pub fn grid_incoherence(&self, now: SimTime) -> Vec<String> {
         let mut out = Vec::new();
         let Some(grid) = &self.grid else {
@@ -1453,48 +1392,37 @@ impl WlanWorld {
     /// its sparse row rebuilds over the *new* neighborhood, and only
     /// the rows of stations entering or leaving that neighborhood are
     /// touched — stations two cells away never were and never become
-    /// audible, so their rows are correct untouched. Dense caches keep
-    /// the O(n) row+column rebuild.
+    /// audible, so their rows are correct untouched.
     pub fn set_position(&mut self, station: StationId, pos: Point, now: SimTime) {
         self.stations[station].pos = pos;
-        if !(self.neighbor_cache && self.neighbors.is_built()) {
+        let Some(mut grid) = self.grid.take() else {
             return;
-        }
-        // Mobility dirties exactly one row and one column; rows
-        // snapshotted by in-flight records keep their start-time
+        };
+        // Rows snapshotted by in-flight records keep their start-time
         // values (copy-on-write).
         let mut cache = std::mem::take(&mut self.neighbors);
-        match self.grid.take() {
-            Some(mut grid) => {
-                let mut old_hood = std::mem::take(&mut self.hood_scratch);
-                old_hood.clear();
-                grid.neighborhood_into(grid.cell_of(station), &mut old_hood);
-                grid.move_station(station, pos);
-                let mut new_hood = Vec::new();
-                grid.neighborhood_into(grid.cell_of(station), &mut new_hood);
-                // Stations in the old neighborhood but not the new one
-                // fell out of audible reach on both sides of the pair.
-                let stale: Vec<StationId> = old_hood
-                    .iter()
-                    .copied()
-                    .filter(|id| new_hood.binary_search(id).is_err())
-                    .collect();
-                cache.rebuild_station_sparse(
-                    station,
-                    self.cfg.cs_threshold,
-                    |a, b| self.rx_power_at(a, b, now),
-                    &new_hood,
-                    &stale,
-                );
-                self.hood_scratch = old_hood;
-                self.grid = Some(grid);
-            }
-            None => {
-                cache.rebuild_station(station, self.cfg.cs_threshold, |a, b| {
-                    self.rx_power_at(a, b, now)
-                });
-            }
-        }
+        let mut old_hood = std::mem::take(&mut self.hood_scratch);
+        old_hood.clear();
+        grid.neighborhood_into(grid.cell_of(station), &mut old_hood);
+        grid.move_station(station, pos);
+        let mut new_hood = Vec::new();
+        grid.neighborhood_into(grid.cell_of(station), &mut new_hood);
+        // Stations in the old neighborhood but not the new one fell
+        // out of audible reach on both sides of the pair.
+        let stale: Vec<StationId> = old_hood
+            .iter()
+            .copied()
+            .filter(|id| new_hood.binary_search(id).is_err())
+            .collect();
+        cache.patch_station(
+            station,
+            self.cfg.cs_threshold,
+            |a, b| self.rx_power_at(a, b, now),
+            &new_hood,
+            &stale,
+        );
+        self.hood_scratch = old_hood;
+        self.grid = Some(grid);
         self.neighbors = cache;
     }
 
@@ -1511,33 +1439,73 @@ impl WlanWorld {
     /// regardless of distance unless neither direction is audible —
     /// the most conservative co-channel split.
     ///
-    /// The grid-backed scan is O(n·k): stations pair only against
-    /// their 27-cell neighborhood, with the cell edge at
-    /// `max(range, audible reach)` so any omitted pair is uncoupled by
-    /// construction. An infinite range collapses to channel-class
-    /// unions (distance is irrelevant there), and worlds the grid
-    /// cannot index (anisotropic loss) fall back to the exhaustive
-    /// O(n²) scan, which debug builds also run as a cross-check
-    /// asserting the two partitions identical.
+    /// The scan is O(n·k): stations pair only against their 27-cell
+    /// grid neighborhood, with the cell edge at `max(range, audible
+    /// reach)` so any omitted pair is uncoupled by construction. An
+    /// infinite range collapses to channel-class unions (distance is
+    /// irrelevant there), and so does a model without a distance
+    /// floor, where no distance bounds audibility — a conservative
+    /// plan that never splits a coupled pair.
     pub fn shard_plan(
         &self,
         now: SimTime,
         max_interference_range_m: Option<f64>,
     ) -> crate::shard::ShardPlan {
-        match self.shard_plan_grid(now, max_interference_range_m) {
-            Some(plan) => {
-                #[cfg(debug_assertions)]
-                {
-                    let exhaustive = self.shard_plan_exhaustive(now, max_interference_range_m);
-                    debug_assert_eq!(
-                        plan.shard_of, exhaustive.shard_of,
-                        "grid shard plan diverged from the exhaustive scan"
-                    );
+        let n = self.stations.len();
+        let range = max_interference_range_m.unwrap_or(f64::INFINITY);
+        let mut parent: Vec<usize> = (0..n).collect();
+        let cell = if range.is_finite() {
+            self.grid_cell_m(now, range)
+        } else {
+            None
+        };
+        let Some(cell) = cell else {
+            // Every spectrally overlapping pair couples, so the
+            // components are unions of channel classes, O(n + C²)
+            // with no geometry at all.
+            let mut first_on: HashMap<u8, usize> = HashMap::new();
+            let mut channels: Vec<u8> = Vec::new();
+            for i in 0..n {
+                let ch = self.dcf.channel[i];
+                match first_on.get(&ch) {
+                    Some(&rep) => Self::uf_union(&mut parent, rep, i),
+                    None => {
+                        first_on.insert(ch, i);
+                        channels.push(ch);
+                    }
                 }
-                plan
             }
-            None => self.shard_plan_exhaustive(now, max_interference_range_m),
+            channels.sort_unstable();
+            for (ai, &ca) in channels.iter().enumerate() {
+                for &cb in &channels[ai + 1..] {
+                    if Self::channel_overlap(ca, cb) > 0.0 {
+                        Self::uf_union(&mut parent, first_on[&ca], first_on[&cb]);
+                    }
+                }
+            }
+            return self.shard_plan_finish(parent, range);
+        };
+        // Coupled ⇒ within the cell edge ⇒ cell indices differ by at
+        // most one per axis ⇒ the 27-cell neighborhood enumerates
+        // every coupled pair.
+        let grid = SpatialGrid::build(cell, self.stations.iter().map(|s| s.pos));
+        let mut hood = Vec::new();
+        for i in 0..n {
+            hood.clear();
+            grid.neighborhood_into(grid.cell_of(i), &mut hood);
+            for &j in &hood {
+                if j <= i {
+                    continue;
+                }
+                if Self::uf_find(&mut parent, i) == Self::uf_find(&mut parent, j) {
+                    continue;
+                }
+                if self.shard_coupled(i, j, range, now) {
+                    Self::uf_union(&mut parent, i, j);
+                }
+            }
         }
+        self.shard_plan_finish(parent, range)
     }
 
     /// Union-find with path halving; roots are always the smallest
@@ -1559,9 +1527,11 @@ impl WlanWorld {
         }
     }
 
-    /// The shard-coupling predicate for one pair (spectral overlap
-    /// and in-range-or-audible), shared by every planning path.
-    fn pair_coupled(&self, i: StationId, j: StationId, range: f64, now: SimTime) -> bool {
+    /// The shard-coupling predicate for one pair: spectral overlap,
+    /// and within `range` metres or audible in either direction. Every
+    /// planning and validation scan asks it; public so brute-force
+    /// reference planners can ask it of every pair.
+    pub fn shard_coupled(&self, i: StationId, j: StationId, range: f64, now: SimTime) -> bool {
         if Self::channel_overlap(self.dcf.channel[i], self.dcf.channel[j]) <= 0.0 {
             return false;
         }
@@ -1569,127 +1539,6 @@ impl WlanWorld {
         d <= range
             || self.audible_at(self.rx_power_at(i, j, now))
             || self.audible_at(self.rx_power_at(j, i, now))
-    }
-
-    /// Grid-accelerated planner; `None` when the world is not grid
-    /// eligible (finite range but no probeable reach).
-    fn shard_plan_grid(
-        &self,
-        now: SimTime,
-        max_interference_range_m: Option<f64>,
-    ) -> Option<crate::shard::ShardPlan> {
-        if !self.grid_index {
-            return None;
-        }
-        let n = self.stations.len();
-        let mut parent: Vec<usize> = (0..n).collect();
-        match max_interference_range_m {
-            None => {
-                // Infinite range: `d <= range` holds for every pair,
-                // so two stations couple iff their channels spectrally
-                // overlap — the components are unions of channel
-                // classes, O(n + C²) with no geometry at all.
-                let mut first_on: HashMap<u8, usize> = HashMap::new();
-                let mut channels: Vec<u8> = Vec::new();
-                for i in 0..n {
-                    let ch = self.dcf.channel[i];
-                    match first_on.get(&ch) {
-                        Some(&rep) => Self::uf_union(&mut parent, rep, i),
-                        None => {
-                            first_on.insert(ch, i);
-                            channels.push(ch);
-                        }
-                    }
-                }
-                channels.sort_unstable();
-                for (ai, &ca) in channels.iter().enumerate() {
-                    for &cb in &channels[ai + 1..] {
-                        if Self::channel_overlap(ca, cb) > 0.0 {
-                            Self::uf_union(&mut parent, first_on[&ca], first_on[&cb]);
-                        }
-                    }
-                }
-                Some(self.shard_plan_finish(parent, f64::INFINITY))
-            }
-            Some(range) => {
-                // Coupled ⇒ within max(range, reach) ⇒ cell indices
-                // differ by at most one per axis ⇒ the 27-cell
-                // neighborhood enumerates every coupled pair.
-                let reach = self.audible_reach_m(now)?;
-                let cell = range.max(reach);
-                let grid = SpatialGrid::build(cell, self.stations.iter().map(|s| s.pos));
-                let mut hood = Vec::new();
-                for i in 0..n {
-                    hood.clear();
-                    grid.neighborhood_into(grid.cell_of(i), &mut hood);
-                    for &j in &hood {
-                        if j <= i {
-                            continue;
-                        }
-                        if Self::uf_find(&mut parent, i) == Self::uf_find(&mut parent, j) {
-                            continue;
-                        }
-                        if self.pair_coupled(i, j, range, now) {
-                            Self::uf_union(&mut parent, i, j);
-                        }
-                    }
-                }
-                Some(self.shard_plan_finish(parent, range))
-            }
-        }
-    }
-
-    /// The reference O(n²) pair scan (union-find root identity,
-    /// memoized spectral overlap, distance before any link-budget
-    /// evaluation). Public so the `fuzz --grid-diff` differential leg
-    /// can compare it against the grid planner on any world.
-    pub fn shard_plan_exhaustive(
-        &self,
-        now: SimTime,
-        max_interference_range_m: Option<f64>,
-    ) -> crate::shard::ShardPlan {
-        let n = self.stations.len();
-        let range = max_interference_range_m.unwrap_or(f64::INFINITY);
-        let mut parent: Vec<usize> = (0..n).collect();
-
-        // Spectral overlap memo for the 2.4 GHz channel plan — the
-        // pair scan would otherwise re-derive the same channel pair
-        // millions of times on city-scale worlds.
-        let mut overlap_memo = [[f64::NAN; 16]; 16];
-        let mut overlap = |a: u8, b: u8| -> f64 {
-            if a == b {
-                return 1.0;
-            }
-            if a < 16 && b < 16 {
-                let v = overlap_memo[a as usize][b as usize];
-                if !v.is_nan() {
-                    return v;
-                }
-                let v = Self::channel_overlap(a, b);
-                overlap_memo[a as usize][b as usize] = v;
-                return v;
-            }
-            Self::channel_overlap(a, b)
-        };
-
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if Self::uf_find(&mut parent, i) == Self::uf_find(&mut parent, j) {
-                    continue;
-                }
-                if overlap(self.dcf.channel[i], self.dcf.channel[j]) <= 0.0 {
-                    continue;
-                }
-                let d = self.stations[i].pos.distance_to(self.stations[j].pos);
-                let coupled = d <= range
-                    || self.audible_at(self.rx_power_at(i, j, now))
-                    || self.audible_at(self.rx_power_at(j, i, now));
-                if coupled {
-                    Self::uf_union(&mut parent, i, j);
-                }
-            }
-        }
-        self.shard_plan_finish(parent, range)
     }
 
     /// Renumbers a union-find forest into the canonical plan:
@@ -1723,58 +1572,37 @@ impl WlanWorld {
     /// check behind the `shard-coherence` oracle — mobility patches
     /// move stations after the plan is computed, and a stale plan must
     /// be caught, not trusted.
+    ///
+    /// Coupling is distance-bounded by the grid cell edge
+    /// [`shard_plan`](Self::shard_plan) uses, so a sweep over 27-cell
+    /// neighborhoods enumerates every pair that could straddle shards
+    /// while coupled. An infinite range needs no geometry: any
+    /// spectral overlap couples, so violations reduce to channel
+    /// classes straddling shards. A model without a distance floor is
+    /// checked the same conservative way, matching its plans.
     pub fn shard_plan_incoherence(
         &self,
         plan: &crate::shard::ShardPlan,
         now: SimTime,
     ) -> Option<crate::shard::ShardIncoherence> {
-        match self.shard_plan_incoherence_grid(plan, now) {
-            Some(verdict) => verdict,
-            None => self.shard_plan_incoherence_exhaustive(plan, now),
-        }
-    }
-
-    /// The station-count half of re-validation, shared by both paths.
-    fn shard_plan_count_mismatch(
-        &self,
-        plan: &crate::shard::ShardPlan,
-    ) -> Option<crate::shard::ShardIncoherence> {
-        (plan.shard_of.len() != self.stations.len()).then_some(
-            crate::shard::ShardIncoherence::StationCountChanged {
-                planned: plan.shard_of.len(),
-                actual: self.stations.len(),
-            },
-        )
-    }
-
-    /// Grid-accelerated re-validation. Outer `None` means the world is
-    /// not grid eligible and the caller must fall back to the
-    /// exhaustive scan; `Some(verdict)` is authoritative. Coupling is
-    /// distance-bounded by `max(range, reach)`, so a sweep over the
-    /// 27-cell neighborhoods of a grid with that edge enumerates every
-    /// pair that could straddle shards while coupled. An infinite
-    /// interference range needs no geometry at all: any spectral
-    /// overlap couples, so cross-shard violations reduce to channel
-    /// classes straddling shards.
-    fn shard_plan_incoherence_grid(
-        &self,
-        plan: &crate::shard::ShardPlan,
-        now: SimTime,
-    ) -> Option<Option<crate::shard::ShardIncoherence>> {
         use crate::shard::ShardIncoherence;
         use std::collections::BTreeMap;
-        if !self.grid_index {
-            return None;
-        }
-        if let Some(mismatch) = self.shard_plan_count_mismatch(plan) {
-            return Some(Some(mismatch));
+        if plan.shard_of.len() != self.stations.len() {
+            return Some(ShardIncoherence::StationCountChanged {
+                planned: plan.shard_of.len(),
+                actual: self.stations.len(),
+            });
         }
         let n = self.stations.len();
         let range = plan.max_interference_range_m;
-        if !range.is_finite() {
-            // Every spectrally overlapping pair is coupled regardless
-            // of distance. BTreeMaps keep the scan — and the reported
-            // witness pair — deterministic.
+        let cell = if range.is_finite() {
+            self.grid_cell_m(now, range)
+        } else {
+            None
+        };
+        let Some(cell) = cell else {
+            // BTreeMaps keep the scan — and the reported witness pair
+            // — deterministic.
             let mut classes: BTreeMap<u8, BTreeMap<usize, StationId>> = BTreeMap::new();
             for i in 0..n {
                 classes
@@ -1802,17 +1630,16 @@ impl WlanWorld {
                     };
                     if let Some((a, b)) = witness {
                         let (a, b) = (a.min(b), a.max(b));
-                        return Some(Some(ShardIncoherence::CoupledAcrossShards {
+                        return Some(ShardIncoherence::CoupledAcrossShards {
                             a,
                             b,
                             dist_m: self.stations[a].pos.distance_to(self.stations[b].pos),
-                        }));
+                        });
                     }
                 }
             }
-            return Some(None);
-        }
-        let cell = range.max(self.audible_reach_m(now)?);
+            return None;
+        };
         let grid = SpatialGrid::build(cell, self.stations.iter().map(|s| s.pos));
         let mut hood = Vec::new();
         for i in 0..n {
@@ -1821,36 +1648,9 @@ impl WlanWorld {
             for &j in &hood {
                 if j > i
                     && plan.shard_of[i] != plan.shard_of[j]
-                    && self.pair_coupled(i, j, range, now)
+                    && self.shard_coupled(i, j, range, now)
                 {
-                    return Some(Some(ShardIncoherence::CoupledAcrossShards {
-                        a: i,
-                        b: j,
-                        dist_m: self.stations[i].pos.distance_to(self.stations[j].pos),
-                    }));
-                }
-            }
-        }
-        Some(None)
-    }
-
-    /// The reference O(n²) re-validation scan; public so the fuzz
-    /// differential legs can compare it against the grid path.
-    pub fn shard_plan_incoherence_exhaustive(
-        &self,
-        plan: &crate::shard::ShardPlan,
-        now: SimTime,
-    ) -> Option<crate::shard::ShardIncoherence> {
-        if let Some(mismatch) = self.shard_plan_count_mismatch(plan) {
-            return Some(mismatch);
-        }
-        let n = self.stations.len();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if plan.shard_of[i] != plan.shard_of[j]
-                    && self.pair_coupled(i, j, plan.max_interference_range_m, now)
-                {
-                    return Some(crate::shard::ShardIncoherence::CoupledAcrossShards {
+                    return Some(ShardIncoherence::CoupledAcrossShards {
                         a: i,
                         b: j,
                         dist_m: self.stations[i].pos.distance_to(self.stations[j].pos),
@@ -1862,15 +1662,15 @@ impl WlanWorld {
     }
 
     /// Start-time received powers and audible-candidate list for a
-    /// transmission from `id`: the cached row when the neighbor cache
-    /// is on, a fresh O(n) evaluation otherwise. Candidates are the
-    /// stations whose *raw* co-channel power meets the CS threshold —
-    /// cross-channel leakage is never stronger than raw power, so this
-    /// is a superset of anything any receiver configuration can hear,
-    /// and the per-member awake/channel/leak checks stay in the MAC.
+    /// transmission from `id`: the cached sparse row under a bounded
+    /// static model, a fresh O(n) evaluation otherwise. Candidates are
+    /// the stations whose *raw* co-channel power meets the CS
+    /// threshold — cross-channel leakage is never stronger than raw
+    /// power, so this is a superset of anything any receiver
+    /// configuration can hear, and the per-member awake/channel/leak
+    /// checks stay in the MAC.
     fn tx_powers(&mut self, id: StationId, now: SimTime) -> (RxRow, Arc<Vec<StationId>>) {
-        if self.neighbor_cache {
-            self.ensure_neighbors(now);
+        if self.ensure_neighbors(now) {
             return (self.neighbors.row(id), self.neighbors.audible_list(id));
         }
         let n = self.stations.len();
@@ -1887,7 +1687,7 @@ impl WlanWorld {
             }
             row.push(p);
         }
-        (RxRow::dense(Arc::new(row), None), Arc::new(candidates))
+        (RxRow::Direct(Arc::new(row)), Arc::new(candidates))
     }
 
     fn audible_at(&self, power: Dbm) -> bool {
@@ -4941,5 +4741,63 @@ mod tests {
             .world()
             .ac_delay_quantile(AccessCategory::Vo, 0.5)
             .is_none());
+    }
+
+    #[test]
+    fn validate_rejects_each_invalid_field_by_name() {
+        let base = MacConfig::new(PhyStandard::Dot11g);
+        assert_eq!(base.validate(), Ok(()));
+        type Breaker = fn(&mut MacConfig);
+        let cases: [(&str, Breaker); 9] = [
+            ("frag_threshold", |c| c.frag_threshold = 0),
+            ("queue_limit", |c| c.queue_limit = 0),
+            ("ampdu_max_mpdus", |c| c.ampdu_max_mpdus = 0),
+            ("ampdu_max_bytes", |c| c.ampdu_max_bytes = 0),
+            ("cw_min_override", |c| {
+                c.cw_min_override = Some(63);
+                c.cw_max_override = Some(31);
+            }),
+            ("ampdu_per_mpdu_loss", |c| c.ampdu_per_mpdu_loss = -0.1),
+            ("ampdu_per_mpdu_loss", |c| c.ampdu_per_mpdu_loss = 1.5),
+            ("ampdu_per_mpdu_loss", |c| c.ampdu_per_mpdu_loss = f64::NAN),
+            ("cs_threshold", |c| c.cs_threshold = Dbm(f64::NAN)),
+        ];
+        for (field, break_it) in cases {
+            let mut cfg = base.clone();
+            break_it(&mut cfg);
+            let err = cfg.validate().expect_err(field);
+            assert!(
+                err.contains(field),
+                "{field}: error {err:?} names another field"
+            );
+        }
+        // The boundary values stay valid.
+        let mut edge = base.clone();
+        edge.frag_threshold = 1;
+        edge.queue_limit = 1;
+        edge.ampdu_max_mpdus = 1;
+        edge.ampdu_max_bytes = 1;
+        edge.cw_min_override = Some(0);
+        edge.cw_max_override = Some(0);
+        edge.ampdu_per_mpdu_loss = 1.0;
+        assert_eq!(edge.validate(), Ok(()));
+        for std in [
+            PhyStandard::Dot11b,
+            PhyStandard::Dot11a,
+            PhyStandard::Dot11g,
+            PhyStandard::Dot11n,
+        ] {
+            assert_eq!(MacConfig::new(std).validate(), Ok(()));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "frag_threshold")]
+    fn zero_frag_threshold_fails_at_construction() {
+        // Once ran out of memory: every MSDU split into empty
+        // fragments forever.
+        let mut cfg = MacConfig::new(PhyStandard::Dot11g);
+        cfg.frag_threshold = 0;
+        let _ = WlanWorld::new(cfg);
     }
 }

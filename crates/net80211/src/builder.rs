@@ -25,7 +25,6 @@ pub struct EssBuilder {
     stas: Vec<(Point, StaConfig)>,
     wire_latency: SimDuration,
     scheduler: SchedulerKind,
-    neighbor_cache: Option<bool>,
 }
 
 /// The constructed ESS: world plus handles for observation.
@@ -54,7 +53,6 @@ impl EssBuilder {
             stas: Vec::new(),
             wire_latency: SimDuration::from_micros(100),
             scheduler: SchedulerKind::BinaryHeap,
-            neighbor_cache: None,
         }
     }
 
@@ -109,21 +107,10 @@ impl EssBuilder {
         self
     }
 
-    /// Overrides the propagation neighbor-cache switch for the built
-    /// world (the process default otherwise). Cached and direct runs
-    /// are byte-identical; the differential fuzz compares them.
-    pub fn neighbor_cache(mut self, on: bool) -> Self {
-        self.neighbor_cache = Some(on);
-        self
-    }
-
     /// Builds and boots the network.
     pub fn build(self) -> Ess {
         let ds = new_ds(self.wire_latency);
         let mut world = WlanWorld::new(self.mac);
-        if let Some(on) = self.neighbor_cache {
-            world.set_neighbor_cache(on);
-        }
         let mut ap_ids = Vec::new();
         let mut ap_shared = Vec::new();
         for (i, (pos, cfg)) in self.aps.into_iter().enumerate() {

@@ -127,14 +127,19 @@ impl IndoorWalls {
         }
     }
 
+    /// The distance-dependent part of the loss: `base`, or free-space
+    /// log-distance (exponent 2) when unset.
+    pub fn base_model(&self) -> LogDistance {
+        self.base.unwrap_or(LogDistance {
+            reference_m: 1.0,
+            exponent: 2.0,
+        })
+    }
+
     /// Total loss between two *positions* (geometry-aware, unlike the
     /// scalar [`PathLoss`] interface).
     pub fn loss_between(&self, from: Point, to: Point, freq: Hertz) -> Db {
-        let base = self.base.unwrap_or(LogDistance {
-            reference_m: 1.0,
-            exponent: 2.0,
-        });
-        let mut total = base.loss(from.distance_to(to), freq);
+        let mut total = self.base_model().loss(from.distance_to(to), freq);
         for w in &self.walls {
             if w.crossed_by(from, to) {
                 total = total + Db(w.loss_db);

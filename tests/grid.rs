@@ -1,9 +1,10 @@
 //! Spatial hash grid edge cases (DESIGN.md §17): the grid-backed
 //! sparse neighbor cache and grid shard planner must stay coherent —
-//! and agree with the dense/exhaustive reference paths — at cell
+//! and agree with `wn-check`'s brute-force reference planner — at cell
 //! boundaries, in degenerate one-cell worlds, in worlds where nothing
 //! is audible, and under mobility that hops stations across cells.
 
+use wireless_networks::check::{reference_shard_plan, reference_shard_plan_incoherence};
 use wireless_networks::mac80211::sim::{MacConfig, NullUpper, WlanWorld};
 use wireless_networks::phy::geom::Point;
 use wireless_networks::phy::modulation::PhyStandard;
@@ -29,19 +30,24 @@ fn assert_coherent(world: &mut WlanWorld, what: &str) {
     );
 }
 
-/// Asserts the grid planner and the exhaustive O(n²) planner produce
-/// the identical partition on `world`.
-fn assert_planners_agree(world: &WlanWorld, range: Option<f64>, what: &str) {
-    let grid = world.shard_plan(SimTime::ZERO, range);
-    let exhaustive = world.shard_plan_exhaustive(SimTime::ZERO, range);
-    assert_eq!(
-        grid.shard_of, exhaustive.shard_of,
-        "{what}: planners disagree on the partition"
-    );
-    assert!(
-        world.shard_plan_incoherence(&grid, SimTime::ZERO).is_none(),
-        "{what}: plan failed re-validation"
-    );
+/// Asserts the grid planner and the brute-force O(n²) reference
+/// produce the identical partition on `world`, at `range` and at the
+/// unbounded range, and that both validators accept the plan.
+fn assert_planners_agree(world: &WlanWorld, range: f64, what: &str) {
+    for range in [Some(range), None] {
+        let grid = world.shard_plan(SimTime::ZERO, range);
+        let reference = reference_shard_plan(world, SimTime::ZERO, range);
+        assert_eq!(
+            grid.shard_of, reference.shard_of,
+            "{what}, range {range:?}: planners disagree on the partition"
+        );
+        assert_eq!(grid.shards, reference.shards);
+        assert!(
+            world.shard_plan_incoherence(&grid, SimTime::ZERO).is_none()
+                && reference_shard_plan_incoherence(world, &grid, SimTime::ZERO).is_none(),
+            "{what}, range {range:?}: plan failed re-validation"
+        );
+    }
 }
 
 /// Stations planted exactly on candidate cell boundaries — the origin,
@@ -67,8 +73,7 @@ fn boundary_positions_stay_coherent() {
     }
     let mut world = world_with(&positions, 7);
     assert_coherent(&mut world, "boundary lattice");
-    assert_planners_agree(&world, Some(reach), "boundary lattice");
-    assert_planners_agree(&world, None, "boundary lattice, infinite range");
+    assert_planners_agree(&world, reach, "boundary lattice");
 }
 
 /// The degenerate world: every station inside one grid cell. The
@@ -83,8 +88,7 @@ fn one_cell_world_stores_every_pair() {
         .collect();
     let mut world = world_with(&positions, 3);
     assert_coherent(&mut world, "one-cell cluster");
-    let (sparse, stored) = world.neighbor_cache_stats().expect("cache primed");
-    assert!(sparse, "grid worlds build sparse rows");
+    let (_, stored) = world.neighbor_cache_stats().expect("cache primed");
     assert_eq!(
         stored,
         n * (n - 1),
@@ -92,7 +96,7 @@ fn one_cell_world_stores_every_pair() {
     );
     let plan = world.shard_plan(SimTime::ZERO, Some(10.0));
     assert_eq!(plan.shards.len(), 1, "one cell, one shard");
-    assert_planners_agree(&world, Some(10.0), "one-cell cluster");
+    assert_planners_agree(&world, 10.0, "one-cell cluster");
 }
 
 /// The opposite degenerate world: stations flung so far apart that no
@@ -107,8 +111,7 @@ fn inaudible_world_stores_nothing_and_never_fuses() {
         .collect();
     let mut world = world_with(&positions, 11);
     assert_coherent(&mut world, "inaudible spread");
-    let (sparse, stored) = world.neighbor_cache_stats().expect("cache primed");
-    assert!(sparse);
+    let (_, stored) = world.neighbor_cache_stats().expect("cache primed");
     assert_eq!(stored, 0, "nothing is audible, nothing is stored");
     let plan = world.shard_plan(SimTime::ZERO, Some(100.0));
     assert_eq!(
@@ -116,7 +119,7 @@ fn inaudible_world_stores_nothing_and_never_fuses() {
         positions.len(),
         "uncoupled stations must each own a shard"
     );
-    assert_planners_agree(&world, Some(100.0), "inaudible spread");
+    assert_planners_agree(&world, 100.0, "inaudible spread");
 }
 
 /// Seeded teleport storm: every hop lands before/after other hops at
@@ -152,6 +155,6 @@ fn mobility_crossing_cells_stays_coherent() {
                 "seed {seed} hop {hop}: stale cached power after the move"
             );
         }
-        assert_planners_agree(&world, Some(150.0), "post-mobility");
+        assert_planners_agree(&world, 150.0, "post-mobility");
     }
 }

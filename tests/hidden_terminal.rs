@@ -15,6 +15,7 @@
 
 use wireless_networks::mac80211::addr::MacAddr;
 use wireless_networks::mac80211::frame::{DsBits, Frame, SequenceControl};
+use wireless_networks::mac80211::loss::LossModel;
 use wireless_networks::mac80211::sim::{boot, inject_at, MacConfig, NullUpper, WlanWorld};
 use wireless_networks::phy::geom::{Point, Wall};
 use wireless_networks::phy::medium::{LinkBudget, Radio};
@@ -65,10 +66,9 @@ fn run(rts_threshold: usize) -> WlanWorld {
 
     let mut world = WlanWorld::new(cfg);
     world.trace = Trace::new(1 << 15);
-    let plan = floor_plan();
-    // The floor plan is static (loss ignores the time argument), so the
-    // neighbor cache stays valid — and exercised — under this model.
-    world.set_loss_model_static(Box::new(move |a, b, freq, _| plan.loss_between(a, b, freq)));
+    // Walls only add loss, so the log-distance base bounds the floor
+    // plan and the world runs the grid-backed cached path under it.
+    world.set_loss_model(LossModel::walls(floor_plan()));
     for (i, pos) in [RECEIVER, SENDER_A, SENDER_B].into_iter().enumerate() {
         world.add_station(MacAddr::station(i as u32), pos, Box::new(NullUpper));
     }
@@ -243,4 +243,17 @@ fn rts_cts_rescues_what_plain_dcf_loses() {
         "RTS/CTS delivered only {} frames in {HORIZON_MS} ms",
         protected.stats(0).rx_accepted
     );
+
+    // Both runs took the cached path: sparse rows were built at the
+    // first transmission, and every stored or omitted pair agrees with
+    // a fresh evaluation through the walls.
+    for (label, w) in [("plain", &plain), ("rts", &protected)] {
+        assert!(
+            w.neighbor_cache_stats().is_some(),
+            "{label}: the walls world did not prime sparse rows"
+        );
+        let end = SimTime::from_millis(HORIZON_MS);
+        let incoherent = w.grid_incoherence(end);
+        assert!(incoherent.is_empty(), "{label}: {incoherent:?}");
+    }
 }

@@ -3,7 +3,7 @@
 //! the cached hot path must be trace- and metrics-identical to the
 //! direct O(n) propagation fan-out it replaces.
 
-use wireless_networks::check::check_seed_opts;
+use wireless_networks::check::{check_seed_gen, Propagation, ScenarioGen};
 use wireless_networks::mac80211::addr::MacAddr;
 use wireless_networks::mac80211::frame::{DsBits, Frame, SequenceControl};
 use wireless_networks::mac80211::sim::{
@@ -42,8 +42,8 @@ fn cache_stays_coherent_under_random_mobility() {
             .map(|_| Point::new(rng.f64_range(-60.0, 60.0), rng.f64_range(-60.0, 60.0)))
             .collect();
         world.add_stations(n, |i| pos[i], |_| Box::new(NullUpper));
-        assert!(world.neighbor_cache_enabled());
         world.prime_neighbor_cache(SimTime::ZERO);
+        assert!(world.neighbor_cache_stats().is_some());
         assert!(world.neighbor_cache_incoherence(SimTime::ZERO).is_none());
 
         let mut sim = Simulation::new(world);
@@ -85,12 +85,14 @@ fn cache_stays_coherent_under_random_mobility() {
 /// fragmentation, faults — whatever the seeds draw) through the full
 /// cached and direct propagation paths: identical event counts and
 /// trace/metrics fingerprints, and a clean oracle slate. The 200-seed
-/// sweep runs in release CI as `fuzz --cache-diff`.
+/// sweep runs in release CI as `fuzz --propagation-diff`.
 #[test]
 fn cached_and_direct_paths_fingerprint_identically() {
+    let gen = ScenarioGen::default();
+    let heap = SchedulerKind::BinaryHeap;
     for seed in 0..6u64 {
-        let cached = check_seed_opts(seed, SchedulerKind::BinaryHeap, true);
-        let direct = check_seed_opts(seed, SchedulerKind::BinaryHeap, false);
+        let cached = check_seed_gen(&gen, seed, heap, Propagation::Cached);
+        let direct = check_seed_gen(&gen, seed, heap, Propagation::Direct);
         assert_eq!(
             (cached.events, cached.trace_fnv, cached.metrics_fnv),
             (direct.events, direct.trace_fnv, direct.metrics_fnv),

@@ -4,6 +4,8 @@
 //!
 //! - no audible co-channel pair ever straddles a shard boundary (the
 //!   cached audible-neighbor lists are the witness);
+//! - the grid-backed planner partitions every random cluster world
+//!   exactly like `wn-check`'s brute-force reference planner;
 //! - stale plans are caught by `shard_plan_incoherence` after the
 //!   world changes under them (the `shard-coherence` oracle's check);
 //! - `run_components` produces byte-identical digests to the sliced
@@ -11,7 +13,9 @@
 //!   partition, and a single-component composition bridges to a plain
 //!   `run_until`.
 
-use wireless_networks::check::run_components_sliced;
+use wireless_networks::check::{
+    reference_shard_plan, reference_shard_plan_incoherence, run_components_sliced,
+};
 use wireless_networks::mac80211::addr::MacAddr;
 use wireless_networks::mac80211::shard::{component_seed, run_components, ShardIncoherence};
 use wireless_networks::mac80211::sim::{boot, inject_at, MacConfig, NullUpper, WlanWorld};
@@ -72,11 +76,11 @@ fn audible_pairs_never_straddle_shards() {
             let y = (xorshift(&mut rng) % 600_000) as f64 / 1_000.0;
             w.add_station(MacAddr::station(g), Point::new(x, y), Box::new(NullUpper));
         }
-        w.set_neighbor_cache(true);
         w.prime_neighbor_cache(SimTime::ZERO);
         for range in [Some(120.0), None] {
             let plan = w.shard_plan(SimTime::ZERO, range);
             assert_eq!(plan.station_count(), 40);
+            assert_matches_reference(&w, range, &format!("scatter seed {seed}"));
             for i in 0..40usize {
                 for &j in w.neighbor_cache().audible_list(i).iter() {
                     assert_eq!(
@@ -93,6 +97,48 @@ fn audible_pairs_never_straddle_shards() {
     }
 }
 
+/// Asserts the grid planner's partition equals the brute-force
+/// reference's, shard for shard, and that both validators accept it.
+fn assert_matches_reference(w: &WlanWorld, range: Option<f64>, what: &str) {
+    let plan = w.shard_plan(SimTime::ZERO, range);
+    let reference = reference_shard_plan(w, SimTime::ZERO, range);
+    assert_eq!(
+        plan.shard_of, reference.shard_of,
+        "{what} range {range:?}: grid planner diverged from the reference"
+    );
+    assert_eq!(plan.shards, reference.shards);
+    assert!(
+        reference_shard_plan_incoherence(w, &plan, SimTime::ZERO).is_none(),
+        "{what} range {range:?}: the reference rejects the grid plan"
+    );
+}
+
+/// Random cluster worlds: clusters of random size on random 2.4 GHz
+/// channels (adjacent channels partially overlap, so cross-channel
+/// coupling is exercised too), scattered over a square whose side
+/// varies from "everything couples" to "nothing does". The grid
+/// planner must match the brute-force reference at several finite
+/// coupling radii and at the unbounded one.
+#[test]
+fn grid_planner_matches_the_reference_on_random_cluster_worlds() {
+    for seed in 0..12u64 {
+        let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let side = [150.0, 600.0, 2_500.0][seed as usize % 3];
+        let clusters: Vec<(Point, u8, usize)> = (0..2 + xorshift(&mut rng) % 7)
+            .map(|_| {
+                let x = (xorshift(&mut rng) % 1_000_000) as f64 / 1_000_000.0 * side;
+                let y = (xorshift(&mut rng) % 1_000_000) as f64 / 1_000_000.0 * side;
+                let ch = 1 + (xorshift(&mut rng) % 11) as u8;
+                (Point::new(x, y), ch, 1 + (xorshift(&mut rng) % 6) as usize)
+            })
+            .collect();
+        let w = cluster_world(seed, &clusters);
+        for range in [Some(0.0), Some(40.0), Some(250.0), None] {
+            assert_matches_reference(&w, range, &format!("cluster seed {seed}"));
+        }
+    }
+}
+
 /// A plan computed against one deployment must fail validation once
 /// the world contradicts it — the check behind the `shard-coherence`
 /// oracle, which re-validates the partition after mobility patches.
@@ -104,6 +150,7 @@ fn stale_plans_are_caught_by_the_coherence_check() {
     );
     let plan = far.shard_plan(SimTime::ZERO, Some(250.0));
     assert_eq!(plan.shard_count(), 2);
+    assert_matches_reference(&far, Some(250.0), "far islands");
     assert!(far.shard_plan_incoherence(&plan, SimTime::ZERO).is_none());
 
     // The same stations with the second island walked next door: the
@@ -116,6 +163,8 @@ fn stale_plans_are_caught_by_the_coherence_check() {
         Some(ShardIncoherence::CoupledAcrossShards { .. }) => {}
         other => panic!("expected CoupledAcrossShards, got {other:?}"),
     }
+    assert!(reference_shard_plan_incoherence(&near, &plan, SimTime::ZERO).is_some());
+    assert_matches_reference(&near, Some(250.0), "near islands");
 
     // A world that gained a station invalidates the plan outright.
     let grown = cluster_world(
@@ -135,8 +184,7 @@ fn stale_plans_are_caught_by_the_coherence_check() {
 /// lone sink with no traffic).
 fn traffic_cell(seed: u64, k: usize, channel: u8, stations: usize) -> Simulation<WlanWorld> {
     let centre = Point::new(k as f64 * 300.0, 0.0);
-    let mut w = cluster_world(component_seed(seed, k), &[(centre, channel, stations)]);
-    w.set_neighbor_cache(true);
+    let w = cluster_world(component_seed(seed, k), &[(centre, channel, stations)]);
     let mut sim = Simulation::new(w);
     boot(&mut sim);
     for sender in 1..stations {
