@@ -342,8 +342,12 @@ fn scheduler_section() -> String {
 /// baseline figures are the `scheduler.full_sim` numbers captured in
 /// `BENCH_campaign.json` on this workload immediately before the
 /// arena/SoA refactor — kept verbatim so the before/after comparison
-/// survives regeneration. Panics if the back ends disagree on events
-/// or metrics digest.
+/// survives regeneration. Also records how the reception loop settled
+/// its PER decisions. Panics if the back ends disagree on events,
+/// metrics digest or decision counts, or if 10% or more of the
+/// decisions fell through the SINR bound to the exact PER model — a
+/// deterministic guard against a cutoff bug quietly sending every
+/// reception down the slow path.
 fn arena_section() -> String {
     const STATIONS: usize = 1000;
     const DURATION_MS: u64 = 200;
@@ -370,9 +374,28 @@ fn arena_section() -> String {
         runs.push((kind, wall, p));
     }
     assert_eq!(
-        (runs[0].2.events, runs[0].2.metrics_fnv),
-        (runs[1].2.events, runs[1].2.metrics_fnv),
+        (
+            runs[0].2.events,
+            runs[0].2.metrics_fnv,
+            runs[0].2.per_decisions
+        ),
+        (
+            runs[1].2.events,
+            runs[1].2.metrics_fnv,
+            runs[1].2.per_decisions
+        ),
         "scheduler back ends diverged on the arena workload"
+    );
+    let per = runs[0].2.per_decisions;
+    let decisions = per.settled + per.exact;
+    eprintln!(
+        "perfsuite: arena PER decisions: {} settled by the SINR bound, {} exact",
+        per.settled, per.exact
+    );
+    assert!(
+        per.exact * 10 < decisions,
+        "{} of {decisions} PER decisions took the exact path (must be under 10%)",
+        per.exact
     );
     let heap_rate = runs[0].2.events as f64 / runs[0].1;
     let wheel_rate = runs[1].2.events as f64 / runs[1].1;
@@ -383,12 +406,14 @@ fn arena_section() -> String {
     );
 
     format!(
-        "  \"arena\": {{\n    \"workload\": \"SCALE-DCF stations={STATIONS} duration_ms={DURATION_MS} seed={SEED}, frame arena + SoA DCF state\",\n    \"before\": {{\n      \"note\": \"Rc<Frame> + AoS station structs, recorded before the arena refactor\",\n      \"heap_events_per_s\": {BASELINE_HEAP_EV_S:.0},\n      \"wheel_events_per_s\": {BASELINE_WHEEL_EV_S:.0}\n    }},\n    \"after\": {{\n      \"heap\": {{ \"wall_s\": {:.3}, \"events\": {}, \"events_per_s\": {heap_rate:.0} }},\n      \"wheel\": {{ \"wall_s\": {:.3}, \"events\": {}, \"events_per_s\": {wheel_rate:.0} }},\n      \"metrics_fnv\": \"{:016x}\",\n      \"identical_output\": true\n    }},\n    \"speedup_vs_baseline\": {{ \"heap\": {:.2}, \"wheel\": {:.2} }}\n  }}\n",
+        "  \"arena\": {{\n    \"workload\": \"SCALE-DCF stations={STATIONS} duration_ms={DURATION_MS} seed={SEED}, frame arena + SoA DCF state\",\n    \"before\": {{\n      \"note\": \"Rc<Frame> + AoS station structs, recorded before the arena refactor\",\n      \"heap_events_per_s\": {BASELINE_HEAP_EV_S:.0},\n      \"wheel_events_per_s\": {BASELINE_WHEEL_EV_S:.0}\n    }},\n    \"after\": {{\n      \"heap\": {{ \"wall_s\": {:.3}, \"events\": {}, \"events_per_s\": {heap_rate:.0} }},\n      \"wheel\": {{ \"wall_s\": {:.3}, \"events\": {}, \"events_per_s\": {wheel_rate:.0} }},\n      \"metrics_fnv\": \"{:016x}\",\n      \"identical_output\": true\n    }},\n    \"per_decisions\": {{ \"settled\": {}, \"exact\": {} }},\n    \"speedup_vs_baseline\": {{ \"heap\": {:.2}, \"wheel\": {:.2} }}\n  }}\n",
         runs[0].1,
         runs[0].2.events,
         runs[1].1,
         runs[1].2.events,
         runs[0].2.metrics_fnv,
+        per.settled,
+        per.exact,
         heap_rate / BASELINE_HEAP_EV_S,
         wheel_rate / BASELINE_WHEEL_EV_S,
     )

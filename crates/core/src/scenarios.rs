@@ -11,7 +11,7 @@ use wn_mac80211::frame::{DsBits, Frame, SequenceControl};
 use wn_mac80211::loss::LossModel;
 use wn_mac80211::shard::{component_seed, run_components, run_components_observed, ShardRunReport};
 use wn_mac80211::sim::{
-    boot, inject_at, qos_inject_at, AccessCategory, MacConfig, NullUpper, WlanWorld,
+    boot, inject_at, qos_inject_at, AccessCategory, MacConfig, NullUpper, PerDecisions, WlanWorld,
 };
 use wn_net80211::builder::{ibss_send, schedule_walk, send_app_data, EssBuilder, IbssBuilder};
 use wn_net80211::ssid::Ssid;
@@ -1459,6 +1459,9 @@ pub struct ScaleDcfPoint {
     /// FNV-1a of the metrics snapshot JSONL — the fingerprint the
     /// scheduler-equivalence checks compare across back ends.
     pub metrics_fnv: u64,
+    /// Reception decisions settled by the SINR bound vs evaluated
+    /// through the PER model.
+    pub per_decisions: PerDecisions,
 }
 
 /// Builds the saturated-BSS simulation behind every SCALE-DCF point:
@@ -1610,6 +1613,7 @@ pub fn scale_dcf_point(
         saturated,
         events,
         metrics_fnv,
+        per_decisions: world.per_decisions(),
     }
 }
 

@@ -32,6 +32,6 @@ pub use arena::{FrameArena, FrameId};
 pub use frame::{DsBits, Frame, FrameControl, FrameType, SequenceControl, Subtype};
 pub use loss::LossModel;
 pub use sim::{
-    boot, inject_at, qos_inject_at, AccessCategory, Command, MacConfig, MacEvent, StationId,
-    UpperCtx, UpperLayer, WlanWorld,
+    boot, inject_at, qos_inject_at, AccessCategory, Command, MacConfig, MacEvent, PerDecisions,
+    StationId, UpperCtx, UpperLayer, WlanWorld,
 };

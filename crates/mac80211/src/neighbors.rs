@@ -79,21 +79,23 @@ impl RxRow {
         }
     }
 
-    /// [`get`](Self::get) for ascending `dst` sequences: `cursor`
-    /// (starting at 0 for each fresh sequence) advances monotonically
-    /// through a cached row's keys, making a whole candidates sweep
-    /// O(k) instead of O(c·log k). Direct rows ignore the cursor.
-    pub fn get_seq(&self, dst: StationId, cursor: &mut usize) -> Dbm {
+    /// [`get`](Self::get) for ascending `dst` sequences, paired with
+    /// the same power in linear milliwatts: `cursor` (starting at 0
+    /// for each fresh sequence) advances monotonically through a
+    /// cached row's keys, making a whole candidates sweep O(k) instead
+    /// of O(c·log k). Cached rows read their memoized mirror; direct
+    /// rows ignore the cursor and convert the entry.
+    pub fn get_seq(&self, dst: StationId, cursor: &mut usize) -> (Dbm, f64) {
         match self {
-            RxRow::Direct(dbm) => dbm[dst],
-            RxRow::Cached { keys, dbm, .. } => {
+            RxRow::Direct(dbm) => (dbm[dst], dbm[dst].to_milliwatts()),
+            RxRow::Cached { keys, dbm, mw } => {
                 while *cursor < keys.len() && keys[*cursor] < dst {
                     *cursor += 1;
                 }
                 if *cursor < keys.len() && keys[*cursor] == dst {
-                    dbm[*cursor]
+                    (dbm[*cursor], mw[*cursor])
                 } else {
-                    Dbm(f64::NEG_INFINITY)
+                    (Dbm(f64::NEG_INFINITY), 0.0)
                 }
             }
         }
@@ -584,11 +586,14 @@ mod tests {
         assert_eq!(c.row(0).get(3), Dbm(f64::NEG_INFINITY));
         assert_eq!(c.row(0).get(1), Dbm(-50.0));
 
-        // Sequential access agrees with random access.
+        // Sequential access agrees with random access, and its
+        // milliwatt image is the entry's own conversion.
         let row = c.row(0);
         let mut cur = 0;
         for d in [1usize, 2, 3] {
-            assert_eq!(row.get_seq(d, &mut cur), row.get(d));
+            let (dbm, mw) = row.get_seq(d, &mut cur);
+            assert_eq!(dbm, row.get(d));
+            assert_eq!(mw, dbm.to_milliwatts());
         }
 
         // Station 3 moves next to the cluster: its row rebuilds over

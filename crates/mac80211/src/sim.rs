@@ -34,9 +34,9 @@ use crate::loss::LossModel;
 use crate::neighbors::{AudibleSet, IdBitSet, NeighborCache, RxRow};
 use wn_phy::geom::Point;
 use wn_phy::medium::{coupled_rx_power, LinkBudget, Radio};
-use wn_phy::modulation::{PhyStandard, RateStep};
+use wn_phy::modulation::{PhyStandard, RateStep, SETTLE_BAND};
 use wn_phy::propagation::LogDistance;
-use wn_phy::units::Dbm;
+use wn_phy::units::{Db, Dbm};
 use wn_sim::metrics::{MetricsRegistry, MetricsSnapshot};
 use wn_sim::stats::{Histogram, Summary, TimeWeighted};
 use wn_sim::trace::{DropReason, FrameKind, Level, Trace, TraceEvent};
@@ -764,48 +764,14 @@ pub enum MacEvent {
     },
 }
 
-/// Direct-mapped memo for [`RateStep::success_prob`]. The dominant
-/// per-candidate cost in a dense network's `TxEnd` sweep is the `exp`
-/// plus `powf` inside the PER model, and in a static topology the
-/// same (SINR, frame length, rate threshold) triple recurs for every
-/// retransmission over the same link. Keys are the exact `f64` bit
-/// patterns of the inputs, so a hit returns bit-for-bit the same
-/// probability a direct evaluation would; a slot collision simply
-/// recomputes. Slots are allocated lazily on first use, so worlds
-/// that never reach a SINR decision pay nothing.
-#[derive(Default)]
-struct ProbCache {
-    keys: Vec<(u64, u64, u64)>,
-    vals: Vec<f64>,
-}
-
-const PROB_CACHE_SLOTS: usize = 1 << 16;
-/// No real key carries `bits == u64::MAX` (frame lengths are a few
-/// thousand bits), so this triple marks an empty slot.
-const PROB_CACHE_EMPTY: (u64, u64, u64) = (u64::MAX, u64::MAX, u64::MAX);
-
-impl ProbCache {
-    #[inline]
-    fn success_prob(&mut self, rate: RateStep, sinr_db: f64, bits: u64) -> f64 {
-        if self.keys.is_empty() {
-            self.keys = vec![PROB_CACHE_EMPTY; PROB_CACHE_SLOTS];
-            self.vals = vec![0.0; PROB_CACHE_SLOTS];
-        }
-        let key = (sinr_db.to_bits(), bits, rate.min_snr_db.to_bits());
-        // FNV-1a over the three words.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for w in [key.0, key.1, key.2] {
-            h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        let i = (h as usize) & (PROB_CACHE_SLOTS - 1);
-        if self.keys[i] == key {
-            return self.vals[i];
-        }
-        let p = rate.success_prob(sinr_db, bits);
-        self.keys[i] = key;
-        self.vals[i] = p;
-        p
-    }
+/// How the reception loop settled its PER decisions (see
+/// [`WlanWorld::per_decisions`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PerDecisions {
+    /// Decisions settled from the linear SINR bound and the draw alone.
+    pub settled: u64,
+    /// Decisions that evaluated [`RateStep::success_prob`].
+    pub exact: u64,
 }
 
 /// The shared-medium world; drive it with [`wn_sim::Simulation`].
@@ -860,8 +826,8 @@ pub struct WlanWorld {
     /// Reused scratch for upper-layer command batches in
     /// [`with_upper`](Self::with_upper).
     cmd_scratch: Vec<Command>,
-    /// `success_prob` memo (see [`ProbCache`]).
-    prob_cache: ProbCache,
+    /// PER decision counts of the reception loop.
+    per_decisions: PerDecisions,
     next_tx_id: u64,
     rng: Rng,
     /// Protocol trace for tests and debugging.
@@ -924,7 +890,7 @@ impl WlanWorld {
             decoded_scratch: Vec::new(),
             overlap_scratch: Vec::new(),
             cmd_scratch: Vec::new(),
-            prob_cache: ProbCache::default(),
+            per_decisions: PerDecisions::default(),
             next_tx_id: 0,
             rng,
             trace: Trace::new(8192),
@@ -1151,6 +1117,13 @@ impl WlanWorld {
                 .sum::<u64>()
             + self.records.len() as u64;
         (self.frames.total_refs(), held)
+    }
+
+    /// How many reception decisions the SINR bound settled and how
+    /// many evaluated the PER model. Deterministic, and deliberately
+    /// outside [`metrics_snapshot`](Self::metrics_snapshot).
+    pub fn per_decisions(&self) -> PerDecisions {
+        self.per_decisions
     }
 
     /// A quantile (e.g. 0.5, 0.99) of the world-level access-delay
@@ -1694,6 +1667,27 @@ impl WlanWorld {
         power.value() >= self.cfg.cs_threshold.value()
     }
 
+    /// The exact reception probability: SINR in dB over `noise` plus
+    /// `intf_mw` of interference (none when zero), through the PER
+    /// model. The two-term dB↔mW round trip is byte-for-byte
+    /// `sum_powers(&[noise, from_mw(intf)])` with the noise conversion
+    /// hoisted to `noise_mw`.
+    fn reception_prob(
+        rate: RateStep,
+        power: Dbm,
+        noise: Dbm,
+        noise_mw: f64,
+        intf_mw: f64,
+        bits: u64,
+    ) -> f64 {
+        let denom = if intf_mw == 0.0 {
+            noise
+        } else {
+            Dbm::from_milliwatts(noise_mw + Dbm::from_milliwatts(intf_mw).to_milliwatts())
+        };
+        rate.success_prob((power - denom).value(), bits)
+    }
+
     /// Spectral overlap between two 2.4 GHz channels (1.0 co-channel,
     /// 0.0 orthogonal) — adjacent channels leak energy into each other,
     /// the §6 interference mechanism behind the 1/6/11 channel plan.
@@ -2079,7 +2073,7 @@ impl WlanWorld {
         // never exceeds the raw power the list was thresholded on.
         let mut cur = 0usize;
         for &r in candidates.iter() {
-            let power = rx_power.get_seq(r, &mut cur);
+            let (power, _) = rx_power.get_seq(r, &mut cur);
             let overlap = Self::channel_overlap(channel, self.dcf.channel[r]);
             let heard = Self::leaked_power(power, overlap)
                 .map(|p| self.audible_at(p))
@@ -2274,9 +2268,15 @@ impl WlanWorld {
                 rec_o.rx_power.accumulate_shifted_mw(shift, &mut intf_acc);
             }
         }
+        // The SINR cutoffs for this frame's rate and length, as linear
+        // power ratios: at or below `lin_lo` it decodes with
+        // probability ≤ 2⁻¹⁰, at or above `lin_hi` with probability
+        // ≥ 1 − 2⁻¹⁰ (`RateStep::settle_cutoffs_db`).
+        let (s_lo, s_hi) = rate.settle_cutoffs_db(wire_bits);
+        let (lin_lo, lin_hi) = (Db(s_lo).to_linear(), Db(s_hi).to_linear());
         let mut cur = 0usize;
         for &r in candidates.iter() {
-            let power = rx_power.get_seq(r, &mut cur);
+            let (power, power_mw) = rx_power.get_seq(r, &mut cur);
             let was_audible = self.dcf.audible[r].remove(tx_id);
             if !self.dcf.awake[r] || self.dcf.channel[r] != channel {
                 continue;
@@ -2293,20 +2293,34 @@ impl WlanWorld {
             let success = if !self.cfg.capture && intf_count > 0 {
                 false
             } else {
-                let denom = if intf_count == 0 {
-                    noise
+                // A receiver outside every interferer's sparse row sums
+                // to zero and gets the noise-only denominator.
+                let intf_mw = if intf_count == 0 { 0.0 } else { intf_acc[r] };
+                // Draw first: `chance(p)` is `f64() < p`, so `p` only
+                // matters when the draw lands within 2⁻¹⁰ of 0 or 1 or
+                // the linear SINR falls between the cutoffs.
+                let u = self.rng.f64();
+                let denom_mw = noise_mw + intf_mw;
+                let settled = if power_mw <= lin_lo * denom_mw && u >= SETTLE_BAND {
+                    Some(false)
+                } else if power_mw >= lin_hi * denom_mw && u < 1.0 - SETTLE_BAND {
+                    Some(true)
                 } else {
-                    // Inlined two-term `sum_powers(&[noise, from_mw(intf)])`
-                    // with the noise conversion hoisted: the addend order
-                    // and the dB↔mW round trip on the interference sum are
-                    // byte-for-byte what the helper computes.
-                    Dbm::from_milliwatts(
-                        noise_mw + Dbm::from_milliwatts(intf_acc[r]).to_milliwatts(),
-                    )
+                    None
                 };
-                let sinr = power - denom;
-                let p_ok = self.prob_cache.success_prob(rate, sinr.value(), wire_bits);
-                self.rng.chance(p_ok)
+                let exact =
+                    || u < Self::reception_prob(rate, power, noise, noise_mw, intf_mw, wire_bits);
+                match settled {
+                    Some(ok) => {
+                        self.per_decisions.settled += 1;
+                        debug_assert_eq!(ok, exact(), "SINR bound disagrees at station {r}");
+                        ok
+                    }
+                    None => {
+                        self.per_decisions.exact += 1;
+                        exact()
+                    }
+                }
             };
             if success {
                 decoded.push((r, power));

@@ -113,6 +113,31 @@ pub struct RateStep {
 
 /// Reference frame length for the calibrated PER model, bits (1500 B).
 const PER_REF_BITS: f64 = 12_000.0;
+/// Logistic slope of the calibrated PER model, per dB of margin.
+const PER_SLOPE: f64 = 2.2;
+/// The logistic is centred this many dB below the rung's threshold.
+const PER_CENTRE_DB: f64 = 1.0;
+/// Floor on the length exponent: frames shorter than 600 bits succeed
+/// like 600-bit frames.
+const PER_MIN_EXPONENT: f64 = 0.05;
+
+/// Probability band a receiver settles without evaluating
+/// [`RateStep::success_prob`]: 2⁻¹⁰. Below
+/// [`RateStep::settle_cutoffs_db`]'s low cutoff the success
+/// probability is at most this, above the high cutoff at least its
+/// complement, so a uniform draw outside the band decides `u < p`
+/// without knowing `p`.
+pub const SETTLE_BAND: f64 = 1.0 / 1024.0;
+
+/// Widening of both settle cutoffs, dB. It absorbs the float error of
+/// the closed-form inverse and of the dB↔mW round trips a caller
+/// compares in, all of which are below 1e-12 dB.
+const SETTLE_GUARD_DB: f64 = 0.01;
+
+/// The length exponent of the PER model for a `bits`-bit frame.
+fn per_exponent(bits: u64) -> f64 {
+    (bits.max(1) as f64 / PER_REF_BITS).max(PER_MIN_EXPONENT)
+}
 
 impl RateStep {
     /// Calibrated frame-success probability at a given SINR.
@@ -131,9 +156,34 @@ impl RateStep {
     pub fn success_prob(self, sinr_db: f64, bits: u64) -> f64 {
         let margin = sinr_db - self.min_snr_db;
         // Logistic anchored 1 dB below threshold with a 2.2/dB slope.
-        let p_ref = 1.0 / (1.0 + (-2.2 * (margin + 1.0)).exp());
+        let p_ref = 1.0 / (1.0 + (-PER_SLOPE * (margin + PER_CENTRE_DB)).exp());
         // Independent-error length scaling relative to 1500 B.
-        p_ref.powf((bits.max(1) as f64 / PER_REF_BITS).max(0.05))
+        p_ref.powf(per_exponent(bits))
+    }
+
+    /// Closed-form inverse of [`success_prob`](Self::success_prob): the
+    /// SINR (dB) at which a `bits`-bit frame succeeds with probability
+    /// `p`, for `0 < p < 1`.
+    fn sinr_for_success(self, p: f64, bits: u64) -> f64 {
+        // p = p_ref^e, so ln p_ref = ln p / e; the logistic inverts to
+        // margin = logit(p_ref) / slope − centre, with
+        // logit(p_ref) = ln p_ref − ln(1 − p_ref) taken through
+        // `exp_m1` so p_ref near 1 keeps its precision.
+        let ln_ref = p.ln() / per_exponent(bits);
+        let logit = ln_ref - (-ln_ref.exp_m1()).ln();
+        self.min_snr_db + logit / PER_SLOPE - PER_CENTRE_DB
+    }
+
+    /// The SINR cutoffs `(s_lo, s_hi)`, dB, that settle a reception of a
+    /// `bits`-bit frame without the PER transcendentals: at or below
+    /// `s_lo` the success probability is at most [`SETTLE_BAND`], at or
+    /// above `s_hi` at least `1 − SETTLE_BAND`. Both are the exact
+    /// inverse widened by a fixed 0.01 dB guard.
+    pub fn settle_cutoffs_db(self, bits: u64) -> (f64, f64) {
+        (
+            self.sinr_for_success(SETTLE_BAND, bits) - SETTLE_GUARD_DB,
+            self.sinr_for_success(1.0 - SETTLE_BAND, bits) + SETTLE_GUARD_DB,
+        )
     }
 
     /// Calibrated frame-error probability (complement of
@@ -469,6 +519,64 @@ mod tests {
         assert!(frame_error_rate(0.5, 10_000) > 0.999_999);
         // Longer frames fail more often.
         assert!(frame_error_rate(1e-5, 12_000) > frame_error_rate(1e-5, 800));
+    }
+
+    #[test]
+    fn sinr_for_success_inverts_success_prob() {
+        for step in PhyStandard::Dot11g.rate_ladder() {
+            for bits in [1, 600, 12_000, 524_280] {
+                for p in [1e-9, SETTLE_BAND, 0.5, 0.9, 1.0 - SETTLE_BAND] {
+                    let s = step.sinr_for_success(p, bits);
+                    let back = step.success_prob(s, bits);
+                    assert!(
+                        (back - p).abs() <= 1e-9 * p.max(1e-3),
+                        "{step:?} {bits} {p}: {back}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The reception bound's contract, swept over every rung of every
+    /// ladder, frame lengths from one bit to the largest A-MPDU
+    /// (802.11ac's 1,048,575 bytes) and a fine SINR grid on both sides
+    /// of the cutoffs.
+    #[test]
+    fn settle_cutoffs_bound_success_prob() {
+        let mut lengths = vec![1u64, 2, 8, 100, 599, 600, 601, 1_000];
+        let mut bits = 1_000u64;
+        while bits < 8 * 1_048_575 {
+            bits = bits * 5 / 4 + 7;
+            lengths.push(bits);
+        }
+        lengths.push(8 * 1_048_575);
+        for std in PhyStandard::ALL {
+            for step in std.rate_ladder() {
+                for &bits in &lengths {
+                    let (s_lo, s_hi) = step.settle_cutoffs_db(bits);
+                    assert!(s_lo < s_hi, "{std:?} {step:?} {bits}");
+                    // Offsets from 0 to 160 dB, spaced quadratically:
+                    // 4e-5 dB apart at the cutoffs, coarser far out.
+                    for i in 0..=2_000 {
+                        let off = 10.0 * (f64::from(i) * 0.002).powi(2);
+                        let lo = step.success_prob(s_lo - off, bits);
+                        let hi = step.success_prob(s_hi + off, bits);
+                        assert!(
+                            lo <= SETTLE_BAND,
+                            "{std:?} {step:?} {bits} bits: {lo} at s_lo-{off}"
+                        );
+                        assert!(
+                            hi >= 1.0 - SETTLE_BAND,
+                            "{std:?} {step:?} {bits} bits: {hi} at s_hi+{off}"
+                        );
+                    }
+                    // The guard is a guard, not slack: just past either
+                    // cutoff the probability leaves the band.
+                    assert!(step.success_prob(s_lo + 0.05, bits) > SETTLE_BAND);
+                    assert!(step.success_prob(s_hi - 0.05, bits) < 1.0 - SETTLE_BAND);
+                }
+            }
+        }
     }
 
     #[test]
