@@ -11,9 +11,12 @@
 //! counter, not wall-clock guesswork.
 //!
 //! A third pass re-runs the parallel campaign with the observability
-//! kill switch off ([`wn_sim::set_observability`]) to measure what the
-//! typed trace/metrics layer costs; figures never read the trace, so
-//! this pass must also render byte-identically.
+//! kill switch off ([`wn_sim::set_observability`]); figures never read
+//! the trace, so this pass must render byte-identically. What the
+//! typed trace/metrics layer costs is measured separately, in the
+//! `tracing_overhead` section: SCALE-DCF-1000 with the switch on and
+//! off in alternated pairs, so a slow phase of the host lands on both
+//! sides of a pair, reported as the median pair with min/max.
 //!
 //! A final pair of sections benchmarks the hot paths in isolation on
 //! the SCALE-DCF saturation workload: `neighbors` times the cached
@@ -46,9 +49,9 @@
 //! identical and the plan must re-validate coherent.
 //!
 //! `--section neighbors` (or `scheduler`, `arena`, `shards`, `qos`,
-//! `grid`) runs just that section and prints its JSON object — the CI
-//! smoke path, which wants the section's equivalence assertions
-//! without the full campaign cost.
+//! `grid`, `tracing_overhead`) runs just that section and prints its
+//! JSON object — the CI smoke path, which wants the section's
+//! equivalence assertions without the full campaign cost.
 
 use std::time::Instant;
 
@@ -98,7 +101,7 @@ fn main() {
                     Some(s) => section = Some(s.clone()),
                     None => {
                         eprintln!(
-                            "--section needs a name (supported: neighbors, scheduler, arena, shards, qos, grid)"
+                            "--section needs a name (supported: neighbors, scheduler, arena, shards, qos, grid, tracing_overhead)"
                         );
                         std::process::exit(2);
                     }
@@ -144,9 +147,10 @@ fn main() {
             "shards" => shards_section(),
             "qos" => qos_section(),
             "grid" => grid_section(),
+            "tracing_overhead" => tracing_overhead_section(),
             other => {
                 eprintln!(
-                    "unknown section '{other}' (supported: neighbors, scheduler, arena, shards, qos, grid)"
+                    "unknown section '{other}' (supported: neighbors, scheduler, arena, shards, qos, grid, tracing_overhead)"
                 );
                 std::process::exit(2);
             }
@@ -195,8 +199,6 @@ fn main() {
         parallel.markdown, untraced.markdown,
         "figures must not depend on the trace (kill switch changed the output)"
     );
-    // Overhead of the observability layer: >0 means tracing costs time.
-    let tracing_overhead = parallel.wall_s / untraced.wall_s - 1.0;
 
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -220,6 +222,8 @@ fn main() {
         )
     };
 
+    let tracing_overhead = tracing_overhead_section();
+    let tracing_overhead = tracing_overhead.trim_end();
     let neighbors = neighbors_section();
     let neighbors = neighbors.trim_end();
     let scheduler = scheduler_section();
@@ -233,7 +237,7 @@ fn main() {
     let grid = grid_section();
 
     let json = format!(
-        "{{\n  \"campaign\": \"EXPERIMENTS.md full regeneration\",\n  \"host_cores\": {cores},\n  \"identical_output\": true,\n  \"serial\": {{\n    \"threads\": {},\n    \"wall_s\": {:.3},\n    \"events\": {},\n    \"events_per_s\": {:.0}\n  }},\n  \"parallel\": {{\n    \"threads\": {},\n    \"wall_s\": {:.3},\n    \"events\": {},\n    \"events_per_s\": {:.0}\n  }},\n  \"tracing_off\": {{\n    \"threads\": {},\n    \"wall_s\": {:.3},\n    \"events\": {},\n    \"events_per_s\": {:.0}\n  }},\n  \"tracing_overhead\": {:.3},\n  {speedup_json},\n{neighbors},\n{scheduler},\n{arena},\n{shards},\n{qos},\n{grid}}}\n",
+        "{{\n  \"campaign\": \"EXPERIMENTS.md full regeneration\",\n  \"host_cores\": {cores},\n  \"identical_output\": true,\n  \"serial\": {{\n    \"threads\": {},\n    \"wall_s\": {:.3},\n    \"events\": {},\n    \"events_per_s\": {:.0}\n  }},\n  \"parallel\": {{\n    \"threads\": {},\n    \"wall_s\": {:.3},\n    \"events\": {},\n    \"events_per_s\": {:.0}\n  }},\n  \"tracing_off\": {{\n    \"threads\": {},\n    \"wall_s\": {:.3},\n    \"events\": {},\n    \"events_per_s\": {:.0}\n  }},\n{tracing_overhead},\n  {speedup_json},\n{neighbors},\n{scheduler},\n{arena},\n{shards},\n{qos},\n{grid}}}\n",
         serial.threads,
         serial.wall_s,
         serial.events,
@@ -246,7 +250,6 @@ fn main() {
         untraced.wall_s,
         untraced.events,
         untraced.events as f64 / untraced.wall_s,
-        tracing_overhead,
     );
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("perfsuite: cannot write '{out_path}': {e}");
@@ -254,6 +257,70 @@ fn main() {
     }
     eprintln!("perfsuite: {speedup_note} on {cores} core(s) -> {out_path}");
     print!("{json}");
+}
+
+/// Measures what the trace/metrics layer costs on SCALE-DCF-1000 and
+/// returns the `"tracing_overhead"` JSON object (indented two spaces,
+/// trailing newline). An untimed run warms the process up; then each
+/// pair runs the same point with observability on and off, the side
+/// that goes first alternating between pairs. A pair's overhead is
+/// on/off − 1, so > 0 means tracing costs time. Both sides must
+/// simulate identically.
+fn tracing_overhead_section() -> String {
+    const STATIONS: usize = 1000;
+    const DURATION_MS: u64 = 200;
+    const SEED: u64 = 42;
+    const PAIRS: usize = 3;
+    let kind = SchedulerKind::TimerWheel;
+
+    let timed = |on: bool| {
+        set_observability(on);
+        let t0 = Instant::now();
+        let p = scale_dcf_point(STATIONS, DURATION_MS, SEED, kind);
+        let wall = t0.elapsed().as_secs_f64();
+        set_observability(true);
+        (wall, p)
+    };
+    eprintln!("perfsuite: tracing overhead warm-up (SCALE-DCF n={STATIONS} dur={DURATION_MS}ms)…");
+    timed(true);
+    let mut pairs = Vec::new();
+    for i in 0..PAIRS {
+        eprintln!("perfsuite: tracing overhead pair {}/{PAIRS}…", i + 1);
+        let ((on_s, on), (off_s, off)) = if i % 2 == 0 {
+            (timed(true), timed(false))
+        } else {
+            let off = timed(false);
+            (timed(true), off)
+        };
+        assert_eq!(
+            (on.events, on.per_decisions),
+            (off.events, off.per_decisions),
+            "switching observability off changed the simulation"
+        );
+        eprintln!(
+            "perfsuite: tracing on {on_s:.3} s, off {off_s:.3} s ({:+.3})",
+            on_s / off_s - 1.0
+        );
+        pairs.push((on_s, off_s));
+    }
+    let mut overheads: Vec<f64> = pairs.iter().map(|&(on, off)| on / off - 1.0).collect();
+    overheads.sort_by(f64::total_cmp);
+    let list = |f: fn(&(f64, f64)) -> f64| {
+        pairs
+            .iter()
+            .map(|p| format!("{:.3}", f(p)))
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
+    format!(
+        "  \"tracing_overhead\": {{\n    \"workload\": \"SCALE-DCF stations={STATIONS} duration_ms={DURATION_MS} seed={SEED}, {} scheduler, observability on vs off in {PAIRS} pairs (alternating which goes first) after one warm-up run\",\n    \"on_wall_s\": [{}],\n    \"off_wall_s\": [{}],\n    \"median\": {:.3},\n    \"min\": {:.3},\n    \"max\": {:.3}\n  }}\n",
+        kind.label(),
+        list(|p| p.0),
+        list(|p| p.1),
+        overheads[PAIRS / 2],
+        overheads[0],
+        overheads[PAIRS - 1],
+    )
 }
 
 /// Benchmarks both scheduler back ends on the SCALE-DCF 1000-station

@@ -498,6 +498,22 @@ impl Frame {
         }
     }
 
+    /// A copy of this frame's header fields with an empty body — the
+    /// template aggregates and their per-MPDU deliveries start from,
+    /// without copying a body only to replace it.
+    pub fn header_only(&self) -> Frame {
+        Frame {
+            fc: self.fc,
+            duration_id: self.duration_id,
+            addr1: self.addr1,
+            addr2: self.addr2,
+            addr3: self.addr3,
+            seq: self.seq,
+            addr4: self.addr4,
+            body: Vec::new(),
+        }
+    }
+
     // ----- address semantics (§4.2 Address Fields) -----
 
     /// Receiver address — "the next immediate STA on the wireless

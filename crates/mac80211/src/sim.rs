@@ -657,7 +657,7 @@ impl DcfState {
 }
 
 /// A transmission on the medium (possibly already finished, retained
-/// briefly for interference bookkeeping).
+/// until no frame still on the air can overlap it).
 struct TxRecord {
     id: u64,
     src: StationId,
@@ -2023,7 +2023,7 @@ impl WlanWorld {
 
     /// Puts a frame on the air. Consumes one arena reference on
     /// `frame` — it becomes the new [`TxRecord`]'s, released when the
-    /// record is pruned.
+    /// record is retired.
     fn start_transmission(
         &mut self,
         id: StationId,
@@ -2173,7 +2173,7 @@ impl WlanWorld {
     }
 
     fn handle_tx_end(&mut self, tx_id: u64, now: SimTime, sched: &mut Scheduler<MacEvent>) {
-        // Records are pushed with ascending ids and pruned in place, so
+        // Records are pushed with ascending ids and retired in place, so
         // the lookup can bisect instead of scanning.
         let Ok(idx) = self.records.binary_search_by_key(&tx_id, |r| r.id) else {
             return;
@@ -2201,7 +2201,7 @@ impl WlanWorld {
         decoded.clear();
         // Only records overlapping this frame in time can trip the
         // half-duplex or interference checks — pre-filter them once
-        // instead of rescanning the whole retention horizon for every
+        // instead of rescanning every retained record for every
         // station (O(records·n) → O(records + n·concurrent)). Indices
         // stay ascending so the linear-domain interference sum keeps
         // its float accumulation order.
@@ -2339,7 +2339,7 @@ impl WlanWorld {
         // its slot for the duration — delivery needs `&Frame` alongside
         // arbitrary `&mut` world mutation, and every receiver shares
         // the same wire image. Nothing below can release the record's
-        // reference (pruning runs at the end of this function), so the
+        // reference (retirement runs at the end of this function), so the
         // slot stays allocated throughout.
         if !decoded.is_empty() {
             let frame = self.frames.take(frame_id);
@@ -2366,20 +2366,24 @@ impl WlanWorld {
         }
         self.rearm_scratch = scratch;
 
-        // Prune stale records (keep a 50 ms interference horizon),
-        // returning each pruned record's frame reference to the arena.
-        let horizon = now.saturating_duration_since(SimTime::ZERO);
-        if horizon.as_nanos() > 50_000_000 {
-            let cutoff = now - SimDuration::from_millis(50);
-            let frames = &mut self.frames;
-            self.records.retain(|rec| {
-                let keep = !rec.done || rec.end > cutoff;
-                if !keep {
-                    frames.release(rec.frame);
-                }
-                keep
-            });
-        }
+        // Retire every finished record no live frame can overlap,
+        // returning its frame reference to the arena. Records are
+        // pushed in start order, so the first one still on the air is
+        // the oldest; a frame completing later started at or after it
+        // (or after `now`), and overlap needs `end > start`.
+        let cutoff = self
+            .records
+            .iter()
+            .find(|rec| !rec.done)
+            .map_or(now, |rec| rec.start);
+        let frames = &mut self.frames;
+        self.records.retain(|rec| {
+            let keep = !rec.done || rec.end > cutoff;
+            if !keep {
+                frames.release(rec.frame);
+            }
+            keep
+        });
     }
 
     fn continue_after_own_tx(
@@ -3136,8 +3140,7 @@ impl WlanWorld {
             let fid = match flight.built {
                 Some(f) => f,
                 None => {
-                    let base = self.frames.get(flight.mpdus[0].msdu.frame);
-                    let mut f = base.clone();
+                    let mut f = self.frames.get(flight.mpdus[0].msdu.frame).header_only();
                     f.fc.subtype = Subtype::QosData;
                     f.fc.retry = flight.mpdus.iter().any(|m| m.retries > 0);
                     f.fc.more_fragments = false;
@@ -3150,14 +3153,18 @@ impl WlanWorld {
                     } else {
                         crate::duration::ampdu_duration(std)
                     };
-                    let mut body = Vec::new();
+                    let len = flight
+                        .mpdus
+                        .iter()
+                        .map(|m| 4 + self.frames.get(m.msdu.frame).body.len())
+                        .sum();
+                    f.body.reserve_exact(len);
                     for m in &flight.mpdus {
                         let mb = &self.frames.get(m.msdu.frame).body;
-                        body.extend_from_slice(&m.seq.to_le_bytes());
-                        body.extend_from_slice(&(mb.len() as u16).to_le_bytes());
-                        body.extend_from_slice(mb);
+                        f.body.extend_from_slice(&m.seq.to_le_bytes());
+                        f.body.extend_from_slice(&(mb.len() as u16).to_le_bytes());
+                        f.body.extend_from_slice(mb);
                     }
-                    f.body = body;
                     let fid = self.frames.insert(f);
                     flight.built = Some(fid);
                     fid
@@ -3204,10 +3211,10 @@ impl WlanWorld {
         let ssn = frame.seq.map_or(0, |s| s.sequence);
         let unicast = !frame.receiver().is_group();
         let loss = self.cfg.ampdu_per_mpdu_loss;
-        // Per-MPDU header template (cheap: no aggregate body copy).
-        let mut header = frame.clone();
-        header.body = Vec::new();
-        header.fc.more_fragments = false;
+        // One MPDU frame, refilled per subframe: the aggregate's header
+        // with the subframe's sequence number and payload.
+        let mut one = frame.header_only();
+        one.fc.more_fragments = false;
         let mut bitmap = 0u64;
         let body = &frame.body;
         let mut off = 0usize;
@@ -3240,8 +3247,8 @@ impl WlanWorld {
                 self.stations[r].stats.rx_duplicates += 1;
                 continue;
             }
-            let mut one = header.clone();
-            one.body = payload.to_vec();
+            one.body.clear();
+            one.body.extend_from_slice(payload);
             one.seq = Some(sc);
             self.deliver(r, &one, rssi, now, sched);
         }
@@ -4442,6 +4449,40 @@ mod tests {
         );
     }
 
+    /// MSDUs the MAC is done with: delivered, abandoned or never queued.
+    fn settled(s: &StationStats) -> u64 {
+        s.tx_completions + s.tx_failures + s.queue_drops
+    }
+
+    /// Six saturated senders in one collision domain, then a drain:
+    /// once nothing is on the air the last `TxEnd` retires every
+    /// record, so no record and no arena reference outlives the run.
+    #[test]
+    fn drained_legacy_run_retires_every_record() {
+        let mut sim = world(6, 10.0);
+        for k in 0..100u64 {
+            for s in 0..6usize {
+                let to = ((s + 1) % 6) as u32;
+                inject_at(
+                    &mut sim,
+                    SimTime::from_micros(k * 300),
+                    s,
+                    data_frame(s as u32, to, 1000),
+                );
+            }
+        }
+        let mut max_records = 0;
+        while sim.now() < SimTime::from_secs(10) && sim.step() {
+            max_records = max_records.max(sim.world().records.len());
+        }
+        let w = sim.world();
+        let done: u64 = (0..6).map(|s| settled(w.stats(s))).sum();
+        assert_eq!(done, 600, "run did not drain");
+        assert!(max_records <= 6, "{max_records} records retained at once");
+        assert!(w.records.is_empty(), "{} records left", w.records.len());
+        assert_eq!(w.frame_ledger(), (0, 0));
+    }
+
     // ----- EDCA / A-MPDU -----
 
     fn qos_world(n: usize, spacing_m: f64) -> Simulation<WlanWorld> {
@@ -4525,6 +4566,39 @@ mod tests {
             ppdus,
             "one BA per aggregate"
         );
+    }
+
+    /// The EDCA/A-MPDU counterpart of
+    /// `drained_legacy_run_retires_every_record`: four stations, one
+    /// per access category, aggregate their backlogs, and the drained
+    /// world holds no record and no arena reference.
+    #[test]
+    fn drained_ampdu_run_retires_every_record() {
+        let mut sim = qos_world(4, 10.0);
+        for i in 0..40u64 {
+            for s in 0..4usize {
+                let to = ((s + 1) % 4) as u32;
+                let ac = AccessCategory::ALL[s];
+                qinject(
+                    &mut sim,
+                    1_000 + i * 50,
+                    s,
+                    data_frame(s as u32, to, 400),
+                    ac,
+                );
+            }
+        }
+        sim.run_until(SimTime::from_secs(10));
+        let w = sim.world();
+        let done: u64 = (0..4).map(|s| settled(w.stats(s))).sum();
+        assert_eq!(done, 160, "run did not drain");
+        assert!(
+            w.trace
+                .count_events(|e| matches!(e, TraceEvent::AmpduTx { .. }))
+                > 0
+        );
+        assert!(w.records.is_empty(), "{} records left", w.records.len());
+        assert_eq!(w.frame_ledger(), (0, 0));
     }
 
     #[test]

@@ -1,14 +1,18 @@
 //! Bounded event tracing.
 //!
 //! A [`Trace`] is a ring buffer of timestamped records. Each record
-//! carries a human-readable message and, when emitted through
+//! carries either a human-readable message or, when emitted through
 //! [`Trace::event`], a typed [`TraceEvent`] that tests and exporters can
-//! match on structurally instead of by substring. The buffer exists for
-//! three reasons: interactive debugging of protocol exchanges (print the
-//! last N MAC events), test assertions about *ordering* ("the CTS was
-//! sent after the RTS", "no data frame preceded association"), and
-//! machine-readable JSONL export ([`Trace::to_jsonl`]) for offline
-//! analysis of campaign runs.
+//! match on structurally instead of by substring. A typed record's text
+//! is rendered from the event only when it is read
+//! ([`Record::message`]), so the records the ring evicts unread cost no
+//! formatting.
+//!
+//! The buffer exists for three reasons: interactive debugging of
+//! protocol exchanges (print the last N MAC events), test assertions
+//! about *ordering* ("the CTS was sent after the RTS", "no data frame
+//! preceded association"), and machine-readable JSONL export
+//! ([`Trace::to_jsonl`]) for offline analysis of campaign runs.
 //!
 //! # Eviction contract
 //!
@@ -31,6 +35,7 @@
 //! with tracing on and once with it off). Simulation results never
 //! depend on trace contents, so toggling it cannot change figures.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -591,19 +596,30 @@ pub struct Record {
     pub level: Level,
     /// Short category tag, e.g. `"mac"`, `"phy"`, `"sec"`.
     pub tag: &'static str,
-    /// Human-readable message.
-    pub message: String,
+    /// Message text of a string-API record; empty for typed events.
+    text: String,
     /// Structured payload when emitted through [`Trace::event`].
     pub event: Option<TraceEvent>,
 }
 
+impl Record {
+    /// Human-readable message: a typed event rendered through its
+    /// `Display` impl, or the text given to the string API.
+    pub fn message(&self) -> Cow<'_, str> {
+        match &self.event {
+            Some(e) => Cow::Owned(e.to_string()),
+            None => Cow::Borrowed(&self.text),
+        }
+    }
+}
+
 impl fmt::Display for Record {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "[{} {:?} {}] {}",
-            self.at, self.level, self.tag, self.message
-        )
+        write!(f, "[{} {:?} {}] ", self.at, self.level, self.tag)?;
+        match &self.event {
+            Some(e) => write!(f, "{e}"),
+            None => f.write_str(&self.text),
+        }
     }
 }
 
@@ -672,17 +688,16 @@ impl Trace {
             at,
             level,
             tag,
-            message,
+            text: message,
             event: None,
         });
     }
 
     /// Appends a typed event, evicting the oldest record when full.
     ///
-    /// The human-readable message is rendered from the event's `Display`
-    /// impl — but only after the level filter and the process-global
-    /// kill switch have passed, so filtered-out events cost no
-    /// formatting or allocation.
+    /// Only the event is stored; its human-readable message is rendered
+    /// through the `Display` impl when read ([`Record::message`]), so
+    /// recording costs no formatting or allocation.
     pub fn event(&mut self, at: SimTime, level: Level, tag: &'static str, event: TraceEvent) {
         if level < self.min_level || !observability_enabled() {
             return;
@@ -691,7 +706,7 @@ impl Trace {
             at,
             level,
             tag,
-            message: event.to_string(),
+            text: String::new(),
             event: Some(event),
         });
     }
@@ -748,7 +763,11 @@ impl Trace {
     /// evicted (definitive) and as [`Lookup::Evicted`] when records have
     /// been lost (unknowable).
     pub fn lookup_containing(&self, needle: &str) -> Lookup {
-        match self.records.iter().position(|r| r.message.contains(needle)) {
+        match self
+            .records
+            .iter()
+            .position(|r| r.message().contains(needle))
+        {
             Some(i) => Lookup::Found(i),
             None if self.dropped == 0 => Lookup::Absent,
             None => Lookup::Evicted,
@@ -809,8 +828,8 @@ impl Trace {
     /// eviction; it answers the weaker, always-well-defined question
     /// about the surviving records.
     pub fn happened_before_retained(&self, a: &str, b: &str) -> bool {
-        let ia = self.records.iter().position(|r| r.message.contains(a));
-        let ib = self.records.iter().position(|r| r.message.contains(b));
+        let ia = self.records.iter().position(|r| r.message().contains(a));
+        let ib = self.records.iter().position(|r| r.message().contains(b));
         match (ia, ib) {
             (Some(ia), Some(ib)) => ia < ib,
             _ => false,
@@ -850,7 +869,7 @@ impl Trace {
     pub fn count_containing(&self, needle: &str) -> usize {
         self.records
             .iter()
-            .filter(|r| r.message.contains(needle))
+            .filter(|r| r.message().contains(needle))
             .count()
     }
 
@@ -906,7 +925,7 @@ impl Trace {
                 Some(e) => e.write_json_fields(&mut out),
                 None => {
                     out.push_str("\"type\":\"msg\",\"message\":");
-                    json::push_str(&mut out, &r.message);
+                    json::push_str(&mut out, &r.text);
                 }
             }
             out.push_str("}\n");
@@ -929,7 +948,7 @@ mod tests {
         tr.info(t(1), "mac", "rts sent");
         tr.info(t(2), "mac", "cts sent");
         assert_eq!(tr.len(), 2);
-        let msgs: Vec<&str> = tr.records().map(|r| r.message.as_str()).collect();
+        let msgs: Vec<String> = tr.records().map(|r| r.message().into_owned()).collect();
         assert_eq!(msgs, vec!["rts sent", "cts sent"]);
     }
 
@@ -941,7 +960,7 @@ mod tests {
         }
         assert_eq!(tr.len(), 3);
         assert_eq!(tr.dropped(), 2);
-        let msgs: Vec<&str> = tr.records().map(|r| r.message.as_str()).collect();
+        let msgs: Vec<String> = tr.records().map(|r| r.message().into_owned()).collect();
         assert_eq!(msgs, vec!["m2", "m3", "m4"]);
     }
 
@@ -1041,7 +1060,7 @@ mod tests {
         );
         // The rendered message matches the Display impl.
         let first = tr.records().next().unwrap();
-        assert_eq!(first.message, "tx Rts sta=3 len=20 rate=6.0");
+        assert_eq!(first.message(), "tx Rts sta=3 len=20 rate=6.0");
     }
 
     #[test]
@@ -1117,6 +1136,182 @@ mod tests {
         tr.info(t(2), "x", "data"); // evicts "rts"
         assert!(tr.happened_before_retained("cts", "data"));
         assert!(!tr.happened_before_retained("rts", "cts"));
+    }
+
+    /// One instance of every [`TraceEvent`] variant.
+    fn every_variant() -> Vec<TraceEvent> {
+        vec![
+            TraceEvent::Tx {
+                station: 1,
+                kind: FrameKind::Rts,
+                len: 20,
+                rate_mbps: 6.0,
+            },
+            TraceEvent::Rx {
+                station: 2,
+                kind: FrameKind::Data,
+                len: 1534,
+                rssi_dbm: -61.25,
+            },
+            TraceEvent::Drop {
+                station: 3,
+                kind: FrameKind::QosData,
+                reason: DropReason::QueueFull,
+            },
+            TraceEvent::Backoff {
+                station: 4,
+                slots: 7,
+                cw: 31,
+            },
+            TraceEvent::Nav {
+                station: 5,
+                until_us: 1234,
+            },
+            TraceEvent::Retry {
+                station: 6,
+                short: 2,
+                long: 0,
+            },
+            TraceEvent::TxOutcome {
+                station: 7,
+                ok: false,
+            },
+            TraceEvent::Assoc { station: 8, aid: 3 },
+            TraceEvent::Handoff { station: 9 },
+            TraceEvent::PowerSave {
+                station: 10,
+                doze: true,
+            },
+            TraceEvent::Join {
+                station: 11,
+                parent: 0,
+            },
+            TraceEvent::Poll {
+                station: 12,
+                peer: 13,
+                slots: 2,
+            },
+            TraceEvent::Grant {
+                station: 14,
+                bytes: 4096,
+                uplink: true,
+            },
+            TraceEvent::Deliver {
+                station: 15,
+                bytes: 512,
+                hops: 3,
+            },
+            TraceEvent::Forward {
+                station: 16,
+                dst: 17,
+                hops: 1,
+            },
+            TraceEvent::Crack {
+                station: 18,
+                method: "fms",
+                ok: true,
+            },
+            TraceEvent::EdcaBackoff {
+                station: 19,
+                ac: 1,
+                slots: 5,
+                cw: 15,
+            },
+            TraceEvent::AmpduTx {
+                station: 20,
+                ac: 2,
+                ssn: 4095,
+                bitmap: 0xff,
+            },
+            TraceEvent::BlockAckRx {
+                station: 21,
+                ac: 0,
+                ssn: 7,
+                bitmap: 0x5,
+            },
+            TraceEvent::MpduDrop {
+                station: 22,
+                ac: 3,
+                seq: 9,
+            },
+        ]
+    }
+
+    /// Typed records keep only the event; their text is rendered on
+    /// read, equals the `Display` output, and the JSONL export is
+    /// written from the fields exactly as before.
+    #[test]
+    fn typed_records_render_their_message_on_read() {
+        let events = every_variant();
+        let mut tr = Trace::new(64);
+        for (i, e) in events.iter().enumerate() {
+            tr.event(t(i as u64), Level::Debug, "mac", *e);
+        }
+        assert_eq!(tr.len(), events.len());
+        for (r, e) in tr.records().zip(&events) {
+            assert_eq!(r.event, Some(*e));
+            assert_eq!(r.message(), e.to_string());
+            assert_eq!(r.to_string(), format!("[{} Debug mac] {e}", r.at));
+        }
+        let expected = [
+            r#""type":"tx","station":1,"kind":"Rts","len":20,"rate_mbps":6"#,
+            r#""type":"rx","station":2,"kind":"Data","len":1534,"rssi_dbm":-61.25"#,
+            r#""type":"drop","station":3,"kind":"QosData","reason":"QueueFull""#,
+            r#""type":"backoff","station":4,"slots":7,"cw":31"#,
+            r#""type":"nav","station":5,"until_us":1234"#,
+            r#""type":"retry","station":6,"short":2,"long":0"#,
+            r#""type":"tx_outcome","station":7,"ok":false"#,
+            r#""type":"assoc","station":8,"aid":3"#,
+            r#""type":"handoff","station":9"#,
+            r#""type":"power_save","station":10,"doze":true"#,
+            r#""type":"join","station":11,"parent":0"#,
+            r#""type":"poll","station":12,"peer":13,"slots":2"#,
+            r#""type":"grant","station":14,"bytes":4096,"uplink":true"#,
+            r#""type":"deliver","station":15,"bytes":512,"hops":3"#,
+            r#""type":"forward","station":16,"dst":17,"hops":1"#,
+            r#""type":"crack","station":18,"method":"fms","ok":true"#,
+            r#""type":"edca_backoff","station":19,"ac":1,"slots":5,"cw":15"#,
+            r#""type":"ampdu_tx","station":20,"ac":2,"ssn":4095,"bitmap":255"#,
+            r#""type":"block_ack_rx","station":21,"ac":0,"ssn":7,"bitmap":5"#,
+            r#""type":"mpdu_drop","station":22,"ac":3,"seq":9"#,
+        ];
+        let jsonl = tr.to_jsonl("X");
+        let lines: Vec<&str> = jsonl.lines().collect();
+        assert_eq!(lines.len(), expected.len());
+        for (i, (line, fields)) in lines.iter().zip(expected).enumerate() {
+            let at_ns = i as u64 * 1_000_000;
+            assert_eq!(
+                *line,
+                format!(
+                    "{{\"exp\":\"X\",\"at_ns\":{at_ns},\"level\":\"debug\",\"tag\":\"mac\",{fields}}}"
+                )
+            );
+        }
+    }
+
+    /// The substring queries see typed records through their rendered
+    /// text, alongside string-API records.
+    #[test]
+    fn substring_queries_match_typed_records() {
+        let mut tr = Trace::new(64);
+        tr.info(t(0), "mac", "association started");
+        for (i, e) in every_variant().into_iter().enumerate() {
+            tr.event(t(i as u64 + 1), Level::Debug, "mac", e);
+        }
+        tr.info(t(30), "mac", "association finished");
+        assert_eq!(tr.count_containing("sta=1 "), 1);
+        assert_eq!(tr.count_containing("tx Rts"), 1);
+        assert_eq!(tr.count_containing("bitmap=0xff"), 1);
+        assert_eq!(tr.count_containing("association"), 2);
+        assert_eq!(tr.count_containing("tx"), 3); // tx, tx-outcome, ampdu-tx
+        assert_eq!(tr.lookup_containing("handoff sta=9"), Lookup::Found(9));
+        assert_eq!(tr.lookup_containing("teardown"), Lookup::Absent);
+        assert_eq!(tr.position_containing("mpdu-drop"), Some(20));
+        assert!(tr.happened_before("association started", "tx Rts"));
+        assert!(tr.happened_before("tx Rts", "rx Data"));
+        assert!(tr.happened_before("mpdu-drop", "association finished"));
+        assert!(!tr.happened_before("rx Data", "tx Rts"));
+        assert!(tr.happened_before_retained("crack", "edca-backoff"));
     }
 
     #[test]

@@ -25,7 +25,7 @@ fn kill_switch_suppresses_retention_and_restores() {
     set_observability(true);
     tr.info(SimTime::from_millis(3), "x", "after");
 
-    let msgs: Vec<&str> = tr.records().map(|r| r.message.as_str()).collect();
+    let msgs: Vec<String> = tr.records().map(|r| r.message().into_owned()).collect();
     assert_eq!(msgs, vec!["before", "after"]);
     assert_eq!(tr.dropped(), 0, "suppressed records are not 'evictions'");
 }
