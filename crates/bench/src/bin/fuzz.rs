@@ -32,7 +32,9 @@
 //!   (DESIGN.md §13/§17, including under ESS mobility). Every run
 //!   additionally plans a multi-cell CITY-DCF street grid through
 //!   `shard_plan` and `wn-check`'s brute-force reference planner and
-//!   demands identical partitions and coherent re-validation.
+//!   demands identical partitions and coherent re-validation; then it
+//!   moves one sender next to a co-channel cell and demands that both
+//!   validators reject the stale plan with the same witness pair.
 //! - `--shard-diff` — differential sharding mode: partition every
 //!   seed's deployment into interference shards and replay the
 //!   composition as a sliced serial reference and as independent jobs
@@ -64,6 +66,7 @@ use wn_check::{
     SHARD_WORKER_COUNTS,
 };
 use wn_core::scenarios::{city_dcf_run, metro_dcf_planning_world, CITY_DCF_RANGE_M};
+use wn_phy::geom::Point;
 use wn_sim::stats::fnv1a;
 use wn_sim::{worker_count, SchedulerKind, SimTime};
 
@@ -269,7 +272,8 @@ fn run_propagation_diff(opts: &Options) -> u64 {
     // The planning leg: a street grid the scenario generator cannot
     // produce, planned through the grid and the O(n²) reference. Both
     // partitions and re-validation verdicts must match exactly.
-    let world = metro_dcf_planning_world(3, 4, 12, 60, 42);
+    let (cols, senders) = (4, 12);
+    let mut world = metro_dcf_planning_world(3, cols, senders, 60, 42);
     let plan = world.shard_plan(SimTime::ZERO, Some(CITY_DCF_RANGE_M));
     let reference = reference_shard_plan(&world, SimTime::ZERO, Some(CITY_DCF_RANGE_M));
     if plan.shard_of != reference.shard_of {
@@ -288,9 +292,23 @@ fn run_propagation_diff(opts: &Options) -> u64 {
             "CITY-DCF planning: INCOHERENT PLAN  grid verdict {verdict:?}, reference verdict {reference_verdict:?}"
         );
     }
+    // The same plan gone stale: a sender of cell (0, 0) walks to 10 m
+    // beside the sink of cell (1, 1), which shares its channel 1. Both
+    // validators must catch the straddling pair and name the same
+    // witness.
+    let sink = world.position((cols + 1) * (senders + 1));
+    world.set_position(1, Point::new(sink.x + 10.0, sink.y), SimTime::ZERO);
+    let verdict = world.shard_plan_incoherence(&plan, SimTime::ZERO);
+    let reference_verdict = reference_shard_plan_incoherence(&world, &plan, SimTime::ZERO);
+    if verdict != reference_verdict || reference_verdict.is_none() {
+        failures += 1;
+        println!(
+            "CITY-DCF planning: STALE PLAN WITNESS DIVERGENCE  grid verdict {verdict:?}, reference verdict {reference_verdict:?}"
+        );
+    }
 
     println!(
-        "propagation-diff fuzz: {} seeds ({}..{}) x {{cached, direct}} + a {}-station CITY-DCF planning check on {} workers in {:.2}s: {} failing",
+        "propagation-diff fuzz: {} seeds ({}..{}) x {{cached, direct}} + a {}-station CITY-DCF planning and stale-plan check on {} workers in {:.2}s: {} failing",
         count,
         start,
         start + count,

@@ -43,10 +43,11 @@
 //!
 //! A `grid` section measures the spatial hash grid on the CITY-DCF
 //! flagship city (DESIGN.md §17): the sparse grid-backed neighbor-cache
-//! build, and the grid shard plan against `wn-check`'s brute-force
-//! O(n²) reference planner live in the same process, plus a plan-only
-//! scaling row at the METRO-DCF 100k+ flagship. The partitions must be
-//! identical and the plan must re-validate coherent.
+//! build, and the grid shard plan and its validation against
+//! `wn-check`'s brute-force O(n²) reference planner and validator live
+//! in the same process, plus a plan-and-validate scaling row at the
+//! METRO-DCF 100k+ flagship. The partitions must be identical and the
+//! plan must re-validate coherent.
 //!
 //! `--section neighbors` (or `scheduler`, `arena`, `shards`, `qos`,
 //! `grid`, `tracing_overhead`) runs just that section and prints its
@@ -55,7 +56,7 @@
 
 use std::time::Instant;
 
-use wn_check::{reference_shard_plan, Propagation};
+use wn_check::{reference_shard_plan, reference_shard_plan_incoherence, Propagation};
 use wn_core::runner;
 use wn_core::scenarios::{
     city_dcf_run, city_dcf_size, dense_obss_point_opts, metro_dcf_planning_world, metro_dcf_sweep,
@@ -686,17 +687,25 @@ fn neighbors_section() -> String {
     out
 }
 
+/// Runs `f` once and returns its result with the wall time, seconds.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let t0 = Instant::now();
+    let out = f();
+    (out, t0.elapsed().as_secs_f64())
+}
+
 /// Measures the spatial hash grid on the CITY-DCF flagship planning
 /// world (DESIGN.md §17) and returns the `"grid"` JSON object
 /// (indented two spaces, trailing newline): the sparse grid-backed
-/// neighbor-cache build, and the grid shard plan against `wn-check`'s
-/// brute-force O(n²) reference planner measured live in the same
-/// process, plus a plan-only scaling row at the METRO-DCF flagship
-/// (100k+ stations in release, where the reference is no longer
-/// feasible). Panics unless both planners produce the identical
-/// partition and the plan re-validates coherent; the speedup verdict
-/// is always recorded (the section is single-threaded, so core count
-/// is irrelevant).
+/// neighbor-cache build, and the grid shard plan and its validation
+/// against `wn-check`'s brute-force O(n²) reference planner and
+/// validator measured live in the same process, plus a plan and
+/// validate row at the METRO-DCF flagship (100k+ stations in release,
+/// where the reference is no longer feasible). Panics unless both
+/// planners produce the identical partition and the plan re-validates
+/// coherent under both validators; the speedup verdict is always
+/// recorded (the section is single-threaded, so core count is
+/// irrelevant).
 fn grid_section() -> String {
     const SEED: u64 = 42;
     let (rows, cols, senders, duration_ms) = city_dcf_size();
@@ -714,24 +723,26 @@ fn grid_section() -> String {
     let incoherent = world.grid_incoherence(SimTime::ZERO);
     assert!(incoherent.is_empty(), "grid incoherent: {incoherent:?}");
     eprintln!("perfsuite: grid plan…");
-    let t0 = Instant::now();
-    let grid_plan = world.shard_plan(SimTime::ZERO, Some(CITY_DCF_RANGE_M));
-    let grid_plan_s = t0.elapsed().as_secs_f64();
-    assert!(
-        world
-            .shard_plan_incoherence(&grid_plan, SimTime::ZERO)
-            .is_none(),
-        "grid plan failed re-validation"
-    );
+    let (grid_plan, grid_plan_s) =
+        timed(|| world.shard_plan(SimTime::ZERO, Some(CITY_DCF_RANGE_M)));
+    let (verdict, grid_validate_s) =
+        timed(|| world.shard_plan_incoherence(&grid_plan, SimTime::ZERO));
+    assert!(verdict.is_none(), "grid plan failed re-validation");
 
     // The brute-force reference, live on the same world.
     eprintln!("perfsuite: reference plan…");
-    let t0 = Instant::now();
-    let reference = reference_shard_plan(&world, SimTime::ZERO, Some(CITY_DCF_RANGE_M));
-    let reference_plan_s = t0.elapsed().as_secs_f64();
+    let (reference, reference_plan_s) =
+        timed(|| reference_shard_plan(&world, SimTime::ZERO, Some(CITY_DCF_RANGE_M)));
     assert_eq!(
         grid_plan.shard_of, reference.shard_of,
         "grid and reference planners disagree on the partition"
+    );
+    eprintln!("perfsuite: reference validation…");
+    let (reference_verdict, reference_validate_s) =
+        timed(|| reference_shard_plan_incoherence(&world, &grid_plan, SimTime::ZERO));
+    assert!(
+        reference_verdict.is_none(),
+        "reference validator rejects the grid plan"
     );
     let full_matrix = stations * (stations - 1);
     let plan_speedup = reference_plan_s / grid_plan_s.max(f64::MIN_POSITIVE);
@@ -739,30 +750,29 @@ fn grid_section() -> String {
         "perfsuite: grid at n={stations}: {plan_speedup:.1}x plan vs reference, {stored}/{full_matrix} stored pairs"
     );
 
-    // The scaling row: plan-only at the METRO-DCF flagship, where the
-    // O(n²) pair scan is no longer an option. The grid planner is the
-    // only way to get a partition at this size; the row records that
-    // it stays tractable.
+    // The scaling row: plan and validate at the METRO-DCF flagship,
+    // where the O(n²) pair scan is no longer an option. The grid
+    // planner is the only way to get a partition at this size; the row
+    // records that it stays tractable.
     let (mrows, mcols, msenders, mduration) = *metro_dcf_sweep().last().expect("sweep non-empty");
     let metro_stations = mrows * mcols * (msenders + 1);
-    eprintln!("perfsuite: METRO-DCF n={metro_stations}: grid plan-only scaling row…");
+    eprintln!("perfsuite: METRO-DCF n={metro_stations}: grid plan-and-validate scaling row…");
     let metro_world = metro_dcf_planning_world(mrows, mcols, msenders, mduration, SEED);
-    let t0 = Instant::now();
-    let metro_plan = metro_world.shard_plan(SimTime::ZERO, Some(CITY_DCF_RANGE_M));
-    let metro_plan_s = t0.elapsed().as_secs_f64();
+    let (metro_plan, metro_plan_s) =
+        timed(|| metro_world.shard_plan(SimTime::ZERO, Some(CITY_DCF_RANGE_M)));
+    let (metro_verdict, metro_validate_s) =
+        timed(|| metro_world.shard_plan_incoherence(&metro_plan, SimTime::ZERO));
     assert!(
-        metro_world
-            .shard_plan_incoherence(&metro_plan, SimTime::ZERO)
-            .is_none(),
+        metro_verdict.is_none(),
         "metro grid plan failed re-validation"
     );
     eprintln!(
-        "perfsuite: METRO-DCF n={metro_stations}: {} shards in {metro_plan_s:.3} s",
+        "perfsuite: METRO-DCF n={metro_stations}: {} shards, plan {metro_plan_s:.3} s, validate {metro_validate_s:.3} s",
         metro_plan.shards.len()
     );
 
     format!(
-        "  \"grid\": {{\n    \"workload\": \"CITY-DCF planning world rows={rows} cols={cols} senders_per_cell={senders} seed={SEED} ({stations} stations), grid vs brute-force reference, live in-process\",\n    \"cache_build\": {{\n      \"wall_s\": {build_s:.3},\n      \"stored_pairs\": {stored},\n      \"full_matrix_pairs\": {full_matrix}\n    }},\n    \"shard_plan\": {{\n      \"grid\": {{ \"wall_s\": {grid_plan_s:.3} }},\n      \"reference\": {{ \"wall_s\": {reference_plan_s:.3} }},\n      \"shards\": {},\n      \"identical_partition\": true,\n      \"speedup\": {plan_speedup:.2}\n    }},\n    \"metro_plan_only\": {{\n      \"note\": \"grid planner at the METRO-DCF flagship; the O(n^2) reference is infeasible at this size\",\n      \"stations\": {metro_stations},\n      \"shards\": {},\n      \"wall_s\": {metro_plan_s:.3}\n    }},\n    \"speedup_verdict\": \"grid planner over the brute-force reference, single-threaded, measured live at n={stations}\"\n  }}\n",
+        "  \"grid\": {{\n    \"workload\": \"CITY-DCF planning world rows={rows} cols={cols} senders_per_cell={senders} seed={SEED} ({stations} stations), grid vs brute-force reference, live in-process\",\n    \"cache_build\": {{\n      \"wall_s\": {build_s:.3},\n      \"stored_pairs\": {stored},\n      \"full_matrix_pairs\": {full_matrix}\n    }},\n    \"shard_plan\": {{\n      \"grid\": {{ \"wall_s\": {grid_plan_s:.3}, \"validate_s\": {grid_validate_s:.3} }},\n      \"reference\": {{ \"wall_s\": {reference_plan_s:.3}, \"validate_s\": {reference_validate_s:.3} }},\n      \"shards\": {},\n      \"identical_partition\": true,\n      \"speedup\": {plan_speedup:.2}\n    }},\n    \"metro_plan_only\": {{\n      \"note\": \"grid planner at the METRO-DCF flagship; the O(n^2) reference is infeasible at this size\",\n      \"stations\": {metro_stations},\n      \"shards\": {},\n      \"wall_s\": {metro_plan_s:.3},\n      \"validate_s\": {metro_validate_s:.3}\n    }},\n    \"speedup_verdict\": \"grid planner over the brute-force reference, single-threaded, measured live at n={stations}\"\n  }}\n",
         grid_plan.shards.len(),
         metro_plan.shards.len(),
     )

@@ -118,19 +118,25 @@ impl SpatialGrid {
         true
     }
 
-    /// Appends every station in the 27-cell neighborhood of `key`
-    /// (the cell itself and all adjacent cells, ±1 per axis) to `out`,
-    /// then sorts the collected ids ascending. The querying station
-    /// itself is included when it lives in the neighborhood.
+    /// The member lists of the occupied cells in the 27-cell
+    /// neighborhood of `key` (the cell itself and all adjacent cells,
+    /// ±1 per axis), each ascending by id.
+    pub fn neighborhood_cells(&self, key: CellKey) -> impl Iterator<Item = &[StationId]> + '_ {
+        (-1..=1i64).flat_map(move |dx| {
+            (-1..=1i64).flat_map(move |dy| {
+                (-1..=1i64)
+                    .filter_map(move |dz| self.cells.get(&(key.0 + dx, key.1 + dy, key.2 + dz)))
+                    .map(Vec::as_slice)
+            })
+        })
+    }
+
+    /// Appends every station in the 27-cell neighborhood of `key` to
+    /// `out`, then sorts the collected ids ascending. The querying
+    /// station itself is included when it lives in the neighborhood.
     pub fn neighborhood_into(&self, key: CellKey, out: &mut Vec<StationId>) {
-        for dx in -1..=1i64 {
-            for dy in -1..=1i64 {
-                for dz in -1..=1i64 {
-                    if let Some(members) = self.cells.get(&(key.0 + dx, key.1 + dy, key.2 + dz)) {
-                        out.extend_from_slice(members);
-                    }
-                }
-            }
+        for members in self.neighborhood_cells(key) {
+            out.extend_from_slice(members);
         }
         out.sort_unstable();
     }

@@ -20,7 +20,7 @@
 
 use crate::sim::WlanWorld;
 use wn_sim::par::par_map_with;
-use wn_sim::stats::fnv1a;
+use wn_sim::stats::{fnv1a_extend, FNV1A_OFFSET};
 use wn_sim::{SimTime, Simulation};
 
 /// Station index within a world (mirrors `sim::StationId`).
@@ -168,21 +168,22 @@ where
             observe(k, world),
         )
     });
+    // Each piece folds into a running digest in shard order and is
+    // dropped, so the merged JSONL never exists as one buffer.
     let mut per_shard_events = Vec::with_capacity(count);
-    let mut trace_jsonl = String::new();
-    let mut metrics_jsonl = String::new();
+    let (mut trace_fnv, mut metrics_fnv) = (FNV1A_OFFSET, FNV1A_OFFSET);
     let mut observed = Vec::with_capacity(count);
     for (events, trace, metrics, o) in pieces {
         per_shard_events.push(events);
-        trace_jsonl.push_str(&trace);
-        metrics_jsonl.push_str(&metrics);
+        trace_fnv = fnv1a_extend(trace_fnv, trace.as_bytes());
+        metrics_fnv = fnv1a_extend(metrics_fnv, metrics.as_bytes());
         observed.push(o);
     }
     let report = ShardRunReport {
         shards: count,
         events: per_shard_events.iter().sum(),
-        trace_fnv: fnv1a(trace_jsonl.as_bytes()),
-        metrics_fnv: fnv1a(metrics_jsonl.as_bytes()),
+        trace_fnv,
+        metrics_fnv,
         per_shard_events,
     };
     (report, observed)
@@ -194,6 +195,7 @@ mod tests {
     use crate::arena::FrameId;
     use crate::neighbors::NeighborCache;
     use crate::sim::{MacConfig, WlanWorld};
+    use wn_sim::stats::fnv1a;
 
     /// Compile-time `Send` audit: the whole shard payload chain must
     /// stay `Send` so worlds can be built and run on worker

@@ -29,7 +29,7 @@ use crate::arf::{Arf, ArfParams};
 use crate::dedup::DedupCache;
 use crate::duration::{ack_airtime, airtime, cts_airtime, data_duration, rts_duration};
 use crate::frame::{Frame, FrameType, SequenceControl, SequenceCounter, Subtype};
-use crate::grid::SpatialGrid;
+use crate::grid::{CellKey, SpatialGrid};
 use crate::loss::LossModel;
 use crate::neighbors::{AudibleSet, IdBitSet, NeighborCache, RxRow};
 use wn_phy::geom::Point;
@@ -764,6 +764,31 @@ pub enum MacEvent {
     },
 }
 
+/// The candidate pairs of one distance-bounded shard scan, built by
+/// `WlanWorld::candidate_pairs`: every pair `(i, j)`, `i < j`, whose
+/// channels spectrally overlap and whose grid cells are adjacent — a
+/// superset of the coupled pairs.
+struct CandidatePairs {
+    /// Station → its `(cell, channel)` group.
+    group_of: Vec<u32>,
+    /// Group `g`'s neighborhood is
+    /// `hood_ids[hood_start[g]..hood_start[g + 1]]`, ascending.
+    hood_start: Vec<usize>,
+    hood_ids: Vec<StationId>,
+    /// The audible reach (infinite past the probe horizon): no pair
+    /// this far apart is audible.
+    reach: f64,
+}
+
+impl CandidatePairs {
+    /// Station `i`'s candidates `j > i`, ascending.
+    fn after(&self, i: StationId) -> &[StationId] {
+        let g = self.group_of[i] as usize;
+        let hood = &self.hood_ids[self.hood_start[g]..self.hood_start[g + 1]];
+        &hood[hood.partition_point(|&j| j <= i)..]
+    }
+}
+
 /// How the reception loop settled its PER decisions (see
 /// [`WlanWorld::per_decisions`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -1272,14 +1297,13 @@ impl WlanWorld {
     }
 
     /// The grid cell edge that makes a 27-cell neighborhood cover
-    /// every pair coupled within `range` metres or by audibility:
-    /// `max(range, audible reach)`, and a single all-covering cell
-    /// when the reach is past the probe horizon. `None` when the
-    /// model has no distance floor — no distance then bounds
-    /// audibility.
-    fn grid_cell_m(&self, now: SimTime, range: f64) -> Option<f64> {
+    /// every audible pair: the audible reach, and a single
+    /// all-covering cell when the reach is past the probe horizon.
+    /// `None` when the model has no distance floor — no distance then
+    /// bounds audibility.
+    fn grid_cell_m(&self, now: SimTime) -> Option<f64> {
         self.loss.floor()?;
-        Some(range.max(self.audible_reach_m(now).unwrap_or(f64::INFINITY)))
+        Some(self.audible_reach_m(now).unwrap_or(f64::INFINITY))
     }
 
     /// Builds the sparse neighbor rows and their grid if they are not
@@ -1291,7 +1315,7 @@ impl WlanWorld {
         if self.grid.is_some() {
             return true;
         }
-        let Some(cell) = self.grid_cell_m(now, 0.0) else {
+        let Some(cell) = self.grid_cell_m(now) else {
             return false;
         };
         let grid = SpatialGrid::build(cell, self.stations.iter().map(|s| s.pos));
@@ -1412,8 +1436,9 @@ impl WlanWorld {
     /// regardless of distance unless neither direction is audible —
     /// the most conservative co-channel split.
     ///
-    /// The scan is O(n·k): stations pair only against their 27-cell
-    /// grid neighborhood, with the cell edge at `max(range, audible
+    /// The scan is O(n·k): stations pair only against the
+    /// spectrally overlapping part of their 27-cell grid neighborhood
+    /// (`CandidatePairs`), with the cell edge at `max(range, audible
     /// reach)` so any omitted pair is uncoupled by construction. An
     /// infinite range collapses to channel-class unions (distance is
     /// irrelevant there), and so does a model without a distance
@@ -1427,12 +1452,7 @@ impl WlanWorld {
         let n = self.stations.len();
         let range = max_interference_range_m.unwrap_or(f64::INFINITY);
         let mut parent: Vec<usize> = (0..n).collect();
-        let cell = if range.is_finite() {
-            self.grid_cell_m(now, range)
-        } else {
-            None
-        };
-        let Some(cell) = cell else {
+        let Some(pairs) = self.candidate_pairs(now, range) else {
             // Every spectrally overlapping pair couples, so the
             // components are unions of channel classes, O(n + C²)
             // with no geometry at all.
@@ -1458,27 +1478,63 @@ impl WlanWorld {
             }
             return self.shard_plan_finish(parent, range);
         };
-        // Coupled ⇒ within the cell edge ⇒ cell indices differ by at
-        // most one per axis ⇒ the 27-cell neighborhood enumerates
-        // every coupled pair.
-        let grid = SpatialGrid::build(cell, self.stations.iter().map(|s| s.pos));
-        let mut hood = Vec::new();
         for i in 0..n {
-            hood.clear();
-            grid.neighborhood_into(grid.cell_of(i), &mut hood);
-            for &j in &hood {
-                if j <= i {
-                    continue;
-                }
-                if Self::uf_find(&mut parent, i) == Self::uf_find(&mut parent, j) {
-                    continue;
-                }
-                if self.shard_coupled(i, j, range, now) {
+            for &j in pairs.after(i) {
+                if Self::uf_find(&mut parent, i) != Self::uf_find(&mut parent, j)
+                    && self.coupled_within(i, j, range, pairs.reach, now)
+                {
                     Self::uf_union(&mut parent, i, j);
                 }
             }
         }
         self.shard_plan_finish(parent, range)
+    }
+
+    /// The candidate-pair scan behind [`shard_plan`](Self::shard_plan)
+    /// and [`shard_plan_incoherence`](Self::shard_plan_incoherence)
+    /// for a finite `range`. `None` when no distance bounds coupling:
+    /// an infinite range, or a model without a distance floor.
+    ///
+    /// Coupled ⇒ within the cell edge `max(range, reach)` ⇒ cell
+    /// indices differ by at most one per axis ⇒ the 27-cell
+    /// neighborhood enumerates every coupled pair. Stations sharing a
+    /// cell and a channel share that neighborhood, so it is built once
+    /// per `(cell, channel)` group and holds only the stations whose
+    /// channel spectrally overlaps the group's.
+    fn candidate_pairs(&self, now: SimTime, range: f64) -> Option<CandidatePairs> {
+        if !range.is_finite() {
+            return None;
+        }
+        self.loss.floor()?;
+        let reach = self.audible_reach_m(now).unwrap_or(f64::INFINITY);
+        let grid = SpatialGrid::build(range.max(reach), self.stations.iter().map(|s| s.pos));
+        let channel = &self.dcf.channel;
+        let mut group_ids: HashMap<(CellKey, u8), u32> = HashMap::new();
+        let mut pairs = CandidatePairs {
+            group_of: Vec::with_capacity(channel.len()),
+            hood_start: vec![0],
+            hood_ids: Vec::new(),
+            reach,
+        };
+        for (i, &ch) in channel.iter().enumerate() {
+            let key = grid.cell_of(i);
+            let next = (pairs.hood_start.len() - 1) as u32;
+            let g = *group_ids.entry((key, ch)).or_insert_with(|| {
+                let start = pairs.hood_ids.len();
+                for members in grid.neighborhood_cells(key) {
+                    pairs.hood_ids.extend(
+                        members
+                            .iter()
+                            .filter(|&&j| Self::channel_overlap(ch, channel[j]) > 0.0),
+                    );
+                }
+                pairs.hood_ids[start..].sort_unstable();
+                pairs.hood_start.push(pairs.hood_ids.len());
+                next
+            });
+            pairs.group_of.push(g);
+        }
+        Some(pairs)
     }
 
     /// Union-find with path halving; roots are always the smallest
@@ -1501,17 +1557,36 @@ impl WlanWorld {
     }
 
     /// The shard-coupling predicate for one pair: spectral overlap,
-    /// and within `range` metres or audible in either direction. Every
-    /// planning and validation scan asks it; public so brute-force
-    /// reference planners can ask it of every pair.
+    /// and within `range` metres or audible in either direction.
+    /// Public so brute-force reference planners can ask it of every
+    /// pair; it is [`coupled_within`](Self::coupled_within) with no
+    /// distance known to silence the pair.
     pub fn shard_coupled(&self, i: StationId, j: StationId, range: f64, now: SimTime) -> bool {
+        self.coupled_within(i, j, range, f64::INFINITY, now)
+    }
+
+    /// The one coupling predicate every planning and validation scan
+    /// asks. `reach` is a distance at and beyond which no pair is
+    /// audible ([`audible_reach_m`](Self::audible_reach_m): its loss
+    /// floor already exceeds the strongest coupling), so a pair that
+    /// far apart is settled by `range` alone, without evaluating the
+    /// link budget.
+    fn coupled_within(
+        &self,
+        i: StationId,
+        j: StationId,
+        range: f64,
+        reach: f64,
+        now: SimTime,
+    ) -> bool {
         if Self::channel_overlap(self.dcf.channel[i], self.dcf.channel[j]) <= 0.0 {
             return false;
         }
         let d = self.stations[i].pos.distance_to(self.stations[j].pos);
         d <= range
-            || self.audible_at(self.rx_power_at(i, j, now))
-            || self.audible_at(self.rx_power_at(j, i, now))
+            || (d < reach
+                && (self.audible_at(self.rx_power_at(i, j, now))
+                    || self.audible_at(self.rx_power_at(j, i, now))))
     }
 
     /// Renumbers a union-find forest into the canonical plan:
@@ -1547,9 +1622,12 @@ impl WlanWorld {
     /// be caught, not trusted.
     ///
     /// Coupling is distance-bounded by the grid cell edge
-    /// [`shard_plan`](Self::shard_plan) uses, so a sweep over 27-cell
-    /// neighborhoods enumerates every pair that could straddle shards
-    /// while coupled. An infinite range needs no geometry: any
+    /// [`shard_plan`](Self::shard_plan) uses, so the same
+    /// `CandidatePairs` scan enumerates every pair that could
+    /// straddle shards while coupled, station-major with `j`
+    /// ascending: the witness is the lexicographically smallest
+    /// straddling coupled pair, as an exhaustive scan would report
+    /// it. An infinite range needs no geometry: any
     /// spectral overlap couples, so violations reduce to channel
     /// classes straddling shards. A model without a distance floor is
     /// checked the same conservative way, matching its plans.
@@ -1568,12 +1646,7 @@ impl WlanWorld {
         }
         let n = self.stations.len();
         let range = plan.max_interference_range_m;
-        let cell = if range.is_finite() {
-            self.grid_cell_m(now, range)
-        } else {
-            None
-        };
-        let Some(cell) = cell else {
+        let Some(pairs) = self.candidate_pairs(now, range) else {
             // BTreeMaps keep the scan — and the reported witness pair
             // — deterministic.
             let mut classes: BTreeMap<u8, BTreeMap<usize, StationId>> = BTreeMap::new();
@@ -1613,15 +1686,10 @@ impl WlanWorld {
             }
             return None;
         };
-        let grid = SpatialGrid::build(cell, self.stations.iter().map(|s| s.pos));
-        let mut hood = Vec::new();
         for i in 0..n {
-            hood.clear();
-            grid.neighborhood_into(grid.cell_of(i), &mut hood);
-            for &j in &hood {
-                if j > i
-                    && plan.shard_of[i] != plan.shard_of[j]
-                    && self.shard_coupled(i, j, range, now)
+            for &j in pairs.after(i) {
+                if plan.shard_of[i] != plan.shard_of[j]
+                    && self.coupled_within(i, j, range, pairs.reach, now)
                 {
                     return Some(ShardIncoherence::CoupledAcrossShards {
                         a: i,

@@ -15,7 +15,18 @@ use crate::time::{SimDuration, SimTime};
 /// tests. Not cryptographic; chosen for byte-stable, dependency-free
 /// hashing.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a_extend(FNV1A_OFFSET, bytes)
+}
+
+/// The FNV-1a state before any byte: `fnv1a(b"")`.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a hash from `state` over `bytes`. Folding the
+/// pieces of a byte string in order from [`FNV1A_OFFSET`] gives
+/// exactly `fnv1a` of their concatenation, so a digest over many
+/// rendered pieces never needs them in one buffer.
+pub fn fnv1a_extend(state: u64, bytes: &[u8]) -> u64 {
+    let mut h = state;
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -450,6 +461,26 @@ impl Figure {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_extend_over_any_split_equals_the_whole() {
+        let whole: Vec<u8> = (0..=255u8)
+            .chain(b"trace\nmetrics\n".iter().copied())
+            .collect();
+        let h = fnv1a(&whole);
+        assert_eq!(fnv1a(b""), FNV1A_OFFSET);
+        for a in 0..=whole.len() {
+            for b in (a..=whole.len()).step_by(7).chain([a, whole.len()]) {
+                let mut state = FNV1A_OFFSET;
+                for piece in [&whole[..a], &[][..], &whole[a..b], &whole[b..], &[][..]] {
+                    state = fnv1a_extend(state, piece);
+                }
+                assert_eq!(state, h, "split at {a}/{b}");
+            }
+        }
+        // Pinned value: the wrapper's bytes must never change.
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
 
     #[test]
     fn counter_accumulates() {

@@ -5,6 +5,7 @@
 //! is audible, and under mobility that hops stations across cells.
 
 use wireless_networks::check::{reference_shard_plan, reference_shard_plan_incoherence};
+use wireless_networks::mac80211::shard::ShardPlan;
 use wireless_networks::mac80211::sim::{MacConfig, NullUpper, WlanWorld};
 use wireless_networks::phy::geom::Point;
 use wireless_networks::phy::modulation::PhyStandard;
@@ -156,5 +157,77 @@ fn mobility_crossing_cells_stays_coherent() {
             );
         }
         assert_planners_agree(&world, 150.0, "post-mobility");
+    }
+}
+
+/// The audible-reach short-circuit and the per-cell channel filter at
+/// their edges. Pairs sit at exactly the audible reach, a nanometre
+/// inside it and a nanometre past it, on channel pairs that coincide,
+/// partially overlap (1/3, 3/6: overlap strictly between 0 and 1) or
+/// are orthogonal (1/6, 6/11, 1/11). At coupling ranges that leave
+/// audibility to decide (`Some(0.0)`, `Some(reach / 2)`) and at the
+/// unbounded range, the grid planner's partition must equal the
+/// reference's, and both validators must return the same verdict —
+/// on the fresh plan (coherent) and on the all-singletons plan, whose
+/// witness is the smallest coupled pair.
+#[test]
+fn reach_short_circuit_and_channel_filter_match_the_reference() {
+    let reach = world_with(&[Point::new(0.0, 0.0)], 13)
+        .audible_reach_m(SimTime::ZERO)
+        .expect("default loss model is isotropic");
+    let channel_pairs = [
+        (1u8, 1u8),
+        (1, 3),
+        (3, 6),
+        (1, 6),
+        (6, 11),
+        (1, 11),
+        (11, 11),
+    ];
+    let gaps = [reach, reach - 1e-9, reach + 1e-9];
+    let mut positions = Vec::new();
+    let mut channels = Vec::new();
+    for (row, &(a, b)) in channel_pairs.iter().enumerate() {
+        for (col, &gap) in gaps.iter().enumerate() {
+            // Rows and columns 10 reaches apart never couple with each
+            // other; within a pair the distance is exactly `gap`.
+            let x0 = 10.0 * reach * col as f64;
+            let y = 10.0 * reach * row as f64;
+            positions.push(Point::new(x0, y));
+            positions.push(Point::new(x0 + gap, y));
+            channels.extend([a, b]);
+        }
+    }
+    let mut world = world_with(&positions, 13);
+    for (id, &ch) in channels.iter().enumerate() {
+        world.set_channel(id, ch);
+    }
+    for range in [Some(0.0), Some(reach / 2.0), None] {
+        let grid = world.shard_plan(SimTime::ZERO, range);
+        let reference = reference_shard_plan(&world, SimTime::ZERO, range);
+        assert_eq!(
+            grid.shard_of, reference.shard_of,
+            "range {range:?}: planners disagree on the partition"
+        );
+        assert!(world.shard_plan_incoherence(&grid, SimTime::ZERO).is_none());
+        assert!(reference_shard_plan_incoherence(&world, &grid, SimTime::ZERO).is_none());
+
+        let singletons = ShardPlan {
+            shard_of: (0..positions.len()).collect(),
+            shards: (0..positions.len()).map(|i| vec![i]).collect(),
+            max_interference_range_m: grid.max_interference_range_m,
+        };
+        let verdict = world.shard_plan_incoherence(&singletons, SimTime::ZERO);
+        assert_eq!(
+            verdict,
+            reference_shard_plan_incoherence(&world, &singletons, SimTime::ZERO),
+            "range {range:?}: validators disagree on the witness"
+        );
+        assert!(verdict.is_some(), "range {range:?}: some pair couples");
+        if range.is_some() {
+            // Only the pairs a nanometre inside the reach on
+            // overlapping channels couple: (1,1), (1,3), (3,6), (11,11).
+            assert_eq!(grid.shard_count(), positions.len() - 4, "range {range:?}");
+        }
     }
 }

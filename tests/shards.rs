@@ -17,7 +17,9 @@ use wireless_networks::check::{
     reference_shard_plan, reference_shard_plan_incoherence, run_components_sliced,
 };
 use wireless_networks::mac80211::addr::MacAddr;
-use wireless_networks::mac80211::shard::{component_seed, run_components, ShardIncoherence};
+use wireless_networks::mac80211::shard::{
+    component_seed, run_components, ShardIncoherence, ShardPlan,
+};
 use wireless_networks::mac80211::sim::{boot, inject_at, MacConfig, NullUpper, WlanWorld};
 use wireless_networks::phy::geom::Point;
 use wireless_networks::phy::modulation::PhyStandard;
@@ -177,6 +179,73 @@ fn stale_plans_are_caught_by_the_coherence_check() {
         }
         other => panic!("expected StationCountChanged, got {other:?}"),
     }
+}
+
+/// The validator's witness is the one the exhaustive reference
+/// reports: the lexicographically smallest coupled pair straddling
+/// shards. Four islands on channels 1, 6, 1, 6 are planned 800 m
+/// apart (four shards), with station ids interleaved across islands
+/// so id order and cell order disagree. Then each channel-1 and
+/// channel-6 island gets its co-channel partner walked next to it, so
+/// many coupled pairs straddle shards at once. At every coupling range
+/// the grid validator must return exactly the reference's witness.
+#[test]
+fn stale_plan_witness_matches_the_reference() {
+    let islands = [
+        (Point::new(0.0, 0.0), 1u8),
+        (Point::new(800.0, 0.0), 6),
+        (Point::new(0.0, 800.0), 1),
+        (Point::new(800.0, 800.0), 6),
+    ];
+    let mut cfg = MacConfig::new(PhyStandard::Dot11g);
+    cfg.seed = 21;
+    let mut w = WlanWorld::new(cfg);
+    let ring = |centre: Point, k: usize| {
+        let a = k as f64 * 0.7;
+        Point::new(centre.x + 6.0 * a.cos(), centre.y + 6.0 * a.sin())
+    };
+    for g in 0..20usize {
+        let (centre, ch) = islands[g % 4];
+        w.add_station(
+            MacAddr::station(g as u32),
+            ring(centre, g / 4),
+            Box::new(NullUpper),
+        );
+        w.set_channel(g, ch);
+    }
+    for range in [Some(0.0), Some(40.0), Some(250.0)] {
+        let plan = w.shard_plan(SimTime::ZERO, range);
+        assert_eq!(plan.shard_count(), 4, "range {range:?}");
+        assert!(w.shard_plan_incoherence(&plan, SimTime::ZERO).is_none());
+    }
+    let plan = w.shard_plan(SimTime::ZERO, Some(250.0));
+    // Islands 2 and 3 walk to 25 m beside islands 0 and 1.
+    for g in (0..20usize).filter(|g| g % 4 >= 2) {
+        let (centre, _) = islands[g % 4 - 2];
+        let beside = Point::new(centre.x + 25.0, centre.y);
+        w.set_position(g, ring(beside, g / 4), SimTime::ZERO);
+    }
+    for range in [Some(0.0), Some(40.0), Some(250.0)] {
+        let stale = ShardPlan {
+            max_interference_range_m: range.unwrap(),
+            ..plan.clone()
+        };
+        let got = w.shard_plan_incoherence(&stale, SimTime::ZERO);
+        let want = reference_shard_plan_incoherence(&w, &stale, SimTime::ZERO);
+        assert!(
+            matches!(want, Some(ShardIncoherence::CoupledAcrossShards { .. })),
+            "range {range:?}: the walk must couple across shards, got {want:?}"
+        );
+        assert_eq!(got, want, "range {range:?}: witnesses differ");
+    }
+    assert_eq!(
+        w.shard_plan_incoherence(&plan, SimTime::ZERO),
+        Some(ShardIncoherence::CoupledAcrossShards {
+            a: 0,
+            b: 2,
+            dist_m: w.position(0).distance_to(w.position(2)),
+        })
+    );
 }
 
 /// Builds one saturated component cell for the executor tests: a sink
