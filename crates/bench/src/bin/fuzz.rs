@@ -4,9 +4,11 @@
 //!
 //! Each seed maps to one generated scenario (`wn-check`'s
 //! `ScenarioGen`), runs it through the engines single-threaded, and
-//! checks the typed trace against every invariant oracle. Seeds are
-//! independent, so ranges fan out across workers with identical
-//! results for any worker count.
+//! checks the typed trace against every invariant oracle — including
+//! `scheduler-order`, which replays the run's recorded scheduler op
+//! stream through a reference binary heap and demands the timer
+//! wheel's exact pop order. Seeds are independent, so ranges fan out
+//! across workers with identical results for any worker count.
 //!
 //! Flags:
 //! - `--seeds N` — fuzz seeds `start..start+N` (default 500).
@@ -17,13 +19,6 @@
 //!   repro before exiting.
 //! - `--threads T` — worker count for range runs (default: `WN_THREADS`
 //!   env var, else detected parallelism).
-//! - `--scheduler heap|wheel` — back end for the single-scheduler
-//!   modes (default: the engine default, currently the timer wheel;
-//!   `heap` selects the reference binary heap). Ignored by `--dual`,
-//!   which always runs both.
-//! - `--dual` — differential scheduler mode: replay every seed through
-//!   both the binary-heap and timer-wheel back ends and fail unless
-//!   the trace and metrics fingerprints are byte-identical.
 //! - `--propagation-diff` — differential propagation mode: replay
 //!   every seed on the cached path (grid-backed sparse rows under the
 //!   static log-distance model) and on the direct path (the same loss
@@ -45,10 +40,10 @@
 //!   Non-medium kinds (Bluetooth/ZigBee/WiMAX) are skipped.
 //! - `--qos` — the EDCA/A-MPDU corpus (DESIGN.md §16): every seed maps
 //!   to a QoS WLAN world (mixed-AC traffic, aggregation on/off, OBSS
-//!   twin cells), each run oracle-checked through both scheduler back
-//!   ends, the cached and direct propagation paths, and the shard
-//!   differential,
-//!   demanding byte-identical fingerprints throughout. The leg then
+//!   twin cells), each run oracle-checked (the scheduler-order oracle
+//!   included) and replayed through the cached and direct propagation
+//!   paths and the shard differential, demanding byte-identical
+//!   fingerprints throughout. The leg then
 //!   runs two gates: the AIFSN-swap fail-point self-test (the planted
 //!   AC_VO/AC_BK parameter swap must be caught by the
 //!   priority-inversion oracle and shrunk to a small repro) and the
@@ -60,7 +55,7 @@
 //! one-line repro command, and exits 1.
 
 use wn_check::{
-    check_range_gen, check_range_with, check_seed_with, range_digest, reference_shard_plan,
+    check_range, check_range_gen, check_seed, range_digest, reference_shard_plan,
     reference_shard_plan_incoherence, repro_command, run, shard_diff_range, shard_diff_range_gen,
     shard_diff_seed, shrink, station_count, Propagation, ScenarioGen, ShardDiffReport,
     SHARD_WORKER_COUNTS,
@@ -68,7 +63,7 @@ use wn_check::{
 use wn_core::scenarios::{city_dcf_run, metro_dcf_planning_world, CITY_DCF_RANGE_M};
 use wn_phy::geom::Point;
 use wn_sim::stats::fnv1a;
-use wn_sim::{worker_count, SchedulerKind, SimTime};
+use wn_sim::{worker_count, SimTime};
 
 /// FNV-1a of `range_digest(0, 200, _)` over the classic corpus as
 /// recorded *before* the QoS machinery landed. The `--qos` leg
@@ -84,11 +79,9 @@ struct Options {
     single: Option<u64>,
     shrink: bool,
     threads: usize,
-    dual: bool,
     propagation_diff: bool,
     shard_diff: bool,
     qos: bool,
-    scheduler: SchedulerKind,
 }
 
 fn parse(args: &[String]) -> Result<Options, String> {
@@ -98,11 +91,9 @@ fn parse(args: &[String]) -> Result<Options, String> {
         single: None,
         shrink: false,
         threads: worker_count(),
-        dual: false,
         propagation_diff: false,
         shard_diff: false,
         qos: false,
-        scheduler: SchedulerKind::default(),
     };
     let mut i = 0;
     while i < args.len() {
@@ -132,14 +123,9 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 );
             }
             "--shrink" => opts.shrink = true,
-            "--dual" => opts.dual = true,
             "--propagation-diff" => opts.propagation_diff = true,
             "--shard-diff" => opts.shard_diff = true,
             "--qos" => opts.qos = true,
-            "--scheduler" => {
-                i += 1;
-                opts.scheduler = need(i)?.parse::<SchedulerKind>()?;
-            }
             "--threads" => {
                 i += 1;
                 opts.threads = need(i)?
@@ -196,46 +182,6 @@ fn report_failure_gen(
     }
 }
 
-/// Differential scheduler mode: the same seed range through both
-/// queue back ends, seed by seed, demanding identical fingerprints.
-/// Returns the number of disagreeing or violating seeds.
-fn run_dual(opts: &Options) -> u64 {
-    let (start, count) = match opts.single {
-        Some(seed) => (seed, 1),
-        None => (opts.start, opts.count),
-    };
-    let t0 = std::time::Instant::now();
-    let heap = check_range_with(start, count, opts.threads, SchedulerKind::BinaryHeap);
-    let wheel = check_range_with(start, count, opts.threads, SchedulerKind::TimerWheel);
-    let mut failures = 0u64;
-    for (h, w) in heap.iter().zip(&wheel) {
-        let agree =
-            h.events == w.events && h.trace_fnv == w.trace_fnv && h.metrics_fnv == w.metrics_fnv;
-        if !agree {
-            failures += 1;
-            println!(
-                "seed {}: SCHEDULER DIVERGENCE  {}\n  heap:  events={} trace_fnv={:016x} metrics_fnv={:016x}\n  wheel: events={} trace_fnv={:016x} metrics_fnv={:016x}",
-                h.seed, h.summary, h.events, h.trace_fnv, h.metrics_fnv, w.events, w.trace_fnv, w.metrics_fnv
-            );
-            println!("  repro: {} --dual", repro_command(h.seed));
-        }
-        if !h.violations.is_empty() {
-            failures += 1;
-            report_failure(h.seed, &h.summary, &h.violations, opts.shrink);
-        }
-    }
-    println!(
-        "dual-scheduler fuzz: {} seeds ({}..{}) x {{heap, wheel}} on {} workers in {:.2}s: {} failing",
-        count,
-        start,
-        start + count,
-        opts.threads,
-        t0.elapsed().as_secs_f64(),
-        failures
-    );
-    failures
-}
-
 /// Differential propagation mode: the same seed range on the cached
 /// and direct paths, seed by seed, demanding identical fingerprints,
 /// plus a fixed multi-cell CITY-DCF planning world compared
@@ -248,9 +194,8 @@ fn run_propagation_diff(opts: &Options) -> u64 {
     };
     let t0 = std::time::Instant::now();
     let gen = ScenarioGen::default();
-    let kind = opts.scheduler;
-    let cached = check_range_gen(gen, start, count, opts.threads, kind, Propagation::Cached);
-    let direct = check_range_gen(gen, start, count, opts.threads, kind, Propagation::Direct);
+    let cached = check_range_gen(gen, start, count, opts.threads, Propagation::Cached);
+    let direct = check_range_gen(gen, start, count, opts.threads, Propagation::Direct);
     let mut failures = 0u64;
     for (c, d) in cached.iter().zip(&direct) {
         let agree =
@@ -320,7 +265,7 @@ fn run_propagation_diff(opts: &Options) -> u64 {
     failures
 }
 
-/// Prints one failing shard differential, dual-style: the sliced
+/// Prints one failing shard differential: the sliced
 /// reference digests against every diverging job run, plus any
 /// partition-soundness failure.
 fn report_shard_divergence(r: &ShardDiffReport) {
@@ -430,10 +375,11 @@ fn run_shard_diff(opts: &Options) -> u64 {
     failures
 }
 
-/// The QoS corpus leg: oracle-checked EDCA/A-MPDU worlds across both
-/// scheduler back ends, the cached and direct propagation paths and
-/// the shard differential, then the AIFSN-swap self-test and the
-/// legacy-equivalence differential. Returns the number of failures.
+/// The QoS corpus leg: oracle-checked EDCA/A-MPDU worlds (the
+/// scheduler-order oracle included), replayed through the cached and
+/// direct propagation paths and the shard differential, then the
+/// AIFSN-swap self-test and the legacy-equivalence differential.
+/// Returns the number of failures.
 fn run_qos(opts: &Options) -> u64 {
     let (start, count) = match opts.single {
         Some(seed) => (seed, 1),
@@ -443,47 +389,18 @@ fn run_qos(opts: &Options) -> u64 {
     let gen = ScenarioGen::with_qos();
     let mut failures = 0u64;
 
-    // Leg 1: oracle sweep through both schedulers, fingerprints equal.
-    let heap = check_range_gen(
-        gen,
-        start,
-        count,
-        opts.threads,
-        SchedulerKind::BinaryHeap,
-        Propagation::Cached,
-    );
-    let wheel = check_range_gen(
-        gen,
-        start,
-        count,
-        opts.threads,
-        SchedulerKind::TimerWheel,
-        Propagation::Cached,
-    );
-    for (h, w) in heap.iter().zip(&wheel) {
-        if h.events != w.events || h.trace_fnv != w.trace_fnv || h.metrics_fnv != w.metrics_fnv {
+    // Leg 1: the oracle sweep, the scheduler-order oracle included.
+    let cached = check_range_gen(gen, start, count, opts.threads, Propagation::Cached);
+    for r in &cached {
+        if !r.violations.is_empty() {
             failures += 1;
-            println!(
-                "seed {}: SCHEDULER DIVERGENCE (qos)  {}\n  heap:  events={} trace_fnv={:016x} metrics_fnv={:016x}\n  wheel: events={} trace_fnv={:016x} metrics_fnv={:016x}",
-                h.seed, h.summary, h.events, h.trace_fnv, h.metrics_fnv, w.events, w.trace_fnv, w.metrics_fnv
-            );
-        }
-        if !h.violations.is_empty() {
-            failures += 1;
-            report_failure_gen(&gen, h.seed, &h.summary, &h.violations, opts.shrink);
+            report_failure_gen(&gen, r.seed, &r.summary, &r.violations, opts.shrink);
         }
     }
 
     // Leg 2: the cached propagation path against the direct one.
-    let direct = check_range_gen(
-        gen,
-        start,
-        count,
-        opts.threads,
-        SchedulerKind::TimerWheel,
-        Propagation::Direct,
-    );
-    for (c, d) in wheel.iter().zip(&direct) {
+    let direct = check_range_gen(gen, start, count, opts.threads, Propagation::Direct);
+    for (c, d) in cached.iter().zip(&direct) {
         if c.events != d.events || c.trace_fnv != d.trace_fnv || c.metrics_fnv != d.metrics_fnv {
             failures += 1;
             println!(
@@ -560,7 +477,7 @@ fn run_qos(opts: &Options) -> u64 {
     }
 
     println!(
-        "qos fuzz: {} seeds ({}..{}) x {{heap, wheel, direct, shard jobs}} + aifsn-swap self-test + {}-seed legacy digest on {} workers in {:.2}s: {} failing ({} multi-shard)",
+        "qos fuzz: {} seeds ({}..{}) x {{cached, direct, shard jobs}} + aifsn-swap self-test + {}-seed legacy digest on {} workers in {:.2}s: {} failing ({} multi-shard)",
         count,
         start,
         start + count,
@@ -583,12 +500,6 @@ fn main() {
         }
     };
 
-    if opts.dual {
-        if run_dual(&opts) > 0 {
-            std::process::exit(1);
-        }
-        return;
-    }
     if opts.propagation_diff {
         if run_propagation_diff(&opts) > 0 {
             std::process::exit(1);
@@ -612,7 +523,7 @@ fn main() {
     let mut failures = 0u64;
 
     if let Some(seed) = opts.single {
-        let r = check_seed_with(seed, opts.scheduler);
+        let r = check_seed(seed);
         if r.violations.is_empty() {
             println!("seed {seed}: ok  {} ({} events)", r.summary, r.events);
         } else {
@@ -620,7 +531,7 @@ fn main() {
             report_failure(seed, &r.summary, &r.violations, opts.shrink);
         }
     } else {
-        let reports = check_range_with(opts.start, opts.count, opts.threads, opts.scheduler);
+        let reports = check_range(opts.start, opts.count, opts.threads);
         let total = reports.len();
         for r in &reports {
             if !r.violations.is_empty() {

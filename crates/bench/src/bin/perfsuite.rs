@@ -22,11 +22,12 @@
 //! the SCALE-DCF saturation workload: `neighbors` times the cached
 //! propagation path against the direct O(n) fan-out at 100 and 1000
 //! stations — the direct side is the same log-distance loss declared
-//! time-varying, and digests must match bit-for-bit — and `scheduler` races
-//! the two queue back ends — the full simulation through each queue,
-//! plus the recorded push/pop op stream of that run replayed
-//! payload-free through each queue (the isolated queue-cost
-//! comparison, since the full run is dominated by MAC/PHY compute).
+//! time-varying, and digests must match bit-for-bit — and `scheduler` times
+//! the timer wheel — the full simulation, plus the recorded push/pop
+//! op stream of that run replayed payload-free (the isolated queue
+//! cost, since the full run is dominated by MAC/PHY compute). The
+//! replay's pop order must equal `wn-check`'s reference heap replay,
+//! which runs untimed.
 //!
 //! A `shards` section times the CITY-DCF flagship city (one
 //! interference shard per BSS, each shard an independent job) at 1
@@ -56,7 +57,9 @@
 
 use std::time::Instant;
 
-use wn_check::{reference_shard_plan, reference_shard_plan_incoherence, Propagation};
+use wn_check::{
+    reference_replay_ops, reference_shard_plan, reference_shard_plan_incoherence, Propagation,
+};
 use wn_core::runner;
 use wn_core::scenarios::{
     city_dcf_run, city_dcf_size, dense_obss_point_opts, metro_dcf_planning_world, metro_dcf_sweep,
@@ -272,12 +275,11 @@ fn tracing_overhead_section() -> String {
     const DURATION_MS: u64 = 200;
     const SEED: u64 = 42;
     const PAIRS: usize = 3;
-    let kind = SchedulerKind::TimerWheel;
 
     let timed = |on: bool| {
         set_observability(on);
         let t0 = Instant::now();
-        let p = scale_dcf_point(STATIONS, DURATION_MS, SEED, kind);
+        let p = scale_dcf_point(STATIONS, DURATION_MS, SEED);
         let wall = t0.elapsed().as_secs_f64();
         set_observability(true);
         (wall, p)
@@ -314,8 +316,7 @@ fn tracing_overhead_section() -> String {
             .join(", ")
     };
     format!(
-        "  \"tracing_overhead\": {{\n    \"workload\": \"SCALE-DCF stations={STATIONS} duration_ms={DURATION_MS} seed={SEED}, {} scheduler, observability on vs off in {PAIRS} pairs (alternating which goes first) after one warm-up run\",\n    \"on_wall_s\": [{}],\n    \"off_wall_s\": [{}],\n    \"median\": {:.3},\n    \"min\": {:.3},\n    \"max\": {:.3}\n  }}\n",
-        kind.label(),
+        "  \"tracing_overhead\": {{\n    \"workload\": \"SCALE-DCF stations={STATIONS} duration_ms={DURATION_MS} seed={SEED}, observability on vs off in {PAIRS} pairs (alternating which goes first) after one warm-up run\",\n    \"on_wall_s\": [{}],\n    \"off_wall_s\": [{}],\n    \"median\": {:.3},\n    \"min\": {:.3},\n    \"max\": {:.3}\n  }}\n",
         list(|p| p.0),
         list(|p| p.1),
         overheads[PAIRS / 2],
@@ -324,137 +325,64 @@ fn tracing_overhead_section() -> String {
     )
 }
 
-/// Benchmarks both scheduler back ends on the SCALE-DCF 1000-station
-/// workload and returns the `"scheduler"` JSON object (indented two
-/// spaces, trailing newline). Panics on any digest disagreement.
+/// Times the timer wheel on the SCALE-DCF 1000-station workload and
+/// returns the `"scheduler"` JSON object (indented two spaces, trailing
+/// newline): the full simulation, and the run's recorded op stream
+/// replayed payload-free through the wheel. Panics unless the replay
+/// pops every delivered event in `wn-check`'s reference heap order
+/// (the reference replay is not timed).
 fn scheduler_section() -> String {
     const STATIONS: usize = 1000;
     const DURATION_MS: u64 = 200;
     const SEED: u64 = 42;
 
-    // Full simulation through each queue: same events, same metrics
-    // digest, wall-clock mostly MAC/PHY compute.
-    let mut full = Vec::new();
-    for kind in SchedulerKind::ALL {
-        eprintln!(
-            "perfsuite: SCALE-DCF n={STATIONS} dur={DURATION_MS}ms full sim on {}…",
-            kind.label()
-        );
-        let t0 = Instant::now();
-        let p = scale_dcf_point(STATIONS, DURATION_MS, SEED, kind);
-        full.push((kind, t0.elapsed().as_secs_f64(), p));
-    }
-    let (heap_full, wheel_full) = (&full[0], &full[1]);
-    assert_eq!(
-        (heap_full.2.events, heap_full.2.metrics_fnv),
-        (wheel_full.2.events, wheel_full.2.metrics_fnv),
-        "scheduler back ends diverged on the full SCALE-DCF run"
-    );
+    // Full simulation: wall-clock mostly MAC/PHY compute.
+    eprintln!("perfsuite: SCALE-DCF n={STATIONS} dur={DURATION_MS}ms full sim…");
+    let (full, full_s) = timed(|| scale_dcf_point(STATIONS, DURATION_MS, SEED));
+    let full_rate = full.events as f64 / full_s;
 
-    // The isolated queue comparison: record the exact push/pop stream
-    // of the same run, then replay it payload-free through each queue.
+    // The isolated queue cost: record the exact push/pop stream of the
+    // same run, then replay it payload-free.
     let ops = scale_dcf_op_log(STATIONS, DURATION_MS, SEED);
     let pushes = ops.iter().filter(|&&o| o != OP_POP).count();
-    let mut replay = Vec::new();
-    for kind in SchedulerKind::ALL {
-        let t0 = Instant::now();
-        let (pops, fnv) = replay_ops(kind, &ops);
-        let wall = t0.elapsed().as_secs_f64();
-        eprintln!(
-            "perfsuite: op-stream replay on {}: {pops} pops in {wall:.3} s ({:.0} ev/s)",
-            kind.label(),
-            pops as f64 / wall
-        );
-        replay.push((kind, wall, pops, fnv));
-    }
-    assert_eq!(
-        (replay[0].2, replay[0].3),
-        (replay[1].2, replay[1].3),
-        "scheduler back ends popped the op stream in different orders"
-    );
-
-    let full_rate =
-        |p: &(SchedulerKind, f64, wn_core::scenarios::ScaleDcfPoint)| p.2.events as f64 / p.1;
-    let replay_rate = |r: &(SchedulerKind, f64, u64, u64)| r.2 as f64 / r.1;
-    let full_speedup = full_rate(wheel_full) / full_rate(heap_full);
-    let replay_speedup = replay_rate(&replay[1]) / replay_rate(&replay[0]);
+    let ((pops, fnv), replay_s) = timed(|| replay_ops(SchedulerKind::TimerWheel, &ops));
+    let replay_rate = pops as f64 / replay_s;
     eprintln!(
-        "perfsuite: timer wheel vs heap: {full_speedup:.2}x full sim, {replay_speedup:.2}x queue ops"
+        "perfsuite: op-stream replay: {pops} pops in {replay_s:.3} s ({replay_rate:.0} ev/s)"
+    );
+    assert_eq!(
+        pops, full.events,
+        "op-stream replay popped a different event count"
+    );
+    assert_eq!(
+        (pops, fnv),
+        reference_replay_ops(&ops),
+        "timer wheel popped the op stream out of the reference heap's order"
     );
 
     format!(
-        "  \"scheduler\": {{\n    \"workload\": \"SCALE-DCF stations={STATIONS} duration_ms={DURATION_MS} seed={SEED}\",\n    \"full_sim\": {{\n      \"heap\": {{ \"wall_s\": {:.3}, \"events\": {}, \"events_per_s\": {:.0} }},\n      \"wheel\": {{ \"wall_s\": {:.3}, \"events\": {}, \"events_per_s\": {:.0} }},\n      \"metrics_fnv\": \"{:016x}\",\n      \"identical_output\": true,\n      \"wheel_speedup\": {:.2}\n    }},\n    \"queue_op_replay\": {{\n      \"note\": \"recorded push/pop stream of the same run replayed payload-free through each queue\",\n      \"ops\": {},\n      \"pushes\": {pushes},\n      \"heap\": {{ \"wall_s\": {:.3}, \"pops\": {}, \"events_per_s\": {:.0} }},\n      \"wheel\": {{ \"wall_s\": {:.3}, \"pops\": {}, \"events_per_s\": {:.0} }},\n      \"pop_order_fnv\": \"{:016x}\",\n      \"identical_pop_order\": true,\n      \"wheel_speedup\": {:.2}\n    }}\n  }}\n",
-        heap_full.1,
-        heap_full.2.events,
-        full_rate(heap_full),
-        wheel_full.1,
-        wheel_full.2.events,
-        full_rate(wheel_full),
-        heap_full.2.metrics_fnv,
-        full_speedup,
+        "  \"scheduler\": {{\n    \"workload\": \"SCALE-DCF stations={STATIONS} duration_ms={DURATION_MS} seed={SEED}, timer wheel\",\n    \"full_sim\": {{ \"wall_s\": {full_s:.3}, \"events\": {}, \"events_per_s\": {full_rate:.0}, \"metrics_fnv\": \"{:016x}\" }},\n    \"queue_op_replay\": {{\n      \"note\": \"recorded push/pop stream of the same run replayed payload-free; pop order checked against wn-check's reference heap (untimed)\",\n      \"ops\": {},\n      \"pushes\": {pushes},\n      \"wall_s\": {replay_s:.3},\n      \"pops\": {pops},\n      \"events_per_s\": {replay_rate:.0},\n      \"pop_order_fnv\": \"{fnv:016x}\",\n      \"identical_pop_order\": true\n    }}\n  }}\n",
+        full.events,
+        full.metrics_fnv,
         ops.len(),
-        replay[0].1,
-        replay[0].2,
-        replay_rate(&replay[0]),
-        replay[1].1,
-        replay[1].2,
-        replay_rate(&replay[1]),
-        replay[0].3,
-        replay_speedup,
     )
 }
 
-/// Benchmarks the frame-arena hot path: the SCALE-DCF full simulation
-/// on both scheduler back ends, reported against the recorded
-/// `Rc<Frame>` baseline (the representation the arena replaced). The
-/// baseline figures are the `scheduler.full_sim` numbers captured in
-/// `BENCH_campaign.json` on this workload immediately before the
-/// arena/SoA refactor — kept verbatim so the before/after comparison
-/// survives regeneration. Also records how the reception loop settled
-/// its PER decisions. Panics if the back ends disagree on events,
-/// metrics digest or decision counts, or if 10% or more of the
-/// decisions fell through the SINR bound to the exact PER model — a
-/// deterministic guard against a cutoff bug quietly sending every
-/// reception down the slow path.
+/// Benchmarks the frame-arena hot path — the SCALE-DCF full simulation
+/// — and records how the reception loop settled its PER decisions.
+/// Panics if 10% or more of the decisions fell through the SINR bound
+/// to the exact PER model — a deterministic guard against a cutoff bug
+/// quietly sending every reception down the slow path.
 fn arena_section() -> String {
     const STATIONS: usize = 1000;
     const DURATION_MS: u64 = 200;
     const SEED: u64 = 42;
-    // Pre-arena (Rc<Frame>, AoS station structs) events/s on this
-    // machine class, from the PR5 BENCH_campaign.json.
-    const BASELINE_HEAP_EV_S: f64 = 650_891.0;
-    const BASELINE_WHEEL_EV_S: f64 = 801_143.0;
 
-    let mut runs = Vec::new();
-    for kind in SchedulerKind::ALL {
-        eprintln!(
-            "perfsuite: arena SCALE-DCF n={STATIONS} dur={DURATION_MS}ms on {}…",
-            kind.label()
-        );
-        let t0 = Instant::now();
-        let p = scale_dcf_point(STATIONS, DURATION_MS, SEED, kind);
-        let wall = t0.elapsed().as_secs_f64();
-        eprintln!(
-            "perfsuite: arena on {}: {wall:.3} s ({:.0} ev/s)",
-            kind.label(),
-            p.events as f64 / wall
-        );
-        runs.push((kind, wall, p));
-    }
-    assert_eq!(
-        (
-            runs[0].2.events,
-            runs[0].2.metrics_fnv,
-            runs[0].2.per_decisions
-        ),
-        (
-            runs[1].2.events,
-            runs[1].2.metrics_fnv,
-            runs[1].2.per_decisions
-        ),
-        "scheduler back ends diverged on the arena workload"
-    );
-    let per = runs[0].2.per_decisions;
+    eprintln!("perfsuite: arena SCALE-DCF n={STATIONS} dur={DURATION_MS}ms…");
+    let (p, wall) = timed(|| scale_dcf_point(STATIONS, DURATION_MS, SEED));
+    let rate = p.events as f64 / wall;
+    eprintln!("perfsuite: arena: {wall:.3} s ({rate:.0} ev/s)");
+    let per = p.per_decisions;
     let decisions = per.settled + per.exact;
     eprintln!(
         "perfsuite: arena PER decisions: {} settled by the SINR bound, {} exact",
@@ -465,25 +393,13 @@ fn arena_section() -> String {
         "{} of {decisions} PER decisions took the exact path (must be under 10%)",
         per.exact
     );
-    let heap_rate = runs[0].2.events as f64 / runs[0].1;
-    let wheel_rate = runs[1].2.events as f64 / runs[1].1;
-    eprintln!(
-        "perfsuite: arena vs Rc<Frame> baseline: {:.2}x heap, {:.2}x wheel",
-        heap_rate / BASELINE_HEAP_EV_S,
-        wheel_rate / BASELINE_WHEEL_EV_S
-    );
 
     format!(
-        "  \"arena\": {{\n    \"workload\": \"SCALE-DCF stations={STATIONS} duration_ms={DURATION_MS} seed={SEED}, frame arena + SoA DCF state\",\n    \"before\": {{\n      \"note\": \"Rc<Frame> + AoS station structs, recorded before the arena refactor\",\n      \"heap_events_per_s\": {BASELINE_HEAP_EV_S:.0},\n      \"wheel_events_per_s\": {BASELINE_WHEEL_EV_S:.0}\n    }},\n    \"after\": {{\n      \"heap\": {{ \"wall_s\": {:.3}, \"events\": {}, \"events_per_s\": {heap_rate:.0} }},\n      \"wheel\": {{ \"wall_s\": {:.3}, \"events\": {}, \"events_per_s\": {wheel_rate:.0} }},\n      \"metrics_fnv\": \"{:016x}\",\n      \"identical_output\": true\n    }},\n    \"per_decisions\": {{ \"settled\": {}, \"exact\": {} }},\n    \"speedup_vs_baseline\": {{ \"heap\": {:.2}, \"wheel\": {:.2} }}\n  }}\n",
-        runs[0].1,
-        runs[0].2.events,
-        runs[1].1,
-        runs[1].2.events,
-        runs[0].2.metrics_fnv,
+        "  \"arena\": {{\n    \"workload\": \"SCALE-DCF stations={STATIONS} duration_ms={DURATION_MS} seed={SEED}, frame arena + SoA DCF state, timer wheel\",\n    \"wall_s\": {wall:.3},\n    \"events\": {},\n    \"events_per_s\": {rate:.0},\n    \"metrics_fnv\": \"{:016x}\",\n    \"per_decisions\": {{ \"settled\": {}, \"exact\": {} }}\n  }}\n",
+        p.events,
+        p.metrics_fnv,
         per.settled,
         per.exact,
-        heap_rate / BASELINE_HEAP_EV_S,
-        wheel_rate / BASELINE_WHEEL_EV_S,
     )
 }
 
@@ -644,7 +560,7 @@ fn neighbors_section() -> String {
             eprintln!("perfsuite: SCALE-DCF n={stations} dur={DURATION_MS}ms {label} propagation…");
             let t0 = Instant::now();
             let end = SimTime::from_millis(DURATION_MS);
-            let mut sim = scale_dcf_sim(stations, DURATION_MS, SEED, SchedulerKind::BinaryHeap);
+            let mut sim = scale_dcf_sim(stations, DURATION_MS, SEED, SchedulerKind::TimerWheel);
             prop.install(sim.world_mut());
             sim.run_until(end);
             let snap = sim.world().metrics_snapshot(end);
@@ -669,7 +585,7 @@ fn neighbors_section() -> String {
     }
 
     let mut out = format!(
-        "  \"neighbors\": {{\n    \"workload\": \"SCALE-DCF duration_ms={DURATION_MS} seed={SEED}, binary-heap scheduler, cached vs direct propagation\",\n"
+        "  \"neighbors\": {{\n    \"workload\": \"SCALE-DCF duration_ms={DURATION_MS} seed={SEED}, cached vs direct propagation\",\n"
     );
     for (i, (stations, cached_s, direct_s, (events, metrics_fnv), speedup)) in
         rows.iter().enumerate()

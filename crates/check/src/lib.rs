@@ -13,7 +13,8 @@
 //! - [`oracle::oracles`] is the pluggable invariant set checked
 //!   against those artifacts — NAV respected, retry limits honoured,
 //!   frame conservation, no duplicate delivery, legal state-machine
-//!   transitions, DCF fairness, and per-world conservation ledgers.
+//!   transitions, DCF fairness, per-world conservation ledgers, and
+//!   the scheduler's pop order against a reference heap.
 //! - [`shrink::shrink`] minimises a failing scenario (halve stations,
 //!   traffic and duration while the violation reproduces).
 //!
@@ -21,17 +22,17 @@
 //! failing seed replays byte-for-byte: the `fuzz` binary in `wn-bench`
 //! prints `fuzz --seed N --shrink` as the one-line repro command.
 //!
-//! Every run can also execute on either scheduler back end
-//! ([`run::run_scenario_with`]): the differential mode (`fuzz --dual`)
-//! replays each seed through the binary heap and the timer wheel and
-//! demands identical trace and metrics fingerprints, which is how the
-//! wheel earns the right to be swapped in under big campaigns.
+//! Every run records its scheduler op stream, and the
+//! `scheduler-order` oracle replays it through [`queue`]'s reference
+//! binary heap: the timer wheel that drives every run must pop it in
+//! exactly the heap's order.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod oracle;
 pub mod plan;
+pub mod queue;
 pub mod run;
 pub mod scenario;
 pub mod shard;
@@ -39,10 +40,10 @@ pub mod shrink;
 
 pub use oracle::{oracles, Invariant, Violation};
 pub use plan::{reference_shard_plan, reference_shard_plan_incoherence};
+pub use queue::reference_replay_ops;
 pub use run::{
-    check_range, check_range_gen, check_range_with, check_seed, check_seed_gen, check_seed_with,
-    range_digest, range_digest_with, run_oracles, run_scenario, run_scenario_with, Propagation,
-    SeedReport,
+    check_range, check_range_gen, check_seed, check_seed_gen, range_digest, run_oracles,
+    run_scenario, Propagation, SeedReport,
 };
 pub use scenario::{Scenario, ScenarioGen, ScenarioKind};
 pub use shard::{

@@ -10,9 +10,11 @@
 
 use std::collections::HashMap;
 
+use crate::queue::reference_replay_ops;
 use crate::run::Artifacts;
 use wn_net80211::ap::MAX_AID;
 use wn_sim::trace::{DropReason, FrameKind, TraceEvent};
+use wn_sim::{replay_ops, SchedulerKind};
 
 /// One oracle failure, tied to the oracle that raised it.
 #[derive(Clone, Debug)]
@@ -56,6 +58,7 @@ pub fn oracles() -> Vec<Box<dyn Invariant>> {
         Box::new(GridCoherence),
         Box::new(BlockAckConservation),
         Box::new(EdcaPriorityInversion),
+        Box::new(SchedulerOrder),
     ]
 }
 
@@ -854,5 +857,76 @@ impl Invariant for WmanGrantConservation {
             }
         }
         out
+    }
+}
+
+/// The timer wheel drains the run's recorded op stream in exactly the
+/// order of the reference binary heap ([`crate::queue`]): the same
+/// number of pops and the same pop-order FNV.
+pub struct SchedulerOrder;
+
+impl Invariant for SchedulerOrder {
+    fn name(&self) -> &'static str {
+        "scheduler-order"
+    }
+
+    fn check(&self, art: &Artifacts) -> Vec<Violation> {
+        let popped = replay_ops(SchedulerKind::TimerWheel, &art.ops);
+        scheduler_order_violation(&art.ops, popped)
+            .into_iter()
+            .collect()
+    }
+}
+
+/// Compares a queue's `(pops, pop-order FNV)` over `ops` with the
+/// reference heap's; `Some` names both when they differ.
+fn scheduler_order_violation(ops: &[u128], popped: (u64, u64)) -> Option<Violation> {
+    let reference = reference_replay_ops(ops);
+    (popped != reference).then(|| {
+        v(
+            SchedulerOrder.name(),
+            format!(
+                "over {} ops the wheel popped {} events (pop-order fnv {:016x}), \
+                 the reference heap {} ({:016x})",
+                ops.len(),
+                popped.0,
+                popped.1,
+                reference.0,
+                reference.1
+            ),
+        )
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wn_sim::stats::FNV1A_OFFSET;
+    use wn_sim::{event_key, pop_order_fnv, SimTime, OP_POP};
+
+    /// The oracle can fail: a pop stream that differs from the
+    /// reference only in the order of two same-instant keys — a broken
+    /// FIFO tie — is reported, while the reference order itself is not.
+    #[test]
+    fn swapped_fifo_tie_is_a_scheduler_order_violation() {
+        let t = SimTime::from_micros(9);
+        let (early, first, second) = (
+            event_key(SimTime::from_micros(2), 2),
+            event_key(t, 0),
+            event_key(t, 1),
+        );
+        let ops = [first, second, early, OP_POP, OP_POP, OP_POP];
+        let digest = |keys: &[u128]| {
+            let fnv = keys.iter().fold(FNV1A_OFFSET, |h, &k| pop_order_fnv(h, k));
+            (keys.len() as u64, fnv)
+        };
+
+        assert!(scheduler_order_violation(&ops, digest(&[early, first, second])).is_none());
+        assert!(
+            scheduler_order_violation(&ops, replay_ops(SchedulerKind::TimerWheel, &ops)).is_none()
+        );
+        let swapped = scheduler_order_violation(&ops, digest(&[early, second, first]))
+            .expect("a swapped FIFO tie must be reported");
+        assert_eq!(swapped.oracle, "scheduler-order");
     }
 }

@@ -33,7 +33,7 @@ use wn_phy::units::Dbm;
 use wn_sim::par::par_map_with;
 use wn_sim::stats::fnv1a;
 use wn_sim::trace::Trace;
-use wn_sim::{SchedulerKind, SimDuration, SimTime, Simulation};
+use wn_sim::{SimDuration, SimTime, Simulation};
 use wn_wman::link::WimaxLink;
 use wn_wman::scheduler::{boot as wman_boot, BaseStation, ServiceClass, WimaxEvent};
 use wn_wpan::bluetooth::{boot as bt_boot, fig_1_2_scatternet, BtNetwork, DeviceClass};
@@ -135,9 +135,13 @@ pub struct Artifacts {
     /// The world's typed trace, moved out intact.
     pub trace: Trace,
     /// FNV-1a hash of the end-of-run metrics snapshot JSONL — the
-    /// second fingerprint (besides the trace) the differential
-    /// scheduler check compares across back ends.
+    /// second fingerprint (besides the trace) the differential legs
+    /// compare across execution paths.
     pub metrics_fnv: u64,
+    /// The run's scheduler op stream ([`wn_sim::Scheduler::record_ops`])
+    /// — what the `scheduler-order` oracle replays through the
+    /// reference heap.
+    pub ops: Vec<u128>,
     /// Virtual end time.
     pub end: SimTime,
     /// WLAN facts (flat and ESS scenarios).
@@ -182,19 +186,9 @@ impl UpperLayer for CheckUpper {
     }
 }
 
-/// Runs one scenario to completion on the default scheduler back end
-/// and returns its artifacts.
+/// Runs one scenario to completion and returns its artifacts.
 pub fn run_scenario(sc: &Scenario) -> Artifacts {
-    run_scenario_with(sc, SchedulerKind::default())
-}
-
-/// Runs one scenario on an explicit scheduler back end.
-///
-/// Scenario semantics never depend on the back end — this entry point
-/// exists so the differential fuzz mode can replay the same seed
-/// through both queues and demand identical fingerprints.
-pub fn run_scenario_with(sc: &Scenario, kind: SchedulerKind) -> Artifacts {
-    run_scenario_via(sc, kind, Propagation::Cached)
+    run_scenario_via(sc, Propagation::Cached)
 }
 
 /// Which received-power path a WLAN run takes. Both evaluate the
@@ -222,16 +216,15 @@ impl Propagation {
     }
 }
 
-/// Runs one scenario on an explicit scheduler back end and
-/// propagation path. Non-WLAN worlds have no such path; `prop` is
-/// ignored for them.
-fn run_scenario_via(sc: &Scenario, kind: SchedulerKind, prop: Propagation) -> Artifacts {
+/// Runs one scenario on an explicit propagation path. Non-WLAN worlds
+/// have no such path; `prop` is ignored for them.
+fn run_scenario_via(sc: &Scenario, prop: Propagation) -> Artifacts {
     match &sc.kind {
-        ScenarioKind::Wlan(w) => run_wlan(sc.seed, w, kind, prop),
-        ScenarioKind::Ess(e) => run_ess(sc.seed, e, kind, prop),
-        ScenarioKind::Bluetooth(b) => run_bt(b, kind),
-        ScenarioKind::Zigbee(z) => run_zigbee(sc.seed, z, kind),
-        ScenarioKind::Wman(w) => run_wman(w, kind),
+        ScenarioKind::Wlan(w) => run_wlan(sc.seed, w, prop),
+        ScenarioKind::Ess(e) => run_ess(sc.seed, e, prop),
+        ScenarioKind::Bluetooth(b) => run_bt(b),
+        ScenarioKind::Zigbee(z) => run_zigbee(sc.seed, z),
+        ScenarioKind::Wman(w) => run_wman(w),
     }
 }
 
@@ -355,7 +348,7 @@ pub(crate) fn wlan_ac_of(g: usize, k: u64) -> AccessCategory {
     AccessCategory::from_index((g + k as usize) % 4).expect("4 ACs")
 }
 
-fn run_wlan(seed: u64, w: &WlanScenario, kind: SchedulerKind, prop: Propagation) -> Artifacts {
+fn run_wlan(seed: u64, w: &WlanScenario, prop: Propagation) -> Artifacts {
     let delivered = Arc::new(Mutex::new(Vec::new()));
     let mut world = WlanWorld::new(wlan_config(seed, w));
     prop.install(&mut world);
@@ -379,7 +372,8 @@ fn run_wlan(seed: u64, w: &WlanScenario, kind: SchedulerKind, prop: Propagation)
     // shard-coherence oracle.
     let plan = world.shard_plan(SimTime::ZERO, None);
 
-    let mut sim = Simulation::with_scheduler(world, kind);
+    let mut sim = Simulation::new(world);
+    sim.scheduler_mut().record_ops();
     wlan_boot(&mut sim);
     for g in 0..w.total_stations() {
         let Some(sink) = wlan_sink_of(w, g) else {
@@ -409,6 +403,7 @@ fn run_wlan(seed: u64, w: &WlanScenario, kind: SchedulerKind, prop: Propagation)
         grid_coherence.extend(sim.world().grid_incoherence(slice_end));
     }
 
+    let ops = sim.scheduler_mut().take_op_log();
     let mut world = sim.into_world();
     let delivered = std::mem::take(&mut *delivered.lock().expect("delivery log lock"));
     let facts = wlan_facts(
@@ -424,6 +419,7 @@ fn run_wlan(seed: u64, w: &WlanScenario, kind: SchedulerKind, prop: Propagation)
     Artifacts {
         trace: std::mem::take(&mut world.trace),
         metrics_fnv: fnv1a(world.metrics_snapshot(end).to_jsonl("fuzz").as_bytes()),
+        ops,
         end,
         wlan: Some(facts),
         zigbee: None,
@@ -437,18 +433,12 @@ fn run_wlan(seed: u64, w: &WlanScenario, kind: SchedulerKind, prop: Propagation)
 /// harness (an ESS is always a single shard: scanning and roaming
 /// switch channels mid-run, which collapses any static conflict-graph
 /// partition, so the whole ESS advances as one component).
-pub(crate) fn build_ess_sim(
-    seed: u64,
-    e: &EssScenario,
-    kind: SchedulerKind,
-) -> Simulation<WlanWorld> {
+pub(crate) fn build_ess_sim(seed: u64, e: &EssScenario) -> Simulation<WlanWorld> {
     let ssid = Ssid::new("Fuzz").expect("valid ssid");
     let mut mac = MacConfig::new(wn_phy::modulation::PhyStandard::Dot11g);
     mac.seed = seed;
     let channels: Vec<u8> = if e.aps == 2 { vec![1, 6] } else { vec![1] };
-    let mut builder = EssBuilder::new(mac, ssid.clone())
-        .scheduler(kind)
-        .ap(Point::new(0.0, 0.0), 1);
+    let mut builder = EssBuilder::new(mac, ssid.clone()).ap(Point::new(0.0, 0.0), 1);
     if e.aps == 2 {
         builder = builder.ap(Point::new(e.ap_spacing_m, 0.0), 6);
     }
@@ -479,8 +469,11 @@ pub(crate) fn build_ess_sim(
     ess.sim
 }
 
-fn run_ess(seed: u64, e: &EssScenario, kind: SchedulerKind, prop: Propagation) -> Artifacts {
-    let mut sim = build_ess_sim(seed, e, kind);
+fn run_ess(seed: u64, e: &EssScenario, prop: Propagation) -> Artifacts {
+    let mut sim = build_ess_sim(seed, e);
+    // The builder already booted the world and the walk is scheduled;
+    // recording logs those pending events first.
+    sim.scheduler_mut().record_ops();
     prop.install(sim.world_mut());
     // The execution partition of an ESS is the trivial single shard
     // (see `build_ess_sim`); re-validating it at each slice still
@@ -505,6 +498,7 @@ fn run_ess(seed: u64, e: &EssScenario, kind: SchedulerKind, prop: Propagation) -
         grid_coherence.extend(sim.world().grid_incoherence(slice_end));
     }
 
+    let ops = sim.scheduler_mut().take_op_log();
     let mut world = sim.into_world();
     // Channel switching (scanning / roaming) silently clears NAV, so
     // NAV reasoning is unsound here; fairness likewise (uppers differ).
@@ -521,6 +515,7 @@ fn run_ess(seed: u64, e: &EssScenario, kind: SchedulerKind, prop: Propagation) -
     Artifacts {
         trace: std::mem::take(&mut world.trace),
         metrics_fnv: fnv1a(world.metrics_snapshot(end).to_jsonl("fuzz").as_bytes()),
+        ops,
         end,
         wlan: Some(facts),
         zigbee: None,
@@ -529,7 +524,7 @@ fn run_ess(seed: u64, e: &EssScenario, kind: SchedulerKind, prop: Propagation) -
     }
 }
 
-fn run_bt(b: &BtScenario, kind: SchedulerKind) -> Artifacts {
+fn run_bt(b: &BtScenario) -> Artifacts {
     let (mut net, devices) = if b.scatternet {
         let (net, _pa, _pb, _bridge) = fig_1_2_scatternet(b.slaves_a, b.slaves_b);
         let count = b.device_count();
@@ -556,11 +551,13 @@ fn run_bt(b: &BtScenario, kind: SchedulerKind) -> Artifacts {
         }
     }
 
-    let mut sim = Simulation::with_scheduler(net, kind);
+    let mut sim = Simulation::new(net);
+    sim.scheduler_mut().record_ops();
     bt_boot(&mut sim);
     let end = SimTime::from_millis(b.duration_ms);
     sim.run_until(end);
 
+    let ops = sim.scheduler_mut().take_op_log();
     let mut world = sim.into_world();
     let delivered = devices.iter().map(|&d| world.delivered_bytes(d)).sum();
     let facts = BtFacts {
@@ -571,6 +568,7 @@ fn run_bt(b: &BtScenario, kind: SchedulerKind) -> Artifacts {
     Artifacts {
         trace: std::mem::take(&mut world.trace),
         metrics_fnv: fnv1a(world.metrics_snapshot(end).to_jsonl("fuzz").as_bytes()),
+        ops,
         end,
         wlan: None,
         zigbee: None,
@@ -579,7 +577,7 @@ fn run_bt(b: &BtScenario, kind: SchedulerKind) -> Artifacts {
     }
 }
 
-fn run_zigbee(seed: u64, z: &ZigbeeScenario, kind: SchedulerKind) -> Artifacts {
+fn run_zigbee(seed: u64, z: &ZigbeeScenario) -> Artifacts {
     let mut net = match z.topology {
         ZigbeeTopology::Star { n, radius_m } => star(n, radius_m, seed).0,
         ZigbeeTopology::Mesh {
@@ -591,7 +589,8 @@ fn run_zigbee(seed: u64, z: &ZigbeeScenario, kind: SchedulerKind) -> Artifacts {
     net.trace = Trace::new(TRACE_CAPACITY);
     let nodes = z.topology.node_count();
 
-    let mut sim = Simulation::with_scheduler(net, kind);
+    let mut sim = Simulation::new(net);
+    sim.scheduler_mut().record_ops();
     for &(src, dst, bytes, at_ms) in &z.sends {
         if src < nodes && dst < nodes && src != dst {
             sim.scheduler_mut().schedule_at(
@@ -603,6 +602,7 @@ fn run_zigbee(seed: u64, z: &ZigbeeScenario, kind: SchedulerKind) -> Artifacts {
     let end = SimTime::from_millis(z.duration_ms);
     sim.run_until(end);
 
+    let ops = sim.scheduler_mut().take_op_log();
     let mut world = sim.into_world();
     let facts = ZigbeeFacts {
         offered: world.offered(),
@@ -614,6 +614,7 @@ fn run_zigbee(seed: u64, z: &ZigbeeScenario, kind: SchedulerKind) -> Artifacts {
     Artifacts {
         trace: std::mem::take(&mut world.trace),
         metrics_fnv: fnv1a(world.metrics_snapshot(end).to_jsonl("fuzz").as_bytes()),
+        ops,
         end,
         wlan: None,
         zigbee: Some(facts),
@@ -622,7 +623,7 @@ fn run_zigbee(seed: u64, z: &ZigbeeScenario, kind: SchedulerKind) -> Artifacts {
     }
 }
 
-fn run_wman(w: &WmanScenario, kind: SchedulerKind) -> Artifacts {
+fn run_wman(w: &WmanScenario) -> Artifacts {
     const CLASSES: [ServiceClass; 4] = [
         ServiceClass::Ugs,
         ServiceClass::Rtps,
@@ -640,7 +641,8 @@ fn run_wman(w: &WmanScenario, kind: SchedulerKind) -> Artifacts {
         .map(|s| bs.add_subscriber(s.dist_m, s.obstructed, CLASSES[s.class % 4], s.reserved_bps))
         .collect();
 
-    let mut sim = Simulation::with_scheduler(bs, kind);
+    let mut sim = Simulation::new(bs);
+    sim.scheduler_mut().record_ops();
     wman_boot(&mut sim);
     for (spec, id) in w.subs.iter().zip(&admitted) {
         let Some(ss) = *id else { continue };
@@ -666,6 +668,7 @@ fn run_wman(w: &WmanScenario, kind: SchedulerKind) -> Artifacts {
     let end = SimTime::from_millis(w.duration_ms);
     sim.run_until(end);
 
+    let ops = sim.scheduler_mut().take_op_log();
     let mut world = sim.into_world();
     let n = world.subscriber_count();
     let facts = WmanFacts {
@@ -675,6 +678,7 @@ fn run_wman(w: &WmanScenario, kind: SchedulerKind) -> Artifacts {
     Artifacts {
         trace: std::mem::take(&mut world.trace),
         metrics_fnv: fnv1a(world.metrics_snapshot(end).to_jsonl("fuzz").as_bytes()),
+        ops,
         end,
         wlan: None,
         zigbee: None,
@@ -716,31 +720,15 @@ pub struct SeedReport {
 
 /// Generates, runs and checks the scenario for `seed`.
 pub fn check_seed(seed: u64) -> SeedReport {
-    check_seed_with(seed, SchedulerKind::default())
+    check_seed_gen(&ScenarioGen::default(), seed, Propagation::Cached)
 }
 
-/// [`check_seed`] on an explicit scheduler back end.
-pub fn check_seed_with(seed: u64, scheduler: SchedulerKind) -> SeedReport {
-    check_seed_gen(
-        &ScenarioGen::default(),
-        seed,
-        scheduler,
-        Propagation::Cached,
-    )
-}
-
-/// [`check_seed`] under an explicit scenario generator, scheduler back
-/// end and propagation path — how the `--qos` corpus, the
-/// `--propagation-diff` differential and the fail-point self-tests run
-/// seeds.
-pub fn check_seed_gen(
-    gen: &ScenarioGen,
-    seed: u64,
-    scheduler: SchedulerKind,
-    prop: Propagation,
-) -> SeedReport {
+/// [`check_seed`] under an explicit scenario generator and propagation
+/// path — how the `--qos` corpus, the `--propagation-diff`
+/// differential and the fail-point self-tests run seeds.
+pub fn check_seed_gen(gen: &ScenarioGen, seed: u64, prop: Propagation) -> SeedReport {
     let sc = gen.scenario(seed);
-    let art = run_scenario_via(&sc, scheduler, prop);
+    let art = run_scenario_via(&sc, prop);
     let violations = run_oracles(&art);
     SeedReport {
         seed,
@@ -759,22 +747,11 @@ pub fn check_seed_gen(
 /// reports — including every trace fingerprint — are identical for any
 /// `threads` value.
 pub fn check_range(start: u64, count: u64, threads: usize) -> Vec<SeedReport> {
-    check_range_with(start, count, threads, SchedulerKind::default())
-}
-
-/// [`check_range`] on an explicit scheduler back end.
-pub fn check_range_with(
-    start: u64,
-    count: u64,
-    threads: usize,
-    scheduler: SchedulerKind,
-) -> Vec<SeedReport> {
     check_range_gen(
         ScenarioGen::default(),
         start,
         count,
         threads,
-        scheduler,
         Propagation::Cached,
     )
 }
@@ -785,33 +762,18 @@ pub fn check_range_gen(
     start: u64,
     count: u64,
     threads: usize,
-    scheduler: SchedulerKind,
     prop: Propagation,
 ) -> Vec<SeedReport> {
     let seeds: Vec<u64> = (start..start + count).collect();
-    par_map_with(threads, seeds, move |seed| {
-        check_seed_gen(&gen, seed, scheduler, prop)
-    })
+    par_map_with(threads, seeds, move |seed| check_seed_gen(&gen, seed, prop))
 }
 
 /// Byte-stable JSONL digest of a fuzz range, for determinism tests:
 /// one line per seed with kind, event count, violation count and the
 /// trace and metrics fingerprints.
 pub fn range_digest(start: u64, count: u64, threads: usize) -> String {
-    range_digest_with(start, count, threads, SchedulerKind::default())
-}
-
-/// [`range_digest`] on an explicit scheduler back end. The digest
-/// deliberately omits the back-end label: both schedulers must produce
-/// byte-identical output for the same seed range.
-pub fn range_digest_with(
-    start: u64,
-    count: u64,
-    threads: usize,
-    scheduler: SchedulerKind,
-) -> String {
     let mut out = String::new();
-    for r in check_range_with(start, count, threads, scheduler) {
+    for r in check_range(start, count, threads) {
         out.push_str(&format!(
             "{{\"seed\":{},\"kind\":\"{}\",\"events\":{},\"violations\":{},\"trace_fnv\":\"{:016x}\",\"metrics_fnv\":\"{:016x}\"}}\n",
             r.seed,

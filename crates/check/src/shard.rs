@@ -14,9 +14,8 @@
 //!
 //! Traces and metrics are digested in shard order in both modes, and
 //! the digests must be byte-identical — covering worker-count and
-//! slicing invariance at once, the same differential contract `--dual`
-//! enforces across scheduler back ends and `--propagation-diff`
-//! across propagation paths. A single-component plan additionally bridges to
+//! slicing invariance at once, the same differential contract
+//! `--propagation-diff` enforces across propagation paths. A single-component plan additionally bridges to
 //! the classic engine: its composition is the very same construction
 //! `run_scenario` executes, so the digests must equal the classic
 //! fingerprints too (verified by a unit test here).
@@ -37,7 +36,7 @@ use wn_mac80211::sim::{boot as wlan_boot, inject_at, qos_inject_at, WlanWorld};
 use wn_sim::par::par_map_with;
 use wn_sim::stats::{fnv1a_extend, FNV1A_OFFSET};
 use wn_sim::trace::Trace;
-use wn_sim::{SchedulerKind, SimTime, Simulation};
+use wn_sim::{SimTime, Simulation};
 
 /// The worker counts every differential point runs the jobs under —
 /// the "1, 2 and 4 shard configurations" of the contract.
@@ -234,7 +233,7 @@ fn shard_diff_ess(sc: &Scenario, e: &EssScenario) -> ShardDiffReport {
     // degenerates to sliced vs single-run_until over the identical
     // world — the slicing-invariance leg of the contract.
     let (sliced, runs) = sliced_and_runs(1, SimTime::from_secs(e.duration_s), |_k| {
-        build_ess_sim(sc.seed, e, SchedulerKind::default())
+        build_ess_sim(sc.seed, e)
     });
     ShardDiffReport {
         seed: sc.seed,

@@ -14,7 +14,7 @@ use wn_mac80211::frame::{DsBits, Frame, SequenceControl};
 use wn_mac80211::sim::{MacConfig, MacEvent, StationId, UpperCtx, UpperLayer, WlanWorld};
 use wn_phy::geom::Point;
 use wn_phy::units::Dbm;
-use wn_sim::{SchedulerKind, SimDuration, SimTime, Simulation};
+use wn_sim::{SimDuration, SimTime, Simulation};
 
 /// Builds an extended service set: several APs with the same SSID on a
 /// wired distribution system (§3.1: the ESS "appears as a single BSS").
@@ -24,7 +24,6 @@ pub struct EssBuilder {
     aps: Vec<(Point, ApConfig)>,
     stas: Vec<(Point, StaConfig)>,
     wire_latency: SimDuration,
-    scheduler: SchedulerKind,
 }
 
 /// The constructed ESS: world plus handles for observation.
@@ -52,7 +51,6 @@ impl EssBuilder {
             aps: Vec::new(),
             stas: Vec::new(),
             wire_latency: SimDuration::from_micros(100),
-            scheduler: SchedulerKind::BinaryHeap,
         }
     }
 
@@ -99,14 +97,6 @@ impl EssBuilder {
         self
     }
 
-    /// Selects the event-queue back end (binary heap by default).
-    /// Either choice yields bit-identical runs; the timer wheel is the
-    /// faster queue for large station counts.
-    pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
-        self.scheduler = kind;
-        self
-    }
-
     /// Builds and boots the network.
     pub fn build(self) -> Ess {
         let ds = new_ds(self.wire_latency);
@@ -129,7 +119,7 @@ impl EssBuilder {
             sta_ids.push(id);
             sta_shared.push(shared);
         }
-        let mut sim = Simulation::with_scheduler(world, self.scheduler);
+        let mut sim = Simulation::new(world);
         wn_mac80211::sim::boot(&mut sim);
         Ess {
             sim,

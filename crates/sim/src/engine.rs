@@ -8,10 +8,9 @@
 //! order they were scheduled (FIFO), which makes runs fully
 //! deterministic.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
+use crate::stats::{fnv1a_extend, FNV1A_OFFSET};
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::TimerWheel;
 
@@ -33,8 +32,8 @@ pub fn global_events_processed() -> u64 {
 /// The timestamp occupies the high 64 bits and the FIFO sequence number
 /// the low 64, so one integer compare reproduces the lexicographic
 /// `(SimTime, seq)` order exactly — earlier time first, then lower seq.
-/// This halves the comparison work on every heap sift in the engine's
-/// hottest loop.
+/// The timer wheel buckets by the high half and sorts a drained tick by
+/// the whole key.
 #[inline]
 pub fn event_key(at: SimTime, seq: u64) -> u128 {
     ((at.as_nanos() as u128) << 64) | seq as u128
@@ -58,86 +57,16 @@ pub trait World {
     fn handle(&mut self, now: SimTime, event: Self::Event, sched: &mut Scheduler<Self::Event>);
 }
 
-/// A scheduled entry in the event queue.
-struct Scheduled<E> {
-    /// Packed `(time, seq)` ordering key — see [`event_key`].
-    key: u128,
-    event: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-
-impl<E> Eq for Scheduled<E> {}
-
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq)
-        // pops first. The low `seq` bits break ties FIFO for
-        // determinism.
-        other.key.cmp(&self.key)
-    }
-}
-
-/// Which event-queue implementation a [`Scheduler`] drains.
+/// Which event queue a [`Scheduler`] drains.
 ///
-/// Both back ends order events by the same packed [`event_key`], so
-/// any deterministic simulation produces byte-identical traces and
-/// metrics under either — the differential tests in `wn-check` and
-/// `tests/determinism.rs` enforce exactly that. The timer wheel
-/// ([`crate::wheel`]) is the default: it trades comparison sifts for
-/// O(1) bucketing and wins on dense MAC timer workloads with large
-/// pending queues, and a 500-seed dual-scheduler fuzz soak pins it
-/// byte-identical to the heap. The binary heap stays selectable as the
-/// reference implementation (`--scheduler heap` on the CLI tools).
+/// The timer wheel ([`crate::wheel`]) is the only queue. This
+/// one-variant enum survives because the benchmark package names it;
+/// the `kind` parameters that take it are ignored.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
-    /// `std::collections::BinaryHeap` — the reference back end.
-    BinaryHeap,
-    /// Hierarchical timer wheel / calendar queue — the default.
+    /// Hierarchical timer wheel / calendar queue.
     #[default]
     TimerWheel,
-}
-
-impl SchedulerKind {
-    /// Both back ends, reference first — for differential sweeps.
-    pub const ALL: [SchedulerKind; 2] = [SchedulerKind::BinaryHeap, SchedulerKind::TimerWheel];
-
-    /// Short stable label used in reports and CLI flags.
-    pub fn label(self) -> &'static str {
-        match self {
-            SchedulerKind::BinaryHeap => "heap",
-            SchedulerKind::TimerWheel => "wheel",
-        }
-    }
-}
-
-impl std::str::FromStr for SchedulerKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "heap" | "binary-heap" | "binaryheap" => Ok(SchedulerKind::BinaryHeap),
-            "wheel" | "timer-wheel" | "timerwheel" => Ok(SchedulerKind::TimerWheel),
-            other => Err(format!("unknown scheduler kind '{other}' (heap|wheel)")),
-        }
-    }
-}
-
-/// The pluggable queue behind a [`Scheduler`].
-enum Backend<E> {
-    Heap(BinaryHeap<Scheduled<E>>),
-    // Boxed: the wheel's inline slot arrays dwarf the heap variant.
-    Wheel(Box<TimerWheel<E>>),
 }
 
 /// Marks a pop in a recorded scheduler op stream — see
@@ -148,7 +77,8 @@ pub const OP_POP: u128 = u128::MAX;
 
 /// The pending-event queue plus the virtual clock.
 pub struct Scheduler<E> {
-    backend: Backend<E>,
+    // Boxed: the wheel's inline slot arrays are large to move.
+    queue: Box<TimerWheel<E>>,
     now: SimTime,
     next_seq: u64,
     scheduled_total: u64,
@@ -164,19 +94,10 @@ impl<E> Default for Scheduler<E> {
 }
 
 impl<E> Scheduler<E> {
-    /// Creates an empty scheduler at time zero using the default back
-    /// end ([`SchedulerKind::TimerWheel`]).
+    /// Creates an empty scheduler at time zero.
     pub fn new() -> Self {
-        Self::with_kind(SchedulerKind::default())
-    }
-
-    /// Creates an empty scheduler at time zero on the given back end.
-    pub fn with_kind(kind: SchedulerKind) -> Self {
         Scheduler {
-            backend: match kind {
-                SchedulerKind::BinaryHeap => Backend::Heap(BinaryHeap::new()),
-                SchedulerKind::TimerWheel => Backend::Wheel(Box::default()),
-            },
+            queue: Box::default(),
             now: SimTime::ZERO,
             next_seq: 0,
             scheduled_total: 0,
@@ -185,23 +106,20 @@ impl<E> Scheduler<E> {
     }
 
     /// Starts recording the scheduler op stream (pushed keys and pop
-    /// markers). Used by the bench suite to replay a workload's exact
-    /// scheduling behaviour through both back ends in isolation.
+    /// markers). The bench suite replays it to time the queue alone;
+    /// `wn-check` replays it through a reference heap to check the
+    /// wheel's pop order. Events already pending are logged first, as
+    /// pushes in key order, so every pop in the stream has a matching
+    /// push wherever recording starts.
     pub fn record_ops(&mut self) {
-        self.op_log = Some(Vec::new());
+        let mut pending: Vec<u128> = self.queue.keys().collect();
+        pending.sort_unstable();
+        self.op_log = Some(pending);
     }
 
     /// Takes the recorded op stream, leaving recording disabled.
     pub fn take_op_log(&mut self) -> Vec<u128> {
         self.op_log.take().unwrap_or_default()
-    }
-
-    /// Which back end this scheduler drains.
-    pub fn kind(&self) -> SchedulerKind {
-        match self.backend {
-            Backend::Heap(_) => SchedulerKind::BinaryHeap,
-            Backend::Wheel(_) => SchedulerKind::TimerWheel,
-        }
     }
 
     /// The current virtual time.
@@ -211,10 +129,7 @@ impl<E> Scheduler<E> {
 
     /// Number of events currently pending.
     pub fn pending(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(h) => h.len(),
-            Backend::Wheel(w) => w.len(),
-        }
+        self.queue.len()
     }
 
     /// Total number of events ever scheduled (monotone counter).
@@ -242,10 +157,7 @@ impl<E> Scheduler<E> {
         if let Some(log) = &mut self.op_log {
             log.push(key);
         }
-        match &mut self.backend {
-            Backend::Heap(h) => h.push(Scheduled { key, event }),
-            Backend::Wheel(w) => w.push(key, event),
-        }
+        self.queue.push(key, event);
     }
 
     /// Schedules `event` after a relative delay from now.
@@ -262,17 +174,11 @@ impl<E> Scheduler<E> {
 
     /// The timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Heap(h) => h.peek().map(|s| key_time(s.key)),
-            Backend::Wheel(w) => w.peek_key().map(key_time),
-        }
+        self.queue.peek_key().map(key_time)
     }
 
     fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (key, event) = match &mut self.backend {
-            Backend::Heap(h) => h.pop().map(|s| (s.key, s.event))?,
-            Backend::Wheel(w) => w.pop()?,
-        };
+        let (key, event) = self.queue.pop()?;
         if let Some(log) = &mut self.op_log {
             log.push(OP_POP);
         }
@@ -284,41 +190,36 @@ impl<E> Scheduler<E> {
 }
 
 /// Replays a recorded scheduler op stream (see
-/// [`Scheduler::record_ops`]) through the chosen back end with no event
+/// [`Scheduler::record_ops`]) through the timer wheel with no event
 /// payloads and no world, measuring pure queue throughput on the
-/// workload's exact push/pop pattern.
+/// workload's exact push/pop pattern. `_kind` is ignored: the wheel is
+/// the only queue, and the parameter stays for the benchmark package.
 ///
 /// Returns `(pops, fnv)` where `fnv` is the FNV-1a hash of every popped
-/// key in pop order — identical across back ends if and only if they
-/// drain the stream in the same total order.
-pub fn replay_ops(kind: SchedulerKind, ops: &[u128]) -> (u64, u64) {
-    let mut heap: BinaryHeap<std::cmp::Reverse<u128>> = BinaryHeap::new();
+/// key's little-endian bytes in pop order ([`pop_order_fnv`]) — equal
+/// for two queues if and only if they drain the stream in the same
+/// total order.
+pub fn replay_ops(_kind: SchedulerKind, ops: &[u128]) -> (u64, u64) {
     let mut wheel: TimerWheel<()> = TimerWheel::new();
     let mut pops = 0u64;
-    let mut fnv = 0xcbf2_9ce4_8422_2325u64;
-    let mut fold = |key: u128| {
-        for b in key.to_le_bytes() {
-            fnv ^= u64::from(b);
-            fnv = fnv.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut fnv = FNV1A_OFFSET;
     for &op in ops {
         if op == OP_POP {
-            let key = match kind {
-                SchedulerKind::BinaryHeap => heap.pop().map(|r| r.0),
-                SchedulerKind::TimerWheel => wheel.pop().map(|(k, ())| k),
-            };
-            let key = key.expect("op stream pops an empty queue");
-            fold(key);
+            let (key, ()) = wheel.pop().expect("op stream pops an empty queue");
+            fnv = pop_order_fnv(fnv, key);
             pops += 1;
         } else {
-            match kind {
-                SchedulerKind::BinaryHeap => heap.push(std::cmp::Reverse(op)),
-                SchedulerKind::TimerWheel => wheel.push(op, ()),
-            }
+            wheel.push(op, ());
         }
     }
     (pops, fnv)
+}
+
+/// Folds one popped key into a pop-order FNV-1a state (start from
+/// [`FNV1A_OFFSET`]) — the digest [`replay_ops`] returns.
+#[inline]
+pub fn pop_order_fnv(state: u64, key: u128) -> u64 {
+    fnv1a_extend(state, &key.to_le_bytes())
 }
 
 /// A complete simulation: a world plus its scheduler.
@@ -329,19 +230,11 @@ pub struct Simulation<W: World> {
 }
 
 impl<W: World> Simulation<W> {
-    /// Creates a simulation around `world` with an empty event queue on
-    /// the default scheduler ([`SchedulerKind::TimerWheel`]).
+    /// Creates a simulation around `world` with an empty event queue.
     pub fn new(world: W) -> Self {
-        Self::with_scheduler(world, SchedulerKind::default())
-    }
-
-    /// Creates a simulation around `world` draining the given scheduler
-    /// back end. Both kinds deliver identical schedules; see
-    /// [`SchedulerKind`].
-    pub fn with_scheduler(world: W, kind: SchedulerKind) -> Self {
         Simulation {
             world,
-            sched: Scheduler::with_kind(kind),
+            sched: Scheduler::new(),
             processed: 0,
         }
     }
@@ -616,58 +509,94 @@ mod tests {
 
     /// A world whose handler re-schedules pseudo-random follow-ups, so
     /// the delivered sequence exercises interleaved push/pop on the
-    /// queue. Used to compare back ends event-for-event.
+    /// queue. Used to compare the wheel against a reference heap
+    /// event-for-event.
     struct Churn {
         rng: crate::rng::Rng,
         seen: Vec<(SimTime, u32)>,
         budget: u32,
     }
 
+    impl Churn {
+        fn new() -> Self {
+            Churn {
+                rng: crate::rng::Rng::new(0xABBA),
+                seen: Vec::new(),
+                budget: 20_000,
+            }
+        }
+
+        /// Records a delivery and returns the follow-ups it schedules
+        /// as `(delay, tag)`.
+        fn deliver(&mut self, now: SimTime, ev: u32) -> Vec<(SimDuration, u32)> {
+            self.seen.push((now, ev));
+            if self.budget == 0 {
+                return Vec::new();
+            }
+            self.budget -= 1;
+            (0..self.rng.next_u64() % 3)
+                .map(|_| {
+                    // Delays from sub-tick to multi-level: 0 ns .. ~134 ms.
+                    let d = self.rng.next_u64() % (1 << 27);
+                    (SimDuration::from_nanos(d), self.rng.next_u64() as u32)
+                })
+                .collect()
+        }
+    }
+
     impl World for Churn {
         type Event = u32;
         fn handle(&mut self, now: SimTime, ev: u32, s: &mut Scheduler<u32>) {
-            self.seen.push((now, ev));
-            if self.budget == 0 {
-                return;
-            }
-            self.budget -= 1;
-            for _ in 0..(self.rng.next_u64() % 3) {
-                // Delays from sub-tick to multi-level: 0 ns .. ~134 ms.
-                let d = self.rng.next_u64() % (1 << 27);
-                s.schedule_in(SimDuration::from_nanos(d), self.rng.next_u64() as u32);
+            for (delay, tag) in self.deliver(now, ev) {
+                s.schedule_in(delay, tag);
             }
         }
     }
 
-    fn churn_run(kind: SchedulerKind) -> Vec<(SimTime, u32)> {
-        let world = Churn {
-            rng: crate::rng::Rng::new(0xABBA),
-            seen: Vec::new(),
-            budget: 20_000,
-        };
-        let mut sim = Simulation::with_scheduler(world, kind);
-        for i in 0..64u32 {
-            let at = SimTime::from_nanos((i as u64 * 977) % 50_000);
-            sim.scheduler_mut().schedule_at(at, i);
-        }
-        sim.run();
-        sim.into_world().seen
+    /// The churn workload's initial events.
+    fn churn_seeds() -> impl Iterator<Item = (SimTime, u32)> {
+        (0..64u32).map(|i| (SimTime::from_nanos((i as u64 * 977) % 50_000), i))
     }
 
     #[test]
     fn wheel_and_heap_deliver_identical_schedules() {
+        let mut sim = Simulation::new(Churn::new());
+        for (at, tag) in churn_seeds() {
+            sim.scheduler_mut().schedule_at(at, tag);
+        }
+        sim.run();
+
+        // The same workload driven by a binary heap over the packed
+        // keys — the reference order the wheel must reproduce.
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut heap: BinaryHeap<Reverse<(u128, u32)>> = BinaryHeap::new();
+        let mut seq = 0u64;
+        let mut push = |heap: &mut BinaryHeap<_>, at: SimTime, tag: u32| {
+            heap.push(Reverse((event_key(at, seq), tag)));
+            seq += 1;
+        };
+        for (at, tag) in churn_seeds() {
+            push(&mut heap, at, tag);
+        }
+        let mut reference = Churn::new();
+        while let Some(Reverse((key, tag))) = heap.pop() {
+            let now = key_time(key);
+            for (delay, next) in reference.deliver(now, tag) {
+                push(&mut heap, now + delay, next);
+            }
+        }
+        assert!(sim.world().seen.len() > 20_000, "churn workload too small");
         assert_eq!(
-            churn_run(SchedulerKind::BinaryHeap),
-            churn_run(SchedulerKind::TimerWheel),
-            "scheduler back ends diverged on a churn workload"
+            sim.into_world().seen,
+            reference.seen,
+            "timer wheel diverged from the reference heap on a churn workload"
         );
     }
 
     #[test]
     fn wheel_backend_passes_ordering_and_fifo() {
-        let mut sim =
-            Simulation::with_scheduler(Recorder { seen: vec![] }, SchedulerKind::TimerWheel);
-        assert_eq!(sim.scheduler().kind(), SchedulerKind::TimerWheel);
+        let mut sim = Simulation::new(Recorder { seen: vec![] });
         // Same instant: FIFO; distinct instants spanning wheel levels:
         // time order.
         let t = SimTime::from_secs(2);
@@ -688,14 +617,26 @@ mod tests {
     }
 
     #[test]
-    fn kind_parses_and_labels_round_trip() {
-        for kind in SchedulerKind::ALL {
-            assert_eq!(kind.label().parse::<SchedulerKind>().unwrap(), kind);
+    fn op_log_started_mid_run_logs_pending_events_first() {
+        let mut sim = Simulation::new(Recorder { seen: vec![] });
+        for (tag, ms) in [5u64, 1, 3].into_iter().enumerate() {
+            sim.scheduler_mut()
+                .schedule_at(SimTime::from_millis(ms), tag as u32);
         }
-        assert!("calendar".parse::<SchedulerKind>().is_err());
-        // The wheel earned the default via the 500-seed dual soak; the
-        // heap remains the selectable reference back end.
-        assert_eq!(SchedulerKind::default(), SchedulerKind::TimerWheel);
+        sim.step();
+        sim.scheduler_mut().record_ops();
+        sim.scheduler_mut().schedule_at(SimTime::from_millis(4), 9);
+        sim.run();
+        let ops = sim.scheduler_mut().take_op_log();
+        assert_eq!(
+            ops[..3],
+            [
+                event_key(SimTime::from_millis(3), 2),
+                event_key(SimTime::from_millis(5), 0),
+                event_key(SimTime::from_millis(4), 3),
+            ]
+        );
+        assert_eq!(replay_ops(SchedulerKind::TimerWheel, &ops).0, 3);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //!
 //! - [`SimTime`] / [`SimDuration`] — virtual time with nanosecond
 //!   resolution, wide enough (u64 ns ≈ 584 years) for any scenario here.
-//! - [`Scheduler`] / [`Simulation`] — a classic event-queue engine with
-//!   deterministic FIFO tie-breaking for simultaneous events.
+//! - [`Scheduler`] / [`Simulation`] — a classic event-queue engine on a
+//!   hierarchical timer wheel ([`wheel`]), with deterministic FIFO
+//!   tie-breaking for simultaneous events.
 //! - [`rng`] — a from-scratch SplitMix64/xoshiro256** PRNG so that every
 //!   simulation is reproducible from a single seed, independent of
 //!   platform or external crate versions.
@@ -66,8 +67,8 @@ pub mod trace;
 pub mod wheel;
 
 pub use engine::{
-    event_key, global_events_processed, key_time, replay_ops, Scheduler, SchedulerKind, Simulation,
-    World, OP_POP,
+    event_key, global_events_processed, key_time, pop_order_fnv, replay_ops, Scheduler,
+    SchedulerKind, Simulation, World, OP_POP,
 };
 pub use metrics::{MetricKey, MetricRow, MetricsRegistry, MetricsSnapshot};
 pub use par::{par_map, par_map_with, worker_count};

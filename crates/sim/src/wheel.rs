@@ -1,4 +1,5 @@
-//! A hierarchical timer wheel — the calendar-queue scheduler backend.
+//! A hierarchical timer wheel — the calendar queue behind every
+//! [`Scheduler`](crate::engine::Scheduler).
 //!
 //! Dense MAC timer workloads (backoff slots, SIFS/DIFS deadlines, NAV
 //! expiries) schedule almost everything a few microseconds to a few
@@ -10,12 +11,13 @@
 //! so each event is moved O(1) times in the common case and the pop
 //! path is a bitmap scan plus a small sorted drain.
 //!
-//! Ordering is identical to the heap backend by construction: every
-//! entry carries its packed [`event_key`](crate::engine::event_key)
-//! `(time, seq)` key, slots are drained in tick order, and entries
-//! within a drained tick are sorted by the full key. The two backends
-//! therefore produce byte-identical schedules — the differential tests
-//! in `wn-check` and `tests/determinism.rs` hold them to that.
+//! Ordering is identical to a binary heap over the same keys by
+//! construction: every entry carries its packed
+//! [`event_key`](crate::engine::event_key) `(time, seq)` key, slots are
+//! drained in tick order, and entries within a drained tick are sorted
+//! by the full key. `wn-check`'s `scheduler-order` oracle and
+//! `tests/determinism.rs` replay recorded op streams through a
+//! reference heap and hold the wheel to that order.
 
 /// log2 of the slot count per level.
 const SLOT_BITS: u32 = 6;
@@ -33,8 +35,7 @@ const HORIZON_BITS: u32 = LEVELS as u32 * SLOT_BITS;
 
 /// A hierarchical timer wheel ordering events by packed `(time, seq)`
 /// key. See the module docs; use it through
-/// [`Scheduler`](crate::engine::Scheduler) with
-/// [`SchedulerKind::TimerWheel`](crate::engine::SchedulerKind).
+/// [`Scheduler`](crate::engine::Scheduler).
 pub struct TimerWheel<E> {
     /// Current drain position in ticks. Every entry in `slots` /
     /// `overflow` has a tick strictly greater than `pos`; `cur` holds
@@ -85,6 +86,16 @@ impl<E> TimerWheel<E> {
     /// The minimum pending key, if any.
     pub fn peek_key(&self) -> Option<u128> {
         self.cur.last().map(|&(k, _)| k)
+    }
+
+    /// Every pending key, in no particular order.
+    pub(crate) fn keys(&self) -> impl Iterator<Item = u128> + '_ {
+        let slots = self.slots.iter().flatten().flatten();
+        self.cur
+            .iter()
+            .chain(slots)
+            .chain(&self.overflow)
+            .map(|&(k, _)| k)
     }
 
     #[inline]
@@ -444,6 +455,25 @@ mod tests {
             }
             assert!(wheel.is_empty(), "seed {seed}: wheel kept entries");
         }
+    }
+
+    #[test]
+    fn keys_lists_every_pending_entry() {
+        let mut rng = Rng::new(7);
+        let mut wheel = TimerWheel::new();
+        let mut pushed = Vec::new();
+        for seq in 0..300u64 {
+            let k = key(rng.next_u64() % (1 << 50), seq);
+            wheel.push(k, ());
+            pushed.push(k);
+        }
+        pushed.sort_unstable();
+        for _ in 0..100 {
+            wheel.pop();
+        }
+        let mut pending: Vec<u128> = wheel.keys().collect();
+        pending.sort_unstable();
+        assert_eq!(pending, pushed[100..]);
     }
 
     #[test]

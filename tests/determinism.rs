@@ -67,38 +67,39 @@ fn fuzzer_digest_is_byte_identical_across_thread_counts() {
     );
 }
 
-/// Differential scheduler check over the fuzz corpus: every generated
-/// scenario replayed through the timer wheel produces the exact digest
-/// the binary heap produces — per-seed event counts, violation counts,
-/// trace fingerprints and metrics fingerprints all byte-identical.
-/// (CI runs the full 200-seed sweep via `fuzz --dual`; this in-tree
-/// slice keeps the guarantee under plain `cargo test`.)
+/// The scheduler-order oracle over the fuzz corpus: every generated
+/// scenario's recorded op stream pops in the same order through the
+/// timer wheel as through `wn-check`'s reference binary heap. (CI runs
+/// it over 500 seeds in the default `fuzz` leg; this in-tree slice
+/// keeps the guarantee under plain `cargo test`.)
 #[test]
 fn fuzzer_digest_is_identical_across_scheduler_backends() {
-    use wireless_networks::sim::SchedulerKind;
-    let heap = wireless_networks::check::range_digest_with(0, 32, 1, SchedulerKind::BinaryHeap);
-    let wheel = wireless_networks::check::range_digest_with(0, 32, 1, SchedulerKind::TimerWheel);
-    assert!(
-        heap == wheel,
-        "fuzzer digest diverged between scheduler back ends:\nheap:\n{heap}\nwheel:\n{wheel}"
-    );
-    assert_eq!(heap.lines().count(), 32);
+    use wireless_networks::check::{oracle::SchedulerOrder, run, Invariant, ScenarioGen};
+    let gen = ScenarioGen::default();
+    for seed in 0..32 {
+        let art = run::run_scenario(&gen.scenario(seed));
+        assert!(!art.ops.is_empty(), "seed {seed}: no op stream recorded");
+        let violations = SchedulerOrder.check(&art);
+        assert!(violations.is_empty(), "seed {seed}: {violations:?}");
+    }
 }
 
 /// The SCALE-DCF saturation workload — the dense-timer stress case the
-/// wheel exists for — also runs bit-identically on both back ends.
+/// wheel exists for — pops in the same order through the reference
+/// heap as through the wheel.
 #[test]
 fn scale_dcf_is_identical_across_scheduler_backends() {
-    use wireless_networks::core::scenarios::scale_dcf_point;
-    use wireless_networks::sim::SchedulerKind;
-    let heap = scale_dcf_point(20, 150, 7, SchedulerKind::BinaryHeap);
-    let wheel = scale_dcf_point(20, 150, 7, SchedulerKind::TimerWheel);
-    assert_eq!(heap.events, wheel.events);
+    use wireless_networks::check::reference_replay_ops;
+    use wireless_networks::core::scenarios::scale_dcf_op_log;
+    use wireless_networks::sim::{replay_ops, SchedulerKind};
+    let ops = scale_dcf_op_log(20, 150, 7);
+    let (pops, fnv) = replay_ops(SchedulerKind::TimerWheel, &ops);
     assert_eq!(
-        heap.metrics_fnv, wheel.metrics_fnv,
-        "SCALE-DCF metrics diverged between scheduler back ends"
+        (pops, fnv),
+        reference_replay_ops(&ops),
+        "SCALE-DCF pop order diverged between the wheel and the reference heap"
     );
-    assert!(heap.events > 10_000, "workload too small to mean anything");
+    assert!(pops > 10_000, "workload too small to mean anything");
 }
 
 /// Two runs of the same seeded scenario give bit-equal results — the

@@ -11,7 +11,7 @@ use wireless_networks::mac80211::sim::{
 };
 use wireless_networks::phy::geom::Point;
 use wireless_networks::phy::modulation::PhyStandard;
-use wireless_networks::sim::{Rng, SchedulerKind, SimTime, Simulation};
+use wireless_networks::sim::{Rng, SimTime, Simulation};
 
 fn data_to_sink(src: usize) -> Frame {
     Frame::data(
@@ -89,10 +89,9 @@ fn cache_stays_coherent_under_random_mobility() {
 #[test]
 fn cached_and_direct_paths_fingerprint_identically() {
     let gen = ScenarioGen::default();
-    let heap = SchedulerKind::BinaryHeap;
     for seed in 0..6u64 {
-        let cached = check_seed_gen(&gen, seed, heap, Propagation::Cached);
-        let direct = check_seed_gen(&gen, seed, heap, Propagation::Direct);
+        let cached = check_seed_gen(&gen, seed, Propagation::Cached);
+        let direct = check_seed_gen(&gen, seed, Propagation::Direct);
         assert_eq!(
             (cached.events, cached.trace_fnv, cached.metrics_fnv),
             (direct.events, direct.trace_fnv, direct.metrics_fnv),

@@ -10,7 +10,6 @@
 //! suite therefore skips it and CI runs it in the release job.
 
 use wireless_networks::core::scenarios::scale_dcf_point;
-use wireless_networks::sim::SchedulerKind;
 
 /// `(stations, horizon_ms)` — the 10/50/200 release points.
 const POINTS: [(usize, u64); 3] = [(10, 560), (50, 3500), (200, 7000)];
@@ -23,7 +22,7 @@ const POINTS: [(usize, u64); 3] = [(10, 560), (50, 3500), (200, 7000)];
 fn per_station_goodput_collapses_monotonically_and_fairly() {
     let points: Vec<_> = POINTS
         .iter()
-        .map(|&(n, dur)| scale_dcf_point(n, dur, 42, SchedulerKind::TimerWheel))
+        .map(|&(n, dur)| scale_dcf_point(n, dur, 42))
         .collect();
 
     for p in &points {
