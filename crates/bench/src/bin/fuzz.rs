@@ -44,12 +44,13 @@
 //!   included) and replayed through the cached and direct propagation
 //!   paths and the shard differential, demanding byte-identical
 //!   fingerprints throughout. The leg then
-//!   runs two gates: the AIFSN-swap fail-point self-test (the planted
+//!   runs three gates: the AIFSN-swap fail-point self-test (the planted
 //!   AC_VO/AC_BK parameter swap must be caught by the
-//!   priority-inversion oracle and shrunk to a small repro) and the
+//!   priority-inversion oracle and shrunk to a small repro), the
 //!   legacy-equivalence differential (the classic 200-seed digest must
 //!   still hash to its recorded pre-QoS fingerprint, proving the QoS
-//!   machinery is byte-invisible when off).
+//!   machinery is byte-invisible when off) and the QoS corpus pin (the
+//!   QoS 200-seed digest must hash to its recorded fingerprint).
 //!
 //! On any violation the process prints one line per failing seed, the
 //! one-line repro command, and exits 1.
@@ -65,13 +66,23 @@ use wn_phy::geom::Point;
 use wn_sim::stats::fnv1a;
 use wn_sim::{worker_count, SimTime};
 
-/// FNV-1a of `range_digest(0, 200, _)` over the classic corpus as
-/// recorded *before* the QoS machinery landed. The `--qos` leg
+/// Seeds `0..200` of each corpus feed the two pinned digests below.
+const PINNED_DIGEST_SEEDS: u64 = 200;
+
+/// FNV-1a of `range_digest(ScenarioGen::default(), 0, 200, _)`, the
+/// classic corpus, as recorded *before* the QoS machinery landed. The `--qos` leg
 /// recomputes the digest and demands this exact fingerprint: with EDCA
 /// off, every scenario, trace and metrics snapshot must remain
 /// byte-identical to the pre-QoS engine.
-const LEGACY_DIGEST_SEEDS: u64 = 200;
 const LEGACY_DIGEST_FNV: u64 = 0x4a49_300b_696f_7708;
+
+/// FNV-1a of `range_digest(ScenarioGen::with_qos(), 0, 200, _)`, the
+/// QoS corpus, recorded before DCF and EDCA shared one channel-access
+/// engine. The `--qos` leg demands it, so a refactor of the EDCA path
+/// cannot move a QoS trace or metric unnoticed. ROADMAP item 1 Step 1
+/// (one frame exchange per station) is expected to change QoS runs and
+/// re-pin this value; that change must state the old and new values.
+const QOS_DIGEST_FNV: u64 = 0xa405_0cbf_e8dc_0d37;
 
 struct Options {
     start: u64,
@@ -466,22 +477,34 @@ fn run_qos(opts: &Options) -> u64 {
     // The legacy-equivalence differential: with QoS off, the classic
     // corpus must still produce its recorded pre-QoS digest, byte for
     // byte.
-    let legacy = fnv1a(range_digest(0, LEGACY_DIGEST_SEEDS, opts.threads).as_bytes());
+    let legacy = fnv1a(
+        range_digest(ScenarioGen::default(), 0, PINNED_DIGEST_SEEDS, opts.threads).as_bytes(),
+    );
     if legacy != LEGACY_DIGEST_FNV {
         failures += 1;
         println!(
-            "legacy-equivalence: classic {LEGACY_DIGEST_SEEDS}-seed digest hashed to \
+            "legacy-equivalence: classic {PINNED_DIGEST_SEEDS}-seed digest hashed to \
              {legacy:016x}, expected {LEGACY_DIGEST_FNV:016x} — the QoS machinery leaked \
              into the EDCA-off path"
         );
     }
 
+    // The QoS corpus pin: the same digest over the EDCA/A-MPDU corpus.
+    let qos = fnv1a(range_digest(gen, 0, PINNED_DIGEST_SEEDS, opts.threads).as_bytes());
+    if qos != QOS_DIGEST_FNV {
+        failures += 1;
+        println!(
+            "qos-corpus pin: {PINNED_DIGEST_SEEDS}-seed QoS digest hashed to {qos:016x}, \
+             expected {QOS_DIGEST_FNV:016x} — a QoS trace or metric moved"
+        );
+    }
+
     println!(
-        "qos fuzz: {} seeds ({}..{}) x {{cached, direct, shard jobs}} + aifsn-swap self-test + {}-seed legacy digest on {} workers in {:.2}s: {} failing ({} multi-shard)",
+        "qos fuzz: {} seeds ({}..{}) x {{cached, direct, shard jobs}} + aifsn-swap self-test + {}-seed legacy and QoS digests on {} workers in {:.2}s: {} failing ({} multi-shard)",
         count,
         start,
         start + count,
-        LEGACY_DIGEST_SEEDS,
+        PINNED_DIGEST_SEEDS,
         opts.threads,
         t0.elapsed().as_secs_f64(),
         failures,

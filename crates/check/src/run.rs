@@ -768,12 +768,13 @@ pub fn check_range_gen(
     par_map_with(threads, seeds, move |seed| check_seed_gen(&gen, seed, prop))
 }
 
-/// Byte-stable JSONL digest of a fuzz range, for determinism tests:
-/// one line per seed with kind, event count, violation count and the
-/// trace and metrics fingerprints.
-pub fn range_digest(start: u64, count: u64, threads: usize) -> String {
+/// Byte-stable JSONL digest of a fuzz range drawn from `gen`, for
+/// determinism tests and the corpus pins in `fuzz --qos`: one line per
+/// seed with kind, event count, violation count and the trace and
+/// metrics fingerprints.
+pub fn range_digest(gen: ScenarioGen, start: u64, count: u64, threads: usize) -> String {
     let mut out = String::new();
-    for r in check_range(start, count, threads) {
+    for r in check_range_gen(gen, start, count, threads, Propagation::Cached) {
         out.push_str(&format!(
             "{{\"seed\":{},\"kind\":\"{}\",\"events\":{},\"violations\":{},\"trace_fnv\":\"{:016x}\",\"metrics_fnv\":\"{:016x}\"}}\n",
             r.seed,

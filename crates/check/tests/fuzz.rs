@@ -20,8 +20,8 @@ fn first_seeds_are_clean() {
 
 #[test]
 fn range_digest_is_thread_count_invariant() {
-    let one = wn_check::range_digest(0, 24, 1);
-    let eight = wn_check::range_digest(0, 24, 8);
+    let one = wn_check::range_digest(ScenarioGen::default(), 0, 24, 1);
+    let eight = wn_check::range_digest(ScenarioGen::default(), 0, 24, 8);
     assert_eq!(one, eight);
     assert_eq!(one.lines().count(), 24);
 }

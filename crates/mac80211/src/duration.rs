@@ -221,8 +221,9 @@ mod tests {
     #[test]
     fn aifs_reproduces_difs_at_aifsn_2_and_grows_per_slot() {
         // 802.11 DIFS = SIFS + 2×slot, so AIFSN=2 must equal DIFS on
-        // every standard — the legacy-equivalence anchor of the EDCA
-        // arbitration math.
+        // every standard, bit for bit — it licenses the DCF queue's
+        // AIFSN 2 in the shared access engine, which must reproduce the
+        // pre-EDCA timing exactly.
         for s in PhyStandard::ALL {
             assert_eq!(aifs(s, 2), difs(s), "{s:?}");
             assert_eq!(aifs(s, 3) - aifs(s, 2), slot(s), "{s:?}");

@@ -7,8 +7,10 @@
 //!   transmission it can hear (above the CS threshold) is in the air.
 //! - **Virtual carrier sense (NAV)** — Duration fields of overheard
 //!   frames reserve the medium (§4.2), enabling RTS/CTS protection.
-//! - **DCF** — DIFS + binary-exponential-backoff slotted contention,
-//!   freeze-and-resume on busy, post-transmission backoff.
+//! - **Channel access** — one DCF/EDCA engine (`access.rs`): per-queue
+//!   AIFS + binary-exponential-backoff slotted contention,
+//!   freeze-and-resume on busy, post-transmission backoff; DCF is the
+//!   one-queue case with AIFS = DIFS.
 //! - **Reliability** — ACKs after SIFS, retries with the Retry bit,
 //!   short/long retry limits, CW doubling and reset.
 //! - **Fragmentation** — §4.2 More Fragments / fragment numbers; a
@@ -23,6 +25,9 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
+#[path = "access.rs"]
+mod access;
+
 use crate::addr::MacAddr;
 use crate::arena::{FrameArena, FrameId};
 use crate::arf::{Arf, ArfParams};
@@ -32,6 +37,7 @@ use crate::frame::{Frame, FrameType, SequenceControl, SequenceCounter, Subtype};
 use crate::grid::{CellKey, SpatialGrid};
 use crate::loss::LossModel;
 use crate::neighbors::{AudibleSet, IdBitSet, NeighborCache, RxRow};
+use access::TxQueues;
 use wn_phy::geom::Point;
 use wn_phy::medium::{coupled_rx_power, LinkBudget, Radio};
 use wn_phy::modulation::{PhyStandard, RateStep, SETTLE_BAND};
@@ -112,8 +118,8 @@ pub struct MacConfig {
     /// Enable EDCA (802.11e) channel access: stations get four
     /// access-category queues with per-AC CWmin/CWmax/AIFSN/TXOP and
     /// transmit A-MPDU aggregates answered by compressed block acks.
-    /// Off (the default) leaves the legacy DCF path byte-identical to
-    /// pre-EDCA builds — no QoS state is even allocated.
+    /// Off (the default), every station has one DCF queue and sends
+    /// legacy frames, byte-identical to pre-EDCA builds.
     pub edca: bool,
     /// Maximum MPDUs aggregated into one A-MPDU (further capped by the
     /// AC's TXOP budget and the 64-bit block-ack window).
@@ -127,10 +133,10 @@ pub struct MacConfig {
     /// with the PPDU.
     pub ampdu_per_mpdu_loss: f64,
     /// Fault-injection switch for the priority-inversion oracle's
-    /// self-test: swaps the AC_VO and AC_BK EDCA parameter sets at
-    /// lookup, so voice contends like background traffic and the
-    /// VO-p50 ≤ BK-p50 bound must trip. Never enabled by normal
-    /// scenarios.
+    /// self-test: swaps the AC_VO and AC_BK EDCA parameter sets in the
+    /// world's queue parameter table, so voice contends like background
+    /// traffic and the VO-p50 ≤ BK-p50 bound must trip. Never enabled
+    /// by normal scenarios.
     pub failpoint_aifsn_swap: bool,
 }
 
@@ -225,17 +231,9 @@ impl MacConfig {
     /// The EDCA parameter set of an access category (802.11e defaults:
     /// VO/VI shrink the contention window and VO/VI get TXOP grants;
     /// BE/BK inherit the PHY's CW bounds, BK waits a longer AIFS).
-    /// The AIFSN-swap failpoint trades the full VO and BK sets.
+    /// [`WlanWorld::new`] builds its queue parameter table from these,
+    /// applying the AIFSN-swap failpoint there.
     pub fn edca_params(&self, ac: AccessCategory) -> EdcaParams {
-        let ac = if self.failpoint_aifsn_swap {
-            match ac {
-                AccessCategory::Vo => AccessCategory::Bk,
-                AccessCategory::Bk => AccessCategory::Vo,
-                other => other,
-            }
-        } else {
-            ac
-        };
         match ac {
             AccessCategory::Vo => EdcaParams {
                 cw_min: 3,
@@ -520,43 +518,6 @@ struct AmpduFlight {
     built: Option<FrameId>,
 }
 
-/// One EDCA access category's transmit state.
-#[derive(Default)]
-struct AcState {
-    queue: VecDeque<Msdu>,
-    cw: u32,
-    /// Remaining backoff slots; `None` when this AC is not contending.
-    slots: Option<u32>,
-    flight: Option<AmpduFlight>,
-}
-
-/// Per-station EDCA state, allocated only when [`MacConfig::edca`] is
-/// on — legacy DCF worlds never touch (or pay for) any of it.
-#[derive(Default)]
-struct EdcaState {
-    /// Access categories, indexed by [`AccessCategory::index`].
-    acs: [AcState; 4],
-    /// Which AC's aggregate is on the air / awaiting its block ack.
-    tx_ac: Option<usize>,
-}
-
-impl EdcaState {
-    fn new(cfg: &MacConfig) -> Box<EdcaState> {
-        let mut e = Box::<EdcaState>::default();
-        for (i, a) in e.acs.iter_mut().enumerate() {
-            a.cw = cfg
-                .edca_params(AccessCategory::from_index(i).expect("4 ACs"))
-                .cw_min;
-        }
-        e
-    }
-
-    /// Whether any AC holds an armed (possibly frozen) backoff.
-    fn any_slots(&self) -> bool {
-        self.acs.iter().any(|a| a.slots.is_some())
-    }
-}
-
 /// How an in-flight A-MPDU was answered.
 enum BaResult {
     /// A block ack arrived with this SSN and bitmap.
@@ -580,7 +541,7 @@ struct Station {
     radio: Radio,
     power_mgmt: bool,
     upper: Option<Box<dyn UpperLayer>>,
-    queue: VecDeque<Msdu>,
+    /// The legacy exchange in progress (the DCF queue's head MSDU).
     current: Option<Attempt>,
     seq: SequenceCounter,
     dedup: DedupCache,
@@ -588,12 +549,14 @@ struct Station {
     reassembly: HashMap<(MacAddr, u16), Vec<u8>>,
     pending: Option<(PendingTx, u64)>,
     stats: StationStats,
-    /// EDCA/A-MPDU state; `None` on legacy DCF stations.
-    edca: Option<Box<EdcaState>>,
+    /// Which queue's A-MPDU is on the air / awaiting its block ack
+    /// (EDCA worlds only).
+    tx_ac: Option<usize>,
 }
 
-/// Per-station DCF/carrier-sense state, flattened into parallel
-/// vectors (struct-of-arrays), indexed by [`StationId`].
+/// Per-station carrier-sense and timer state, flattened into parallel
+/// vectors (struct-of-arrays), indexed by [`StationId`]. The per-queue
+/// backoff columns live in [`TxQueues`].
 ///
 /// These are exactly the fields the per-event hot path touches for
 /// stations *other* than the event's own — busy/idle edges, NAV
@@ -610,12 +573,8 @@ struct DcfState {
     audible: Vec<AudibleSet>,
     /// The record id of this station's own in-flight transmission.
     transmitting: Vec<Option<u64>>,
-    /// Remaining backoff slots; `None` means no access procedure armed.
-    backoff_slots: Vec<Option<u32>>,
     /// When the currently-armed access timer started counting.
     access_armed_at: Vec<Option<SimTime>>,
-    /// Contention window (doubles on retry, resets on completion).
-    cw: Vec<u32>,
     /// Generation guard invalidating stale scheduled timers.
     timer_gen: Vec<u64>,
     /// The response (CTS/ACK) this station is waiting for, if any.
@@ -628,13 +587,11 @@ struct DcfState {
 
 impl DcfState {
     /// Appends one station's worth of initial state.
-    fn push(&mut self, cw_min: u32) {
+    fn push(&mut self) {
         self.nav_until.push(SimTime::ZERO);
         self.audible.push(AudibleSet::default());
         self.transmitting.push(None);
-        self.backoff_slots.push(None);
         self.access_armed_at.push(None);
-        self.cw.push(cw_min);
         self.timer_gen.push(0);
         self.expecting.push(None);
         self.channel.push(1);
@@ -646,9 +603,7 @@ impl DcfState {
         self.nav_until.reserve(additional);
         self.audible.reserve(additional);
         self.transmitting.reserve(additional);
-        self.backoff_slots.reserve(additional);
         self.access_armed_at.reserve(additional);
-        self.cw.reserve(additional);
         self.timer_gen.reserve(additional);
         self.expecting.reserve(additional);
         self.channel.reserve(additional);
@@ -691,7 +646,8 @@ pub enum MacEvent {
         /// Record id.
         tx_id: u64,
     },
-    /// DIFS + backoff completed; transmit if still valid.
+    /// A station's earliest queue finished AIFS + backoff; the winning
+    /// queue transmits if the timer is still valid.
     AccessTimer {
         /// Station whose timer fired.
         station: StationId,
@@ -742,8 +698,8 @@ pub enum MacEvent {
         frame: FrameId,
     },
     /// Inject a staged frame into a specific EDCA access-category
-    /// queue. On a legacy (non-EDCA) station this degrades to a plain
-    /// [`Inject`](Self::Inject).
+    /// queue. On a legacy (non-EDCA) world this is a plain
+    /// [`Inject`](Self::Inject) into the one DCF queue.
     InjectQos {
         /// Sending station.
         station: StationId,
@@ -812,6 +768,9 @@ pub struct WlanWorld {
     stations: Vec<Station>,
     /// Per-station DCF state, flattened column-wise ([`DcfState`]).
     dcf: DcfState,
+    /// Per-queue backoff state, MSDU queues and A-MPDU flights, with
+    /// the world's queue parameter table ([`TxQueues`]).
+    queues: TxQueues,
     records: Vec<TxRecord>,
     /// Every frame in flight anywhere in the MAC — queues, attempts,
     /// transmission records, parked injection events — addressed by
@@ -865,10 +824,7 @@ pub struct WlanWorld {
     /// MSDUs waiting in transmit queues across all stations.
     queue_gauge: TimeWeighted,
     sifs: SimDuration,
-    difs: SimDuration,
     slot: SimDuration,
-    /// AIFS per access category (failpoint swap already applied).
-    edca_aifs: [SimDuration; 4],
     booted: bool,
 }
 
@@ -902,6 +858,7 @@ impl WlanWorld {
             loss: LossModel::distance(LogDistance::indoor()),
             stations: Vec::new(),
             dcf: DcfState::default(),
+            queues: TxQueues::new(&cfg),
             records: Vec::new(),
             frames: FrameArena::new(),
             staged: 0,
@@ -928,16 +885,7 @@ impl WlanWorld {
             ],
             queue_gauge: TimeWeighted::new(SimTime::ZERO, 0.0),
             sifs: crate::duration::sifs(std),
-            difs: crate::duration::difs(std),
             slot: crate::duration::slot(std),
-            edca_aifs: {
-                let mut aifs = [SimDuration::ZERO; 4];
-                for (i, a) in aifs.iter_mut().enumerate() {
-                    let ac = AccessCategory::from_index(i).expect("4 ACs");
-                    *a = crate::duration::aifs(std, cfg.edca_params(ac).aifsn);
-                }
-                aifs
-            },
             booted: false,
             cfg,
         }
@@ -988,7 +936,6 @@ impl WlanWorld {
             radio: Radio::consumer_wifi(),
             power_mgmt: false,
             upper: Some(upper),
-            queue: VecDeque::new(),
             current: None,
             seq: SequenceCounter::default(),
             dedup: DedupCache::new(),
@@ -996,9 +943,10 @@ impl WlanWorld {
             reassembly: HashMap::new(),
             pending: None,
             stats: StationStats::default(),
-            edca: self.cfg.edca.then(|| EdcaState::new(&self.cfg)),
+            tx_ac: None,
         });
-        self.dcf.push(self.cfg.cw_min());
+        self.dcf.push();
+        self.queues.push_station();
         id
     }
 
@@ -1006,6 +954,7 @@ impl WlanWorld {
     pub fn reserve_stations(&mut self, additional: usize) {
         self.stations.reserve(additional);
         self.dcf.reserve(additional);
+        self.queues.reserve(additional);
     }
 
     /// Bulk station boot fast path: adds `n` stations with the
@@ -1083,16 +1032,18 @@ impl WlanWorld {
     /// this closes the frame-conservation ledger
     /// `queued == tx_completions + tx_failures + queue_drops + pending`.
     pub fn pending_msdus(&self, id: StationId) -> u64 {
-        let s = &self.stations[id];
-        let edca = s.edca.as_ref().map_or(0, |e| {
-            e.acs
-                .iter()
-                .map(|a| {
-                    a.queue.len() as u64 + a.flight.as_ref().map_or(0, |f| f.mpdus.len() as u64)
-                })
-                .sum::<u64>()
-        });
-        s.queue.len() as u64 + u64::from(s.current.is_some()) + edca
+        let queued: usize = self.queues.msdus[self.queues.range(id)]
+            .iter()
+            .map(VecDeque::len)
+            .sum();
+        let aggregated: usize = self
+            .queues
+            .flights_of(id)
+            .iter()
+            .flatten()
+            .map(|f| f.mpdus.len())
+            .sum();
+        queued as u64 + u64::from(self.stations[id].current.is_some()) + aggregated as u64
     }
 
     /// Stages a frame into the world's arena for a later
@@ -1123,22 +1074,23 @@ impl WlanWorld {
                 .stations
                 .iter()
                 .map(|s| {
-                    s.queue.len() as u64
-                        + s.current
-                            .as_ref()
-                            .map_or(0, |at| 1 + u64::from(at.built.is_some()))
-                        + s.edca.as_ref().map_or(0, |e| {
-                            e.acs
-                                .iter()
-                                .map(|a| {
-                                    a.queue.len() as u64
-                                        + a.flight.as_ref().map_or(0, |f| {
-                                            f.mpdus.len() as u64 + u64::from(f.built.is_some())
-                                        })
-                                })
-                                .sum::<u64>()
-                        })
+                    s.current
+                        .as_ref()
+                        .map_or(0, |at| 1 + u64::from(at.built.is_some()))
                 })
+                .sum::<u64>()
+            + self
+                .queues
+                .msdus
+                .iter()
+                .map(|q| q.len() as u64)
+                .sum::<u64>()
+            + self
+                .queues
+                .flights
+                .iter()
+                .flatten()
+                .map(|f| f.mpdus.len() as u64 + u64::from(f.built.is_some()))
                 .sum::<u64>()
             + self.records.len() as u64;
         (self.frames.total_refs(), held)
@@ -1880,7 +1832,8 @@ impl WlanWorld {
         }
     }
 
-    /// Queues a frame for transmission from `id`.
+    /// Queues a frame for transmission from `id` (best effort on an
+    /// EDCA world).
     pub fn enqueue(
         &mut self,
         id: StationId,
@@ -1889,29 +1842,27 @@ impl WlanWorld {
         sched: &mut Scheduler<MacEvent>,
     ) {
         let fid = self.frames.insert(frame);
-        self.enqueue_id(id, fid, now, sched);
+        self.enqueue_id(id, fid, AccessCategory::Be, now, sched);
     }
 
-    /// Queues an arena-resident frame. The caller's reference on `fid`
-    /// transfers to the queue — or back out through a `TxDropped`
-    /// event on overflow.
+    /// Queues an arena-resident frame into the queue serving `ac`: its
+    /// own on an EDCA world, the one DCF queue on a legacy world. The
+    /// caller's reference on `fid` transfers to the queue — or back out
+    /// through a `TxDropped` event on overflow.
     fn enqueue_id(
         &mut self,
         id: StationId,
         fid: FrameId,
+        ac: AccessCategory,
         now: SimTime,
         sched: &mut Scheduler<MacEvent>,
     ) {
-        if self.stations[id].edca.is_some() {
-            // EDCA stations route everything through per-AC queues;
-            // un-tagged traffic defaults to best effort.
-            self.edca_enqueue(id, fid, AccessCategory::Be, now, sched);
-            return;
-        }
+        let q = if self.cfg.edca { ac.index() } else { 0 };
+        let k = self.queues.index(id, q);
         self.frames.get_mut(fid).fc.power_management = self.stations[id].power_mgmt;
         let s = &mut self.stations[id];
         s.stats.queued += 1;
-        if s.queue.len() >= self.cfg.queue_limit {
+        if self.queues.msdus[k].len() >= self.cfg.queue_limit {
             s.stats.queue_drops += 1;
             let kind = frame_kind(self.frames.get(fid).fc.subtype);
             self.trace.event(
@@ -1939,19 +1890,26 @@ impl WlanWorld {
             );
             return;
         }
-        s.queue.push_back(Msdu {
+        self.queues.msdus[k].push_back(Msdu {
             frame: fid,
             enqueued: now,
         });
         self.queue_gauge.add(now, 1.0);
-        self.maybe_start_next(id, now, sched);
+        if !self.cfg.edca {
+            self.maybe_start_next(id, now, sched);
+        } else if self.queues.flights[k].is_none() && self.queues.slots[k].is_none() {
+            // An idle queue joins contention; a busy one picks the MSDU
+            // up when it next wins.
+            self.begin_access(id, q, now, sched);
+        }
     }
 
     fn maybe_start_next(&mut self, id: StationId, now: SimTime, sched: &mut Scheduler<MacEvent>) {
         if self.stations[id].current.is_some() {
             return;
         }
-        let Some(msdu) = self.stations[id].queue.pop_front() else {
+        let k = self.queues.index(id, 0);
+        let Some(msdu) = self.queues.msdus[k].pop_front() else {
             return;
         };
         self.queue_gauge.add(now, -1.0);
@@ -2000,93 +1958,7 @@ impl WlanWorld {
             is_retry: false,
             built: None,
         });
-        self.begin_access(id, now, sched);
-    }
-
-    /// Starts (or restarts) the DIFS+backoff procedure.
-    fn begin_access(&mut self, id: StationId, now: SimTime, sched: &mut Scheduler<MacEvent>) {
-        let cw = self.dcf.cw[id];
-        let slots = self.rng.below(cw as u64 + 1) as u32;
-        self.dcf.backoff_slots[id] = Some(slots);
-        self.contenders.insert(id);
-        self.trace.event(
-            now,
-            Level::Debug,
-            "mac",
-            TraceEvent::Backoff {
-                station: id as u32,
-                slots,
-                cw,
-            },
-        );
-        self.try_arm_access(id, now, sched);
-    }
-
-    fn try_arm_access(&mut self, id: StationId, now: SimTime, sched: &mut Scheduler<MacEvent>) {
-        if self.stations[id].edca.is_some() {
-            self.edca_try_arm(id, now, sched);
-            return;
-        }
-        if self.dcf.backoff_slots[id].is_none() {
-            return;
-        }
-        if !self.medium_idle(id, now) {
-            // Will re-arm on the idle edge / NAV expiry.
-            if self.dcf.nav_until[id] > now {
-                sched.schedule_at(self.dcf.nav_until[id], MacEvent::NavExpired { station: id });
-            }
-            return;
-        }
-        if self.dcf.access_armed_at[id].is_some() {
-            return;
-        }
-        self.dcf.timer_gen[id] += 1;
-        let gen = self.dcf.timer_gen[id];
-        self.dcf.access_armed_at[id] = Some(now);
-        let slots = self.dcf.backoff_slots[id].expect("checked above");
-        // The timer is counting down; idle edges can't affect it until
-        // a busy edge freezes it again.
-        self.contenders.remove(id);
-        let delay = self.difs + self.slot * slots as u64;
-        sched.schedule_in(delay, MacEvent::AccessTimer { station: id, gen });
-    }
-
-    /// A busy edge interrupts a counting-down access timer.
-    fn freeze_access(&mut self, id: StationId, now: SimTime) {
-        if self.stations[id].edca.is_some() {
-            self.edca_freeze(id, now);
-            return;
-        }
-        let (difs, slot) = (self.difs, self.slot);
-        let d = &mut self.dcf;
-        let Some(armed_at) = d.access_armed_at[id] else {
-            return;
-        };
-        if let Some(slots) = d.backoff_slots[id] {
-            // CSMA vulnerable window: a station whose backoff expires
-            // within the CCA detection time of the busy edge has already
-            // committed to transmit and cannot react — so two stations
-            // whose counters reach zero in the same slot genuinely
-            // collide. The window is ~1 µs (energy-detect turnaround),
-            // far below a slot, so sub-slot grid offsets still defer.
-            let fire_at = armed_at + difs + slot * slots as u64;
-            if fire_at <= now + SimDuration::from_micros(1) {
-                return;
-            }
-            let difs_end = armed_at + difs;
-            let consumed = if now <= difs_end {
-                0
-            } else {
-                ((now - difs_end).as_nanos() / slot.as_nanos().max(1)) as u32
-            };
-            d.backoff_slots[id] = Some(slots.saturating_sub(consumed));
-        }
-        d.access_armed_at[id] = None;
-        d.timer_gen[id] += 1; // Invalidate the pending AccessTimer.
-        if d.backoff_slots[id].is_some() {
-            // Frozen with slots left: back on the contender wait-list.
-            self.contenders.insert(id);
-        }
+        self.begin_access(id, 0, now, sched);
     }
 
     /// Puts a frame on the air. Consumes one arena reference on
@@ -2419,16 +2291,16 @@ impl WlanWorld {
         self.decoded_scratch = decoded;
 
         // Idle edges: resume frozen access procedures. Only contenders
-        // (armed backoff, timer not counting) can react; the wait-list
-        // yields them in the ascending order the old full-table scan
-        // visited them in. Stations whose timer is already counting
-        // were no-ops in that scan, and they are exactly the ones the
-        // wait-list omits.
+        // (a queue holds backoff slots, timer not counting) can react;
+        // the wait-list yields them in the ascending order the old
+        // full-table scan visited them in. Stations whose timer is
+        // already counting were no-ops in that scan, and they are
+        // exactly the ones the wait-list omits.
         let mut scratch = std::mem::take(&mut self.rearm_scratch);
         scratch.clear();
         self.contenders.collect_into(&mut scratch);
         for &r in &scratch {
-            if self.medium_idle(r, now) && self.dcf.backoff_slots[r].is_some() {
+            if self.medium_idle(r, now) {
                 self.try_arm_access(r, now, sched);
             }
         }
@@ -2678,12 +2550,11 @@ impl WlanWorld {
         now: SimTime,
         sched: &mut Scheduler<MacEvent>,
     ) {
-        let cw_min = self.cfg.cw_min();
         let Some(at) = self.stations[id].current.take() else {
             return;
         };
         self.dcf.expecting[id] = None;
-        self.dcf.cw[id] = cw_min;
+        self.queues.reset_cw(id, 0);
         if success {
             let s = &mut self.stations[id];
             s.stats.tx_completions += 1;
@@ -2815,9 +2686,8 @@ impl WlanWorld {
                 },
             );
             // Double the contention window and re-contend (BEB).
-            let cw = &mut self.dcf.cw[id];
-            *cw = ((*cw + 1) * 2 - 1).min(self.cfg.cw_max());
-            self.begin_access(id, now, sched);
+            self.queues.widen_cw(id, 0);
+            self.begin_access(id, 0, now, sched);
         }
     }
 
@@ -2849,259 +2719,14 @@ impl WlanWorld {
         }
     }
 
-    // ----- EDCA / A-MPDU (802.11e; DESIGN.md §16) -----
+    // ----- A-MPDU exchange (802.11e; DESIGN.md §16) -----
     //
-    // QoS stations never touch the legacy `Attempt` machinery: each
-    // access category owns a queue, a contention window and at most one
-    // in-flight `AmpduFlight`, and a single shared access timer fires
-    // at the earliest AC's AIFS+backoff expiry. Everything below is
-    // reached only through `station.edca.is_some()` branches, so a
-    // world with `cfg.edca` off executes byte-identically to the
-    // pre-EDCA MAC.
-
-    /// Queues an arena-resident frame into one AC queue (the EDCA
-    /// sibling of [`enqueue_id`](Self::enqueue_id)).
-    fn edca_enqueue(
-        &mut self,
-        id: StationId,
-        fid: FrameId,
-        ac: AccessCategory,
-        now: SimTime,
-        sched: &mut Scheduler<MacEvent>,
-    ) {
-        self.frames.get_mut(fid).fc.power_management = self.stations[id].power_mgmt;
-        let aci = ac.index();
-        let s = &mut self.stations[id];
-        s.stats.queued += 1;
-        let e = s.edca.as_mut().expect("EDCA station");
-        if e.acs[aci].queue.len() >= self.cfg.queue_limit {
-            s.stats.queue_drops += 1;
-            let kind = frame_kind(self.frames.get(fid).fc.subtype);
-            self.trace.event(
-                now,
-                Level::Warn,
-                "mac",
-                TraceEvent::Drop {
-                    station: id as u32,
-                    kind,
-                    reason: DropReason::QueueFull,
-                },
-            );
-            self.staged += 1;
-            sched.schedule_at(
-                now,
-                MacEvent::TxDropped {
-                    station: id,
-                    frame: fid,
-                },
-            );
-            return;
-        }
-        e.acs[aci].queue.push_back(Msdu {
-            frame: fid,
-            enqueued: now,
-        });
-        let idle_ac = e.acs[aci].flight.is_none() && e.acs[aci].slots.is_none();
-        self.queue_gauge.add(now, 1.0);
-        if idle_ac {
-            self.edca_begin_access(id, aci, now, sched);
-        }
-    }
-
-    /// Draws a fresh backoff for one AC and joins contention.
-    fn edca_begin_access(
-        &mut self,
-        id: StationId,
-        aci: usize,
-        now: SimTime,
-        sched: &mut Scheduler<MacEvent>,
-    ) {
-        let cw = self.stations[id].edca.as_ref().expect("EDCA station").acs[aci].cw;
-        let slots = self.rng.below(cw as u64 + 1) as u32;
-        self.stations[id].edca.as_mut().expect("EDCA station").acs[aci].slots = Some(slots);
-        self.trace.event(
-            now,
-            Level::Debug,
-            "mac",
-            TraceEvent::EdcaBackoff {
-                station: id as u32,
-                ac: aci as u8,
-                slots,
-                cw,
-            },
-        );
-        self.dcf.backoff_slots[id] = Some(0); // Sentinel: some AC contends.
-        self.contenders.insert(id);
-        if self.dcf.access_armed_at[id].is_some() {
-            // The running timer was armed for the previously-backlogged
-            // ACs; this AC may fire earlier. Freeze (preserving their
-            // consumed slots) and re-arm over all four.
-            self.edca_freeze(id, now);
-        }
-        self.edca_try_arm(id, now, sched);
-    }
-
-    /// Earliest pending fire delay across the ACs, measured from the
-    /// arming instant.
-    fn edca_min_delay(&self, id: StationId) -> Option<SimDuration> {
-        let e = self.stations[id].edca.as_ref()?;
-        let mut best: Option<SimDuration> = None;
-        for (i, a) in e.acs.iter().enumerate() {
-            if let Some(s) = a.slots {
-                let d = self.edca_aifs[i] + self.slot * s as u64;
-                if best.is_none_or(|b| d < b) {
-                    best = Some(d);
-                }
-            }
-        }
-        best
-    }
-
-    /// EDCA sibling of [`try_arm_access`](Self::try_arm_access): arms
-    /// the shared access timer at the earliest AC's expiry.
-    fn edca_try_arm(&mut self, id: StationId, now: SimTime, sched: &mut Scheduler<MacEvent>) {
-        let Some(delay) = self.edca_min_delay(id) else {
-            self.dcf.backoff_slots[id] = None;
-            self.contenders.remove(id);
-            return;
-        };
-        self.dcf.backoff_slots[id] = Some(0);
-        if !self.medium_idle(id, now) {
-            if self.dcf.nav_until[id] > now {
-                sched.schedule_at(self.dcf.nav_until[id], MacEvent::NavExpired { station: id });
-            }
-            return;
-        }
-        if self.dcf.access_armed_at[id].is_some() {
-            return;
-        }
-        self.dcf.timer_gen[id] += 1;
-        let gen = self.dcf.timer_gen[id];
-        self.dcf.access_armed_at[id] = Some(now);
-        self.contenders.remove(id);
-        sched.schedule_in(delay, MacEvent::AccessTimer { station: id, gen });
-    }
-
-    /// EDCA sibling of [`freeze_access`](Self::freeze_access): a busy
-    /// edge stops the countdown; each AC keeps the slots it already
-    /// burned past its *own* AIFS boundary.
-    fn edca_freeze(&mut self, id: StationId, now: SimTime) {
-        let Some(armed_at) = self.dcf.access_armed_at[id] else {
-            return;
-        };
-        if let Some(d) = self.edca_min_delay(id) {
-            // Same CSMA vulnerable window as the legacy path: an
-            // expiry within ~1 µs of the busy edge has committed.
-            if armed_at + d <= now + SimDuration::from_micros(1) {
-                return;
-            }
-        }
-        let slot = self.slot;
-        let aifs = self.edca_aifs;
-        let e = self.stations[id].edca.as_mut().expect("EDCA station");
-        for (i, a) in e.acs.iter_mut().enumerate() {
-            if let Some(s) = a.slots {
-                let aifs_end = armed_at + aifs[i];
-                let consumed = if now <= aifs_end {
-                    0
-                } else {
-                    ((now - aifs_end).as_nanos() / slot.as_nanos().max(1)) as u32
-                };
-                a.slots = Some(s.saturating_sub(consumed));
-            }
-        }
-        self.dcf.access_armed_at[id] = None;
-        self.dcf.timer_gen[id] += 1;
-        if e.any_slots() {
-            self.contenders.insert(id);
-        }
-    }
-
-    /// The shared access timer fired: the earliest AC transmits;
-    /// same-instant ACs lose the internal collision to the higher
-    /// priority and double their CW like an external collision.
-    fn edca_access_fire(&mut self, id: StationId, now: SimTime, sched: &mut Scheduler<MacEvent>) {
-        let Some(armed_at) = self.dcf.access_armed_at[id] else {
-            return;
-        };
-        self.dcf.access_armed_at[id] = None;
-        let elapsed = now.saturating_duration_since(armed_at);
-        let slot = self.slot;
-        let aifs = self.edca_aifs;
-        let mut winner: Option<usize> = None;
-        let mut redrawn = [false; 4];
-        {
-            let e = self.stations[id].edca.as_ref().expect("EDCA station");
-            for (i, a) in e.acs.iter().enumerate() {
-                if let Some(s) = a.slots {
-                    if aifs[i] + slot * s as u64 <= elapsed {
-                        // Priority order: the first expired AC wins.
-                        if winner.is_none() {
-                            winner = Some(i);
-                        } else {
-                            redrawn[i] = true;
-                        }
-                    }
-                }
-            }
-        }
-        let Some(win) = winner else {
-            // Stale fire (should be generation-guarded); re-contend.
-            self.contenders.insert(id);
-            return;
-        };
-        for (l, redraw) in redrawn.iter().enumerate() {
-            if !*redraw {
-                continue;
-            }
-            // Internal collision: the loser behaves as if the medium
-            // ate its frame — CW doubles, backoff redraws.
-            let cw_max = self
-                .cfg
-                .edca_params(AccessCategory::from_index(l).expect("4 ACs"))
-                .cw_max;
-            let a = &mut self.stations[id].edca.as_mut().expect("EDCA station").acs[l];
-            a.cw = ((a.cw + 1) * 2 - 1).min(cw_max);
-            let cw = a.cw;
-            let slots = self.rng.below(cw as u64 + 1) as u32;
-            self.stations[id].edca.as_mut().expect("EDCA station").acs[l].slots = Some(slots);
-            self.trace.event(
-                now,
-                Level::Debug,
-                "mac",
-                TraceEvent::EdcaBackoff {
-                    station: id as u32,
-                    ac: l as u8,
-                    slots,
-                    cw,
-                },
-            );
-        }
-        {
-            // Non-firing ACs burned idle slots past their own AIFS
-            // while the winner counted down.
-            let e = self.stations[id].edca.as_mut().expect("EDCA station");
-            for (i, a) in e.acs.iter_mut().enumerate() {
-                if i == win || redrawn[i] {
-                    continue;
-                }
-                if let Some(s) = a.slots {
-                    let past_aifs = elapsed.saturating_sub(aifs[i]);
-                    let consumed = (past_aifs.as_nanos() / slot.as_nanos().max(1)) as u32;
-                    a.slots = Some(s.saturating_sub(consumed));
-                }
-            }
-            e.acs[win].slots = None;
-            if e.any_slots() {
-                self.dcf.backoff_slots[id] = Some(0);
-                self.contenders.insert(id);
-            } else {
-                self.dcf.backoff_slots[id] = None;
-                self.contenders.remove(id);
-            }
-        }
-        self.edca_transmit(id, win, now, sched);
-    }
+    // On an EDCA world each station's four access-category queues
+    // contend in the shared access engine (`access.rs`). A winning
+    // queue does not build a legacy `Attempt`: it sends an A-MPDU
+    // flight (its head-of-line run of MSDUs to one receiver) and waits
+    // for a compressed block ack. The station's `tx_ac` names the queue
+    // whose flight is on the air. Legacy worlds never reach this code.
 
     /// Builds a fresh [`AmpduFlight`] for one AC from its queue head:
     /// a same-receiver run of MSDUs capped by the aggregation limits,
@@ -3109,13 +2734,10 @@ impl WlanWorld {
     fn edca_build_flight(&mut self, id: StationId, aci: usize, now: SimTime) -> bool {
         let std = self.cfg.standard;
         let max_bytes = self.cfg.ampdu_max_bytes;
-        let txop_us = self
-            .cfg
-            .edca_params(AccessCategory::from_index(aci).expect("4 ACs"))
-            .txop_us;
+        let txop_us = self.queues.params[aci].txop_us;
+        let k = self.queues.index(id, aci);
         let (peer, head_wire) = {
-            let e = self.stations[id].edca.as_ref().expect("EDCA station");
-            let Some(head) = e.acs[aci].queue.front() else {
+            let Some(head) = self.queues.msdus[k].front() else {
                 return false;
             };
             let f = self.frames.get(head.frame);
@@ -3134,24 +2756,14 @@ impl WlanWorld {
         let mut mpdus: Vec<AmpduMpdu> = Vec::new();
         let mut bytes = 0usize;
         while mpdus.len() < n_cap {
-            let take = {
-                let e = self.stations[id].edca.as_ref().expect("EDCA station");
-                match e.acs[aci].queue.front() {
-                    None => false,
-                    Some(m) => {
-                        let f = self.frames.get(m.frame);
-                        f.receiver() == peer
-                            && (mpdus.is_empty() || bytes + f.body.len() <= max_bytes)
-                    }
-                }
-            };
+            let take = self.queues.msdus[k].front().is_some_and(|m| {
+                let f = self.frames.get(m.frame);
+                f.receiver() == peer && (mpdus.is_empty() || bytes + f.body.len() <= max_bytes)
+            });
             if !take {
                 break;
             }
-            let m = self.stations[id].edca.as_mut().expect("EDCA station").acs[aci]
-                .queue
-                .pop_front()
-                .expect("peeked above");
+            let m = self.queues.msdus[k].pop_front().expect("peeked above");
             bytes += self.frames.get(m.frame).body.len();
             self.queue_gauge.add(now, -1.0);
             let seq = self.stations[id].seq.next();
@@ -3165,13 +2777,12 @@ impl WlanWorld {
             return false;
         }
         let ssn = mpdus[0].seq;
-        self.stations[id].edca.as_mut().expect("EDCA station").acs[aci].flight =
-            Some(AmpduFlight {
-                mpdus,
-                rate,
-                ssn,
-                built: None,
-            });
+        self.queues.flights[k] = Some(AmpduFlight {
+            mpdus,
+            rate,
+            ssn,
+            built: None,
+        });
         true
     }
 
@@ -3183,10 +2794,8 @@ impl WlanWorld {
         now: SimTime,
         sched: &mut Scheduler<MacEvent>,
     ) {
-        let have_flight = self.stations[id].edca.as_ref().expect("EDCA station").acs[aci]
-            .flight
-            .is_some()
-            || self.edca_build_flight(id, aci, now);
+        let k = self.queues.index(id, aci);
+        let have_flight = self.queues.flights[k].is_some() || self.edca_build_flight(id, aci, now);
         if !have_flight {
             return; // Queue drained underneath the access win.
         }
@@ -3194,10 +2803,7 @@ impl WlanWorld {
         // Build (or reuse after a lost BA) the aggregate wire frame:
         // one QosData whose body is a [seq, len, payload] run.
         let (fid, rate, ssn, bits) = {
-            let flight = self.stations[id].edca.as_mut().expect("EDCA station").acs[aci]
-                .flight
-                .as_mut()
-                .expect("checked above");
+            let flight = self.queues.flights[k].as_mut().expect("checked above");
             let ssn = flight.ssn;
             let mut bits = 0u64;
             for m in &flight.mpdus {
@@ -3253,7 +2859,7 @@ impl WlanWorld {
         );
         let is_group = self.frames.get(fid).receiver().is_group();
         self.frames.retain(fid); // The record's reference.
-        self.stations[id].edca.as_mut().expect("EDCA station").tx_ac = Some(aci);
+        self.stations[id].tx_ac = Some(aci);
         self.start_transmission(id, fid, rate, now, sched);
         if is_group {
             self.dcf.expecting[id] = None;
@@ -3356,21 +2962,16 @@ impl WlanWorld {
         now: SimTime,
         sched: &mut Scheduler<MacEvent>,
     ) {
-        let Some(aci) = self.stations[id].edca.as_mut().and_then(|e| e.tx_ac.take()) else {
+        let Some(aci) = self.stations[id].tx_ac.take() else {
             return;
         };
-        let Some(mut flight) = self.stations[id].edca.as_mut().expect("EDCA station").acs[aci]
-            .flight
-            .take()
-        else {
+        let k = self.queues.index(id, aci);
+        let Some(mut flight) = self.queues.flights[k].take() else {
             return;
         };
         if let Some(b) = flight.built.take() {
             self.frames.release(b);
         }
-        let params = self
-            .cfg
-            .edca_params(AccessCategory::from_index(aci).expect("4 ACs"));
         let limit = self.cfg.retry_limit_short + u32::from(self.cfg.failpoint_retry_overrun);
         let peer = self.frames.get(flight.mpdus[0].msdu.frame).receiver();
         let flight_ssn = flight.ssn;
@@ -3476,21 +3077,17 @@ impl WlanWorld {
             self.stations[id].arf.on_failure(peer);
         }
         if remaining.is_empty() {
-            let e = self.stations[id].edca.as_mut().expect("EDCA station");
-            e.acs[aci].cw = params.cw_min;
-            let backlogged = !e.acs[aci].queue.is_empty();
-            if backlogged {
+            self.queues.reset_cw(id, aci);
+            if !self.queues.msdus[k].is_empty() {
                 // Post-transmission backoff before the next aggregate.
-                self.edca_begin_access(id, aci, now, sched);
+                self.begin_access(id, aci, now, sched);
             }
         } else {
             flight.ssn = remaining[0].seq;
             flight.mpdus = remaining;
-            let e = self.stations[id].edca.as_mut().expect("EDCA station");
-            let a = &mut e.acs[aci];
-            a.flight = Some(flight);
-            a.cw = ((a.cw + 1) * 2 - 1).min(params.cw_max);
-            self.edca_begin_access(id, aci, now, sched);
+            self.queues.flights[k] = Some(flight);
+            self.queues.widen_cw(id, aci);
+            self.begin_access(id, aci, now, sched);
         }
         for (fr, ok) in outcomes {
             self.with_upper(id, now, sched, |u, ctx| u.on_tx_result(ctx, &fr, ok));
@@ -3513,18 +3110,8 @@ impl World for WlanWorld {
             }
             MacEvent::TxEnd { tx_id } => self.handle_tx_end(tx_id, now, sched),
             MacEvent::AccessTimer { station, gen } => {
-                if self.dcf.timer_gen[station] != gen {
-                    return;
-                }
-                if self.stations[station].edca.is_some() {
-                    self.edca_access_fire(station, now, sched);
-                    return;
-                }
-                self.dcf.access_armed_at[station] = None;
-                self.dcf.backoff_slots[station] = None;
-                self.contenders.remove(station);
-                if self.stations[station].current.is_some() {
-                    self.transmit_current(station, now, sched);
+                if self.dcf.timer_gen[station] == gen {
+                    self.access_fire(station, now, sched);
                 }
             }
             MacEvent::ResponseTimeout { station, gen } => {
@@ -3534,7 +3121,7 @@ impl World for WlanWorld {
                 self.handle_sifs_action(station, gen, now, sched);
             }
             MacEvent::NavExpired { station } => {
-                if self.dcf.backoff_slots[station].is_some() && self.medium_idle(station, now) {
+                if self.queues.contending(station) && self.medium_idle(station, now) {
                     self.try_arm_access(station, now, sched);
                 }
             }
@@ -3546,15 +3133,11 @@ impl World for WlanWorld {
             }
             MacEvent::Inject { station, frame } => {
                 self.staged -= 1;
-                self.enqueue_id(station, frame, now, sched);
+                self.enqueue_id(station, frame, AccessCategory::Be, now, sched);
             }
             MacEvent::InjectQos { station, frame, ac } => {
                 self.staged -= 1;
-                if self.stations[station].edca.is_some() {
-                    self.edca_enqueue(station, frame, ac, now, sched);
-                } else {
-                    self.enqueue_id(station, frame, now, sched);
-                }
+                self.enqueue_id(station, frame, ac, now, sched);
             }
             MacEvent::TxDropped { station, frame } => {
                 self.staged -= 1;
@@ -3589,7 +3172,7 @@ pub fn inject_at(
 }
 
 /// [`inject_at`] with an explicit access category: the frame lands in
-/// that AC's EDCA queue (AC_BE when the station is not QoS-enabled).
+/// that AC's EDCA queue (the one DCF queue on a legacy world).
 pub fn qos_inject_at(
     sim: &mut wn_sim::Simulation<WlanWorld>,
     at: SimTime,
@@ -4554,8 +4137,12 @@ mod tests {
     // ----- EDCA / A-MPDU -----
 
     fn qos_world(n: usize, spacing_m: f64) -> Simulation<WlanWorld> {
+        qos_world_seeded(n, spacing_m, 7)
+    }
+
+    fn qos_world_seeded(n: usize, spacing_m: f64, seed: u64) -> Simulation<WlanWorld> {
         let mut cfg = MacConfig::new(PhyStandard::Dot11g);
-        cfg.seed = 7;
+        cfg.seed = seed;
         cfg.edca = true;
         let mut w = WlanWorld::new(cfg);
         for i in 0..n {
@@ -4578,6 +4165,105 @@ mod tests {
         ac: AccessCategory,
     ) {
         qos_inject_at(sim, SimTime::from_micros(at_us), station, frame, ac);
+    }
+
+    /// Station 0's aggregates as `(time, ac)`, in trace order.
+    fn ampdu_txs(w: &WlanWorld) -> Vec<(SimTime, u8)> {
+        w.trace
+            .events()
+            .filter_map(|(t, e)| match e {
+                TraceEvent::AmpduTx { station: 0, ac, .. } => Some((t, *ac)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Internal collision: VO (CW 3) and VI (CW 7) both wait AIFSN 2,
+    /// so equal slot draws expire in the same slot. VO wins the
+    /// station's access and goes on the air; VI doubles its CW to 15
+    /// and redraws at that instant without transmitting.
+    #[test]
+    fn internal_collision_sends_vo_and_redraws_vi() {
+        let mut hits = 0;
+        for seed in 0..64 {
+            let mut sim = qos_world_seeded(2, 10.0, seed);
+            let t0 = 1_000;
+            qinject(&mut sim, t0, 0, data_frame(0, 1, 200), AccessCategory::Vo);
+            qinject(&mut sim, t0, 0, data_frame(0, 1, 200), AccessCategory::Vi);
+            sim.run_until(SimTime::from_millis(50));
+            let w = sim.world();
+            let draws: Vec<(SimTime, u8, u32, u32)> = w
+                .trace
+                .events()
+                .filter_map(|(t, e)| match e {
+                    TraceEvent::EdcaBackoff {
+                        station: 0,
+                        ac,
+                        slots,
+                        cw,
+                    } => Some((t, *ac, *slots, *cw)),
+                    _ => None,
+                })
+                .collect();
+            let (vo, vi) = (draws[0], draws[1]);
+            assert_eq!((vo.1, vo.3, vi.1, vi.3), (0, 3, 1, 7), "seed {seed}");
+            if vo.2 != vi.2 {
+                continue;
+            }
+            hits += 1;
+            let txs = ampdu_txs(w);
+            let (at, ac) = txs[0];
+            assert_eq!(ac, 0, "seed {seed}: VO must win the internal collision");
+            assert!(
+                draws
+                    .iter()
+                    .any(|&(t, ac, _, cw)| t == at && ac == 1 && cw == 15),
+                "seed {seed}: VI must redraw with CW 15 as VO transmits"
+            );
+            assert!(
+                txs.iter().all(|&(t, ac)| ac != 1 || t > at),
+                "seed {seed}: VI transmitted in the colliding slot"
+            );
+            assert_eq!(w.stats(0).tx_completions, 2, "seed {seed}");
+        }
+        assert!(hits > 0, "no seed in 0..64 drew equal VO and VI slots");
+    }
+
+    /// A queue joining a running countdown re-arms the shared timer.
+    /// 802.11g: BK (AIFS 73 µs) is queued at t0, VO (AIFS 28 µs, CW 3)
+    /// at t0 + 10 µs. VO expires by t0 + 10 + 28 + 27 = t0 + 65 µs and
+    /// BK no earlier than t0 + 73 µs, so VO goes on the air first and
+    /// on time on every seed — which needs the timer armed for BK alone
+    /// to be frozen and re-armed over both queues.
+    #[test]
+    fn queue_joining_mid_countdown_rearms_the_timer() {
+        let std = PhyStandard::Dot11g;
+        let slot = crate::duration::slot(std);
+        assert_eq!(crate::duration::aifs(std, 2), SimDuration::from_micros(28));
+        assert_eq!(crate::duration::aifs(std, 7), SimDuration::from_micros(73));
+        assert_eq!(slot, SimDuration::from_micros(9));
+        for seed in 0..32 {
+            let mut sim = qos_world_seeded(2, 10.0, seed);
+            let t0 = 1_000;
+            qinject(&mut sim, t0, 0, data_frame(0, 1, 200), AccessCategory::Bk);
+            qinject(
+                &mut sim,
+                t0 + 10,
+                0,
+                data_frame(0, 1, 200),
+                AccessCategory::Vo,
+            );
+            sim.run_until(SimTime::from_millis(50));
+            let w = sim.world();
+            let txs = ampdu_txs(w);
+            let (at, ac) = txs[0];
+            assert_eq!(ac, 0, "seed {seed}: BK transmitted before VO");
+            assert!(
+                at <= SimTime::from_micros(t0 + 65),
+                "seed {seed}: VO fired at {at:?}, past t0 + 65 µs"
+            );
+            assert_eq!(w.stats(0).tx_completions, 2, "seed {seed}");
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Determinism regression tests: the parallel campaign runner must be
 //! a pure optimisation — same seeds, same bytes, any thread count.
 
+use wireless_networks::check::{range_digest, ScenarioGen};
 use wireless_networks::core::runner;
 use wireless_networks::core::scenarios::wlan_saturation_full;
 use wireless_networks::phy::modulation::PhyStandard;
@@ -53,8 +54,8 @@ fn observability_jsonl_is_byte_identical_across_thread_counts() {
 /// and stable across repeat runs in one process.
 #[test]
 fn fuzzer_digest_is_byte_identical_across_thread_counts() {
-    let serial = wireless_networks::check::range_digest(0, 32, 1);
-    let parallel = wireless_networks::check::range_digest(0, 32, 8);
+    let serial = range_digest(ScenarioGen::default(), 0, 32, 1);
+    let parallel = range_digest(ScenarioGen::default(), 0, 32, 8);
     assert!(
         serial == parallel,
         "fuzzer digest diverged between 1 and 8 threads"
@@ -62,7 +63,7 @@ fn fuzzer_digest_is_byte_identical_across_thread_counts() {
     assert_eq!(serial.lines().count(), 32);
     assert_eq!(
         serial,
-        wireless_networks::check::range_digest(0, 32, 8),
+        range_digest(ScenarioGen::default(), 0, 32, 8),
         "fuzzer digest not stable across repeat runs"
     );
 }
@@ -74,7 +75,7 @@ fn fuzzer_digest_is_byte_identical_across_thread_counts() {
 /// keeps the guarantee under plain `cargo test`.)
 #[test]
 fn fuzzer_digest_is_identical_across_scheduler_backends() {
-    use wireless_networks::check::{oracle::SchedulerOrder, run, Invariant, ScenarioGen};
+    use wireless_networks::check::{oracle::SchedulerOrder, run, Invariant};
     let gen = ScenarioGen::default();
     for seed in 0..32 {
         let art = run::run_scenario(&gen.scenario(seed));
