@@ -354,7 +354,7 @@ impl Invariant for TraceMetricsConsistent {
         let mut completions: HashMap<u32, u64> = HashMap::new();
         let mut failures: HashMap<u32, u64> = HashMap::new();
         let mut retries: HashMap<u32, u64> = HashMap::new();
-        let mut overflow_drops: HashMap<u32, u64> = HashMap::new();
+        let mut enqueue_drops: HashMap<u32, u64> = HashMap::new();
         for (_, e) in art.trace.events() {
             match *e {
                 TraceEvent::TxOutcome { station, ok: true } => {
@@ -368,10 +368,10 @@ impl Invariant for TraceMetricsConsistent {
                 }
                 TraceEvent::Drop {
                     station,
-                    reason: DropReason::QueueFull,
+                    reason: DropReason::QueueFull | DropReason::Oversize,
                     ..
                 } => {
-                    *overflow_drops.entry(station).or_default() += 1;
+                    *enqueue_drops.entry(station).or_default() += 1;
                 }
                 _ => {}
             }
@@ -384,9 +384,7 @@ impl Invariant for TraceMetricsConsistent {
             }),
             ("tx_failures", &failures, |w, i| w.stats[i].tx_failures),
             ("retries", &retries, |w, i| w.stats[i].retries),
-            ("queue_drops", &overflow_drops, |w, i| {
-                w.stats[i].queue_drops
-            }),
+            ("queue_drops", &enqueue_drops, |w, i| w.stats[i].queue_drops),
         ];
         for i in 0..w.stats.len() {
             let sid = i as u32;

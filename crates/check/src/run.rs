@@ -20,6 +20,7 @@ use crate::scenario::{
 use wn_mac80211::addr::MacAddr;
 use wn_mac80211::frame::{DsBits, Frame, SequenceControl, Subtype};
 use wn_mac80211::loss::LossModel;
+use wn_mac80211::payload::Payload;
 use wn_mac80211::sim::{
     boot as wlan_boot, inject_at, qos_inject_at, AccessCategory, MacConfig, StationStats, UpperCtx,
     UpperLayer, WlanWorld,
@@ -286,14 +287,20 @@ fn wlan_facts(
 /// trivially.
 const LEDGER_SLICES: u64 = 8;
 
-pub(crate) fn data_frame(from: u32, to: u32, len: usize) -> Frame {
+/// The body every frame of a scenario's backlog shares: built once per
+/// world, cloned per frame.
+pub(crate) fn payload(len: usize) -> Payload {
+    Payload::from(vec![0xF2; len])
+}
+
+pub(crate) fn data_frame(from: u32, to: u32, body: &Payload) -> Frame {
     Frame::data(
         DsBits::Ibss,
         MacAddr::station(to),
         MacAddr::station(from),
         MacAddr::random_ibss_bssid(1),
         SequenceControl::default(),
-        vec![0xF2; len],
+        body.clone(),
     )
 }
 
@@ -375,13 +382,14 @@ fn run_wlan(seed: u64, w: &WlanScenario, prop: Propagation) -> Artifacts {
     let mut sim = Simulation::new(world);
     sim.scheduler_mut().record_ops();
     wlan_boot(&mut sim);
+    let body = payload(w.payload);
     for g in 0..w.total_stations() {
         let Some(sink) = wlan_sink_of(w, g) else {
             continue;
         };
         for k in 0..u64::from(w.frames_per_sender) {
             let at = SimTime::from_micros(k * w.interval_us);
-            let frame = data_frame(g as u32, sink as u32, w.payload);
+            let frame = data_frame(g as u32, sink as u32, &body);
             if w.edca {
                 qos_inject_at(&mut sim, at, g, frame, wlan_ac_of(g, k));
             } else {

@@ -25,8 +25,8 @@
 //! `None`).
 
 use crate::run::{
-    build_ess_sim, data_frame, wlan_ac_of, wlan_config, wlan_sink_of, wlan_station_pos, CheckUpper,
-    TRACE_CAPACITY,
+    build_ess_sim, data_frame, payload, wlan_ac_of, wlan_config, wlan_sink_of, wlan_station_pos,
+    CheckUpper, TRACE_CAPACITY,
 };
 use crate::scenario::{EssScenario, Scenario, ScenarioGen, ScenarioKind, WlanScenario};
 use std::sync::{Arc, Mutex};
@@ -170,13 +170,14 @@ fn build_wlan_component(
     }
     let mut sim = Simulation::new(world);
     wlan_boot(&mut sim);
+    let body = payload(w.payload);
     for (local, &g) in members.iter().enumerate() {
         let Some(sink) = wlan_sink_of(w, g) else {
             continue;
         };
         for f in 0..u64::from(w.frames_per_sender) {
             let at = SimTime::from_micros(f * w.interval_us);
-            let frame = data_frame(g as u32, sink as u32, w.payload);
+            let frame = data_frame(g as u32, sink as u32, &body);
             if w.edca {
                 qos_inject_at(&mut sim, at, local, frame, wlan_ac_of(g, f));
             } else {

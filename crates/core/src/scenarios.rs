@@ -9,6 +9,7 @@ use crate::registry::Technology;
 use wn_mac80211::addr::MacAddr;
 use wn_mac80211::frame::{DsBits, Frame, SequenceControl};
 use wn_mac80211::loss::LossModel;
+use wn_mac80211::payload::Payload;
 use wn_mac80211::shard::{component_seed, run_components, run_components_observed, ShardRunReport};
 use wn_mac80211::sim::{
     boot, inject_at, qos_inject_at, AccessCategory, MacConfig, NullUpper, PerDecisions, WlanWorld,
@@ -276,14 +277,21 @@ pub fn fig_1_5_uwb() -> (Figure, ExperimentReport) {
     (fig, report)
 }
 
-fn data_frame(from: u32, to: u32, len: usize) -> Frame {
+/// A `len`-byte filler body. A world builder makes one and stages
+/// every frame of its backlog behind it with [`data_frame`].
+fn filler(len: usize) -> Payload {
+    Payload::from(vec![0xDA; len])
+}
+
+/// A direct data frame carrying a shared reference to `body`.
+fn data_frame(from: u32, to: u32, body: &Payload) -> Frame {
     Frame::data(
         DsBits::Ibss,
         MacAddr::station(to),
         MacAddr::station(from),
         MacAddr::random_ibss_bssid(1),
         SequenceControl::default(),
-        vec![0xDA; len],
+        body.clone(),
     )
 }
 
@@ -340,6 +348,7 @@ pub fn wlan_saturation_full(
     }
     let mut sim = Simulation::new(w);
     boot(&mut sim);
+    let body = filler(1500);
     let sim_secs = 1.0;
     // Enough offered load to keep every queue non-empty.
     let per_sender = (3000.0 / n as f64).ceil() as u64 + 50;
@@ -349,7 +358,7 @@ pub fn wlan_saturation_full(
                 &mut sim,
                 SimTime::from_micros(k * (1_000_000 / per_sender)),
                 i,
-                data_frame(i as u32, 0, 1500),
+                data_frame(i as u32, 0, &body),
             );
         }
     }
@@ -677,11 +686,11 @@ pub fn fig_1_12_frame_overhead() -> (Figure, ExperimentReport) {
     );
     let s = fig.add_series("data frame");
     for &len in &[0usize, 64, 256, 512, 1024, 1500, 2312] {
-        let f = data_frame(1, 2, len);
+        let f = data_frame(1, 2, &filler(len));
         let eff = len as f64 / f.wire_len() as f64 * 100.0;
         s.push(len as f64, eff);
     }
-    let data = data_frame(1, 2, 1500);
+    let data = data_frame(1, 2, &filler(1500));
     let ack = Frame::ack(MacAddr::station(1));
     let rts = Frame::rts(MacAddr::station(1), MacAddr::station(2), 100);
     let mut report = ExperimentReport::new("FIG-1.12", "802.11 MAC frame format");
@@ -850,19 +859,20 @@ pub fn adv_tradeoffs(seed: u64) -> (Figure, ExperimentReport) {
         }
         let mut sim = Simulation::new(w);
         boot(&mut sim);
+        let body = filler(1400);
         // Saturating load: each pair alone could carry ~27 Mbps.
         for k in 0..3000u64 {
             inject_at(
                 &mut sim,
                 SimTime::from_micros(k * 330),
                 a_tx,
-                data_frame(0, 1, 1400),
+                data_frame(0, 1, &body),
             );
             inject_at(
                 &mut sim,
                 SimTime::from_micros(k * 330),
                 b_tx,
-                data_frame(2, 3, 1400),
+                data_frame(2, 3, &body),
             );
         }
         sim.run_until(SimTime::from_secs(1));
@@ -958,13 +968,14 @@ pub fn ablation_cw_sweep(seed: u64) -> (Figure, ExperimentReport) {
         }
         let mut sim = Simulation::new(w);
         boot(&mut sim);
+        let body = filler(1500);
         for i in 1..=8usize {
             for k in 0..450u64 {
                 inject_at(
                     &mut sim,
                     SimTime::from_micros(k * 2200),
                     i,
-                    data_frame(i as u32, 0, 1500),
+                    data_frame(i as u32, 0, &body),
                 );
             }
         }
@@ -1002,12 +1013,13 @@ pub fn ablation_cw_sweep(seed: u64) -> (Figure, ExperimentReport) {
         );
         let mut sim = Simulation::new(w);
         boot(&mut sim);
+        let body = filler(1500);
         for k in 0..3000u64 {
             inject_at(
                 &mut sim,
                 SimTime::from_micros(k * 330),
                 tx,
-                data_frame(1, 0, 1500),
+                data_frame(1, 0, &body),
             );
         }
         sim.run_until(SimTime::from_secs(1));
@@ -1063,18 +1075,19 @@ pub fn ablation_capture(seed: u64) -> (Figure, ExperimentReport) {
         );
         let mut sim = Simulation::new(w);
         boot(&mut sim);
+        let body = filler(1200);
         for k in 0..1500u64 {
             inject_at(
                 &mut sim,
                 SimTime::from_micros(k * 660),
                 a,
-                data_frame(1, 0, 1200),
+                data_frame(1, 0, &body),
             );
             inject_at(
                 &mut sim,
                 SimTime::from_micros(k * 660),
                 b,
-                data_frame(2, 0, 1200),
+                data_frame(2, 0, &body),
             );
         }
         sim.run_until(SimTime::from_secs(1));
@@ -1140,12 +1153,13 @@ pub fn ablation_arf(seed: u64) -> (Figure, ExperimentReport) {
         );
         let mut sim = Simulation::new(w);
         boot(&mut sim);
+        let body = filler(1200);
         for k in 0..1200u64 {
             inject_at(
                 &mut sim,
                 SimTime::from_micros(k * 800),
                 tx,
-                data_frame(0, 1, 1200),
+                data_frame(0, 1, &body),
             );
         }
         sim.run_until(SimTime::from_secs(1));
@@ -1235,18 +1249,19 @@ pub fn adjacent_channels(seed: u64) -> (Figure, ExperimentReport) {
         w.set_channel(b_rx, other_channel);
         let mut sim = Simulation::new(w);
         boot(&mut sim);
+        let body = filler(1400);
         for k in 0..3000u64 {
             inject_at(
                 &mut sim,
                 SimTime::from_micros(k * 330),
                 a_tx,
-                data_frame(0, 1, 1400),
+                data_frame(0, 1, &body),
             );
             inject_at(
                 &mut sim,
                 SimTime::from_micros(k * 330),
                 b_tx,
-                data_frame(2, 3, 1400),
+                data_frame(2, 3, &body),
             );
         }
         sim.run_until(SimTime::from_secs(1));
@@ -1319,12 +1334,13 @@ pub fn fading_link(seed: u64) -> (Figure, ExperimentReport) {
         );
         let mut sim = Simulation::new(w);
         boot(&mut sim);
+        let body = filler(1200);
         for k in 0..1500u64 {
             inject_at(
                 &mut sim,
                 SimTime::from_micros(k * 660),
                 tx,
-                data_frame(0, 1, 1200),
+                data_frame(0, 1, &body),
             );
         }
         sim.run_until(SimTime::from_secs(1));
@@ -1528,6 +1544,7 @@ fn scale_dcf_load(
     frames_per_sender: u64,
 ) {
     boot(sim);
+    let body = filler(SCALE_DCF_PAYLOAD);
     let total_frames = frames_per_sender * stations as u64;
     let stride_ns = duration_ms * 900_000 / total_frames;
     for i in 1..=stations {
@@ -1537,7 +1554,7 @@ fn scale_dcf_load(
                 sim,
                 SimTime::from_nanos(j * stride_ns),
                 i,
-                data_frame(i as u32, 0, SCALE_DCF_PAYLOAD),
+                data_frame(i as u32, 0, &body),
             );
         }
     }
@@ -1833,6 +1850,7 @@ fn city_dcf_component(
     }
     let mut sim = Simulation::new(w);
     boot(&mut sim);
+    let body = filler(SCALE_DCF_PAYLOAD);
     let stride_ns = duration_ms * 900_000 / (frames_per_sender * senders as u64);
     for (local, &g) in members.iter().enumerate() {
         let (cell, lid) = (g / per_cell, g % per_cell);
@@ -1846,7 +1864,7 @@ fn city_dcf_component(
                 &mut sim,
                 SimTime::from_nanos(j * stride_ns),
                 local,
-                data_frame(g as u32, sink, SCALE_DCF_PAYLOAD),
+                data_frame(g as u32, sink, &body),
             );
         }
     }
@@ -2349,6 +2367,7 @@ fn dense_obss_sim(
     }
     let mut sim = Simulation::new(w);
     boot(&mut sim);
+    let body = filler(DENSE_OBSS_PAYLOAD);
     let horizon_ns = duration_ms * 900_000; // inject over 90 %
     for cell in 0..cells {
         let ap = 2 * cell;
@@ -2361,7 +2380,7 @@ fn dense_obss_sim(
                     &mut sim,
                     SimTime::from_nanos(f * stride + phase % stride.max(1)),
                     ap,
-                    data_frame(2 * cell as u32, 2 * cell as u32 + 1, DENSE_OBSS_PAYLOAD),
+                    data_frame(2 * cell as u32, 2 * cell as u32 + 1, &body),
                     ac,
                 );
             }
@@ -2541,13 +2560,14 @@ pub fn observe_fig_1_6(seed: u64) -> (String, String) {
     }
     let mut sim = Simulation::new(w);
     boot(&mut sim);
+    let body = filler(1000);
     for i in 1..=3u64 {
         for k in 0..40u64 {
             inject_at(
                 &mut sim,
                 SimTime::from_micros(k * 2_000),
                 i as usize,
-                data_frame(i as u32, 0, 1000),
+                data_frame(i as u32, 0, &body),
             );
         }
     }
@@ -2704,6 +2724,17 @@ pub fn observe_fig_1_7() -> (String, String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A builder's frames share its one payload instead of each owning
+    /// a copy of the filler bytes.
+    #[test]
+    fn frames_from_one_builder_share_its_payload() {
+        let body = filler(DENSE_OBSS_PAYLOAD);
+        let a = data_frame(0, 1, &body);
+        let b = data_frame(2, 3, &body);
+        assert_eq!(a.body.as_ptr(), b.body.as_ptr());
+        assert_eq!(a.body, vec![0xDA; DENSE_OBSS_PAYLOAD]);
+    }
 
     #[test]
     fn classification_has_all_13_technologies() {

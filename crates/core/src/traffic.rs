@@ -10,6 +10,7 @@
 
 use wn_mac80211::addr::MacAddr;
 use wn_mac80211::frame::{DsBits, Frame, SequenceControl};
+use wn_mac80211::payload::Payload;
 use wn_mac80211::sim::{inject_at, StationId, WlanWorld};
 use wn_sim::{Rng, SimDuration, SimTime, Simulation};
 
@@ -20,8 +21,9 @@ pub struct Flow {
     pub from: StationId,
     /// Destination MAC address.
     pub to: MacAddr,
-    /// Payload bytes per packet.
-    pub payload: usize,
+    /// The body every packet of the flow carries, built once and
+    /// shared by every frame the flow stages.
+    pub payload: Payload,
     /// Source address stamped into the frames.
     pub source_addr: MacAddr,
     /// BSSID stamped into the frames (IBSS-style direct frames).
@@ -29,12 +31,13 @@ pub struct Flow {
 }
 
 impl Flow {
-    /// A direct (ad hoc style) flow between two stations of a world.
+    /// A direct (ad hoc style) flow between two stations of a world,
+    /// carrying `payload` bytes per packet.
     pub fn direct(world: &WlanWorld, from: StationId, to: StationId, payload: usize) -> Flow {
         Flow {
             from,
             to: world.addr(to),
-            payload,
+            payload: Payload::from(vec![0xF1; payload]),
             source_addr: world.addr(from),
             bssid: MacAddr::random_ibss_bssid(1),
         }
@@ -47,7 +50,7 @@ impl Flow {
             self.source_addr,
             self.bssid,
             SequenceControl::default(),
-            vec![0xF1; self.payload],
+            self.payload.clone(),
         )
     }
 }
@@ -64,7 +67,7 @@ pub fn cbr(
     until: SimTime,
 ) -> u64 {
     assert!(rate_bps > 0.0, "rate must be positive");
-    let interval = SimDuration::from_secs_f64(flow.payload as f64 * 8.0 / rate_bps);
+    let interval = SimDuration::from_secs_f64(flow.payload.len() as f64 * 8.0 / rate_bps);
     let mut t = start;
     let mut n = 0;
     while t < until {
@@ -220,6 +223,15 @@ mod tests {
         assert_eq!(n, 20);
         sim.run_until(SimTime::from_secs(3));
         assert_eq!(sim.world().stats(1).rx_accepted, 20);
+    }
+
+    #[test]
+    fn flow_frames_share_one_payload() {
+        let sim = two_station_sim(6);
+        let flow = Flow::direct(sim.world(), 0, 1, 300);
+        let (a, b) = (flow.frame(), flow.frame());
+        assert_eq!(a.body.as_ptr(), b.body.as_ptr());
+        assert_eq!(a.body, vec![0xF1; 300]);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! body.
 
 use crate::addr::MacAddr;
+use crate::payload::Payload;
 use wn_crypto::crc32;
 
 /// Frame type — "There are three different frame type fields: control,
@@ -348,8 +349,9 @@ pub struct Frame {
     /// Address 4 — only on ToDS+FromDS (wireless DS) frames.
     pub addr4: Option<MacAddr>,
     /// Frame body ("the data or information included in either
-    /// management type or data type frames").
-    pub body: Vec<u8>,
+    /// management type or data type frames"), shared and immutable:
+    /// cloning a frame or slicing its body copies no bytes.
+    pub body: Payload,
 }
 
 impl Frame {
@@ -365,7 +367,7 @@ impl Frame {
             addr3: None,
             seq: None,
             addr4: None,
-            body: Vec::new(),
+            body: Payload::default(),
         }
     }
 
@@ -379,7 +381,7 @@ impl Frame {
             addr3: None,
             seq: None,
             addr4: None,
-            body: Vec::new(),
+            body: Payload::default(),
         }
     }
 
@@ -393,7 +395,7 @@ impl Frame {
             addr3: None,
             seq: None,
             addr4: None,
-            body: Vec::new(),
+            body: Payload::default(),
         }
     }
 
@@ -409,7 +411,7 @@ impl Frame {
             addr3: None,
             seq: None,
             addr4: None,
-            body: Vec::new(),
+            body: Payload::default(),
         }
     }
 
@@ -424,7 +426,7 @@ impl Frame {
             addr3: None,
             seq: None,
             addr4: None,
-            body: (ssn & 0x0FFF).to_le_bytes().to_vec(),
+            body: Payload::from(&(ssn & 0x0FFF).to_le_bytes()[..]),
         }
     }
 
@@ -432,9 +434,9 @@ impl Frame {
     /// number plus a 64-bit bitmap where bit `k` acknowledges sequence
     /// `ssn + k`.
     pub fn block_ack(ra: MacAddr, ta: MacAddr, ssn: u16, bitmap: u64) -> Frame {
-        let mut body = Vec::with_capacity(10);
-        body.extend_from_slice(&(ssn & 0x0FFF).to_le_bytes());
-        body.extend_from_slice(&bitmap.to_le_bytes());
+        let mut body = [0u8; 10];
+        body[..2].copy_from_slice(&(ssn & 0x0FFF).to_le_bytes());
+        body[2..].copy_from_slice(&bitmap.to_le_bytes());
         Frame {
             fc: FrameControl::new(Subtype::BlockAck),
             duration_id: 0,
@@ -443,7 +445,7 @@ impl Frame {
             addr3: None,
             seq: None,
             addr4: None,
-            body,
+            body: Payload::from(&body[..]),
         }
     }
 
@@ -454,7 +456,7 @@ impl Frame {
         sa: MacAddr,
         bssid: MacAddr,
         seq: SequenceControl,
-        body: Vec<u8>,
+        body: impl Into<Payload>,
     ) -> Frame {
         let (addr1, addr2, addr3) = match ds {
             DsBits::Ibss => (da, sa, bssid),
@@ -472,7 +474,7 @@ impl Frame {
             addr3: Some(addr3),
             seq: Some(seq),
             addr4: None,
-            body,
+            body: body.into(),
         }
     }
 
@@ -483,7 +485,7 @@ impl Frame {
         ta: MacAddr,
         bssid: MacAddr,
         seq: SequenceControl,
-        body: Vec<u8>,
+        body: impl Into<Payload>,
     ) -> Frame {
         debug_assert_eq!(subtype.frame_type(), FrameType::Management);
         Frame {
@@ -494,23 +496,7 @@ impl Frame {
             addr3: Some(bssid),
             seq: Some(seq),
             addr4: None,
-            body,
-        }
-    }
-
-    /// A copy of this frame's header fields with an empty body — the
-    /// template aggregates and their per-MPDU deliveries start from,
-    /// without copying a body only to replace it.
-    pub fn header_only(&self) -> Frame {
-        Frame {
-            fc: self.fc,
-            duration_id: self.duration_id,
-            addr1: self.addr1,
-            addr2: self.addr2,
-            addr3: self.addr3,
-            seq: self.seq,
-            addr4: self.addr4,
-            body: Vec::new(),
+            body: body.into(),
         }
     }
 
@@ -689,7 +675,7 @@ impl Frame {
                 addr3: None,
                 seq: None,
                 addr4: None,
-                body: Vec::new(),
+                body: Payload::default(),
             }),
             Subtype::Rts | Subtype::PsPoll => Ok(Frame {
                 fc,
@@ -699,7 +685,7 @@ impl Frame {
                 addr3: None,
                 seq: None,
                 addr4: None,
-                body: Vec::new(),
+                body: Payload::default(),
             }),
             Subtype::BlockAckReq | Subtype::BlockAck => Ok(Frame {
                 fc,
@@ -709,7 +695,7 @@ impl Frame {
                 addr3: None,
                 seq: None,
                 addr4: None,
-                body: payload[16..].to_vec(),
+                body: Payload::from(&payload[16..]),
             }),
             _ => {
                 let addr2 = take_addr(10)?;
@@ -735,7 +721,7 @@ impl Frame {
                     addr3: Some(addr3),
                     seq: Some(seq),
                     addr4,
-                    body: payload[body_off..].to_vec(),
+                    body: Payload::from(&payload[body_off..]),
                 })
             }
         }
@@ -1213,5 +1199,32 @@ mod tests {
         f.fc.protected = true;
         let back = Frame::from_bytes(&f.to_bytes()).unwrap();
         assert!(back.fc.protected, "WEP bit must survive");
+    }
+
+    #[test]
+    fn frame_with_a_sliced_body_roundtrips() {
+        let whole = Payload::from((0..=255u8).collect::<Vec<u8>>());
+        let f = Frame::data(
+            DsBits::Ibss,
+            sta(2),
+            sta(1),
+            MacAddr::random_ibss_bssid(1),
+            SequenceControl {
+                fragment: 2,
+                sequence: 300,
+            },
+            whole.slice(40..137),
+        );
+        let bytes = f.to_bytes();
+        assert_eq!(bytes.len(), 24 + 97 + 4);
+        assert_eq!(&bytes[24..24 + 97], &whole[40..137]);
+        assert_eq!(Frame::from_bytes(&bytes).unwrap(), f);
+    }
+
+    /// The arena stores frames by value; a shared body must not grow
+    /// its slots.
+    #[test]
+    fn frame_fits_in_72_bytes() {
+        assert!(std::mem::size_of::<Frame>() <= 72);
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! Three layers of machinery:
 //!
-//! 1. **Frame codec** ([`frame`], [`addr`]) — the nine-field MAC frame
-//!    of Fig. 1.12, bit-exact, with a real CRC-32 FCS.
+//! 1. **Frame codec** ([`frame`], [`addr`], [`payload`]) — the
+//!    nine-field MAC frame of Fig. 1.12, bit-exact, with a real CRC-32
+//!    FCS and a shared, immutable body.
 //! 2. **MAC mechanisms** ([`duration`], [`dedup`], [`arf`]) — NAV
 //!    arithmetic, duplicate filtering, and ARF rate fallback.
 //! 3. **The medium simulation** ([`sim`]) — DCF/CSMA-CA over a shared
@@ -24,6 +25,7 @@ pub mod frame;
 pub mod grid;
 pub mod loss;
 pub mod neighbors;
+pub mod payload;
 pub mod shard;
 pub mod sim;
 
@@ -31,7 +33,8 @@ pub use addr::MacAddr;
 pub use arena::{FrameArena, FrameId};
 pub use frame::{DsBits, Frame, FrameControl, FrameType, SequenceControl, Subtype};
 pub use loss::LossModel;
+pub use payload::Payload;
 pub use sim::{
-    boot, inject_at, qos_inject_at, AccessCategory, Command, MacConfig, MacEvent, PerDecisions,
-    StationId, UpperCtx, UpperLayer, WlanWorld,
+    boot, inject_at, qos_inject_at, AccessCategory, Command, ConfigError, MacConfig, MacEvent,
+    PerDecisions, StationId, UpperCtx, UpperLayer, WlanWorld,
 };

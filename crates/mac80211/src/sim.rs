@@ -263,9 +263,10 @@ impl MacConfig {
     }
 
     /// Checks the fields the MAC cannot run with; the error names the
-    /// offending field. [`WlanWorld::new`] rejects any configuration
-    /// that fails here — a zero fragmentation threshold, for one,
-    /// would otherwise split every MSDU into empty fragments forever.
+    /// offending field. [`WlanWorld::try_new`] returns a configuration
+    /// that fails here as a [`ConfigError`], and [`WlanWorld::new`]
+    /// panics with it — a zero fragmentation threshold, for one, would
+    /// otherwise split every MSDU into empty fragments forever.
     pub fn validate(&self) -> Result<(), String> {
         if self.frag_threshold == 0 {
             return Err("frag_threshold must be >= 1".into());
@@ -313,6 +314,19 @@ impl MacConfig {
             .unwrap_or(self.standard.mac_timing().cw_max)
     }
 }
+
+/// A [`MacConfig`] the MAC cannot run with, from
+/// [`WlanWorld::try_new`]; the message names the offending field.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ConfigError(pub String);
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "invalid MacConfig: {}", self.0)
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// Commands an [`UpperLayer`] issues back into the MAC.
 #[derive(Debug)]
@@ -433,7 +447,8 @@ impl UpperLayer for NullUpper {}
 pub struct StationStats {
     /// Data/management MSDUs queued.
     pub queued: u64,
-    /// MSDUs dropped on queue overflow.
+    /// MSDUs refused at enqueue: queue overflow, or on an EDCA world
+    /// a body too long for an A-MPDU subframe's 16-bit length.
     pub queue_drops: u64,
     /// Frames put on the air (including control and retries).
     pub tx_frames: u64,
@@ -468,12 +483,9 @@ struct Msdu {
 /// The in-flight attempt for the head-of-line MSDU.
 struct Attempt {
     msdu: Msdu,
-    /// The full original MSDU body (taken from `msdu.frame` at queue
-    /// time; restored into the completion callback's frame).
-    body: Vec<u8>,
-    /// Remaining fragment byte ranges of `body` (index 0 = next to
-    /// send). Fragment bodies are sliced out at build time, so no
-    /// per-fragment copies are held.
+    /// Remaining fragment byte ranges of the MSDU's body (index 0 =
+    /// next to send). A fragment's body is a window onto the MSDU's,
+    /// sliced out at build time.
     frag_ranges: VecDeque<(usize, usize)>,
     frag_number: u8,
     short_retries: u32,
@@ -835,11 +847,19 @@ impl WlanWorld {
     /// # Panics
     ///
     /// On a configuration [`MacConfig::validate`] rejects, naming the
-    /// offending field.
+    /// offending field; [`WlanWorld::try_new`] returns the error
+    /// instead.
     pub fn new(cfg: MacConfig) -> Self {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid MacConfig: {e}");
+        match Self::try_new(cfg) {
+            Ok(w) => w,
+            Err(e) => panic!("{e}"),
         }
+    }
+
+    /// [`WlanWorld::new`] for a configuration that may be invalid: the
+    /// error names the field [`MacConfig::validate`] rejected.
+    pub fn try_new(cfg: MacConfig) -> Result<Self, ConfigError> {
+        cfg.validate().map_err(ConfigError)?;
         let std = cfg.standard;
         let budget = LinkBudget::for_standard(std, Radio::consumer_wifi());
         let rng = Rng::new(cfg.seed);
@@ -852,7 +872,7 @@ impl WlanWorld {
             },
             cfg.arf,
         );
-        WlanWorld {
+        Ok(WlanWorld {
             arf_template,
             budget,
             loss: LossModel::distance(LogDistance::indoor()),
@@ -888,7 +908,7 @@ impl WlanWorld {
             slot: crate::duration::slot(std),
             booted: false,
             cfg,
-        }
+        })
     }
 
     /// Replaces the propagation model. The world derives its received
@@ -1848,7 +1868,8 @@ impl WlanWorld {
     /// Queues an arena-resident frame into the queue serving `ac`: its
     /// own on an EDCA world, the one DCF queue on a legacy world. The
     /// caller's reference on `fid` transfers to the queue — or back out
-    /// through a `TxDropped` event on overflow.
+    /// through a `TxDropped` event on overflow, or on an EDCA world
+    /// when the body does not fit an A-MPDU subframe's 16-bit length.
     fn enqueue_id(
         &mut self,
         id: StationId,
@@ -1859,10 +1880,18 @@ impl WlanWorld {
     ) {
         let q = if self.cfg.edca { ac.index() } else { 0 };
         let k = self.queues.index(id, q);
-        self.frames.get_mut(fid).fc.power_management = self.stations[id].power_mgmt;
+        let frame = self.frames.get_mut(fid);
+        frame.fc.power_management = self.stations[id].power_mgmt;
+        let refused = if self.cfg.edca && frame.body.len() > usize::from(u16::MAX) {
+            Some(DropReason::Oversize)
+        } else if self.queues.msdus[k].len() >= self.cfg.queue_limit {
+            Some(DropReason::QueueFull)
+        } else {
+            None
+        };
         let s = &mut self.stations[id];
         s.stats.queued += 1;
-        if self.queues.msdus[k].len() >= self.cfg.queue_limit {
+        if let Some(reason) = refused {
             s.stats.queue_drops += 1;
             let kind = frame_kind(self.frames.get(fid).fc.subtype);
             self.trace.event(
@@ -1872,7 +1901,7 @@ impl WlanWorld {
                 TraceEvent::Drop {
                     station: id as u32,
                     kind,
-                    reason: DropReason::QueueFull,
+                    reason,
                 },
             );
             // The sender must still learn the MSDU's fate: deliver the
@@ -1913,25 +1942,24 @@ impl WlanWorld {
             return;
         };
         self.queue_gauge.add(now, -1.0);
-        // Assign a sequence number and split into fragments. The body is
-        // taken out of the queued frame and kept whole in the attempt;
-        // fragments are byte ranges into it, sliced out at build time.
+        // Assign a sequence number and split into fragments: byte
+        // ranges of the queued frame's body, sliced out at build time.
         let seq_no = self.stations[id].seq.next();
         let frag_threshold = self.cfg.frag_threshold;
         let frame = self.frames.get_mut(msdu.frame);
-        let body = std::mem::take(&mut frame.body);
+        let body_len = frame.body.len();
         let can_fragment =
             frame.fc.subtype.frame_type() == FrameType::Data && !frame.receiver().is_group();
         let mut frag_ranges: VecDeque<(usize, usize)> = VecDeque::new();
-        if can_fragment && body.len() > frag_threshold {
+        if can_fragment && body_len > frag_threshold {
             let mut start = 0;
-            while body.len() - start > frag_threshold {
+            while body_len - start > frag_threshold {
                 frag_ranges.push_back((start, start + frag_threshold));
                 start += frag_threshold;
             }
-            frag_ranges.push_back((start, body.len()));
+            frag_ranges.push_back((start, body_len));
         } else {
-            frag_ranges.push_back((0, body.len()));
+            frag_ranges.push_back((0, body_len));
         }
         frame.seq = Some(SequenceControl {
             fragment: 0,
@@ -1947,7 +1975,6 @@ impl WlanWorld {
         };
         self.stations[id].current = Some(Attempt {
             msdu,
-            body,
             frag_ranges,
             frag_number: 0,
             short_retries: 0,
@@ -2062,7 +2089,7 @@ impl WlanWorld {
                         f.body = at
                             .frag_ranges
                             .front()
-                            .map(|&(a, b)| at.body[a..b].to_vec())
+                            .map(|&(a, b)| base.body.slice(a..b))
                             .unwrap_or_default();
                         let more = at.frag_ranges.len() > 1;
                         f.fc.more_fragments = more;
@@ -2450,10 +2477,10 @@ impl WlanWorld {
                         return;
                     }
                     let full = self.stations[r].reassembly.remove(&key).unwrap_or_default();
-                    // Rare path: reassembly genuinely needs its own copy
-                    // to splice the rebuilt body in.
+                    // Rare path: reassembly builds its own buffer and
+                    // hands it over as the rebuilt body.
                     let mut complete = frame.clone();
-                    complete.body = full;
+                    complete.body = full.into();
                     complete.fc.more_fragments = false;
                     self.deliver(r, &complete, rssi, now, sched);
                 } else {
@@ -2567,12 +2594,10 @@ impl WlanWorld {
             self.stations[id].stats.tx_failures += 1;
         }
         // Hand the upper layer the MSDU as it queued it: moved out of
-        // the arena with the original body restored (it was taken into
-        // the attempt at queue time) and the More Fragments bit clear —
+        // the arena, its body whole and the More Fragments bit clear —
         // fragmentation is a MAC transfer detail, finished either way
         // by now.
         let mut frame = self.frames.remove(at.msdu.frame);
-        frame.body = at.body;
         frame.fc.more_fragments = false;
         if let Some(b) = at.built {
             // A failed attempt can still hold a cached wire frame.
@@ -2814,7 +2839,7 @@ impl WlanWorld {
             let fid = match flight.built {
                 Some(f) => f,
                 None => {
-                    let mut f = self.frames.get(flight.mpdus[0].msdu.frame).header_only();
+                    let mut f = self.frames.get(flight.mpdus[0].msdu.frame).clone();
                     f.fc.subtype = Subtype::QosData;
                     f.fc.retry = flight.mpdus.iter().any(|m| m.retries > 0);
                     f.fc.more_fragments = false;
@@ -2832,13 +2857,17 @@ impl WlanWorld {
                         .iter()
                         .map(|m| 4 + self.frames.get(m.msdu.frame).body.len())
                         .sum();
-                    f.body.reserve_exact(len);
+                    let mut body = Vec::with_capacity(len);
                     for m in &flight.mpdus {
                         let mb = &self.frames.get(m.msdu.frame).body;
-                        f.body.extend_from_slice(&m.seq.to_le_bytes());
-                        f.body.extend_from_slice(&(mb.len() as u16).to_le_bytes());
-                        f.body.extend_from_slice(mb);
+                        // Enqueue refuses bodies the 16-bit field
+                        // cannot carry.
+                        let mb_len = u16::try_from(mb.len()).expect("checked at enqueue");
+                        body.extend_from_slice(&m.seq.to_le_bytes());
+                        body.extend_from_slice(&mb_len.to_le_bytes());
+                        body.extend_from_slice(mb);
                     }
+                    f.body = body.into();
                     let fid = self.frames.insert(f);
                     flight.built = Some(fid);
                     fid
@@ -2885,12 +2914,12 @@ impl WlanWorld {
         let ssn = frame.seq.map_or(0, |s| s.sequence);
         let unicast = !frame.receiver().is_group();
         let loss = self.cfg.ampdu_per_mpdu_loss;
-        // One MPDU frame, refilled per subframe: the aggregate's header
-        // with the subframe's sequence number and payload.
-        let mut one = frame.header_only();
+        // One MPDU frame per subframe: the aggregate's header with the
+        // subframe's sequence number and a window onto its payload.
+        let mut one = frame.clone();
         one.fc.more_fragments = false;
         let mut bitmap = 0u64;
-        let body = &frame.body;
+        let body: &[u8] = &frame.body;
         let mut off = 0usize;
         while off + 4 <= body.len() {
             let seq = u16::from_le_bytes([body[off], body[off + 1]]);
@@ -2899,7 +2928,7 @@ impl WlanWorld {
             if off + len > body.len() {
                 break; // Truncated delimiter run; stop parsing.
             }
-            let payload = &body[off..off + len];
+            let mpdu = off..off + len;
             off += len;
             if loss > 0.0 && self.rng.chance(loss) {
                 // The delimiter/CRC of this subframe failed even though
@@ -2921,8 +2950,7 @@ impl WlanWorld {
                 self.stations[r].stats.rx_duplicates += 1;
                 continue;
             }
-            one.body.clear();
-            one.body.extend_from_slice(payload);
+            one.body = frame.body.slice(mpdu);
             one.seq = Some(sc);
             self.deliver(r, &one, rssi, now, sched);
         }
@@ -4631,6 +4659,37 @@ mod tests {
         ] {
             assert_eq!(MacConfig::new(std).validate(), Ok(()));
         }
+    }
+
+    /// Every configuration `validate` rejects comes back from
+    /// `try_new` as an error naming its field, never as a panic.
+    #[test]
+    fn try_new_returns_each_rejection_as_an_error() {
+        type Breaker = fn(&mut MacConfig);
+        let cases: [(&str, Breaker); 9] = [
+            ("frag_threshold", |c| c.frag_threshold = 0),
+            ("queue_limit", |c| c.queue_limit = 0),
+            ("ampdu_max_mpdus", |c| c.ampdu_max_mpdus = 0),
+            ("ampdu_max_bytes", |c| c.ampdu_max_bytes = 0),
+            ("cw_min_override", |c| {
+                c.cw_min_override = Some(63);
+                c.cw_max_override = Some(31);
+            }),
+            ("ampdu_per_mpdu_loss", |c| c.ampdu_per_mpdu_loss = -0.1),
+            ("ampdu_per_mpdu_loss", |c| c.ampdu_per_mpdu_loss = 1.5),
+            ("cs_threshold", |c| c.cs_threshold = Dbm(f64::NAN)),
+            ("cs_threshold", |c| c.cs_threshold = Dbm(f64::INFINITY)),
+        ];
+        for (field, break_it) in cases {
+            let mut cfg = MacConfig::new(PhyStandard::Dot11g);
+            cfg.edca = true;
+            break_it(&mut cfg);
+            match WlanWorld::try_new(cfg) {
+                Ok(_) => panic!("{field}: accepted"),
+                Err(e) => assert!(e.to_string().contains(field), "{field}: {e}"),
+            }
+        }
+        assert!(WlanWorld::try_new(MacConfig::new(PhyStandard::Dot11g)).is_ok());
     }
 
     #[test]

@@ -5,6 +5,7 @@
 use wn_crypto::crc32;
 use wn_mac80211::addr::MacAddr;
 use wn_mac80211::frame::{Frame, FrameControl, FrameError, SequenceControl, Subtype};
+use wn_mac80211::Payload;
 use wn_sim::Rng;
 
 const ALL_SUBTYPES: [Subtype; 17] = [
@@ -67,7 +68,7 @@ fn random_valid_frame(rng: &mut Rng) -> Frame {
             addr3: None,
             seq: None,
             addr4: None,
-            body: Vec::new(),
+            body: Payload::default(),
         },
         Subtype::Rts | Subtype::PsPoll => Frame {
             fc,
@@ -77,7 +78,7 @@ fn random_valid_frame(rng: &mut Rng) -> Frame {
             addr3: None,
             seq: None,
             addr4: None,
-            body: Vec::new(),
+            body: Payload::default(),
         },
         _ => {
             let body_len = rng.below(512) as usize;
@@ -98,7 +99,7 @@ fn random_valid_frame(rng: &mut Rng) -> Frame {
                 // The wireless-DS address appears exactly when both DS
                 // bits are set.
                 addr4: (fc.to_ds && fc.from_ds).then(|| random_addr(rng)),
-                body,
+                body: body.into(),
             }
         }
     }

@@ -165,7 +165,7 @@ impl ApLogic {
     fn handle_to_ds_data(&mut self, ctx: &mut UpperCtx, frame: &Frame) {
         let da = frame.destination();
         let sa = frame.source().unwrap_or(MacAddr::ZERO);
-        let payload = frame.body.clone();
+        let payload = frame.body.to_vec();
         if da.is_group() {
             // Rebroadcast locally and flood the backbone.
             let f = Frame::data(

@@ -298,7 +298,7 @@ impl UpperLayer for IbssNode {
                 .lock()
                 .expect("shared state lock")
                 .delivered
-                .push((ctx.now, sa, frame.body.clone()));
+                .push((ctx.now, sa, frame.body.to_vec()));
         }
     }
 

@@ -594,7 +594,7 @@ impl UpperLayer for StaLogic {
                     .lock()
                     .expect("shared state lock")
                     .delivered
-                    .push((ctx.now, sa, frame.body.clone()));
+                    .push((ctx.now, sa, frame.body.to_vec()));
                 if self.cfg.power_save {
                     if frame.fc.more_data {
                         let aid = self.shared.lock().expect("shared state lock").aid;

@@ -143,6 +143,9 @@ pub enum DropReason {
     Collision,
     /// Hop / TTL budget exhausted in a mesh.
     HopLimit,
+    /// Refused at enqueue: the body is longer than the frame format
+    /// can carry (an A-MPDU subframe's 16-bit length field).
+    Oversize,
 }
 
 /// A structured trace event.

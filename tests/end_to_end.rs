@@ -362,7 +362,7 @@ fn wep_protected_frame_lifecycle() {
     let wep = encrypt(&key, [1, 2, 3], &frame.body);
     let mut body = vec![wep.iv[0], wep.iv[1], wep.iv[2], wep.key_id];
     body.extend_from_slice(&wep.ciphertext);
-    frame.body = body;
+    frame.body = body.into();
     frame.fc.protected = true;
 
     // Over the wire (FCS protects the whole MAC frame).
