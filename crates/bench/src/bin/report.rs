@@ -14,8 +14,12 @@
 //!   instrumented experiment as JSONL (registry order, byte-identical
 //!   for any `--threads`).
 //! - `--metrics-json PATH` — likewise for per-layer metric snapshots.
+//!   Both files are created before any experiment runs, so an
+//!   unwritable path exits 1 at once.
 //! - `--list` — print the experiment registry and exit.
 
+use std::fs::File;
+use std::io::Write;
 use wn_core::runner;
 
 fn main() {
@@ -80,6 +84,10 @@ fn main() {
         i += 1;
     }
     let threads = threads.unwrap_or_else(wn_sim::worker_count);
+    // Both exports are created before any experiment runs, so an
+    // unwritable path fails at once rather than after the campaign.
+    let trace_out = trace_json.map(|path| create_output(&path));
+    let metrics_out = metrics_json.map(|path| create_output(&path));
 
     if only.is_empty() {
         print!("{}", runner::campaign_markdown(threads));
@@ -97,23 +105,33 @@ fn main() {
         }
     }
 
-    if trace_json.is_some() || metrics_json.is_some() {
+    if trace_out.is_some() || metrics_out.is_some() {
         let outs = runner::run_observability(threads);
-        if let Some(path) = trace_json {
-            let body = runner::observability_trace_jsonl(&outs);
-            if let Err(e) = std::fs::write(&path, body) {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("wrote {path}");
+        if let Some(out) = trace_out {
+            write_output(out, &runner::observability_trace_jsonl(&outs));
         }
-        if let Some(path) = metrics_json {
-            let body = runner::observability_metrics_jsonl(&outs);
-            if let Err(e) = std::fs::write(&path, body) {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-            eprintln!("wrote {path}");
+        if let Some(out) = metrics_out {
+            write_output(out, &runner::observability_metrics_jsonl(&outs));
         }
     }
+}
+
+/// Creates (truncates) the export file at `path`, or exits 1 naming it.
+fn create_output(path: &str) -> (String, File) {
+    match File::create(path) {
+        Ok(file) => (path.to_string(), file),
+        Err(e) => {
+            eprintln!("cannot write {path}: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Writes `body` through an export file opened by [`create_output`].
+fn write_output((path, mut file): (String, File), body: &str) {
+    if let Err(e) = file.write_all(body.as_bytes()) {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(1);
+    }
+    eprintln!("wrote {path}");
 }

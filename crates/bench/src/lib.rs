@@ -37,7 +37,7 @@ pub struct BenchStats {
 }
 
 /// Times `f` with one warm-up call plus enough timed iterations to fill
-/// roughly [`target`] of wall clock (at least three), and prints a
+/// roughly `target` of wall clock (at least three), and prints a
 /// one-line summary. Returns the stats so callers can post-process.
 pub fn bench_kernel<R>(name: &str, target: Duration, mut f: impl FnMut() -> R) -> BenchStats {
     // Warm-up; also gives us a cost estimate to size the iteration count.

@@ -1458,15 +1458,15 @@ pub struct ScaleDcfPoint {
     pub stations: usize,
     /// Virtual milliseconds simulated.
     pub duration_ms: u64,
-    /// Mean per-sender delivered goodput [kbps].
+    /// Mean per-sender delivered goodput \[kbps\].
     pub per_station_kbps: f64,
-    /// Aggregate delivered goodput [Mbps].
+    /// Aggregate delivered goodput \[Mbps\].
     pub aggregate_mbps: f64,
     /// Jain fairness index over per-sender completion counts.
     pub jain_fairness: f64,
-    /// Median access delay [µs].
+    /// Median access delay \[µs\].
     pub access_delay_p50_us: u64,
-    /// 99th-percentile access delay [µs].
+    /// 99th-percentile access delay \[µs\].
     pub access_delay_p99_us: u64,
     /// True when every sender still holds an unserved backlog at the
     /// horizon — the run was saturated end to end.
@@ -1712,10 +1712,10 @@ pub fn scale_dcf(seed: u64) -> (Vec<ScaleDcfPoint>, ExperimentReport) {
 // independent job (DESIGN.md §15).
 // ---------------------------------------------------------------------
 
-/// Street-grid spacing between neighbouring cell centres [m].
+/// Street-grid spacing between neighbouring cell centres \[m\].
 pub const CITY_DCF_SPACING_M: f64 = 200.0;
 
-/// Radius of each cell's sender ring around its sink [m].
+/// Radius of each cell's sender ring around its sink \[m\].
 pub const CITY_DCF_RING_M: f64 = 8.0;
 
 /// The classic 2.4 GHz non-overlapping channel plan; cell `(row, col)`
@@ -1741,9 +1741,9 @@ pub struct CityDcfPoint {
     pub duration_ms: u64,
     /// Shards the plan produced (must equal `cells`).
     pub shards: usize,
-    /// Mean per-sender delivered goodput [kbps].
+    /// Mean per-sender delivered goodput \[kbps\].
     pub per_station_kbps: f64,
-    /// Aggregate delivered goodput [Mbps].
+    /// Aggregate delivered goodput \[Mbps\].
     pub aggregate_mbps: f64,
     /// Jain fairness index over per-BSS completion totals.
     pub jain_cross_bss: f64,
@@ -2079,10 +2079,10 @@ pub struct MetroDcfPoint {
     /// Shards the plan produced (must equal `cells`).
     pub shards: usize,
     /// Wall-clock of the grid-backed `shard_plan` on the full
-    /// planning world [ms].
+    /// planning world \[ms\].
     pub plan_ms: f64,
     /// Wall-clock of the sparse neighbor-cache build on the planning
-    /// world [ms]; `None` above [`METRO_DCF_BUILD_CAP`].
+    /// world \[ms\]; `None` above `METRO_DCF_BUILD_CAP`.
     pub build_ms: Option<f64>,
     /// Pair entries the sparse rows stored (dense would be n·(n−1));
     /// `None` above the build cap.
@@ -2103,7 +2103,7 @@ impl MetroDcfPoint {
     }
 }
 
-/// The full-metro planning world — [`city_dcf_planning_world`]'s
+/// The full-metro planning world — `city_dcf_planning_world`'s
 /// street grid at metro sweep sizes, public so the perfsuite grid
 /// section and the fuzz planning-equality leg construct the exact
 /// deployment the experiment plans.
@@ -2262,10 +2262,10 @@ pub fn metro_dcf(seed: u64) -> (Vec<MetroDcfPoint>, ExperimentReport) {
 // stays Jain-fair inside each co-channel class.
 // ---------------------------------------------------------------------
 
-/// Flat-to-flat spacing between neighbouring APs [m].
+/// Flat-to-flat spacing between neighbouring APs \[m\].
 pub const DENSE_OBSS_SPACING_M: f64 = 10.0;
 
-/// Client offset from its AP [m].
+/// Client offset from its AP \[m\].
 pub const DENSE_OBSS_CLIENT_M: f64 = 2.0;
 
 /// Payload bytes per MSDU in the DENSE-OBSS downlink.
@@ -2292,9 +2292,9 @@ pub struct DenseObssPoint {
     pub cochannel_max: usize,
     /// Virtual milliseconds simulated.
     pub duration_ms: u64,
-    /// Per-AC access-delay p50 [µs], indexed by `AccessCategory`.
+    /// Per-AC access-delay p50 \[µs\], indexed by `AccessCategory`.
     pub ac_p50_us: [u64; 4],
-    /// Per-AC access-delay p99 [µs], indexed by `AccessCategory`.
+    /// Per-AC access-delay p99 \[µs\], indexed by `AccessCategory`.
     pub ac_p99_us: [u64; 4],
     /// Worst Jain index over per-AP airtime within one co-channel
     /// class (classes of one AP are trivially fair and skipped).
@@ -2303,7 +2303,7 @@ pub struct DenseObssPoint {
     pub offered: u64,
     /// MSDUs delivered block-wide.
     pub completed: u64,
-    /// Aggregate delivered goodput [Mbps].
+    /// Aggregate delivered goodput \[Mbps\].
     pub aggregate_mbps: f64,
 }
 

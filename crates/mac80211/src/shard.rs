@@ -15,11 +15,13 @@
 //! computes the partition; this module holds the plan type, the
 //! coherence checks behind the `shard-coherence` oracle, and
 //! [`run_components`], which runs one simulation per shard as an
-//! independent [`par_map_with`] job and digests the merged output in
-//! shard order, so the digest is the same for any worker count.
+//! independent [`par_for_each_ordered`] job and folds each shard's
+//! trace and metrics JSONL into running digests in shard order as the
+//! job finishes, so the digest is the same for any worker count and a
+//! shard's JSONL lives only until every earlier shard has been folded.
 
 use crate::sim::WlanWorld;
-use wn_sim::par::par_map_with;
+use wn_sim::par::par_for_each_ordered;
 use wn_sim::stats::{fnv1a_extend, FNV1A_OFFSET};
 use wn_sim::{SimTime, Simulation};
 
@@ -125,9 +127,10 @@ pub fn component_seed(base: u64, k: usize) -> u64 {
 /// Runs `count` component worlds as independent jobs on up to
 /// `workers` threads. Job `k` builds component `k` with `build(k)`,
 /// advances it to `horizon` with one `run_until`, renders its trace
-/// and metrics JSONL under `tag` and drops the world. The pieces are
-/// merged in shard order, so the report is identical for any worker
-/// count: shards never exchange state (DESIGN.md §15).
+/// and metrics JSONL under `tag` and drops the world. The calling
+/// thread folds the pieces into the digests in shard order while later
+/// jobs run, so the report is identical for any worker count: shards
+/// never exchange state (DESIGN.md §15).
 pub fn run_components<B>(
     count: usize,
     horizon: SimTime,
@@ -157,7 +160,10 @@ where
     O: Fn(usize, &WlanWorld) -> T + Sync,
     T: Send,
 {
-    let pieces = par_map_with(workers, (0..count).collect(), |k| {
+    let mut per_shard_events = Vec::with_capacity(count);
+    let (mut trace_fnv, mut metrics_fnv) = (FNV1A_OFFSET, FNV1A_OFFSET);
+    let mut observed = Vec::with_capacity(count);
+    let job = |k| {
         let mut sim = build(k);
         let events = sim.run_until(horizon);
         let world = sim.world();
@@ -167,18 +173,21 @@ where
             world.metrics_snapshot(horizon).to_jsonl(tag),
             observe(k, world),
         )
-    });
-    // Each piece folds into a running digest in shard order and is
-    // dropped, so the merged JSONL never exists as one buffer.
-    let mut per_shard_events = Vec::with_capacity(count);
-    let (mut trace_fnv, mut metrics_fnv) = (FNV1A_OFFSET, FNV1A_OFFSET);
-    let mut observed = Vec::with_capacity(count);
-    for (events, trace, metrics, o) in pieces {
-        per_shard_events.push(events);
-        trace_fnv = fnv1a_extend(trace_fnv, trace.as_bytes());
-        metrics_fnv = fnv1a_extend(metrics_fnv, metrics.as_bytes());
-        observed.push(o);
-    }
+    };
+    // Each piece folds into the running digests in shard order as soon
+    // as every earlier shard has, and is dropped, so the fold overlaps
+    // the jobs still running and the merged JSONL never exists.
+    par_for_each_ordered(
+        workers,
+        (0..count).collect(),
+        job,
+        |(events, trace, metrics, o)| {
+            per_shard_events.push(events);
+            trace_fnv = fnv1a_extend(trace_fnv, trace.as_bytes());
+            metrics_fnv = fnv1a_extend(metrics_fnv, metrics.as_bytes());
+            observed.push(o);
+        },
+    );
     let report = ShardRunReport {
         shards: count,
         events: per_shard_events.iter().sum(),

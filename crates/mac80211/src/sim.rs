@@ -1531,7 +1531,7 @@ impl WlanWorld {
     /// The shard-coupling predicate for one pair: spectral overlap,
     /// and within `range` metres or audible in either direction.
     /// Public so brute-force reference planners can ask it of every
-    /// pair; it is [`coupled_within`](Self::coupled_within) with no
+    /// pair; it is `coupled_within` with no
     /// distance known to silence the pair.
     pub fn shard_coupled(&self, i: StationId, j: StationId, range: f64, now: SimTime) -> bool {
         self.coupled_within(i, j, range, f64::INFINITY, now)

@@ -4,25 +4,45 @@
 //! and [`crate::metrics`] build their output with these few functions
 //! instead of a serialisation crate. Output is deterministic: fixed key
 //! order is the caller's job; this module guarantees stable escaping and
-//! number formatting.
+//! number formatting. Nothing here allocates beyond growing `out`:
+//! numbers are formatted straight into it through [`fmt::Write`].
+
+use std::fmt::{self, Write};
 
 /// Appends `s` as a JSON string literal (quotes and escapes included).
 pub(crate) fn push_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    // Runs of bytes that need no escape are copied in one piece; every
+    // byte that needs one is ASCII, so each run ends on a char boundary.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => push_fmt(out, format_args!("\\u{b:04x}")),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
+}
+
+/// Formats `args` straight into `out`.
+fn push_fmt(out: &mut String, args: fmt::Arguments<'_>) {
+    out.write_fmt(args)
+        .expect("formatting into a String cannot fail");
+}
+
+/// Appends `v` as a JSON number.
+pub(crate) fn push_u64(out: &mut String, v: u64) {
+    push_fmt(out, format_args!("{v}"));
 }
 
 /// Appends `v` as a JSON number.
@@ -32,41 +52,40 @@ pub(crate) fn push_str(out: &mut String, s: &str) {
 /// in JSON) are emitted as `null`.
 pub(crate) fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        out.push_str(&format!("{v}"));
+        push_fmt(out, format_args!("{v}"));
     } else {
         out.push_str("null");
     }
 }
 
-/// Appends `,"name":"value"` with escaping.
-pub(crate) fn push_str_field(out: &mut String, name: &str, value: &str) {
+/// Appends `,"name":` — the start of every field after the first.
+fn push_key(out: &mut String, name: &str) {
     out.push_str(",\"");
     out.push_str(name);
     out.push_str("\":");
+}
+
+/// Appends `,"name":"value"` with escaping.
+pub(crate) fn push_str_field(out: &mut String, name: &str, value: &str) {
+    push_key(out, name);
     push_str(out, value);
 }
 
 /// Appends `,"name":value` for an unsigned integer.
 pub(crate) fn push_u64_field(out: &mut String, name: &str, value: u64) {
-    out.push_str(",\"");
-    out.push_str(name);
-    out.push_str("\":");
-    out.push_str(&value.to_string());
+    push_key(out, name);
+    push_u64(out, value);
 }
 
 /// Appends `,"name":value` for a float (see [`push_f64`]).
 pub(crate) fn push_f64_field(out: &mut String, name: &str, value: f64) {
-    out.push_str(",\"");
-    out.push_str(name);
-    out.push_str("\":");
+    push_key(out, name);
     push_f64(out, value);
 }
 
 /// Appends `,"name":true|false`.
 pub(crate) fn push_bool_field(out: &mut String, name: &str, value: bool) {
-    out.push_str(",\"");
-    out.push_str(name);
-    out.push_str("\":");
+    push_key(out, name);
     out.push_str(if value { "true" } else { "false" });
 }
 
@@ -79,6 +98,13 @@ mod tests {
         let mut out = String::new();
         push_str(&mut out, "a\"b\\c\nd\u{1}");
         assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
+    }
+
+    #[test]
+    fn unescaped_runs_keep_multibyte_characters_whole() {
+        let mut out = String::new();
+        push_str(&mut out, "µs\t→\u{1f}é");
+        assert_eq!(out, "\"µs\\t→\\u001fé\"");
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub use engine::{
     SchedulerKind, Simulation, World, OP_POP,
 };
 pub use metrics::{MetricKey, MetricRow, MetricsRegistry, MetricsSnapshot};
-pub use par::{par_map, par_map_with, worker_count};
+pub use par::{par_for_each_ordered, par_map, par_map_with, worker_count};
 pub use rng::Rng;
 pub use time::{SimDuration, SimTime};
 pub use trace::{

@@ -275,12 +275,12 @@ impl MetricsSnapshot {
             out.push_str("{\"exp\":");
             json::push_str(&mut out, exp);
             out.push_str(",\"at_ns\":");
-            out.push_str(&self.at.as_nanos().to_string());
+            json::push_u64(&mut out, self.at.as_nanos());
             json::push_str_field(&mut out, "layer", row.key.layer);
             json::push_str_field(&mut out, "name", row.key.name);
             out.push_str(",\"station\":");
             match row.key.station {
-                Some(s) => out.push_str(&s.to_string()),
+                Some(s) => json::push_u64(&mut out, u64::from(s)),
                 None => out.push_str("null"),
             }
             json::push_str_field(&mut out, "kind", row.kind);

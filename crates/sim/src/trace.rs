@@ -130,6 +130,35 @@ pub enum FrameKind {
     Other,
 }
 
+impl FrameKind {
+    /// The variant name, as `Debug` prints it.
+    fn as_str(self) -> &'static str {
+        match self {
+            FrameKind::AssocReq => "AssocReq",
+            FrameKind::AssocResp => "AssocResp",
+            FrameKind::ReassocReq => "ReassocReq",
+            FrameKind::ReassocResp => "ReassocResp",
+            FrameKind::ProbeReq => "ProbeReq",
+            FrameKind::ProbeResp => "ProbeResp",
+            FrameKind::Beacon => "Beacon",
+            FrameKind::Atim => "Atim",
+            FrameKind::Disassoc => "Disassoc",
+            FrameKind::Auth => "Auth",
+            FrameKind::Deauth => "Deauth",
+            FrameKind::PsPoll => "PsPoll",
+            FrameKind::Rts => "Rts",
+            FrameKind::Cts => "Cts",
+            FrameKind::Ack => "Ack",
+            FrameKind::Data => "Data",
+            FrameKind::NullData => "NullData",
+            FrameKind::QosData => "QosData",
+            FrameKind::BlockAckReq => "BlockAckReq",
+            FrameKind::BlockAck => "BlockAck",
+            FrameKind::Other => "Other",
+        }
+    }
+}
+
 /// Why a frame or MSDU was dropped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DropReason {
@@ -146,6 +175,20 @@ pub enum DropReason {
     /// Refused at enqueue: the body is longer than the frame format
     /// can carry (an A-MPDU subframe's 16-bit length field).
     Oversize,
+}
+
+impl DropReason {
+    /// The variant name, as `Debug` prints it.
+    fn as_str(self) -> &'static str {
+        match self {
+            DropReason::QueueFull => "QueueFull",
+            DropReason::RetryLimit => "RetryLimit",
+            DropReason::NoRoute => "NoRoute",
+            DropReason::Collision => "Collision",
+            DropReason::HopLimit => "HopLimit",
+            DropReason::Oversize => "Oversize",
+        }
+    }
 }
 
 /// A structured trace event.
@@ -497,7 +540,7 @@ impl TraceEvent {
         out.push_str(self.type_tag());
         out.push('"');
         out.push_str(",\"station\":");
-        out.push_str(&self.station().to_string());
+        json::push_u64(out, u64::from(self.station()));
         match *self {
             TraceEvent::Tx {
                 kind,
@@ -505,7 +548,7 @@ impl TraceEvent {
                 rate_mbps,
                 ..
             } => {
-                json::push_str_field(out, "kind", &format!("{kind:?}"));
+                json::push_str_field(out, "kind", kind.as_str());
                 json::push_u64_field(out, "len", u64::from(len));
                 json::push_f64_field(out, "rate_mbps", rate_mbps);
             }
@@ -515,13 +558,13 @@ impl TraceEvent {
                 rssi_dbm,
                 ..
             } => {
-                json::push_str_field(out, "kind", &format!("{kind:?}"));
+                json::push_str_field(out, "kind", kind.as_str());
                 json::push_u64_field(out, "len", u64::from(len));
                 json::push_f64_field(out, "rssi_dbm", rssi_dbm);
             }
             TraceEvent::Drop { kind, reason, .. } => {
-                json::push_str_field(out, "kind", &format!("{kind:?}"));
-                json::push_str_field(out, "reason", &format!("{reason:?}"));
+                json::push_str_field(out, "kind", kind.as_str());
+                json::push_str_field(out, "reason", reason.as_str());
             }
             TraceEvent::Backoff { slots, cw, .. } => {
                 json::push_u64_field(out, "slots", u64::from(slots));
@@ -918,7 +961,7 @@ impl Trace {
             out.push_str("{\"exp\":");
             json::push_str(&mut out, exp);
             out.push_str(",\"at_ns\":");
-            out.push_str(&r.at.as_nanos().to_string());
+            json::push_u64(&mut out, r.at.as_nanos());
             out.push_str(",\"level\":\"");
             out.push_str(r.level.as_str());
             out.push_str("\",\"tag\":");

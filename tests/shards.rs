@@ -9,9 +9,10 @@
 //! - stale plans are caught by `shard_plan_incoherence` after the
 //!   world changes under them (the `shard-coherence` oracle's check);
 //! - `run_components` produces byte-identical digests to the sliced
-//!   serial reference at 1, 2, 4 and 8 workers on an uneven
-//!   partition, and a single-component composition bridges to a plain
-//!   `run_until`.
+//!   serial reference at 1, 2, 4 and 8 workers on uneven partitions
+//!   (one large cell among lone sinks, and cells shrinking from the
+//!   largest first, so jobs finish out of shard order), and a
+//!   single-component composition bridges to a plain `run_until`.
 
 use wireless_networks::check::{
     reference_shard_plan, reference_shard_plan_incoherence, run_components_sliced,
@@ -289,6 +290,29 @@ fn run_components_is_byte_identical_across_worker_counts() {
     assert!(reference.per_shard_events[0] > reference.per_shard_events[1]);
     for workers in [1usize, 2, 4, 8] {
         let report = run_components(5, horizon, workers, "shards", build);
+        assert_eq!(reference, report, "{workers} worker(s) diverged");
+    }
+}
+
+/// Streamed folding keeps shard order when the jobs finish out of
+/// order: the components shrink from 10 stations to 1, so the largest
+/// job is claimed first and its successors finish before it. Every
+/// worker count digests byte-identically to the sliced serial
+/// reference.
+#[test]
+fn run_components_folds_in_shard_order_when_the_largest_shard_comes_first() {
+    let horizon = SimTime::from_millis(30);
+    let sizes = [10usize, 7, 5, 4, 3, 2, 2, 1, 1];
+    let build = |k: usize| traffic_cell(23, k, [1u8, 6, 11][k % 3], sizes[k]);
+    let reference = run_components_sliced(sizes.len(), horizon, "uneven", build);
+    assert!(
+        reference.per_shard_events.windows(2).all(|w| w[0] >= w[1])
+            && reference.per_shard_events[0] > 10 * reference.per_shard_events[5],
+        "components must shrink: {:?}",
+        reference.per_shard_events
+    );
+    for workers in [1usize, 2, 4, 8] {
+        let report = run_components(sizes.len(), horizon, workers, "uneven", build);
         assert_eq!(reference, report, "{workers} worker(s) diverged");
     }
 }
