@@ -256,8 +256,9 @@ fn run_metro_dcf() -> ExperimentOutput {
     let (points, r) = scenarios::metro_dcf(42);
     let mut md = format!("{}\n", r.to_markdown());
     // No wall-clock columns here: the report must render byte-identically
-    // across passes and thread counts, so timings live only in
-    // `BENCH_campaign.json` (`grid` section).
+    // across passes and thread counts, so timings live only in perfbench
+    // (`shard.plan_s`, `shard.validate_s`) and perfsuite's per-experiment
+    // row in `BENCH_campaign.json`.
     let _ = writeln!(
         md,
         "| cells | stations | senders/cell | horizon [ms] | shards | sparse/dense pairs |"

@@ -1444,8 +1444,8 @@ pub fn table_8_1() -> ExperimentReport {
 // past a handful of stations, so this experiment family extends the
 // reproduction to a BSS of up to 1000 saturated senders. It doubles as
 // the dense-timer workload the timer wheel is benchmarked on and held
-// to the reference heap's pop order on (`perfsuite`,
-// `tests/determinism.rs`, DESIGN.md §12).
+// to the reference heap's pop order on (perfbench's scale-dcf
+// workload, `tests/determinism.rs`, DESIGN.md §12).
 // ---------------------------------------------------------------------
 
 /// Payload bytes per MSDU in the SCALE-DCF workload.
@@ -2087,9 +2087,6 @@ pub struct MetroDcfPoint {
     /// Pair entries the sparse rows stored (dense would be n·(n−1));
     /// `None` above the build cap.
     pub stored_entries: Option<usize>,
-    /// Grid/sparse-row coherence verdict on the primed planning world
-    /// (vacuously true above the build cap).
-    pub grid_coherent: bool,
     /// Partition-soundness failure on the planning world, if any.
     pub incoherence: Option<String>,
     /// The composition's digest.
@@ -2104,9 +2101,10 @@ impl MetroDcfPoint {
 }
 
 /// The full-metro planning world — `city_dcf_planning_world`'s
-/// street grid at metro sweep sizes, public so the perfsuite grid
-/// section and the fuzz planning-equality leg construct the exact
-/// deployment the experiment plans.
+/// street grid at metro sweep sizes, public so the reference-planner
+/// test in `tests/metro_dcf.rs`, perfbench's metro workload and the
+/// fuzz planning-equality leg construct the exact deployment the
+/// experiment plans.
 pub fn metro_dcf_planning_world(
     rows: usize,
     cols: usize,
@@ -2145,7 +2143,7 @@ pub fn metro_dcf_point(
     let n = cells * per_cell;
     let mut planning = metro_dcf_planning_world(rows, cols, senders, duration_ms, seed);
 
-    let (build_ms, stored_entries, grid_coherent) = if n <= METRO_DCF_BUILD_CAP {
+    let (build_ms, stored_entries) = if n <= METRO_DCF_BUILD_CAP {
         let t0 = std::time::Instant::now();
         planning.prime_neighbor_cache(SimTime::ZERO);
         let build_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -2153,10 +2151,9 @@ pub fn metro_dcf_point(
             .neighbor_cache_stats()
             .filter(|&(sparse, _)| sparse)
             .map(|(_, entries)| entries);
-        let coherent = planning.grid_incoherence(SimTime::ZERO).is_empty();
-        (Some(build_ms), stored, coherent)
+        (Some(build_ms), stored)
     } else {
-        (None, None, true)
+        (None, None)
     };
 
     let t0 = std::time::Instant::now();
@@ -2184,7 +2181,6 @@ pub fn metro_dcf_point(
         plan_ms,
         build_ms,
         stored_entries,
-        grid_coherent,
         incoherence,
         report,
     }
@@ -2241,10 +2237,6 @@ pub fn metro_dcf(seed: u64) -> (Vec<MetroDcfPoint>, ExperimentReport) {
         .claim(
             "sparse grid rows beat the dense neighbor matrix",
             sparsity_ok,
-        )
-        .claim(
-            "the spatial grid index stays coherent on every primed planning world",
-            points.iter().all(|p| p.grid_coherent),
         );
     (points, report)
 }
@@ -2403,8 +2395,9 @@ pub fn dense_obss_point(
 
 /// [`dense_obss_point`] with the A-MPDU aggregation cap exposed —
 /// `ampdu_max_mpdus = 1` degenerates to one MPDU per TXOP (aggregation
-/// effectively off), which is what the perfsuite `qos` section races
-/// against the default cap on the same saturated block.
+/// effectively off), which `tests/dense_obss.rs` and perfbench's
+/// `ampdu.goodput_gain` race against the default cap on the same
+/// saturated block.
 pub fn dense_obss_point_opts(
     rows: usize,
     cols: usize,

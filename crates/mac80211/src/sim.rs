@@ -1313,7 +1313,7 @@ impl WlanWorld {
     /// `None` before the lazy build and under direct evaluation. Rows
     /// are always sparse (the flag stays for callers that read it);
     /// they store only grid neighborhoods, and this is the hook the
-    /// storage-factor claims and the perfsuite grid section read.
+    /// storage-factor claims and the flagship grid-coherence test read.
     pub fn neighbor_cache_stats(&self) -> Option<(bool, usize)> {
         self.grid
             .as_ref()

@@ -31,9 +31,10 @@
 //! # Process-global kill switch
 //!
 //! [`set_observability`] disables record retention process-wide so the
-//! cost of the layer can be measured (`perfsuite` runs the campaign once
-//! with tracing on and once with it off). Simulation results never
-//! depend on trace contents, so toggling it cannot change figures.
+//! cost of the layer can be measured (perfbench's
+//! `observability.overhead`; `perfsuite` re-renders the campaign with
+//! it off). Simulation results never depend on trace contents, so
+//! toggling it cannot change figures.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -47,8 +48,9 @@ static OBSERVABILITY: AtomicBool = AtomicBool::new(true);
 
 /// Enables or disables all trace retention in this process.
 ///
-/// Used by `perfsuite` to measure the overhead of the observability
-/// layer. Defaults to enabled.
+/// Used by perfbench to measure the overhead of the observability
+/// layer, and by `perfsuite` to show the figures never read the trace.
+/// Defaults to enabled.
 pub fn set_observability(enabled: bool) {
     OBSERVABILITY.store(enabled, Ordering::Relaxed);
 }

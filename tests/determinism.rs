@@ -87,20 +87,34 @@ fn fuzzer_digest_is_identical_across_scheduler_backends() {
 
 /// The SCALE-DCF saturation workload — the dense-timer stress case the
 /// wheel exists for — pops in the same order through the reference
-/// heap as through the wheel.
+/// heap as through the wheel, and the replay pops exactly the events
+/// the simulation processed. A small point runs in every profile; the
+/// release build adds the 1000-station, 200 ms point (~66k pending
+/// timers), the size the wheel is tuned for.
 #[test]
 fn scale_dcf_is_identical_across_scheduler_backends() {
     use wireless_networks::check::reference_replay_ops;
-    use wireless_networks::core::scenarios::scale_dcf_op_log;
+    use wireless_networks::core::scenarios::{scale_dcf_op_log, scale_dcf_point};
     use wireless_networks::sim::{replay_ops, SchedulerKind};
-    let ops = scale_dcf_op_log(20, 150, 7);
-    let (pops, fnv) = replay_ops(SchedulerKind::TimerWheel, &ops);
-    assert_eq!(
-        (pops, fnv),
-        reference_replay_ops(&ops),
-        "SCALE-DCF pop order diverged between the wheel and the reference heap"
-    );
-    assert!(pops > 10_000, "workload too small to mean anything");
+    let mut inputs = vec![(20, 150, 7)];
+    if !cfg!(debug_assertions) {
+        inputs.push((1000, 200, 42));
+    }
+    for (stations, duration_ms, seed) in inputs {
+        let ops = scale_dcf_op_log(stations, duration_ms, seed);
+        let (pops, fnv) = replay_ops(SchedulerKind::TimerWheel, &ops);
+        assert_eq!(
+            (pops, fnv),
+            reference_replay_ops(&ops),
+            "SCALE-DCF n={stations}: pop order diverged between the wheel and the reference heap"
+        );
+        assert_eq!(
+            pops,
+            scale_dcf_point(stations, duration_ms, seed).events,
+            "SCALE-DCF n={stations}: the replay popped a different event count than the run"
+        );
+        assert!(pops > 10_000, "workload too small to mean anything");
+    }
 }
 
 /// Two runs of the same seeded scenario give bit-equal results — the
