@@ -206,8 +206,10 @@ fn run_scale_dcf() -> ExperimentOutput {
         md,
         "Horizons scale with station count so the Jain index converges \
          (DCF is short-term unfair by design); the 500/1000-station tail \
-         measures the collapse on a fixed horizon. Scheduler back-end \
-         events/s on this workload: see `BENCH_campaign.json`.\n"
+         measures the collapse on a fixed horizon. Scheduler wall-clock \
+         on this workload: perfbench scale-dcf `scheduler.replay_s`; \
+         `tests/determinism.rs` holds the wheel's pop order to a \
+         reference heap.\n"
     );
     ExperimentOutput {
         id: "SCALE-DCF",
@@ -242,8 +244,9 @@ fn run_city_dcf() -> ExperimentOutput {
     let _ = writeln!(
         md,
         "Each cell is an independent interference shard (channels 1/6/11, \
-         200 m street grid). Shard-executor wall-clock: see \
-         `BENCH_campaign.json` (`shards` section).\n"
+         200 m street grid). Shard-executor speedup: perfbench metro \
+         `par.speedup_w2`; `tests/city_dcf.rs` asserts equal digests on \
+         1 and 2 workers.\n"
     );
     ExperimentOutput {
         id: "CITY-DCF",
@@ -284,8 +287,9 @@ fn run_metro_dcf() -> ExperimentOutput {
         "The CITY-DCF street grid swept to 100k+ stations. Planning and \
          neighbor-cache construction run on the spatial hash grid \
          (O(n·k) 27-cell neighborhood scans instead of O(n²) pair \
-         scans; DESIGN.md §17). Grid-vs-exhaustive wall-clock: see `BENCH_campaign.json` \
-         (`grid` section).\n"
+         scans; DESIGN.md §17). Planning wall-clock: perfbench metro \
+         `shard.plan_s` / `shard.validate_s`; `tests/metro_dcf.rs` holds \
+         the grid plan to the brute-force reference.\n"
     );
     ExperimentOutput {
         id: "METRO-DCF",
@@ -332,7 +336,8 @@ fn run_dense_obss() -> ExperimentOutput {
          while AC_VO keeps its priority margin over AC_BE and airtime \
          stays Jain-fair inside each class. The last row re-runs the \
          densest grid on a data-heavy traffic mix. Aggregation-on vs \
-         -off throughput: see `BENCH_campaign.json` (`qos` section).\n"
+         -off goodput: perfbench dense-obss `ampdu.goodput_gain`; \
+         `tests/dense_obss.rs` asserts aggregation never loses goodput.\n"
     );
     ExperimentOutput {
         id: "DENSE-OBSS",

@@ -12,7 +12,7 @@ use wn_mac80211::loss::LossModel;
 use wn_mac80211::payload::Payload;
 use wn_mac80211::shard::{component_seed, run_components, run_components_observed, ShardRunReport};
 use wn_mac80211::sim::{
-    boot, inject_at, qos_inject_at, AccessCategory, MacConfig, NullUpper, PerDecisions, WlanWorld,
+    add_source, boot, AccessCategory, MacConfig, NullUpper, PerDecisions, WlanWorld,
 };
 use wn_net80211::builder::{ibss_send, schedule_walk, send_app_data, EssBuilder, IbssBuilder};
 use wn_net80211::ssid::Ssid;
@@ -353,14 +353,15 @@ pub fn wlan_saturation_full(
     // Enough offered load to keep every queue non-empty.
     let per_sender = (3000.0 / n as f64).ceil() as u64 + 50;
     for i in 1..=n {
-        for k in 0..per_sender {
-            inject_at(
-                &mut sim,
-                SimTime::from_micros(k * (1_000_000 / per_sender)),
-                i,
-                data_frame(i as u32, 0, &body),
-            );
-        }
+        add_source(
+            &mut sim,
+            i,
+            AccessCategory::Be,
+            data_frame(i as u32, 0, &body),
+            SimTime::ZERO,
+            SimDuration::from_micros(1_000_000 / per_sender),
+            per_sender,
+        );
     }
     sim.run_until(SimTime::from_secs_f64(sim_secs));
     sim.world().stats(0).rx_payload_bytes as f64 * 8.0 / sim_secs / 1e6
@@ -861,18 +862,18 @@ pub fn adv_tradeoffs(seed: u64) -> (Figure, ExperimentReport) {
         boot(&mut sim);
         let body = filler(1400);
         // Saturating load: each pair alone could carry ~27 Mbps.
-        for k in 0..3000u64 {
-            inject_at(
+        for (tx, frame) in [
+            (a_tx, data_frame(0, 1, &body)),
+            (b_tx, data_frame(2, 3, &body)),
+        ] {
+            add_source(
                 &mut sim,
-                SimTime::from_micros(k * 330),
-                a_tx,
-                data_frame(0, 1, &body),
-            );
-            inject_at(
-                &mut sim,
-                SimTime::from_micros(k * 330),
-                b_tx,
-                data_frame(2, 3, &body),
+                tx,
+                AccessCategory::Be,
+                frame,
+                SimTime::ZERO,
+                SimDuration::from_micros(330),
+                3000,
             );
         }
         sim.run_until(SimTime::from_secs(1));
@@ -970,14 +971,15 @@ pub fn ablation_cw_sweep(seed: u64) -> (Figure, ExperimentReport) {
         boot(&mut sim);
         let body = filler(1500);
         for i in 1..=8usize {
-            for k in 0..450u64 {
-                inject_at(
-                    &mut sim,
-                    SimTime::from_micros(k * 2200),
-                    i,
-                    data_frame(i as u32, 0, &body),
-                );
-            }
+            add_source(
+                &mut sim,
+                i,
+                AccessCategory::Be,
+                data_frame(i as u32, 0, &body),
+                SimTime::ZERO,
+                SimDuration::from_micros(2200),
+                450,
+            );
         }
         sim.run_until(SimTime::from_secs(1));
         sim.world().stats(sink).rx_payload_bytes as f64 * 8.0 / 1e6
@@ -1014,14 +1016,15 @@ pub fn ablation_cw_sweep(seed: u64) -> (Figure, ExperimentReport) {
         let mut sim = Simulation::new(w);
         boot(&mut sim);
         let body = filler(1500);
-        for k in 0..3000u64 {
-            inject_at(
-                &mut sim,
-                SimTime::from_micros(k * 330),
-                tx,
-                data_frame(1, 0, &body),
-            );
-        }
+        add_source(
+            &mut sim,
+            tx,
+            AccessCategory::Be,
+            data_frame(1, 0, &body),
+            SimTime::ZERO,
+            SimDuration::from_micros(330),
+            3000,
+        );
         sim.run_until(SimTime::from_secs(1));
         sim.world().stats(sink).rx_payload_bytes as f64 * 8.0 / 1e6
     };
@@ -1076,18 +1079,15 @@ pub fn ablation_capture(seed: u64) -> (Figure, ExperimentReport) {
         let mut sim = Simulation::new(w);
         boot(&mut sim);
         let body = filler(1200);
-        for k in 0..1500u64 {
-            inject_at(
+        for (tx, frame) in [(a, data_frame(1, 0, &body)), (b, data_frame(2, 0, &body))] {
+            add_source(
                 &mut sim,
-                SimTime::from_micros(k * 660),
-                a,
-                data_frame(1, 0, &body),
-            );
-            inject_at(
-                &mut sim,
-                SimTime::from_micros(k * 660),
-                b,
-                data_frame(2, 0, &body),
+                tx,
+                AccessCategory::Be,
+                frame,
+                SimTime::ZERO,
+                SimDuration::from_micros(660),
+                1500,
             );
         }
         sim.run_until(SimTime::from_secs(1));
@@ -1154,14 +1154,15 @@ pub fn ablation_arf(seed: u64) -> (Figure, ExperimentReport) {
         let mut sim = Simulation::new(w);
         boot(&mut sim);
         let body = filler(1200);
-        for k in 0..1200u64 {
-            inject_at(
-                &mut sim,
-                SimTime::from_micros(k * 800),
-                tx,
-                data_frame(0, 1, &body),
-            );
-        }
+        add_source(
+            &mut sim,
+            tx,
+            AccessCategory::Be,
+            data_frame(0, 1, &body),
+            SimTime::ZERO,
+            SimDuration::from_micros(800),
+            1200,
+        );
         sim.run_until(SimTime::from_secs(1));
         let w = sim.world();
         (
@@ -1250,18 +1251,18 @@ pub fn adjacent_channels(seed: u64) -> (Figure, ExperimentReport) {
         let mut sim = Simulation::new(w);
         boot(&mut sim);
         let body = filler(1400);
-        for k in 0..3000u64 {
-            inject_at(
+        for (tx, frame) in [
+            (a_tx, data_frame(0, 1, &body)),
+            (b_tx, data_frame(2, 3, &body)),
+        ] {
+            add_source(
                 &mut sim,
-                SimTime::from_micros(k * 330),
-                a_tx,
-                data_frame(0, 1, &body),
-            );
-            inject_at(
-                &mut sim,
-                SimTime::from_micros(k * 330),
-                b_tx,
-                data_frame(2, 3, &body),
+                tx,
+                AccessCategory::Be,
+                frame,
+                SimTime::ZERO,
+                SimDuration::from_micros(330),
+                3000,
             );
         }
         sim.run_until(SimTime::from_secs(1));
@@ -1335,14 +1336,15 @@ pub fn fading_link(seed: u64) -> (Figure, ExperimentReport) {
         let mut sim = Simulation::new(w);
         boot(&mut sim);
         let body = filler(1200);
-        for k in 0..1500u64 {
-            inject_at(
-                &mut sim,
-                SimTime::from_micros(k * 660),
-                tx,
-                data_frame(0, 1, &body),
-            );
-        }
+        add_source(
+            &mut sim,
+            tx,
+            AccessCategory::Be,
+            data_frame(0, 1, &body),
+            SimTime::ZERO,
+            SimDuration::from_micros(660),
+            1500,
+        );
         sim.run_until(SimTime::from_secs(1));
         let _ = tx;
         sim.world().stats(rx).rx_payload_bytes as f64 * 8.0 / 1e6
@@ -1483,12 +1485,13 @@ pub struct ScaleDcfPoint {
 
 /// Builds the saturated-BSS simulation behind every SCALE-DCF point:
 /// `stations` senders on an 8 m ring around a sink, pure DCF (no RTS,
-/// no ARF, fixed top rate), offered ≈ 1.25× channel capacity with the
-/// whole backlog pre-scheduled as `Inject` timers spread over the first
-/// 90% of the horizon — so the scheduler carries tens of thousands of
-/// pending timers for the entire run, the dense-timer regime calendar
-/// queues were built for. `_kind` is ignored: the timer wheel is the
-/// only queue, and the parameter stays for the benchmark package.
+/// no ARF, fixed top rate), offered ≈ 1.25× channel capacity as one
+/// periodic source per sender ([`add_source`]) spread over the first
+/// 90% of the horizon. Each source keeps one arrival pending, so the
+/// run starts with one timer per sender, not one per offered MSDU;
+/// the backoff, NAV and response timers of 1000 contenders keep the
+/// wheel busy. `_kind` is ignored: the timer wheel is the only queue,
+/// and the parameter stays for the benchmark package.
 pub fn scale_dcf_sim(
     stations: usize,
     duration_ms: u64,
@@ -1535,8 +1538,8 @@ fn scale_dcf_world(stations: usize, duration_ms: u64, seed: u64) -> (WlanWorld, 
     (w, frames_per_sender)
 }
 
-/// Boots the world and pre-schedules the offered backlog, interleaved
-/// round-robin across senders at a fixed stride.
+/// Boots the world and adds the offered backlog as one source per
+/// sender, interleaved round-robin across senders at a fixed stride.
 fn scale_dcf_load(
     sim: &mut Simulation<WlanWorld>,
     stations: usize,
@@ -1547,16 +1550,17 @@ fn scale_dcf_load(
     let body = filler(SCALE_DCF_PAYLOAD);
     let total_frames = frames_per_sender * stations as u64;
     let stride_ns = duration_ms * 900_000 / total_frames;
+    // Sender i's arrivals are slots k·stations + (i − 1) of the stride.
     for i in 1..=stations {
-        for k in 0..frames_per_sender {
-            let j = k * stations as u64 + (i as u64 - 1);
-            inject_at(
-                sim,
-                SimTime::from_nanos(j * stride_ns),
-                i,
-                data_frame(i as u32, 0, &body),
-            );
-        }
+        add_source(
+            sim,
+            i,
+            AccessCategory::Be,
+            data_frame(i as u32, 0, &body),
+            SimTime::from_nanos((i as u64 - 1) * stride_ns),
+            SimDuration::from_nanos(stations as u64 * stride_ns),
+            frames_per_sender,
+        );
     }
 }
 
@@ -1821,8 +1825,8 @@ fn city_dcf_planning_world(
 }
 
 /// Builds shard `k` of the city: the member stations (global ids,
-/// ascending) at their grid positions on their cell channels, the
-/// whole per-sender backlog pre-staged with the SCALE-DCF round-robin
+/// ascending) at their grid positions on their cell channels, each
+/// sender's backlog one periodic source on the SCALE-DCF round-robin
 /// stride. Seeded with [`component_seed`] so every shard's RNG stream
 /// is independent and reproducible.
 fn city_dcf_component(
@@ -1858,15 +1862,15 @@ fn city_dcf_component(
             continue;
         }
         let sink = (cell * per_cell) as u32;
-        for f in 0..frames_per_sender {
-            let j = f * senders as u64 + (lid as u64 - 1);
-            inject_at(
-                &mut sim,
-                SimTime::from_nanos(j * stride_ns),
-                local,
-                data_frame(g as u32, sink, &body),
-            );
-        }
+        add_source(
+            &mut sim,
+            local,
+            AccessCategory::Be,
+            data_frame(g as u32, sink, &body),
+            SimTime::from_nanos((lid as u64 - 1) * stride_ns),
+            SimDuration::from_nanos(senders as u64 * stride_ns),
+            frames_per_sender,
+        );
     }
     sim
 }
@@ -2316,9 +2320,9 @@ fn dense_obss_channel(cell: usize, cols: usize) -> u8 {
     city_dcf_channel(cell, cols)
 }
 
-/// Builds the apartment block and stages every AP's per-AC downlink
-/// backlog, spread over 90 % of the horizon with a per-AP/per-AC phase
-/// so injections never synchronise block-wide.
+/// Builds the apartment block and adds every AP's per-AC downlink
+/// backlog as one periodic source, spread over 90 % of the horizon with
+/// a per-AP/per-AC phase so arrivals never synchronise block-wide.
 fn dense_obss_sim(
     rows: usize,
     cols: usize,
@@ -2367,15 +2371,15 @@ fn dense_obss_sim(
             let ac = AccessCategory::from_index(aci).expect("4 ACs");
             let stride = horizon_ns / n;
             let phase = (cell as u64 * 131 + aci as u64 * 37) * 1_000;
-            for f in 0..n {
-                qos_inject_at(
-                    &mut sim,
-                    SimTime::from_nanos(f * stride + phase % stride.max(1)),
-                    ap,
-                    data_frame(2 * cell as u32, 2 * cell as u32 + 1, &body),
-                    ac,
-                );
-            }
+            add_source(
+                &mut sim,
+                ap,
+                ac,
+                data_frame(2 * cell as u32, 2 * cell as u32 + 1, &body),
+                SimTime::from_nanos(phase % stride.max(1)),
+                SimDuration::from_nanos(stride),
+                n,
+            );
         }
     }
     sim
@@ -2554,15 +2558,16 @@ pub fn observe_fig_1_6(seed: u64) -> (String, String) {
     let mut sim = Simulation::new(w);
     boot(&mut sim);
     let body = filler(1000);
-    for i in 1..=3u64 {
-        for k in 0..40u64 {
-            inject_at(
-                &mut sim,
-                SimTime::from_micros(k * 2_000),
-                i as usize,
-                data_frame(i as u32, 0, &body),
-            );
-        }
+    for i in 1..=3usize {
+        add_source(
+            &mut sim,
+            i,
+            AccessCategory::Be,
+            data_frame(i as u32, 0, &body),
+            SimTime::ZERO,
+            SimDuration::from_micros(2_000),
+            40,
+        );
     }
     let end = SimTime::from_millis(200);
     sim.run_until(end);

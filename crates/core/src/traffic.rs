@@ -4,14 +4,16 @@
 //! section implies: constant-bit-rate streams (§7 surveillance
 //! cameras), Poisson request traffic (web browsing at the hot spot),
 //! and periodic telemetry with jitter (M2M meter reading).
-//! All are deterministic given their seed and stage their frames into
-//! the world's arena, scheduling compact [`wn_mac80211::MacEvent::Inject`]
+//! All are deterministic given their seed. A CBR stream is a periodic
+//! [`add_source`] that keeps one arrival pending; Poisson and telemetry
+//! arrivals are irregular, so they stage each frame into the world's
+//! arena up front, scheduling compact [`wn_mac80211::MacEvent::Inject`]
 //! events that carry only frame ids.
 
 use wn_mac80211::addr::MacAddr;
 use wn_mac80211::frame::{DsBits, Frame, SequenceControl};
 use wn_mac80211::payload::Payload;
-use wn_mac80211::sim::{inject_at, StationId, WlanWorld};
+use wn_mac80211::sim::{add_source, inject_at, AccessCategory, StationId, WlanWorld};
 use wn_sim::{Rng, SimDuration, SimTime, Simulation};
 
 /// A traffic flow description.
@@ -56,9 +58,15 @@ impl Flow {
 }
 
 /// Schedules a constant-bit-rate stream: one packet every
-/// `payload·8/rate_bps` seconds over `[start, until)`.
+/// `payload·8/rate_bps` seconds over `[start, until)`, as one periodic
+/// source.
 ///
 /// Returns the number of packets scheduled.
+///
+/// # Panics
+///
+/// If the rate is not positive, or the packet interval rounds to zero
+/// nanoseconds (an empty payload or an extreme rate).
 pub fn cbr(
     sim: &mut Simulation<WlanWorld>,
     flow: &Flow,
@@ -68,13 +76,18 @@ pub fn cbr(
 ) -> u64 {
     assert!(rate_bps > 0.0, "rate must be positive");
     let interval = SimDuration::from_secs_f64(flow.payload.len() as f64 * 8.0 / rate_bps);
-    let mut t = start;
-    let mut n = 0;
-    while t < until {
-        inject_at(sim, t, flow.from, flow.frame());
-        t += interval;
-        n += 1;
-    }
+    assert!(interval.as_nanos() > 0, "packet interval rounds to zero");
+    let span = until.as_nanos().saturating_sub(start.as_nanos());
+    let n = span.div_ceil(interval.as_nanos());
+    add_source(
+        sim,
+        flow.from,
+        AccessCategory::Be,
+        flow.frame(),
+        start,
+        interval,
+        n,
+    );
     n
 }
 

@@ -35,6 +35,6 @@ pub use frame::{DsBits, Frame, FrameControl, FrameType, SequenceControl, Subtype
 pub use loss::LossModel;
 pub use payload::Payload;
 pub use sim::{
-    boot, inject_at, qos_inject_at, AccessCategory, Command, ConfigError, MacConfig, MacEvent,
-    PerDecisions, StationId, UpperCtx, UpperLayer, WlanWorld,
+    add_source, boot, inject_at, qos_inject_at, AccessCategory, Command, ConfigError, MacConfig,
+    MacEvent, PerDecisions, Source, StationId, UpperCtx, UpperLayer, WlanWorld,
 };

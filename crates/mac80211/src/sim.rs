@@ -27,6 +27,8 @@ use std::sync::Arc;
 
 #[path = "access.rs"]
 mod access;
+#[path = "source.rs"]
+mod source;
 
 use crate::addr::MacAddr;
 use crate::arena::{FrameArena, FrameId};
@@ -38,6 +40,7 @@ use crate::grid::{CellKey, SpatialGrid};
 use crate::loss::LossModel;
 use crate::neighbors::{AudibleSet, IdBitSet, NeighborCache, RxRow};
 use access::TxQueues;
+pub use source::{add_source, inject_at, qos_inject_at, Source};
 use wn_phy::geom::Point;
 use wn_phy::medium::{coupled_rx_power, LinkBudget, Radio};
 use wn_phy::modulation::{PhyStandard, RateStep, SETTLE_BAND};
@@ -720,6 +723,15 @@ pub enum MacEvent {
         /// Target access category.
         ac: AccessCategory,
     },
+    /// Arrival `k` of the world's periodic [`Source`] `source` (see
+    /// [`add_source`]): a copy of the template enters the arena and
+    /// the station's queue, and arrival `k + 1` is scheduled.
+    Arrival {
+        /// Index into [`WlanWorld::sources`].
+        source: u32,
+        /// Arrival number within the source.
+        k: u32,
+    },
     /// Deliver the failure confirmation for an MSDU dropped on queue
     /// overflow. Scheduled (at the drop instant) rather than called
     /// inline so an upper layer that reacts by sending again cannot
@@ -791,6 +803,9 @@ pub struct WlanWorld {
     /// Arena references parked on scheduled `Inject`/`TxDropped`
     /// events (a term of the [`frame_ledger`](Self::frame_ledger)).
     staged: u64,
+    /// Periodic arrival sources ([`add_source`]); each holds one
+    /// template frame and at most one pending arrival.
+    sources: Vec<Source>,
     /// Sparse pairwise rx-power / audibility rows (built lazily at
     /// the first transmission under a bounded static loss model).
     neighbors: NeighborCache,
@@ -882,6 +897,7 @@ impl WlanWorld {
             records: Vec::new(),
             frames: FrameArena::new(),
             staged: 0,
+            sources: Vec::new(),
             neighbors: NeighborCache::new(),
             grid: None,
             hood_scratch: Vec::new(),
@@ -1086,7 +1102,9 @@ impl WlanWorld {
     /// about on the right — references parked on scheduled
     /// `Inject`/`TxDropped` events, queued MSDUs, the in-progress
     /// attempt (its MSDU plus its cached wire frame) and transmission
-    /// records. The fuzzer asserts the two sides stay equal between
+    /// records. A periodic [`Source`] is no term: its template lives
+    /// outside the arena, and each arrival's copy goes straight into a
+    /// queue. The fuzzer asserts the two sides stay equal between
     /// events; a leaked or double-released frame id shows up as drift.
     pub fn frame_ledger(&self) -> (u64, u64) {
         let held = self.staged
@@ -3167,6 +3185,7 @@ impl World for WlanWorld {
                 self.staged -= 1;
                 self.enqueue_id(station, frame, ac, now, sched);
             }
+            MacEvent::Arrival { source, k } => self.handle_arrival(source, k, now, sched),
             MacEvent::TxDropped { station, frame } => {
                 self.staged -= 1;
                 let frame = self.frames.remove(frame);
@@ -3182,35 +3201,6 @@ impl World for WlanWorld {
 pub fn boot(sim: &mut wn_sim::Simulation<WlanWorld>) {
     sim.scheduler_mut()
         .schedule_at(SimTime::ZERO, MacEvent::Boot);
-}
-
-/// Stages `frame` into the world's arena and schedules its injection
-/// into `station`'s transmit queue at `at` — the one-call form of
-/// [`WlanWorld::stage_frame`] plus a [`MacEvent::Inject`], used by
-/// traffic generators and scenario set-up.
-pub fn inject_at(
-    sim: &mut wn_sim::Simulation<WlanWorld>,
-    at: SimTime,
-    station: StationId,
-    frame: Frame,
-) {
-    let frame = sim.world_mut().stage_frame(frame);
-    sim.scheduler_mut()
-        .schedule_at(at, MacEvent::Inject { station, frame });
-}
-
-/// [`inject_at`] with an explicit access category: the frame lands in
-/// that AC's EDCA queue (the one DCF queue on a legacy world).
-pub fn qos_inject_at(
-    sim: &mut wn_sim::Simulation<WlanWorld>,
-    at: SimTime,
-    station: StationId,
-    frame: Frame,
-    ac: AccessCategory,
-) {
-    let frame = sim.world_mut().stage_frame(frame);
-    sim.scheduler_mut()
-        .schedule_at(at, MacEvent::InjectQos { station, frame, ac });
 }
 
 #[cfg(test)]

@@ -151,9 +151,50 @@ impl<E> Scheduler<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled_total += 1;
-        let key = event_key(at, seq);
+        self.push(event_key(at, seq), event);
+    }
+
+    /// Reserves `n` consecutive sequence numbers and returns the first.
+    ///
+    /// A periodic source reserves its whole block when it is built and
+    /// pushes arrival `k` under `first + k` with
+    /// [`schedule_reserved`](Self::schedule_reserved) only when arrival
+    /// `k − 1` fires. Its keys, and so the `(time, seq)` tie order
+    /// against every other event, are those that pushing all `n`
+    /// arrivals up front with [`schedule_at`](Self::schedule_at) would
+    /// have produced — without holding `n` pending entries.
+    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
+        let first = self.next_seq;
+        self.next_seq += n;
+        first
+    }
+
+    /// Schedules `event` at `at` under a sequence number taken earlier
+    /// from [`reserve_seqs`](Self::reserve_seqs). Counted in
+    /// [`scheduled_total`](Self::scheduled_total) and logged like any
+    /// other push. Each reserved number must be used at most once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past or `seq` was never reserved.
+    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: E) {
+        assert!(
+            at >= self.now,
+            "cannot schedule into the past: at={at:?} now={:?}",
+            self.now
+        );
+        assert!(
+            seq < self.next_seq,
+            "sequence number {seq} was never reserved (next is {})",
+            self.next_seq
+        );
+        self.push(event_key(at, seq), event);
+    }
+
+    #[inline]
+    fn push(&mut self, key: u128, event: E) {
         debug_assert_ne!(key, OP_POP, "event key collides with the pop marker");
+        self.scheduled_total += 1;
         if let Some(log) = &mut self.op_log {
             log.push(key);
         }
@@ -637,6 +678,25 @@ mod tests {
             ]
         );
         assert_eq!(replay_ops(SchedulerKind::TimerWheel, &ops).0, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "was never reserved")]
+    fn schedule_reserved_rejects_an_unreserved_seq() {
+        let mut s: Scheduler<u32> = Scheduler::new();
+        let first = s.reserve_seqs(2);
+        s.schedule_reserved(SimTime::ZERO, first + 2, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past")]
+    fn schedule_reserved_rejects_a_past_time() {
+        let mut sim = Simulation::new(Recorder { seen: vec![] });
+        let seq = sim.scheduler_mut().reserve_seqs(1);
+        sim.scheduler_mut().schedule_at(SimTime::from_millis(2), 0);
+        sim.run();
+        sim.scheduler_mut()
+            .schedule_reserved(SimTime::from_millis(1), seq, 1);
     }
 
     #[test]

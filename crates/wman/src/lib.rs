@@ -17,5 +17,5 @@
 pub mod link;
 pub mod scheduler;
 
-pub use link::{WimaxBand, WimaxLink};
+pub use link::{LinkError, WimaxBand, WimaxLink};
 pub use scheduler::{BaseStation, ServiceClass, SubscriberId};

@@ -108,7 +108,39 @@ impl Default for WimaxLink {
     }
 }
 
+/// A [`WimaxLink`] the model cannot evaluate, from
+/// [`WimaxLink::validate`] and [`BaseStation::try_new`](crate::BaseStation::try_new);
+/// the message names the offending field.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LinkError(pub String);
+
+impl std::fmt::Display for LinkError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "invalid WimaxLink: {}", self.0)
+    }
+}
+
+impl std::error::Error for LinkError {}
+
 impl WimaxLink {
+    /// Rejects a non-positive or non-finite `bandwidth`, `bs_height_m`
+    /// or `ss_height_m`, naming the field. Any of them would turn the
+    /// noise floor or the two-ray loss into NaN or infinity.
+    pub fn validate(&self) -> Result<(), LinkError> {
+        for (field, v) in [
+            ("bandwidth", self.bandwidth.0),
+            ("bs_height_m", self.bs_height_m),
+            ("ss_height_m", self.ss_height_m),
+        ] {
+            if !(v.is_finite() && v > 0.0) {
+                return Err(LinkError(format!(
+                    "{field} must be positive and finite, got {v}"
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// SNR at `distance_m`; `obstructed` marks a blocked path.
     ///
     /// In the LOS band an obstructed path yields no signal at all

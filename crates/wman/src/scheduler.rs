@@ -17,7 +17,7 @@
 
 use std::collections::VecDeque;
 
-use crate::link::WimaxLink;
+use crate::link::{LinkError, WimaxLink};
 use wn_sim::metrics::{MetricsRegistry, MetricsSnapshot};
 use wn_sim::trace::{DropReason, FrameKind, Level, Trace, TraceEvent};
 use wn_sim::{Scheduler, SimDuration, SimTime, Simulation, World};
@@ -94,15 +94,30 @@ pub struct BaseStation {
 
 impl BaseStation {
     /// Creates a base station with the given link model.
+    ///
+    /// # Panics
+    ///
+    /// On a link [`WimaxLink::validate`] rejects, naming the offending
+    /// field; [`BaseStation::try_new`] returns the error instead.
     pub fn new(link: WimaxLink) -> Self {
-        BaseStation {
+        match Self::try_new(link) {
+            Ok(bs) => bs,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// [`BaseStation::new`] for a link that may be invalid: the error
+    /// names the field [`WimaxLink::validate`] rejected.
+    pub fn try_new(link: WimaxLink) -> Result<Self, LinkError> {
+        link.validate()?;
+        Ok(BaseStation {
             link,
             subscribers: Vec::new(),
             dl_ratio: 0.6,
             queue_limit_bytes: 1 << 20,
             frames: 0,
             trace: Trace::new(4096),
-        }
+        })
     }
 
     /// Adds a subscriber at `distance_m`; returns `None` when the link
@@ -670,5 +685,35 @@ mod tests {
             "half/full = {}",
             half / full
         );
+    }
+
+    #[test]
+    fn try_new_names_each_rejected_link_field() {
+        type Set = fn(&mut WimaxLink, f64);
+        let fields: [(&str, Set); 3] = [
+            ("bandwidth", |l, v| l.bandwidth = wn_phy::units::Hertz(v)),
+            ("bs_height_m", |l, v| l.bs_height_m = v),
+            ("ss_height_m", |l, v| l.ss_height_m = v),
+        ];
+        for (field, set) in fields {
+            for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+                let mut link = WimaxLink::default();
+                set(&mut link, bad);
+                let err = BaseStation::try_new(link.clone()).err().expect("rejected");
+                assert!(err.0.starts_with(field), "{field}={bad}: {err}");
+                assert_eq!(link.validate(), Err(err));
+            }
+        }
+        assert!(BaseStation::try_new(WimaxLink::default()).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid WimaxLink: ss_height_m must be positive and finite")]
+    fn new_panics_with_the_try_new_message() {
+        let link = WimaxLink {
+            ss_height_m: 0.0,
+            ..WimaxLink::default()
+        };
+        BaseStation::new(link);
     }
 }
