@@ -43,7 +43,7 @@ pub use plan::{reference_shard_plan, reference_shard_plan_incoherence};
 pub use queue::reference_replay_ops;
 pub use run::{
     check_range, check_range_gen, check_seed, check_seed_gen, range_digest, run_oracles,
-    run_scenario, Propagation, SeedReport,
+    run_scenario, run_scenario_sourced, Propagation, SeedReport,
 };
 pub use scenario::{Scenario, ScenarioGen, ScenarioKind};
 pub use shard::{

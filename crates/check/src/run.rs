@@ -22,8 +22,8 @@ use wn_mac80211::frame::{DsBits, Frame, SequenceControl, Subtype};
 use wn_mac80211::loss::LossModel;
 use wn_mac80211::payload::Payload;
 use wn_mac80211::sim::{
-    boot as wlan_boot, inject_at, qos_inject_at, AccessCategory, MacConfig, StationStats, UpperCtx,
-    UpperLayer, WlanWorld,
+    add_source, boot as wlan_boot, inject_at, qos_inject_at, AccessCategory, Command, MacConfig,
+    StationStats, UpperCtx, UpperLayer, WlanWorld,
 };
 use wn_net80211::builder::{schedule_walk, EssBuilder};
 use wn_net80211::sta::StaConfig;
@@ -187,9 +187,56 @@ impl UpperLayer for CheckUpper {
     }
 }
 
+/// A [`CheckUpper`] that also flips its station's Power Management
+/// bit every `period`, so queued frames are stamped both ways.
+struct PmToggleUpper {
+    inner: CheckUpper,
+    period: SimDuration,
+}
+
+impl UpperLayer for PmToggleUpper {
+    fn on_start(&mut self, ctx: &mut UpperCtx) {
+        ctx.set_timer(self.period, 1);
+    }
+
+    fn on_frame(&mut self, ctx: &mut UpperCtx, frame: &Frame, rssi: Dbm) {
+        self.inner.on_frame(ctx, frame, rssi);
+    }
+
+    fn on_timer(&mut self, ctx: &mut UpperCtx, tag: u64) {
+        ctx.command(Command::SetPowerManagement(tag == 1));
+        ctx.set_timer(self.period, tag ^ 1);
+    }
+}
+
+/// How a flat-WLAN scenario offers its backlog.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Offer {
+    /// One staged frame and `Inject` event per MSDU.
+    PerFrame,
+    /// Periodic sources, whose queued MSDUs share one arena slot.
+    Sources,
+}
+
 /// Runs one scenario to completion and returns its artifacts.
 pub fn run_scenario(sc: &Scenario) -> Artifacts {
     run_scenario_via(sc, Propagation::Cached)
+}
+
+/// [`run_scenario`] with every flat-WLAN sender's backlog offered by
+/// periodic sources ([`add_source`]) instead of per-frame injections:
+/// one source per sender on a legacy world, one per access category
+/// the sender's frame cycle visits on an EDCA world (same arrival
+/// times and ACs). Sender 1 of each cell also flips its Power
+/// Management bit every 1.7 ms. The oracles then meet queued MSDUs
+/// that share an arena slot, and the copy-on-write paths at enqueue,
+/// dequeue, completion and drop. Other scenario kinds run as in
+/// [`run_scenario`].
+pub fn run_scenario_sourced(sc: &Scenario) -> Artifacts {
+    match &sc.kind {
+        ScenarioKind::Wlan(w) => run_wlan(sc.seed, w, Propagation::Cached, Offer::Sources),
+        _ => run_scenario(sc),
+    }
 }
 
 /// Which received-power path a WLAN run takes. Both evaluate the
@@ -221,7 +268,7 @@ impl Propagation {
 /// have no such path; `prop` is ignored for them.
 fn run_scenario_via(sc: &Scenario, prop: Propagation) -> Artifacts {
     match &sc.kind {
-        ScenarioKind::Wlan(w) => run_wlan(sc.seed, w, prop),
+        ScenarioKind::Wlan(w) => run_wlan(sc.seed, w, prop, Offer::PerFrame),
         ScenarioKind::Ess(e) => run_ess(sc.seed, e, prop),
         ScenarioKind::Bluetooth(b) => run_bt(b),
         ScenarioKind::Zigbee(z) => run_zigbee(sc.seed, z),
@@ -355,19 +402,24 @@ pub(crate) fn wlan_ac_of(g: usize, k: u64) -> AccessCategory {
     AccessCategory::from_index((g + k as usize) % 4).expect("4 ACs")
 }
 
-fn run_wlan(seed: u64, w: &WlanScenario, prop: Propagation) -> Artifacts {
+fn run_wlan(seed: u64, w: &WlanScenario, prop: Propagation, offer: Offer) -> Artifacts {
     let delivered = Arc::new(Mutex::new(Vec::new()));
     let mut world = WlanWorld::new(wlan_config(seed, w));
     prop.install(&mut world);
     world.trace = Trace::new(TRACE_CAPACITY);
     for i in 0..w.total_stations() {
-        world.add_station(
-            MacAddr::station(i as u32),
-            wlan_station_pos(w, i),
-            Box::new(CheckUpper {
-                delivered: delivered.clone(),
-            }),
-        );
+        let inner = CheckUpper {
+            delivered: delivered.clone(),
+        };
+        let upper: Box<dyn UpperLayer> = if offer == Offer::Sources && i % w.stations == 1 {
+            Box::new(PmToggleUpper {
+                inner,
+                period: SimDuration::from_micros(1_700),
+            })
+        } else {
+            Box::new(inner)
+        };
+        world.add_station(MacAddr::station(i as u32), wlan_station_pos(w, i), upper);
     }
     if w.deaf_sink {
         // The fault toggle: the sink stops hearing anything, so every
@@ -387,7 +439,25 @@ fn run_wlan(seed: u64, w: &WlanScenario, prop: Propagation) -> Artifacts {
         let Some(sink) = wlan_sink_of(w, g) else {
             continue;
         };
-        for k in 0..u64::from(w.frames_per_sender) {
+        let frames = u64::from(w.frames_per_sender);
+        if offer == Offer::Sources {
+            // Frame k rides AC `wlan_ac_of(g, k)`, which cycles with
+            // period 4: lane j carries frames j, j + 4, j + 8, ...
+            let lanes = if w.edca { 4 } else { 1 };
+            for j in 0..lanes.min(frames) {
+                add_source(
+                    &mut sim,
+                    g,
+                    wlan_ac_of(g, j),
+                    data_frame(g as u32, sink as u32, &body),
+                    SimTime::from_micros(j * w.interval_us),
+                    SimDuration::from_micros(lanes * w.interval_us),
+                    (frames - j).div_ceil(lanes),
+                );
+            }
+            continue;
+        }
+        for k in 0..frames {
             let at = SimTime::from_micros(k * w.interval_us);
             let frame = data_frame(g as u32, sink as u32, &body);
             if w.edca {

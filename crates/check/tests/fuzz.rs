@@ -205,3 +205,43 @@ fn armed_generator_seeds_are_caught() {
     });
     assert!(caught);
 }
+
+/// The generated corpus stages every frame one by one, so on its own
+/// no oracle meets a queued MSDU that shares its source's arena slot.
+/// The same scenarios with their backlogs offered by periodic sources
+/// (and a power-save toggle on one sender per cell), legacy and EDCA
+/// alike, must pass every oracle — frame ledger, scheduler order and
+/// conservation included.
+#[test]
+fn source_driven_worlds_pass_every_oracle() {
+    let mut checked = [0usize; 2];
+    for (i, gen) in [ScenarioGen::default(), ScenarioGen::with_qos()]
+        .into_iter()
+        .enumerate()
+    {
+        let mut seed = 0;
+        while checked[i] < 10 {
+            let sc = gen.scenario(seed);
+            seed += 1;
+            let ScenarioKind::Wlan(w) = &sc.kind else {
+                continue;
+            };
+            assert_eq!(w.edca, i == 1, "seed {}: corpus mix-up", sc.seed);
+            let art = run::run_scenario_sourced(&sc);
+            let ledger = &art.wlan.as_ref().expect("a WLAN run").ledger;
+            assert!(
+                ledger.iter().all(|&(refs, _)| refs > 0),
+                "no source slot held"
+            );
+            let violations = wn_check::run_oracles(&art);
+            assert!(
+                violations.is_empty(),
+                "seed {} ({}) with sources violated: {:?}",
+                sc.seed,
+                sc.summary(),
+                violations
+            );
+            checked[i] += 1;
+        }
+    }
+}

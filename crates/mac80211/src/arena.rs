@@ -12,8 +12,13 @@
 //! Reference counting is explicit and cheap: [`FrameArena::insert`]
 //! hands out a slot holding one reference, [`FrameArena::retain`] /
 //! [`FrameArena::release`] move it between holders (transmission
-//! records, a sender's cached wire frame, parked injection events),
-//! and the slot returns to the free list when the last reference goes.
+//! records, a sender's cached wire frame, parked injection events, a
+//! periodic source and every MSDU it has queued), and the slot returns
+//! to the free list when the last reference goes. A slot with several
+//! holders is shared read-only: [`FrameArena::make_mut`] and
+//! [`FrameArena::unwrap_or_clone`] give a holder its own frame only
+//! when it writes to it or takes it out, like `Rc::make_mut` and
+//! `Rc::unwrap_or_clone`.
 //! Misuse is caught where it is cheapest: generation checks are
 //! `debug_assert!`s (the fuzzer and the test suite run with them; the
 //! release hot path pays nothing), while use-after-free of an *empty*
@@ -166,13 +171,31 @@ impl FrameArena {
         slot.frame = Some(frame);
     }
 
-    /// Removes a frame whose only reference is the caller's, freeing
-    /// the slot. The move-out complement of [`FrameArena::release`]
-    /// for hand-offs to the upper layer.
-    pub fn remove(&mut self, id: FrameId) -> Frame {
-        self.check(id);
+    /// Copy-on-write access for the holder of `id`: with one
+    /// reference the frame is written in place and `id` is kept; with
+    /// more, the holder's reference moves to a fresh copy in another
+    /// slot, `*id` is updated to it, and the other holders keep the
+    /// original untouched.
+    pub fn make_mut(&mut self, id: &mut FrameId) -> &mut Frame {
+        if self.refs(*id) > 1 {
+            let copy = self.get(*id).clone();
+            self.slots[id.idx as usize].refs -= 1;
+            *id = self.insert(copy);
+        }
+        self.get_mut(*id)
+    }
+
+    /// Drops the caller's reference on `id` and hands back the frame:
+    /// moved out, freeing the slot, when the caller held the last
+    /// reference; cloned while other holders remain. The move-out
+    /// complement of [`FrameArena::release`] for hand-offs to the
+    /// upper layer.
+    pub fn unwrap_or_clone(&mut self, id: FrameId) -> Frame {
+        if self.refs(id) > 1 {
+            self.slots[id.idx as usize].refs -= 1;
+            return self.get(id).clone();
+        }
         let slot = &mut self.slots[id.idx as usize];
-        debug_assert_eq!(slot.refs, 1, "remove with other holders outstanding");
         let frame = slot.frame.take().expect("frame id points at an empty slot");
         slot.refs = 0;
         slot.gen = slot.gen.wrapping_add(1);
@@ -268,10 +291,81 @@ mod tests {
     fn remove_moves_frame_out_and_frees_slot() {
         let mut a = FrameArena::new();
         let id = a.insert(frame(4));
-        let f = a.remove(id);
+        let f = a.unwrap_or_clone(id);
         assert_eq!(f.addr1, MacAddr::station(4));
         assert_eq!(a.live(), 0);
         assert_eq!(a.capacity(), 1);
+    }
+
+    #[test]
+    fn shared_removal_clones_while_other_holders_remain() {
+        let mut a = FrameArena::new();
+        let id = a.insert(frame(4));
+        a.retain(id);
+        let f = a.unwrap_or_clone(id);
+        assert_eq!(f.addr1, MacAddr::station(4));
+        // The other holder still owns the original, now alone.
+        assert_eq!((a.live(), a.refs(id)), (1, 1));
+        assert_eq!(a.get(id).addr1, MacAddr::station(4));
+        // The last holder's removal moves the frame out and frees the
+        // slot, so the id goes stale and the slot is recycled.
+        let g = a.unwrap_or_clone(id);
+        assert_eq!(g.addr1, MacAddr::station(4));
+        assert_eq!((a.live(), a.total_refs()), (0, 0));
+        let next = a.insert(frame(5));
+        assert_eq!(next.index(), id.index());
+        assert_ne!(next, id);
+    }
+
+    #[test]
+    fn make_mut_writes_a_sole_holder_in_place() {
+        let mut a = FrameArena::new();
+        let mut id = a.insert(frame(1));
+        let before = id;
+        a.make_mut(&mut id).duration_id = 7;
+        assert_eq!(id, before, "a sole holder keeps its id");
+        assert_eq!(a.get(id).duration_id, 7);
+        assert_eq!((a.live(), a.capacity(), a.refs(id)), (1, 1, 1));
+    }
+
+    #[test]
+    fn make_mut_copies_a_shared_frame_to_a_new_slot() {
+        let mut a = FrameArena::new();
+        let shared = a.insert(frame(1));
+        a.retain(shared);
+        a.retain(shared);
+        let mut mine = shared;
+        a.make_mut(&mut mine).duration_id = 7;
+        assert_ne!(mine.index(), shared.index(), "the writer moves out");
+        assert_eq!(a.refs(shared), 2, "the old slot lost one reference");
+        assert_eq!(a.refs(mine), 1);
+        assert_eq!(a.get(shared).duration_id, 0, "other holders unaffected");
+        assert_eq!(a.get(mine).duration_id, 7);
+        assert_eq!((a.live(), a.total_refs()), (2, 3));
+        // Once the copy is the writer's alone, a second write stays put.
+        let copy = mine;
+        a.make_mut(&mut mine).duration_id = 8;
+        assert_eq!(mine, copy);
+        // Generations still guard both slots: releasing the copy makes
+        // its id stale while the shared original lives on.
+        a.release(mine);
+        a.release(shared);
+        assert_eq!(a.get(shared).duration_id, 0);
+        a.release(shared);
+        assert_eq!((a.live(), a.total_refs()), (0, 0));
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "generation checks are debug-only")]
+    #[should_panic(expected = "stale frame id")]
+    fn make_mut_on_a_released_copy_is_caught() {
+        let mut a = FrameArena::new();
+        let shared = a.insert(frame(1));
+        a.retain(shared);
+        let mut mine = shared;
+        let _ = a.make_mut(&mut mine);
+        a.release(mine);
+        let _ = a.make_mut(&mut mine);
     }
 
     #[test]

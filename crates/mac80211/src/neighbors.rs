@@ -8,14 +8,16 @@
 //! stations actually involved, without changing a single trace byte:
 //!
 //! - [`NeighborCache`] — sparse rx-power rows (in dBm and, mirrored
-//!   bit-for-bit, in linear milliwatts for the interference sums)
-//!   plus, per transmitter, the sorted list of stations that can hear
-//!   it at the carrier-sense threshold. A row holds entries only for
-//!   the stations a [`crate::grid::SpatialGrid`] neighborhood query
-//!   returns — everyone within one cell edge, a superset of
-//!   audibility when the cell edge is at least the maximum audible
-//!   range. Static topologies compute propagation once, in O(n·k);
-//!   mobility patches only the moved station's neighborhood, in O(k).
+//!   bit-for-bit, in linear milliwatts for the interference sums). A
+//!   row holds entries only for the stations a
+//!   [`crate::grid::SpatialGrid`] neighborhood query returns —
+//!   everyone within one cell edge, a superset of audibility when the
+//!   cell edge is at least the maximum audible range — and doubles as
+//!   the transmitter's candidate list: its entries at or above the
+//!   carrier-sense threshold, in key order ([`RxRow::audible`]), are
+//!   the stations that can hear it. Static topologies compute
+//!   propagation once, in O(n·k); mobility patches only the moved
+//!   station's neighborhood, in O(k).
 //! - [`AudibleSet`] — the per-station set of in-flight transmission
 //!   ids, with O(1) insert and O(members) removal instead of the old
 //!   `Vec::retain` full scan.
@@ -47,6 +49,11 @@ use wn_phy::units::Dbm;
 
 /// One transmitter's received-power row, as snapshotted by an
 /// in-flight transmission record.
+///
+/// The row is also the transmission's candidate list:
+/// [`audible`](Self::audible) walks the entries at or above the
+/// carrier-sense threshold in ascending station order, and those are
+/// the only stations busy edges and reception decisions visit.
 #[derive(Clone)]
 pub enum RxRow {
     /// The uncached row of a directly evaluated world: power at every
@@ -58,7 +65,7 @@ pub enum RxRow {
     /// by grid construction and reads back as −∞.
     Cached {
         /// Stored station ids, ascending.
-        keys: Arc<Vec<StationId>>,
+        keys: Arc<Vec<u32>>,
         /// Received power at `keys[i]`.
         dbm: Arc<Vec<Dbm>>,
         /// `dbm[i]` in linear milliwatts, bit for bit.
@@ -72,33 +79,38 @@ impl RxRow {
     pub fn get(&self, dst: StationId) -> Dbm {
         match self {
             RxRow::Direct(dbm) => dbm[dst],
-            RxRow::Cached { keys, dbm, .. } => match keys.binary_search(&dst) {
+            RxRow::Cached { keys, dbm, .. } => match keys.binary_search(&(dst as u32)) {
                 Ok(i) => dbm[i],
                 Err(_) => Dbm(f64::NEG_INFINITY),
             },
         }
     }
 
-    /// [`get`](Self::get) for ascending `dst` sequences, paired with
-    /// the same power in linear milliwatts: `cursor` (starting at 0
-    /// for each fresh sequence) advances monotonically through a
-    /// cached row's keys, making a whole candidates sweep O(k) instead
-    /// of O(c·log k). Cached rows read their memoized mirror; direct
-    /// rows ignore the cursor and convert the entry.
-    pub fn get_seq(&self, dst: StationId, cursor: &mut usize) -> (Dbm, f64) {
-        match self {
-            RxRow::Direct(dbm) => (dbm[dst], dbm[dst].to_milliwatts()),
+    /// The stations whose raw power from `src` (this row's
+    /// transmitter) meets `cs`, ascending, each with its power in dBm
+    /// and in linear milliwatts: cached rows read their memoized
+    /// mirror, direct rows convert the entry and skip `src`'s own +∞.
+    pub fn audible(
+        &self,
+        src: StationId,
+        cs: Dbm,
+    ) -> impl Iterator<Item = (StationId, Dbm, f64)> + '_ {
+        let cs = cs.value();
+        let (direct, cached) = match self {
+            RxRow::Direct(dbm) => (Some(dbm.iter().copied().enumerate()), None),
             RxRow::Cached { keys, dbm, mw } => {
-                while *cursor < keys.len() && keys[*cursor] < dst {
-                    *cursor += 1;
-                }
-                if *cursor < keys.len() && keys[*cursor] == dst {
-                    (dbm[*cursor], mw[*cursor])
-                } else {
-                    (Dbm(f64::NEG_INFINITY), 0.0)
-                }
+                (None, Some(keys.iter().zip(dbm.iter().zip(mw.iter()))))
             }
-        }
+        };
+        // One half is `None`, so the chain walks just this row's kind.
+        let heard = move |p: Dbm| p.value() >= cs;
+        let direct = (direct.into_iter().flatten())
+            .filter(move |&(r, p)| r != src && heard(p))
+            .map(|(r, p)| (r, p, p.to_milliwatts()));
+        let cached = (cached.into_iter().flatten())
+            .filter(move |&(_, (&p, _))| heard(p))
+            .map(|(&k, (&p, &m))| (k as StationId, p, m));
+        direct.chain(cached)
     }
 
     /// Adds this row's linear-milliwatt image into `acc` (full
@@ -115,7 +127,7 @@ impl RxRow {
             }
             RxRow::Cached { keys, mw, .. } => {
                 for (&k, &m) in keys.iter().zip(mw.iter()) {
-                    acc[k] += m;
+                    acc[k as usize] += m;
                 }
             }
         }
@@ -132,15 +144,14 @@ impl RxRow {
             }
             RxRow::Cached { keys, dbm, .. } => {
                 for (&k, &p) in keys.iter().zip(dbm.iter()) {
-                    acc[k] += Dbm(p.value() + shift).to_milliwatts();
+                    acc[k as usize] += Dbm(p.value() + shift).to_milliwatts();
                 }
             }
         }
     }
 }
 
-/// Sparse pairwise rx-power cache with per-transmitter audible-neighbor
-/// lists.
+/// Sparse pairwise rx-power cache.
 ///
 /// `rows[src][i]` is the raw received power at `keys[src][i]`, the
 /// sorted grid neighborhood of `src` with `src` itself excluded —
@@ -149,16 +160,15 @@ impl RxRow {
 /// linear milliwatts (`Dbm::to_milliwatts` of the same entry, bit for
 /// bit) — the interference sums in the reception path run in the
 /// linear domain, and memoizing the dB→mW conversion is where most of
-/// the transcendental math in a saturated cell goes. `audible[src]`
-/// lists every `dst != src` whose raw power meets the carrier-sense
-/// threshold, ascending; audible lists are always a subset of the
-/// stored keys.
+/// the transcendental math in a saturated cell goes. Who can hear
+/// `src` is not stored separately: it is the row's entries at or above
+/// the carrier-sense threshold ([`RxRow::audible`]). Keys are `u32`
+/// station ids, half the width of a `StationId`.
 #[derive(Default)]
 pub struct NeighborCache {
-    keys: Vec<Arc<Vec<StationId>>>,
+    keys: Vec<Arc<Vec<u32>>>,
     rows: Vec<Arc<Vec<Dbm>>>,
     mw_rows: Vec<Arc<Vec<f64>>>,
-    audible: Vec<Arc<Vec<StationId>>>,
 }
 
 impl NeighborCache {
@@ -179,7 +189,6 @@ impl NeighborCache {
         self.keys.clear();
         self.rows.clear();
         self.mw_rows.clear();
-        self.audible.clear();
     }
 
     /// Builds the rows for `n` stations: for each `src`,
@@ -188,19 +197,22 @@ impl NeighborCache {
     /// itself may be included and is skipped). Only those pairs are
     /// evaluated and stored — O(n·k) instead of O(n²). Soundness is
     /// the caller's contract: every station outside the candidate set
-    /// must be below `cs` from `src`.
+    /// must be below the carrier-sense threshold from `src`.
+    ///
+    /// # Panics
+    ///
+    /// If `n` exceeds `u32::MAX`.
     pub fn build(
         &mut self,
         n: usize,
-        cs: Dbm,
         mut power: impl FnMut(StationId, StationId) -> Dbm,
         mut neighbors_of: impl FnMut(StationId, &mut Vec<StationId>),
     ) {
+        assert!(u32::try_from(n).is_ok(), "station ids must fit in u32");
         self.clear();
         self.keys.reserve(n);
         self.rows.reserve(n);
         self.mw_rows.reserve(n);
-        self.audible.reserve(n);
         let mut scratch = Vec::new();
         for src in 0..n {
             scratch.clear();
@@ -209,27 +221,32 @@ impl NeighborCache {
                 scratch.windows(2).all(|w| w[0] < w[1]),
                 "neighborhood for {src} not sorted/unique"
             );
-            let mut ks = Vec::with_capacity(scratch.len());
-            let mut row = Vec::with_capacity(scratch.len());
-            let mut mw = Vec::with_capacity(scratch.len());
-            let mut aud = Vec::new();
-            for &dst in &scratch {
-                if dst == src {
-                    continue;
-                }
-                let p = power(src, dst);
-                if p.value() >= cs.value() {
-                    aud.push(dst);
-                }
-                ks.push(dst);
-                row.push(p);
-                mw.push(p.to_milliwatts());
-            }
+            let (ks, row, mw) = Self::evaluate_row(src, &mut power, &scratch);
             self.keys.push(Arc::new(ks));
             self.rows.push(Arc::new(row));
             self.mw_rows.push(Arc::new(mw));
-            self.audible.push(Arc::new(aud));
         }
+    }
+
+    /// `src`'s row over the sorted neighborhood `hood` (`src` skipped).
+    fn evaluate_row(
+        src: StationId,
+        power: &mut impl FnMut(StationId, StationId) -> Dbm,
+        hood: &[StationId],
+    ) -> (Vec<u32>, Vec<Dbm>, Vec<f64>) {
+        let mut ks = Vec::with_capacity(hood.len());
+        let mut row = Vec::with_capacity(hood.len());
+        let mut mw = Vec::with_capacity(hood.len());
+        for &dst in hood {
+            if dst == src {
+                continue;
+            }
+            let p = power(src, dst);
+            ks.push(dst as u32);
+            row.push(p);
+            mw.push(p.to_milliwatts());
+        }
+        (ks, row, mw)
     }
 
     /// Mobility patch after station `id` moved (or changed its radio):
@@ -245,76 +262,45 @@ impl NeighborCache {
     pub fn patch_station(
         &mut self,
         id: StationId,
-        cs: Dbm,
         mut power: impl FnMut(StationId, StationId) -> Dbm,
         new_keys: &[StationId],
         stale: &[StationId],
     ) {
         debug_assert!(id < self.rows.len(), "patch_station on an unbuilt cache");
         debug_assert!(new_keys.windows(2).all(|w| w[0] < w[1]));
-        let mut ks = Vec::with_capacity(new_keys.len());
-        let mut row = Vec::with_capacity(new_keys.len());
-        let mut mw = Vec::with_capacity(new_keys.len());
-        let mut aud = Vec::new();
-        for &dst in new_keys {
-            if dst == id {
-                continue;
-            }
-            let p = power(id, dst);
-            if p.value() >= cs.value() {
-                aud.push(dst);
-            }
-            ks.push(dst);
-            row.push(p);
-            mw.push(p.to_milliwatts());
-        }
+        let (ks, row, mw) = Self::evaluate_row(id, &mut power, new_keys);
         self.keys[id] = Arc::new(ks);
         self.rows[id] = Arc::new(row);
         self.mw_rows[id] = Arc::new(mw);
-        self.audible[id] = Arc::new(aud);
 
+        let key = id as u32;
         for &src in new_keys {
             if src == id {
                 continue;
             }
             let p = power(src, id);
-            match self.keys[src].binary_search(&id) {
+            match self.keys[src].binary_search(&key) {
                 Ok(i) => {
                     // Entry exists: refresh the value in place.
                     Arc::make_mut(&mut self.rows[src])[i] = p;
                     Arc::make_mut(&mut self.mw_rows[src])[i] = p.to_milliwatts();
                 }
                 Err(i) => {
-                    Arc::make_mut(&mut self.keys[src]).insert(i, id);
+                    Arc::make_mut(&mut self.keys[src]).insert(i, key);
                     Arc::make_mut(&mut self.rows[src]).insert(i, p);
                     Arc::make_mut(&mut self.mw_rows[src]).insert(i, p.to_milliwatts());
                 }
             }
-            self.patch_audible(src, id, p.value() >= cs.value());
         }
         for &src in stale {
             if src == id {
                 continue;
             }
-            if let Ok(i) = self.keys[src].binary_search(&id) {
+            if let Ok(i) = self.keys[src].binary_search(&key) {
                 Arc::make_mut(&mut self.keys[src]).remove(i);
                 Arc::make_mut(&mut self.rows[src]).remove(i);
                 Arc::make_mut(&mut self.mw_rows[src]).remove(i);
             }
-            self.patch_audible(src, id, false);
-        }
-    }
-
-    fn patch_audible(&mut self, src: StationId, dst: StationId, hears: bool) {
-        let list = &self.audible[src];
-        match list.binary_search(&dst) {
-            Ok(pos) if !hears => {
-                Arc::make_mut(&mut self.audible[src]).remove(pos);
-            }
-            Err(pos) if hears => {
-                Arc::make_mut(&mut self.audible[src]).insert(pos, dst);
-            }
-            _ => {}
         }
     }
 
@@ -327,18 +313,16 @@ impl NeighborCache {
         }
     }
 
-    /// The sorted audible-neighbor list for `src` (shared).
-    pub fn audible_list(&self, src: StationId) -> Arc<Vec<StationId>> {
-        Arc::clone(&self.audible[src])
-    }
-
-    /// Verifies every cached entry (powers and audible lists) against
-    /// a fresh evaluation — the oracle behind the mobility-invalidation
-    /// property test and the grid-coherence fuzz oracle. An *absent*
-    /// pair is coherent only if its fresh power is below `cs` (the
-    /// grid's soundness claim) and it is not listed audible; such a
-    /// violation reports the −∞ the row would answer. Returns the
-    /// first mismatch as `(src, dst, cached, fresh)`.
+    /// Verifies every cached entry against a fresh evaluation — the
+    /// oracle behind the mobility-invalidation property test and the
+    /// grid-coherence fuzz oracle. A stored entry must equal the fresh
+    /// power (and its milliwatt mirror the fresh conversion, bit for
+    /// bit); since audibility is read off the stored power, that also
+    /// pins who hears whom. An *absent* pair is coherent only if its
+    /// fresh power is below `cs` (the grid's soundness claim); such a
+    /// violation reports the −∞ the row would answer. Walks each row
+    /// alongside `0..n`, so a check is O(n²) power evaluations. Returns
+    /// the first mismatch as `(src, dst, cached, fresh)`.
     pub fn find_incoherence(
         &self,
         cs: Dbm,
@@ -346,28 +330,29 @@ impl NeighborCache {
     ) -> Option<(StationId, StationId, Dbm, Dbm)> {
         let n = self.rows.len();
         for src in 0..n {
+            let keys = &self.keys[src];
+            let mut i = 0;
             for dst in 0..n {
                 if dst == src {
                     continue;
                 }
                 let fresh = power(src, dst);
-                let listed = self.audible[src].binary_search(&dst).is_ok();
-                let Ok(i) = self.keys[src].binary_search(&dst) else {
+                if keys.get(i) != Some(&(dst as u32)) {
                     // Omitted by the grid: must be genuinely sub-CS.
-                    if fresh.value() >= cs.value() || listed {
+                    if fresh.value() >= cs.value() {
                         return Some((src, dst, Dbm(f64::NEG_INFINITY), fresh));
                     }
                     continue;
-                };
+                }
                 // The mw mirror must stay bit-identical to the dBm
                 // entry's conversion, not merely numerically close.
                 let cached = self.rows[src][i];
                 if cached.value() != fresh.value()
-                    || listed != (fresh.value() >= cs.value())
                     || self.mw_rows[src][i].to_bits() != fresh.to_milliwatts().to_bits()
                 {
                     return Some((src, dst, cached, fresh));
                 }
+                i += 1;
             }
         }
         None
@@ -526,6 +511,12 @@ mod tests {
         b.remove(1000); // out of range is a no-op
     }
 
+    /// Who hears `src`, read off its row: the derived audibility the
+    /// MAC iterates.
+    fn audible(c: &NeighborCache, src: StationId, cs: Dbm) -> Vec<StationId> {
+        c.row(src).audible(src, cs).map(|(r, _, _)| r).collect()
+    }
+
     #[test]
     fn cache_builds_and_patches_moved_station() {
         // Powers derived from a mutable "position" table so the test
@@ -538,25 +529,30 @@ mod tests {
         }
         let everyone = |_: StationId, out: &mut Vec<StationId>| out.extend(0..4);
         let mut c = NeighborCache::new();
-        c.build(4, cs, power(&xs), everyone);
+        c.build(4, power(&xs), everyone);
         assert_eq!(c.stored_entries(), 12);
         assert!(c.find_incoherence(cs, power(&xs)).is_none());
         // 0 hears 1 (−50) and 2 (−60) but not 3 (−120).
-        assert_eq!(*c.audible_list(0), vec![1, 2]);
+        assert_eq!(audible(&c, 0, cs), vec![1, 2]);
 
         // A record snapshots row 0 (both domains), then station 3
         // moves next to 0: the snapshots must keep the old power, the
         // cache the new — in dBm and in the milliwatt mirror alike.
         let snapshot = c.row(0);
         xs[3] = 5.0;
-        c.patch_station(3, cs, power(&xs), &[0, 1, 2, 3], &[]);
+        c.patch_station(3, power(&xs), &[0, 1, 2, 3], &[]);
         assert_eq!(snapshot.get(3), Dbm(-120.0));
         assert_eq!(c.row(0).get(3), Dbm(-45.0));
         let mut mw = vec![0.0; 4];
         snapshot.accumulate_mw(&mut mw);
         assert_eq!(mw[3].to_bits(), Dbm(-120.0).to_milliwatts().to_bits());
-        assert_eq!(*c.audible_list(0), vec![1, 2, 3]);
-        assert_eq!(*c.audible_list(3), vec![0, 1, 2]);
+        assert_eq!(
+            snapshot.audible(0, cs).count(),
+            2,
+            "snapshot keeps its audience"
+        );
+        assert_eq!(audible(&c, 0, cs), vec![1, 2, 3]);
+        assert_eq!(audible(&c, 3, cs), vec![0, 1, 2]);
         assert!(c.find_incoherence(cs, power(&xs)).is_none());
 
         c.clear();
@@ -579,21 +575,18 @@ mod tests {
             }
         }
         let mut c = NeighborCache::new();
-        c.build(4, cs, power(&xs), hood(&xs));
+        c.build(4, power(&xs), hood(&xs));
         assert!(c.stored_entries() < 12, "sparse must omit far pairs");
         assert!(c.find_incoherence(cs, power(&xs)).is_none());
-        assert_eq!(*c.audible_list(0), vec![1, 2]);
+        assert_eq!(audible(&c, 0, cs), vec![1, 2]);
         assert_eq!(c.row(0).get(3), Dbm(f64::NEG_INFINITY));
         assert_eq!(c.row(0).get(1), Dbm(-50.0));
 
-        // Sequential access agrees with random access, and its
+        // The audible walk agrees with random access, and its
         // milliwatt image is the entry's own conversion.
-        let row = c.row(0);
-        let mut cur = 0;
-        for d in [1usize, 2, 3] {
-            let (dbm, mw) = row.get_seq(d, &mut cur);
-            assert_eq!(dbm, row.get(d));
-            assert_eq!(mw, dbm.to_milliwatts());
+        for (d, dbm, mw) in c.row(0).audible(0, cs) {
+            assert_eq!(dbm, c.row(0).get(d));
+            assert_eq!(mw.to_bits(), dbm.to_milliwatts().to_bits());
         }
 
         // Station 3 moves next to the cluster: its row rebuilds over
@@ -602,19 +595,38 @@ mod tests {
         let snapshot = c.row(0);
         xs[3] = 5.0;
         let new_keys = [0usize, 1, 2];
-        c.patch_station(3, cs, power(&xs), &new_keys, &[]);
+        c.patch_station(3, power(&xs), &new_keys, &[]);
         assert_eq!(snapshot.get(3), Dbm(f64::NEG_INFINITY));
         assert_eq!(c.row(0).get(3), Dbm(-45.0));
-        assert_eq!(*c.audible_list(0), vec![1, 2, 3]);
-        assert_eq!(*c.audible_list(3), vec![0, 1, 2]);
+        assert_eq!(audible(&c, 0, cs), vec![1, 2, 3]);
+        assert_eq!(audible(&c, 3, cs), vec![0, 1, 2]);
         assert!(c.find_incoherence(cs, power(&xs)).is_none());
 
         // And back out again: stale entries must disappear.
         xs[3] = 80.0;
-        c.patch_station(3, cs, power(&xs), &[], &new_keys);
+        c.patch_station(3, power(&xs), &[], &new_keys);
         assert_eq!(c.row(0).get(3), Dbm(f64::NEG_INFINITY));
-        assert_eq!(*c.audible_list(0), vec![1, 2]);
+        assert_eq!(audible(&c, 0, cs), vec![1, 2]);
         assert!(c.find_incoherence(cs, power(&xs)).is_none());
+    }
+
+    #[test]
+    fn direct_rows_skip_the_transmitter_and_sub_threshold_entries() {
+        let cs = Dbm(-75.0);
+        let row = RxRow::Direct(Arc::new(vec![
+            Dbm(-50.0),
+            Dbm(f64::INFINITY),
+            Dbm(-80.0),
+            Dbm(-75.0),
+            Dbm(f64::NAN),
+        ]));
+        let got: Vec<_> = row.audible(1, cs).collect();
+        let want = [(0, Dbm(-50.0)), (3, Dbm(-75.0))];
+        assert_eq!(got.len(), want.len());
+        for ((r, dbm, mw), (wr, wdbm)) in got.into_iter().zip(want) {
+            assert_eq!((r, dbm), (wr, wdbm));
+            assert_eq!(mw.to_bits(), wdbm.to_milliwatts().to_bits());
+        }
     }
 
     #[test]
@@ -625,13 +637,17 @@ mod tests {
         let xs = [0.0f64, 10.0];
         let cs = Dbm(-75.0);
         let mut c = NeighborCache::new();
-        c.build(
-            2,
-            cs,
-            |a, b| Dbm(-((xs[a] - xs[b]).abs()) - 40.0),
-            |_, _| {},
-        );
+        c.build(2, |a, b| Dbm(-((xs[a] - xs[b]).abs()) - 40.0), |_, _| {});
         let got = c.find_incoherence(cs, |a, b| Dbm(-((xs[a] - xs[b]).abs()) - 40.0));
         assert_eq!(got, Some((0, 1, Dbm(f64::NEG_INFINITY), Dbm(-50.0))));
+        // A stored entry that went stale is flagged at its own value.
+        let mut c = NeighborCache::new();
+        c.build(
+            2,
+            |a, b| Dbm(-((xs[a] - xs[b]).abs()) - 40.0),
+            |_, out| out.extend([0, 1]),
+        );
+        let got = c.find_incoherence(cs, |a, b| Dbm(-((xs[a] - xs[b]).abs()) - 90.0));
+        assert_eq!(got, Some((0, 1, Dbm(-50.0), Dbm(-100.0))));
     }
 }

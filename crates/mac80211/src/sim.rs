@@ -644,11 +644,10 @@ struct TxRecord {
     /// cache (copy-on-write: mobility after tx start patches the
     /// cache, not this row). Sparse grid-backed rows answer −∞ for
     /// stations beyond the transmitter's cell neighborhood, which are
-    /// below the carrier-sense floor by construction.
+    /// below the carrier-sense floor by construction. Its entries at or
+    /// above the CS threshold ([`RxRow::audible`]) are the only
+    /// stations busy-edge delivery and reception decisions visit.
     rx_power: RxRow,
-    /// Stations whose raw start-time power meets the CS threshold,
-    /// ascending — the only ones busy/idle-edge delivery visits.
-    candidates: Arc<Vec<StationId>>,
     done: bool,
 }
 
@@ -724,8 +723,8 @@ pub enum MacEvent {
         ac: AccessCategory,
     },
     /// Arrival `k` of the world's periodic [`Source`] `source` (see
-    /// [`add_source`]): a copy of the template enters the arena and
-    /// the station's queue, and arrival `k + 1` is scheduled.
+    /// [`add_source`]): a reference to the template's arena slot
+    /// enters the station's queue, and arrival `k + 1` is scheduled.
     Arrival {
         /// Index into [`WlanWorld::sources`].
         source: u32,
@@ -804,7 +803,8 @@ pub struct WlanWorld {
     /// events (a term of the [`frame_ledger`](Self::frame_ledger)).
     staged: u64,
     /// Periodic arrival sources ([`add_source`]); each holds one
-    /// template frame and at most one pending arrival.
+    /// reference on its template's arena slot and at most one pending
+    /// arrival.
     sources: Vec<Source>,
     /// Sparse pairwise rx-power / audibility rows (built lazily at
     /// the first transmission under a bounded static loss model).
@@ -944,7 +944,7 @@ impl WlanWorld {
 
     /// The propagation neighbor cache (empty until primed or first
     /// used). Exposed read-only so partition property tests can check
-    /// shard assignments against the cached audible-neighbor lists.
+    /// shard assignments against who hears whom on the cached rows.
     pub fn neighbor_cache(&self) -> &NeighborCache {
         &self.neighbors
     }
@@ -1101,13 +1101,14 @@ impl WlanWorld {
     /// references on the left, the sum over every holder the MAC knows
     /// about on the right — references parked on scheduled
     /// `Inject`/`TxDropped` events, queued MSDUs, the in-progress
-    /// attempt (its MSDU plus its cached wire frame) and transmission
-    /// records. A periodic [`Source`] is no term: its template lives
-    /// outside the arena, and each arrival's copy goes straight into a
-    /// queue. The fuzzer asserts the two sides stay equal between
-    /// events; a leaked or double-released frame id shows up as drift.
+    /// attempt (its MSDU plus its cached wire frame), transmission
+    /// records and periodic [`Source`]s (one reference each on the
+    /// template slot their queued arrivals share). The fuzzer asserts
+    /// the two sides stay equal between events; a leaked or
+    /// double-released frame id shows up as drift.
     pub fn frame_ledger(&self) -> (u64, u64) {
         let held = self.staged
+            + self.sources.len() as u64
             + self
                 .stations
                 .iter()
@@ -1312,7 +1313,6 @@ impl WlanWorld {
         let mut cache = std::mem::take(&mut self.neighbors);
         cache.build(
             self.stations.len(),
-            self.cfg.cs_threshold,
             |a, b| self.rx_power_at(a, b, now),
             |src, out| grid.neighborhood_into(grid.cell_of(src), out),
         );
@@ -1403,7 +1403,6 @@ impl WlanWorld {
             .collect();
         cache.patch_station(
             station,
-            self.cfg.cs_threshold,
             |a, b| self.rx_power_at(a, b, now),
             &new_hood,
             &stale,
@@ -1692,33 +1691,23 @@ impl WlanWorld {
         None
     }
 
-    /// Start-time received powers and audible-candidate list for a
-    /// transmission from `id`: the cached sparse row under a bounded
-    /// static model, a fresh O(n) evaluation otherwise. Candidates are
-    /// the stations whose *raw* co-channel power meets the CS
-    /// threshold — cross-channel leakage is never stronger than raw
-    /// power, so this is a superset of anything any receiver
-    /// configuration can hear, and the per-member awake/channel/leak
-    /// checks stay in the MAC.
-    fn tx_powers(&mut self, id: StationId, now: SimTime) -> (RxRow, Arc<Vec<StationId>>) {
+    /// Start-time received powers for a transmission from `id`: the
+    /// cached sparse row under a bounded static model, a fresh O(n)
+    /// evaluation otherwise.
+    fn tx_powers(&mut self, id: StationId, now: SimTime) -> RxRow {
         if self.ensure_neighbors(now) {
-            return (self.neighbors.row(id), self.neighbors.audible_list(id));
+            return self.neighbors.row(id);
         }
-        let n = self.stations.len();
-        let mut row = Vec::with_capacity(n);
-        let mut candidates = Vec::new();
-        for r in 0..n {
-            if r == id {
-                row.push(Dbm(f64::INFINITY));
-                continue;
-            }
-            let p = self.rx_power_at(id, r, now);
-            if self.audible_at(p) {
-                candidates.push(r);
-            }
-            row.push(p);
-        }
-        (RxRow::Direct(Arc::new(row)), Arc::new(candidates))
+        let row = (0..self.stations.len())
+            .map(|r| {
+                if r == id {
+                    Dbm(f64::INFINITY)
+                } else {
+                    self.rx_power_at(id, r, now)
+                }
+            })
+            .collect();
+        RxRow::Direct(Arc::new(row))
     }
 
     fn audible_at(&self, power: Dbm) -> bool {
@@ -1888,18 +1877,23 @@ impl WlanWorld {
     /// caller's reference on `fid` transfers to the queue — or back out
     /// through a `TxDropped` event on overflow, or on an EDCA world
     /// when the body does not fit an A-MPDU subframe's 16-bit length.
+    /// The frame is stamped with the station's Power Management bit,
+    /// copied out of a shared slot only when the bit differs.
     fn enqueue_id(
         &mut self,
         id: StationId,
-        fid: FrameId,
+        mut fid: FrameId,
         ac: AccessCategory,
         now: SimTime,
         sched: &mut Scheduler<MacEvent>,
     ) {
         let q = if self.cfg.edca { ac.index() } else { 0 };
         let k = self.queues.index(id, q);
-        let frame = self.frames.get_mut(fid);
-        frame.fc.power_management = self.stations[id].power_mgmt;
+        let pm = self.stations[id].power_mgmt;
+        if self.frames.get(fid).fc.power_management != pm {
+            self.frames.make_mut(&mut fid).fc.power_management = pm;
+        }
+        let frame = self.frames.get(fid);
         let refused = if self.cfg.edca && frame.body.len() > usize::from(u16::MAX) {
             Some(DropReason::Oversize)
         } else if self.queues.msdus[k].len() >= self.cfg.queue_limit {
@@ -1956,15 +1950,17 @@ impl WlanWorld {
             return;
         }
         let k = self.queues.index(id, 0);
-        let Some(msdu) = self.queues.msdus[k].pop_front() else {
+        let Some(mut msdu) = self.queues.msdus[k].pop_front() else {
             return;
         };
         self.queue_gauge.add(now, -1.0);
-        // Assign a sequence number and split into fragments: byte
-        // ranges of the queued frame's body, sliced out at build time.
+        // Assign a sequence number (on the attempt's own copy when the
+        // queued frame is a source's shared slot) and split into
+        // fragments: byte ranges of the frame's body, sliced out at
+        // build time.
         let seq_no = self.stations[id].seq.next();
         let frag_threshold = self.cfg.frag_threshold;
-        let frame = self.frames.get_mut(msdu.frame);
+        let frame = self.frames.make_mut(&mut msdu.frame);
         let body_len = frame.body.len();
         let can_fragment =
             frame.fc.subtype.frame_type() == FrameType::Data && !frame.receiver().is_group();
@@ -2025,7 +2021,7 @@ impl WlanWorld {
         let dur = airtime(&timing, rate, wire_len);
         let tx_id = self.next_tx_id;
         self.next_tx_id += 1;
-        let (rx_power, candidates) = self.tx_powers(id, now);
+        let rx_power = self.tx_powers(id, now);
         let channel = self.dcf.channel[id];
         self.trace.event(
             now,
@@ -2047,18 +2043,17 @@ impl WlanWorld {
             start: now,
             end: now + dur,
             rx_power: rx_power.clone(),
-            candidates: Arc::clone(&candidates),
             done: false,
         });
         self.dcf.transmitting[id] = Some(tx_id);
         self.stations[id].stats.tx_frames += 1;
         self.stations[id].stats.tx_airtime_us += dur.as_nanos() / 1_000;
         // Busy edges at every audible same-channel station — only the
-        // candidate list can qualify, since leaked cross-channel power
-        // never exceeds the raw power the list was thresholded on.
-        let mut cur = 0usize;
-        for &r in candidates.iter() {
-            let (power, _) = rx_power.get_seq(r, &mut cur);
+        // row's entries at or above CS can qualify, since leaked
+        // cross-channel power never exceeds raw power. That is a
+        // superset of anything any receiver configuration can hear;
+        // the per-station awake/channel/leak checks stay here.
+        for (r, power, _) in rx_power.audible(id, self.cfg.cs_threshold) {
             let overlap = Self::channel_overlap(channel, self.dcf.channel[r]);
             let heard = Self::leaked_power(power, overlap)
                 .map(|p| self.audible_at(p))
@@ -2178,10 +2173,11 @@ impl WlanWorld {
             )
         };
 
-        // Decide reception — only at the start-time audible candidates.
-        // Everyone else had raw power below the CS threshold, was never
-        // put on an audible set, and would fall straight through the
-        // `!audible_at && !was_audible` skip below with no side effect.
+        // Decide reception — only at the stations the start-time row
+        // puts at or above CS. Everyone else had raw power below the CS
+        // threshold, was never put on an audible set, and would fall
+        // straight through the `!audible_at && !was_audible` skip below
+        // with no side effect.
         let mut decoded = std::mem::take(&mut self.decoded_scratch);
         decoded.clear();
         // Only records overlapping this frame in time can trip the
@@ -2198,7 +2194,6 @@ impl WlanWorld {
                 .filter(|&o| self.records[o].start < rec_end && self.records[o].end > rec_start),
         );
         let rx_power = self.records[idx].rx_power.clone();
-        let candidates = Arc::clone(&self.records[idx].candidates);
         // Half-duplex sources among the overlapping records, collected
         // once into a bitset so the per-receiver check is O(1) instead
         // of a rescan of the overlap list.
@@ -2259,9 +2254,7 @@ impl WlanWorld {
         // ≥ 1 − 2⁻¹⁰ (`RateStep::settle_cutoffs_db`).
         let (s_lo, s_hi) = rate.settle_cutoffs_db(wire_bits);
         let (lin_lo, lin_hi) = (Db(s_lo).to_linear(), Db(s_hi).to_linear());
-        let mut cur = 0usize;
-        for &r in candidates.iter() {
-            let (power, power_mw) = rx_power.get_seq(r, &mut cur);
+        for (r, power, power_mw) in rx_power.audible(src, self.cfg.cs_threshold) {
             let was_audible = self.dcf.audible[r].remove(tx_id);
             if !self.dcf.awake[r] || self.dcf.channel[r] != channel {
                 continue;
@@ -2615,7 +2608,7 @@ impl WlanWorld {
         // the arena, its body whole and the More Fragments bit clear —
         // fragmentation is a MAC transfer detail, finished either way
         // by now.
-        let mut frame = self.frames.remove(at.msdu.frame);
+        let mut frame = self.frames.unwrap_or_clone(at.msdu.frame);
         frame.fc.more_fragments = false;
         if let Some(b) = at.built {
             // A failed attempt can still hold a cached wire frame.
@@ -3057,7 +3050,7 @@ impl WlanWorld {
                         ok: true,
                     },
                 );
-                outcomes.push((self.frames.remove(m.msdu.frame), true));
+                outcomes.push((self.frames.unwrap_or_clone(m.msdu.frame), true));
             } else {
                 m.retries += 1;
                 if m.retries > limit {
@@ -3081,7 +3074,7 @@ impl WlanWorld {
                             ok: false,
                         },
                     );
-                    outcomes.push((self.frames.remove(m.msdu.frame), false));
+                    outcomes.push((self.frames.unwrap_or_clone(m.msdu.frame), false));
                 } else {
                     self.stations[id].stats.retries += 1;
                     // Same shape as the legacy retry ladder so the
@@ -3188,7 +3181,7 @@ impl World for WlanWorld {
             MacEvent::Arrival { source, k } => self.handle_arrival(source, k, now, sched),
             MacEvent::TxDropped { station, frame } => {
                 self.staged -= 1;
-                let frame = self.frames.remove(frame);
+                let frame = self.frames.unwrap_or_clone(frame);
                 self.with_upper(station, now, sched, |u, ctx| {
                     u.on_tx_result(ctx, &frame, false)
                 });

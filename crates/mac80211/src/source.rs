@@ -6,12 +6,25 @@
 //!
 //! A saturated backlog is an arithmetic progression of identical
 //! MSDUs into one queue. Staging it that way costs an arena frame and
-//! a pending timer per MSDU for the whole run. A [`Source`] holds one
-//! template frame instead and keeps a single arrival pending: when
-//! arrival `k` fires ([`MacEvent::Arrival`]), the world clones the
-//! template into the arena, schedules arrival `k + 1` and queues the
-//! frame — NS-2's split, where the traffic agent sits outside
-//! `Mac802_11` and schedules its next packet when the current one goes.
+//! a pending timer per MSDU for the whole run. A [`Source`] puts one
+//! template frame into the arena instead and keeps a single arrival
+//! pending: when arrival `k` fires ([`MacEvent::Arrival`]), the world
+//! adds a reference to the template's slot, schedules arrival `k + 1`
+//! and queues that reference — NS-2's split, where the traffic agent
+//! sits outside `Mac802_11` and schedules its next packet when the
+//! current one goes.
+//!
+//! Every queued MSDU of a source is thus the same arena slot. The MAC
+//! writes to a queued frame in two places only — the Power Management
+//! bit at enqueue, when the station's bit differs from the frame's,
+//! and the sequence number when a legacy queue hands its head to a
+//! new attempt — and both go through
+//! [`FrameArena::make_mut`](crate::arena::FrameArena::make_mut), which
+//! moves the writer to a private copy. Completions and drops hand the
+//! upper layer its frame through
+//! [`FrameArena::unwrap_or_clone`](crate::arena::FrameArena::unwrap_or_clone).
+//! A backlog deeper than a sender can drain therefore costs a queue
+//! entry per MSDU, not a frame.
 //!
 //! The `(time, seq)` tie order is what keeps this invisible:
 //! [`add_source`] reserves the source's whole block of scheduler
@@ -24,6 +37,7 @@
 //! on the world's private state directly.
 
 use super::{AccessCategory, MacEvent, StationId, WlanWorld};
+use crate::arena::FrameId;
 use crate::frame::Frame;
 use wn_sim::{Scheduler, SimDuration, SimTime, Simulation};
 
@@ -51,17 +65,18 @@ pub fn qos_inject_at(
         .schedule_at(at, MacEvent::InjectQos { station, frame, ac });
 }
 
-/// A periodic arrival process owned by the world: `count` copies of
+/// A periodic arrival process owned by the world: `count` arrivals of
 /// `frame` into `station`'s `ac` queue at `first + k·period`.
 pub struct Source {
     /// Sending station.
     pub station: StationId,
     /// Target access category (the one DCF queue on a legacy world).
     pub ac: AccessCategory,
-    /// The template every arrival clones; its body is a shared
-    /// [`Payload`](crate::payload::Payload), so a clone is a header
-    /// copy.
-    pub frame: Frame,
+    /// The template's arena slot. The source holds one reference for
+    /// its lifetime (a term of
+    /// [`WlanWorld::frame_ledger`](super::WlanWorld::frame_ledger)),
+    /// and every arrival queues one more on the same slot.
+    pub frame: FrameId,
     /// Time of arrival 0.
     pub first: SimTime,
     /// Spacing between arrivals; zero puts every arrival at `first`.
@@ -79,8 +94,9 @@ impl Source {
     }
 }
 
-/// Adds a periodic source to the world and schedules its first
-/// arrival; returns the source's index. Reserves `count` scheduler
+/// Adds a periodic source to the world, stores `frame` in its arena
+/// and schedules the first arrival; returns the source's index.
+/// Reserves `count` scheduler
 /// sequence numbers, so sources built in the order a per-frame
 /// [`inject_at`] / [`qos_inject_at`] loop would have staged
 /// their frames produce that loop's event keys exactly.
@@ -104,7 +120,9 @@ pub fn add_source(
     );
     let n = u32::try_from(count).expect("a source has at most u32::MAX arrivals");
     let seq0 = sim.scheduler_mut().reserve_seqs(count);
-    let sources = &mut sim.world_mut().sources;
+    let world = sim.world_mut();
+    let frame = world.frames.insert(frame);
+    let sources = &mut world.sources;
     let id = u32::try_from(sources.len()).expect("fewer than 2^32 sources");
     sources.push(Source {
         station,
@@ -128,9 +146,9 @@ impl WlanWorld {
         &self.sources
     }
 
-    /// Arrival `k` of `source`: put a copy of the template in the
-    /// arena, schedule the next arrival under its reserved seq, then
-    /// queue the copy.
+    /// Arrival `k` of `source`: take a reference to the template's
+    /// slot, schedule the next arrival under its reserved seq, then
+    /// queue the reference.
     pub(super) fn handle_arrival(
         &mut self,
         source: u32,
@@ -140,7 +158,8 @@ impl WlanWorld {
     ) {
         let src = &self.sources[source as usize];
         let (station, ac) = (src.station, src.ac);
-        let fid = self.frames.insert(src.frame.clone());
+        let fid = src.frame;
+        self.frames.retain(fid);
         let next = k + 1;
         if next < src.count {
             sched.schedule_reserved(

@@ -6,11 +6,14 @@
 use wireless_networks::check::{check_seed_gen, Propagation, ScenarioGen};
 use wireless_networks::mac80211::addr::MacAddr;
 use wireless_networks::mac80211::frame::{DsBits, Frame, SequenceControl};
+use wireless_networks::mac80211::loss::LossModel;
 use wireless_networks::mac80211::sim::{
     boot, inject_at, MacConfig, MacEvent, NullUpper, WlanWorld,
 };
 use wireless_networks::phy::geom::Point;
+use wireless_networks::phy::medium::{LinkBudget, Radio};
 use wireless_networks::phy::modulation::PhyStandard;
+use wireless_networks::phy::propagation::LogDistance;
 use wireless_networks::sim::{Rng, SimTime, Simulation};
 
 fn data_to_sink(src: usize) -> Frame {
@@ -26,8 +29,8 @@ fn data_to_sink(src: usize) -> Frame {
 
 /// After any seeded sequence of `SetPosition` teleports — landing
 /// before, between and inside transmissions — every cached (src, dst)
-/// rx power and every audible-neighbor list must equal a fresh
-/// link-budget evaluation. The invalidation protocol (moved station's
+/// rx power must equal a fresh link-budget evaluation, and every pair
+/// a row omits must be below the carrier-sense floor. The invalidation protocol (moved station's
 /// row rebuilt, its column patched through everyone else's rows) has
 /// no stale corner.
 #[test]
@@ -79,6 +82,60 @@ fn cache_stays_coherent_under_random_mobility() {
             );
         }
     }
+}
+
+/// Who hears a transmitter is read off its cached row (the entries at
+/// or above CS, ascending), not stored. On random sparse grid worlds
+/// — several cells wide, so rows omit far stations — and through
+/// every `set_position` patch, each row's audible walk must equal a
+/// brute-force evaluation of every pair, in the same order.
+#[test]
+fn row_audibility_matches_brute_force_under_mobility() {
+    let budget = LinkBudget::for_standard(PhyStandard::Dot11g, Radio::consumer_wifi());
+    let loss = LossModel::distance(LogDistance::indoor());
+    let mut sparse_worlds = 0;
+    for seed in 0..8u64 {
+        let mut rng = Rng::new(0xA0D1B1E ^ seed);
+        let n = 20 + rng.below(40) as usize;
+        let span = 150.0 + rng.f64_range(0.0, 350.0);
+        let mut cfg = MacConfig::new(PhyStandard::Dot11g);
+        cfg.seed = seed;
+        let cs = cfg.cs_threshold;
+        let mut world = WlanWorld::new(cfg);
+        let spot =
+            |rng: &mut Rng| Point::new(rng.f64_range(-span, span), rng.f64_range(-span, span));
+        let pos: Vec<Point> = (0..n).map(|_| spot(&mut rng)).collect();
+        world.add_stations(n, |i| pos[i], |_| Box::new(NullUpper));
+        world.prime_neighbor_cache(SimTime::ZERO);
+        let check = |world: &WlanWorld, when: &str| {
+            for src in 0..n {
+                let a = world.position(src);
+                let want: Vec<usize> = (0..n)
+                    .filter(|&dst| {
+                        let l = loss.loss(a, world.position(dst), budget.frequency, SimTime::ZERO);
+                        dst != src && budget.rx_power(l).value() >= cs.value()
+                    })
+                    .collect();
+                let row = world.neighbor_cache().row(src);
+                let got: Vec<usize> = row.audible(src, cs).map(|(r, _, _)| r).collect();
+                assert_eq!(got, want, "seed {seed} {when}: audience of {src}");
+            }
+        };
+        check(&world, "after build");
+        if world.neighbor_cache_stats().expect("cache primed").1 < n * (n - 1) {
+            sparse_worlds += 1;
+        }
+        for step in 0..25 {
+            let station = rng.below(n as u64) as usize;
+            let to = spot(&mut rng);
+            world.set_position(station, to, SimTime::ZERO);
+            check(&world, &format!("after move {step}"));
+        }
+    }
+    assert!(
+        sparse_worlds >= 4,
+        "only {sparse_worlds} of 8 worlds had sparse rows"
+    );
 }
 
 /// A handful of generated fuzz scenarios (ESS roaming, mobility,

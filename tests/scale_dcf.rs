@@ -9,9 +9,10 @@
 //! 1/T), which makes this minutes-long in debug; the tier-1 debug
 //! suite therefore skips it and CI runs it in the release job.
 //!
-//! The 1000-station point also carries two hot-path guards: the SINR
-//! bound settles nearly every PER decision, and the neighbor cache
-//! renders exactly what the direct propagation path renders.
+//! The 1000-station point also carries three hot-path guards: the SINR
+//! bound settles nearly every PER decision, the neighbor cache renders
+//! exactly what the direct propagation path renders, and the ~65k
+//! backlogged MSDUs share their sources' arena slots.
 
 use wireless_networks::check::Propagation;
 use wireless_networks::core::scenarios::{scale_dcf_point, scale_dcf_sim};
@@ -123,4 +124,34 @@ fn cached_and_direct_propagation_agree_at_100_and_1000_stations() {
             "neighbor cache diverged from the direct path on SCALE-DCF n={stations}"
         );
     }
+}
+
+/// A periodic source's queued MSDUs are one arena slot: at the horizon
+/// of the 1000-station point, with ~65k MSDUs still backlogged, the
+/// arena holds at most three frames per station (a source template,
+/// an attempt's private copy and its wire frame) plus the in-flight
+/// records, not one per queued MSDU.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release-sized BSS (1000 stations); run with --release (CI does)"
+)]
+fn backlogged_msdus_share_their_source_slot() {
+    let (stations, duration_ms, seed) = HOT_POINT;
+    let end = SimTime::from_millis(duration_ms);
+    let mut sim = scale_dcf_sim(stations, duration_ms, seed, SchedulerKind::TimerWheel);
+    sim.run_until(end);
+    let w = sim.world();
+    let queued: u64 = (0..w.station_count()).map(|i| w.pending_msdus(i)).sum();
+    assert!(
+        queued > 60_000,
+        "backlog of {queued} MSDUs is not saturated"
+    );
+    let live = w.frame_arena().live();
+    assert!(
+        live <= 3 * (stations + 1),
+        "{live} live arena frames for {queued} pending MSDUs on {stations} senders"
+    );
+    let (refs, held) = w.frame_ledger();
+    assert_eq!(refs, held, "frame ledger drifted");
 }

@@ -3,7 +3,7 @@
 //! checked end to end through the public facade:
 //!
 //! - no audible co-channel pair ever straddles a shard boundary (the
-//!   cached audible-neighbor lists are the witness);
+//!   cached rows' audible entries are the witness);
 //! - the grid-backed planner partitions every random cluster world
 //!   exactly like `wn-check`'s brute-force reference planner;
 //! - stale plans are caught by `shard_plan_incoherence` after the
@@ -64,7 +64,7 @@ fn xorshift(state: &mut u64) -> u64 {
 
 /// Every audible pair shares a shard when all stations share one
 /// channel: audibility implies spectral overlap implies coupling, so
-/// the cached audible-neighbor lists are a direct witness against the
+/// the cached rows' audible entries are a direct witness against the
 /// partition. Random scatters over a 600 m square, several seeds,
 /// both a finite coupling radius and the unbounded one.
 #[test]
@@ -85,7 +85,8 @@ fn audible_pairs_never_straddle_shards() {
             assert_eq!(plan.station_count(), 40);
             assert_matches_reference(&w, range, &format!("scatter seed {seed}"));
             for i in 0..40usize {
-                for &j in w.neighbor_cache().audible_list(i).iter() {
+                let row = w.neighbor_cache().row(i);
+                for (j, _, _) in row.audible(i, w.config().cs_threshold) {
                     assert_eq!(
                         plan.shard_of[i], plan.shard_of[j],
                         "seed {seed} range {range:?}: audible pair ({i}, {j}) straddles shards"
