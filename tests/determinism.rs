@@ -5,6 +5,7 @@ use wireless_networks::check::{range_digest, ScenarioGen};
 use wireless_networks::core::runner;
 use wireless_networks::core::scenarios::wlan_saturation_full;
 use wireless_networks::phy::modulation::PhyStandard;
+use wireless_networks::sim::stats::fnv1a;
 
 /// The full campaign renders byte-identically on one worker and on
 /// eight. This is the guarantee EXPERIMENTS.md regeneration relies on:
@@ -28,24 +29,44 @@ fn campaign_markdown_is_byte_identical_across_thread_counts() {
     }
 }
 
+/// FNV-1a of `runner::observability_trace_jsonl` over the campaign's
+/// instrumented experiments (what `report --trace-json` writes).
+const OBSERVABILITY_TRACE_FNV: u64 = 0x30b4_548d_7e81_55b8;
+/// FNV-1a of `runner::observability_metrics_jsonl` (what `report
+/// --metrics-json` writes).
+const OBSERVABILITY_METRICS_FNV: u64 = 0x8982_758f_f5f8_61e6;
+
 /// The observability exports (typed trace + metrics JSONL) are also
 /// byte-identical for any worker count — the guarantee behind
-/// `report --trace-json` / `--metrics-json`.
+/// `report --trace-json` / `--metrics-json` — and equal to the pinned
+/// digests, so a refactor that moves any exported byte shows here.
 #[test]
 fn observability_jsonl_is_byte_identical_across_thread_counts() {
     let serial = runner::run_observability(1);
     let parallel = runner::run_observability(8);
+    let trace = runner::observability_trace_jsonl(&serial);
+    let metrics = runner::observability_metrics_jsonl(&serial);
     assert_eq!(
-        runner::observability_trace_jsonl(&serial),
+        trace,
         runner::observability_trace_jsonl(&parallel),
         "trace JSONL diverged between 1 and 8 threads"
     );
     assert_eq!(
-        runner::observability_metrics_jsonl(&serial),
+        metrics,
         runner::observability_metrics_jsonl(&parallel),
         "metrics JSONL diverged between 1 and 8 threads"
     );
     assert!(!serial.is_empty(), "some experiments must be instrumented");
+    assert_eq!(
+        fnv1a(trace.as_bytes()),
+        OBSERVABILITY_TRACE_FNV,
+        "trace JSONL moved off its pinned digest"
+    );
+    assert_eq!(
+        fnv1a(metrics.as_bytes()),
+        OBSERVABILITY_METRICS_FNV,
+        "metrics JSONL moved off its pinned digest"
+    );
 }
 
 /// The simulation fuzzer is deterministic the same way: a seed range's
