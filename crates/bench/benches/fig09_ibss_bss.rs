@@ -7,7 +7,7 @@ use wn_bench::{bench, print_figure, print_report};
 use wn_core::scenarios::fig_1_9_ibss_vs_bss;
 use wn_mac80211::addr::MacAddr;
 use wn_mac80211::sim::MacConfig;
-use wn_net80211::builder::{ibss_send, IbssBuilder};
+use wn_net80211::builder::IbssBuilder;
 use wn_phy::geom::Point;
 use wn_phy::modulation::PhyStandard;
 use wn_sim::SimTime;
@@ -24,24 +24,16 @@ fn main() {
             .node(Point::new(0.0, 0.0))
             .node(Point::new(15.0, 0.0))
             .build();
-        let a = net.ids[0];
-        let sh = net.shared[0].clone();
         for k in 0..20 {
-            ibss_send(
-                &mut net.sim,
-                a,
-                &sh,
+            net.send(
+                0,
                 MacAddr::station(1),
                 vec![9; 800],
                 SimTime::from_millis(1 + k * 3),
             );
         }
         net.sim.run_until(SimTime::from_secs(1));
-        let delivered = net.shared[1]
-            .lock()
-            .expect("shared state lock")
-            .delivered
-            .len();
+        let delivered = net.node(1).delivered.len();
         black_box(delivered)
     });
 }

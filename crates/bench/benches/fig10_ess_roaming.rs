@@ -33,7 +33,7 @@ fn main() {
             .sta(Point::new(10.0, 0.0))
             .build();
         ess.sim.run_until(SimTime::from_secs(1));
-        let aid = ess.sta_shared[0].lock().expect("shared state lock").aid;
+        let aid = ess.sta(0).aid;
         black_box(aid)
     });
 }

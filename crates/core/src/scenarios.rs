@@ -14,7 +14,7 @@ use wn_mac80211::shard::{component_seed, run_components, run_components_observed
 use wn_mac80211::sim::{
     add_source, boot, AccessCategory, MacConfig, NullUpper, PerDecisions, WlanWorld,
 };
-use wn_net80211::builder::{ibss_send, schedule_walk, send_app_data, EssBuilder, IbssBuilder};
+use wn_net80211::builder::{schedule_walk, EssBuilder, IbssBuilder};
 use wn_net80211::ssid::Ssid;
 use wn_phy::geom::Point;
 use wn_phy::medium::{LinkBudget, Radio};
@@ -519,30 +519,17 @@ pub fn fig_1_9_ibss_vs_bss(seed: u64) -> (Figure, ExperimentReport) {
         .node(Point::new(0.0, 0.0))
         .node(Point::new(20.0, 0.0))
         .build();
-    let a = ibss.ids[0];
-    let sh = ibss.shared[0].clone();
     for k in 0..n_msgs {
-        ibss_send(
-            &mut ibss.sim,
-            a,
-            &sh,
+        ibss.send(
+            0,
             MacAddr::station(1),
             vec![7; 1000],
             SimTime::from_millis(100 + k * 5),
         );
     }
     ibss.sim.run_until(SimTime::from_secs(3));
-    let ibss_delivered = ibss.shared[1]
-        .lock()
-        .expect("shared state lock")
-        .delivered
-        .len() as u64;
-    let ibss_last = ibss.shared[1]
-        .lock()
-        .expect("shared state lock")
-        .delivered
-        .last()
-        .map(|d| d.0);
+    let ibss_delivered = ibss.node(1).delivered.len() as u64;
+    let ibss_last = ibss.node(1).delivered.last().map(|d| d.0);
 
     // Infrastructure: same endpoints, AP in the middle relays.
     let mut ess = EssBuilder::new(mac, ssid)
@@ -551,24 +538,16 @@ pub fn fig_1_9_ibss_vs_bss(seed: u64) -> (Figure, ExperimentReport) {
         .sta(Point::new(20.0, 0.0))
         .build();
     ess.sim.run_until(SimTime::from_secs(2));
-    let sta0 = ess.sta_ids[0];
-    let sh0 = ess.sta_shared[0].clone();
     for k in 0..n_msgs {
-        send_app_data(
-            &mut ess.sim,
-            sta0,
-            &sh0,
+        ess.send_app_data(
+            0,
             MacAddr::station(1),
             vec![7; 1000],
             SimTime::from_millis(2100 + k * 5),
         );
     }
     ess.sim.run_until(SimTime::from_secs(6));
-    let bss_delivered = ess.sta_shared[1]
-        .lock()
-        .expect("shared state lock")
-        .delivered
-        .len() as u64;
+    let bss_delivered = ess.sta(1).delivered.len() as u64;
     let airtime_ibss = ibss.sim.world().stats(0).tx_frames;
     let ap_frames = ess.sim.world().stats(ess.ap_ids[0]).tx_frames;
 
@@ -632,21 +611,17 @@ pub fn fig_1_10_ess_roaming(seed: u64) -> (RoamingOutcome, ExperimentReport) {
         SimTime::from_secs(2),
     );
     // The peer sends one message per second to the walker throughout.
-    let peer = ess.sta_ids[1];
-    let peer_sh = ess.sta_shared[1].clone();
     let offered = 60usize;
     for k in 0..offered as u64 {
-        send_app_data(
-            &mut ess.sim,
-            peer,
-            &peer_sh,
+        ess.send_app_data(
+            1,
             MacAddr::station(0),
             format!("tick-{k}").into_bytes(),
             SimTime::from_millis(2500 + k * 1000),
         );
     }
     ess.sim.run_until(SimTime::from_secs(80));
-    let sh = ess.sta_shared[0].lock().expect("shared state lock");
+    let sh = ess.sta(0);
     let serving_order: Vec<MacAddr> = sh.assoc_events.iter().map(|&(_, b)| b).collect();
     let handoff_gap_s = sh
         .assoc_events

@@ -22,6 +22,7 @@
 //! `wn-net80211` crate) plug in through the [`UpperLayer`] trait and
 //! drive the MAC with [`Command`]s.
 
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -410,10 +411,12 @@ impl UpperCtx<'_> {
 
 /// The interface the architecture layer implements on top of the MAC.
 ///
-/// `Send` is a supertrait so whole worlds can migrate onto shard
-/// executor threads (DESIGN.md §15); uppers share state via
-/// `Arc<Mutex<..>>` rather than `Rc<RefCell<..>>`.
-pub trait UpperLayer: Send {
+/// An upper layer owns its state as plain fields; callers read it back
+/// (or queue work into it) through [`WlanWorld::upper`] /
+/// [`WlanWorld::upper_mut`], which the `Any` supertrait makes a
+/// downcast. `Send` is a supertrait so whole worlds can migrate onto
+/// shard executor threads (DESIGN.md §15).
+pub trait UpperLayer: Any + Send {
     /// Called once when the simulation boots.
     fn on_start(&mut self, ctx: &mut UpperCtx) {
         let _ = ctx;
@@ -701,25 +704,18 @@ pub enum MacEvent {
         /// New position.
         pos: Point,
     },
-    /// Inject an application frame into a station's queue. The frame
-    /// was staged into the world's arena ([`WlanWorld::stage_frame`],
-    /// or the [`inject_at`] one-call form); the event carries only its
+    /// Inject an application frame into one of a station's queues. The
+    /// frame was staged into the world's arena
+    /// ([`WlanWorld::stage_frame`], or the [`inject_at`] /
+    /// [`qos_inject_at`] one-call forms); the event carries only its
     /// id, so scheduler entries stay a few words regardless of payload.
     Inject {
         /// Sending station.
         station: StationId,
         /// The staged frame to queue.
         frame: FrameId,
-    },
-    /// Inject a staged frame into a specific EDCA access-category
-    /// queue. On a legacy (non-EDCA) world this is a plain
-    /// [`Inject`](Self::Inject) into the one DCF queue.
-    InjectQos {
-        /// Sending station.
-        station: StationId,
-        /// The staged frame to queue.
-        frame: FrameId,
-        /// Target access category.
+        /// Target EDCA access category; a legacy (non-EDCA) world has
+        /// one DCF queue and ignores it.
         ac: AccessCategory,
     },
     /// Arrival `k` of the world's periodic [`Source`] `source` (see
@@ -1024,6 +1020,21 @@ impl WlanWorld {
     /// Station id by MAC address.
     pub fn station_by_addr(&self, addr: MacAddr) -> Option<StationId> {
         self.stations.iter().position(|s| s.addr == addr)
+    }
+
+    /// Station `id`'s upper layer as a `T`: `None` for an unknown id or
+    /// an upper layer of another type.
+    pub fn upper<T: UpperLayer>(&self, id: StationId) -> Option<&T> {
+        let upper: &dyn Any = self.stations.get(id)?.upper.as_deref()?;
+        upper.downcast_ref()
+    }
+
+    /// [`upper`](Self::upper), mutably: a scenario queues work into a
+    /// station's upper layer here and wakes it with a
+    /// [`MacEvent::UpperTimer`].
+    pub fn upper_mut<T: UpperLayer>(&mut self, id: StationId) -> Option<&mut T> {
+        let upper: &mut dyn Any = self.stations.get_mut(id)?.upper.as_deref_mut()?;
+        upper.downcast_mut()
     }
 
     /// A station's statistics.
@@ -3170,11 +3181,7 @@ impl World for WlanWorld {
             MacEvent::SetPosition { station, pos } => {
                 self.set_position(station, pos, now);
             }
-            MacEvent::Inject { station, frame } => {
-                self.staged -= 1;
-                self.enqueue_id(station, frame, AccessCategory::Be, now, sched);
-            }
-            MacEvent::InjectQos { station, frame, ac } => {
+            MacEvent::Inject { station, frame, ac } => {
                 self.staged -= 1;
                 self.enqueue_id(station, frame, ac, now, sched);
             }
@@ -3754,22 +3761,18 @@ mod tests {
 
     #[test]
     fn upper_layer_timer_and_tx_result_callbacks() {
-        use std::sync::Arc;
-        use std::sync::Mutex;
-
         #[derive(Default)]
-        struct Log {
+        struct App {
             timers: u32,
             results: Vec<bool>,
         }
-        struct App(Arc<Mutex<Log>>);
         impl UpperLayer for App {
             fn on_start(&mut self, ctx: &mut UpperCtx) {
                 ctx.set_timer(SimDuration::from_millis(5), 42);
             }
             fn on_timer(&mut self, ctx: &mut UpperCtx, tag: u64) {
                 assert_eq!(tag, 42);
-                self.0.lock().unwrap().timers += 1;
+                self.timers += 1;
                 let f = Frame::data(
                     DsBits::Ibss,
                     MacAddr::station(1),
@@ -3781,15 +3784,14 @@ mod tests {
                 ctx.send(f);
             }
             fn on_tx_result(&mut self, _ctx: &mut UpperCtx, _f: &Frame, ok: bool) {
-                self.0.lock().unwrap().results.push(ok);
+                self.results.push(ok);
             }
         }
-        let log = Arc::new(Mutex::new(Log::default()));
         let mut w = WlanWorld::new(MacConfig::new(PhyStandard::Dot11g));
         w.add_station(
             MacAddr::station(0),
             Point::new(0.0, 0.0),
-            Box::new(App(log.clone())),
+            Box::new(App::default()),
         );
         w.add_station(
             MacAddr::station(1),
@@ -3799,8 +3801,93 @@ mod tests {
         let mut sim = Simulation::new(w);
         boot(&mut sim);
         sim.run_until(SimTime::from_secs(1));
-        assert_eq!(log.lock().unwrap().timers, 1);
-        assert_eq!(log.lock().unwrap().results, vec![true]);
+        let app = sim.world().upper::<App>(0).expect("station 0 runs App");
+        assert_eq!(app.timers, 1);
+        assert_eq!(app.results, vec![true]);
+    }
+
+    /// An upper layer that logs each timer tag with the value `mark`
+    /// held when it fired.
+    struct Marker {
+        mark: u32,
+        fired: Vec<(u64, u32)>,
+    }
+
+    impl UpperLayer for Marker {
+        fn on_timer(&mut self, _ctx: &mut UpperCtx, tag: u64) {
+            self.fired.push((tag, self.mark));
+        }
+    }
+
+    /// Stations 0 and 1 run `Marker` with marks 10 and 11; station 2
+    /// runs `NullUpper`.
+    fn marker_world() -> Simulation<WlanWorld> {
+        let mut w = WlanWorld::new(MacConfig::new(PhyStandard::Dot11g));
+        for i in 0..2u32 {
+            let marker = Marker {
+                mark: 10 + i,
+                fired: Vec::new(),
+            };
+            w.add_station(
+                MacAddr::station(i),
+                Point::new(f64::from(i), 0.0),
+                Box::new(marker),
+            );
+        }
+        w.add_station(
+            MacAddr::station(2),
+            Point::new(2.0, 0.0),
+            Box::new(NullUpper),
+        );
+        let mut sim = Simulation::new(w);
+        boot(&mut sim);
+        sim
+    }
+
+    fn upper_timer_at(sim: &mut Simulation<WlanWorld>, at_us: u64, station: StationId, tag: u64) {
+        sim.scheduler_mut().schedule_at(
+            SimTime::from_micros(at_us),
+            MacEvent::UpperTimer { station, tag },
+        );
+    }
+
+    #[test]
+    fn upper_returns_the_stations_own_state() {
+        let mut sim = marker_world();
+        upper_timer_at(&mut sim, 5, 1, 7);
+        sim.run_until(SimTime::from_millis(1));
+        let w = sim.world();
+        let zero = w.upper::<Marker>(0).expect("station 0 runs Marker");
+        assert_eq!((zero.mark, zero.fired.as_slice()), (10, &[][..]));
+        let one = w.upper::<Marker>(1).expect("station 1 runs Marker");
+        assert_eq!((one.mark, one.fired.as_slice()), (11, &[(7, 11)][..]));
+    }
+
+    #[test]
+    fn upper_is_none_for_the_wrong_type_or_an_unknown_station() {
+        let mut sim = marker_world();
+        let w = sim.world();
+        assert!(w.upper::<NullUpper>(0).is_none());
+        assert!(w.upper::<Marker>(2).is_none());
+        assert!(w.upper::<NullUpper>(2).is_some());
+        assert!(w.upper::<Marker>(3).is_none());
+        assert!(sim.world_mut().upper_mut::<NullUpper>(1).is_none());
+        assert!(sim.world_mut().upper_mut::<Marker>(3).is_none());
+    }
+
+    #[test]
+    fn a_write_through_upper_mut_is_seen_by_the_next_callback() {
+        let mut sim = marker_world();
+        upper_timer_at(&mut sim, 10, 0, 1);
+        upper_timer_at(&mut sim, 30, 0, 2);
+        sim.run_until(SimTime::from_micros(20));
+        sim.world_mut()
+            .upper_mut::<Marker>(0)
+            .expect("station 0 runs Marker")
+            .mark = 99;
+        sim.run_until(SimTime::from_millis(1));
+        let fired = &sim.world().upper::<Marker>(0).expect("Marker").fired;
+        assert_eq!(fired, &[(1, 10), (2, 99)]);
     }
 
     #[test]
@@ -3886,9 +3973,6 @@ mod tests {
 
     #[test]
     fn signal_station_crosses_the_backbone() {
-        use std::sync::Arc;
-        use std::sync::Mutex;
-
         // Station 0 signals station 1 out-of-band (the DS mechanism).
         struct Sender;
         impl UpperLayer for Sender {
@@ -3901,24 +3985,23 @@ mod tests {
             }
         }
         #[derive(Default)]
-        struct Receiver(Arc<Mutex<Vec<(u64, SimTime)>>>);
+        struct Receiver(Vec<(u64, SimTime)>);
         impl UpperLayer for Receiver {
             fn on_timer(&mut self, ctx: &mut UpperCtx, tag: u64) {
-                self.0.lock().unwrap().push((tag, ctx.now));
+                self.0.push((tag, ctx.now));
             }
         }
-        let log = Arc::new(Mutex::new(Vec::new()));
         let mut w = WlanWorld::new(MacConfig::new(PhyStandard::Dot11g));
         w.add_station(MacAddr::station(0), Point::new(0.0, 0.0), Box::new(Sender));
         w.add_station(
             MacAddr::station(1),
             Point::new(5.0, 0.0),
-            Box::new(Receiver(log.clone())),
+            Box::new(Receiver::default()),
         );
         let mut sim = Simulation::new(w);
         boot(&mut sim);
         sim.run_until(SimTime::from_secs(1));
-        let got = log.lock().unwrap();
+        let got = &sim.world().upper::<Receiver>(1).expect("Receiver").0;
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].0, 99);
         assert_eq!(got[0].1, SimTime::from_micros(150), "wire latency honoured");
@@ -3974,20 +4057,13 @@ mod tests {
     /// with MF clear.
     #[test]
     fn tx_result_preserves_body_and_clears_mf_bit() {
-        use std::sync::Arc;
-        use std::sync::Mutex;
-
         #[derive(Default)]
-        struct Seen(Arc<Mutex<Vec<(usize, bool, bool)>>>);
+        struct Seen(Vec<(usize, bool, bool)>);
         impl UpperLayer for Seen {
             fn on_tx_result(&mut self, _ctx: &mut UpperCtx, f: &Frame, ok: bool) {
-                self.0
-                    .lock()
-                    .unwrap()
-                    .push((f.body.len(), f.fc.more_fragments, ok));
+                self.0.push((f.body.len(), f.fc.more_fragments, ok));
             }
         }
-        let seen = Arc::new(Mutex::new(Vec::new()));
         let mut cfg = MacConfig::new(PhyStandard::Dot11g);
         cfg.frag_threshold = 400; // 1000 B -> 3 fragments.
         cfg.seed = 3;
@@ -3995,7 +4071,7 @@ mod tests {
         w.add_station(
             MacAddr::station(0),
             Point::new(0.0, 0.0),
-            Box::new(Seen(seen.clone())),
+            Box::new(Seen::default()),
         );
         w.add_station(
             MacAddr::station(1),
@@ -4007,7 +4083,7 @@ mod tests {
         inject(&mut sim, 1, 0, data_frame(0, 1, 1000));
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(
-            *seen.lock().unwrap(),
+            sim.world().upper::<Seen>(0).expect("Seen").0,
             vec![(1000, false, true)],
             "callback frame must carry the full original body, MF clear"
         );
@@ -4019,24 +4095,20 @@ mod tests {
     /// arrive. Every queued MSDU must get exactly one outcome callback.
     #[test]
     fn queue_overflow_reports_failure_to_upper_layer() {
-        use std::sync::Arc;
-        use std::sync::Mutex;
-
         #[derive(Default)]
-        struct Outcomes(Arc<Mutex<Vec<bool>>>);
+        struct Outcomes(Vec<bool>);
         impl UpperLayer for Outcomes {
             fn on_tx_result(&mut self, _ctx: &mut UpperCtx, _f: &Frame, ok: bool) {
-                self.0.lock().unwrap().push(ok);
+                self.0.push(ok);
             }
         }
-        let outcomes = Arc::new(Mutex::new(Vec::new()));
         let mut cfg = MacConfig::new(PhyStandard::Dot11g);
         cfg.queue_limit = 4;
         let mut w = WlanWorld::new(cfg);
         w.add_station(
             MacAddr::station(0),
             Point::new(0.0, 0.0),
-            Box::new(Outcomes(outcomes.clone())),
+            Box::new(Outcomes::default()),
         );
         w.add_station(
             MacAddr::station(1),
@@ -4051,7 +4123,7 @@ mod tests {
         }
         sim.run_until(SimTime::from_secs(2));
         let w = sim.world();
-        let got = outcomes.lock().unwrap();
+        let got = &w.upper::<Outcomes>(0).expect("Outcomes").0;
         assert_eq!(
             got.len(),
             10,

@@ -46,9 +46,7 @@ use wn_sim::{Scheduler, SimDuration, SimTime, Simulation};
 /// [`WlanWorld::stage_frame`] plus a [`MacEvent::Inject`], used by
 /// traffic generators and scenario set-up.
 pub fn inject_at(sim: &mut Simulation<WlanWorld>, at: SimTime, station: StationId, frame: Frame) {
-    let frame = sim.world_mut().stage_frame(frame);
-    sim.scheduler_mut()
-        .schedule_at(at, MacEvent::Inject { station, frame });
+    qos_inject_at(sim, at, station, frame, AccessCategory::Be);
 }
 
 /// [`inject_at`] with an explicit access category: the frame lands in
@@ -62,7 +60,7 @@ pub fn qos_inject_at(
 ) {
     let frame = sim.world_mut().stage_frame(frame);
     sim.scheduler_mut()
-        .schedule_at(at, MacEvent::InjectQos { station, frame, ac });
+        .schedule_at(at, MacEvent::Inject { station, frame, ac });
 }
 
 /// A periodic arrival process owned by the world: `count` arrivals of

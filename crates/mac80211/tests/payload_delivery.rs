@@ -3,8 +3,6 @@
 //! exactly the bytes the sender queued, and the sender's completion
 //! callback hands back the MSDU as it was queued.
 
-use std::sync::{Arc, Mutex};
-
 use wn_mac80211::frame::{DsBits, Frame, SequenceControl};
 use wn_mac80211::{
     boot, inject_at, qos_inject_at, AccessCategory, MacAddr, MacConfig, UpperCtx, UpperLayer,
@@ -18,45 +16,44 @@ use wn_sim::{SimTime, Simulation};
 /// What one station's upper layer saw: delivered bodies in order, and
 /// `(body, more_fragments, ok)` per completion callback.
 #[derive(Default)]
-struct Seen {
+struct Recorder {
     delivered: Vec<Vec<u8>>,
     results: Vec<(Vec<u8>, bool, bool)>,
 }
 
-struct Recorder(Arc<Mutex<Seen>>);
-
 impl UpperLayer for Recorder {
     fn on_frame(&mut self, _ctx: &mut UpperCtx, frame: &Frame, _rssi: Dbm) {
-        self.0.lock().unwrap().delivered.push(frame.body.to_vec());
+        self.delivered.push(frame.body.to_vec());
     }
 
     fn on_tx_result(&mut self, _ctx: &mut UpperCtx, frame: &Frame, ok: bool) {
-        self.0
-            .lock()
-            .unwrap()
-            .results
+        self.results
             .push((frame.body.to_vec(), frame.fc.more_fragments, ok));
     }
 }
 
-/// A two-station world 5 m apart, each station recording what it saw.
-fn pair(cfg: MacConfig) -> (Simulation<WlanWorld>, Arc<Mutex<Seen>>, Arc<Mutex<Seen>>) {
-    let tx = Arc::new(Mutex::new(Seen::default()));
-    let rx = Arc::new(Mutex::new(Seen::default()));
+/// A two-station world 5 m apart, each station recording what it saw:
+/// station 0 sends, station 1 receives.
+fn pair(cfg: MacConfig) -> Simulation<WlanWorld> {
     let mut w = WlanWorld::new(cfg);
     w.add_station(
         MacAddr::station(0),
         Point::new(0.0, 0.0),
-        Box::new(Recorder(tx.clone())),
+        Box::<Recorder>::default(),
     );
     w.add_station(
         MacAddr::station(1),
         Point::new(5.0, 0.0),
-        Box::new(Recorder(rx.clone())),
+        Box::<Recorder>::default(),
     );
     let mut sim = Simulation::new(w);
     boot(&mut sim);
-    (sim, tx, rx)
+    sim
+}
+
+/// What station `id` of a [`pair`] recorded.
+fn seen(sim: &Simulation<WlanWorld>, id: usize) -> &Recorder {
+    sim.world().upper(id).expect("pair stations run Recorder")
 }
 
 fn frame(body: Vec<u8>) -> Frame {
@@ -87,7 +84,7 @@ fn fragmented_msdu_reassembles_and_reports_its_original_body() {
     let mut cfg = MacConfig::new(PhyStandard::Dot11g);
     cfg.frag_threshold = 300; // 1000 B -> fragments of 300, 300, 300, 100.
     cfg.seed = 11;
-    let (mut sim, tx, rx) = pair(cfg);
+    let mut sim = pair(cfg);
     let body = pattern(5, 1000);
     inject_at(&mut sim, SimTime::from_millis(1), 0, frame(body.clone()));
     sim.run_until(SimTime::from_secs(1));
@@ -97,12 +94,12 @@ fn fragmented_msdu_reassembles_and_reports_its_original_body() {
         sim.world().stats(0).tx_frames
     );
     assert_eq!(
-        rx.lock().unwrap().delivered,
+        seen(&sim, 1).delivered,
         vec![body.clone()],
         "the receiver reassembles exactly the queued bytes"
     );
     assert_eq!(
-        tx.lock().unwrap().results,
+        seen(&sim, 0).results,
         vec![(body, false, true)],
         "the completion carries the original body with More Fragments clear"
     );
@@ -113,7 +110,7 @@ fn aggregated_msdus_each_deliver_their_own_bytes() {
     let mut cfg = MacConfig::new(PhyStandard::Dot11g);
     cfg.edca = true;
     cfg.seed = 5;
-    let (mut sim, tx, rx) = pair(cfg);
+    let mut sim = pair(cfg);
     // Distinct lengths as well as distinct bytes, so an offset slip
     // in de-aggregation cannot line up by accident.
     let bodies: Vec<Vec<u8>> = (0..6u8)
@@ -135,8 +132,8 @@ fn aggregated_msdus_each_deliver_their_own_bytes() {
         sim.world().stats(0).tx_frames,
         bodies.len()
     );
-    assert_eq!(rx.lock().unwrap().delivered, bodies);
-    let results = tx.lock().unwrap().results.clone();
+    assert_eq!(seen(&sim, 1).delivered, bodies);
+    let results = seen(&sim, 0).results.clone();
     assert_eq!(results.len(), bodies.len());
     for ((body, more, ok), sent) in results.iter().zip(&bodies) {
         assert!(*ok && !*more);
@@ -151,7 +148,7 @@ fn ampdu_pair_of(len: usize) -> (Vec<Vec<u8>>, Vec<bool>, u64) {
     cfg.edca = true;
     cfg.ampdu_max_bytes = 1 << 20;
     cfg.seed = 3;
-    let (mut sim, tx, rx) = pair(cfg);
+    let mut sim = pair(cfg);
     for tag in 0..2u8 {
         qos_inject_at(
             &mut sim,
@@ -162,8 +159,8 @@ fn ampdu_pair_of(len: usize) -> (Vec<Vec<u8>>, Vec<bool>, u64) {
         );
     }
     sim.run_until(SimTime::from_secs(2));
-    let delivered = rx.lock().unwrap().delivered.clone();
-    let outcomes = tx.lock().unwrap().results.iter().map(|r| r.2).collect();
+    let delivered = seen(&sim, 1).delivered.clone();
+    let outcomes = seen(&sim, 0).results.iter().map(|r| r.2).collect();
     (delivered, outcomes, sim.world().stats(0).queue_drops)
 }
 

@@ -13,8 +13,6 @@
 //!   More Data bit set while more remain.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
-use std::sync::Mutex;
 
 use crate::ds::{DsFrame, DsHandle};
 use crate::ie::{AssocReqBody, AssocRespBody, AuthAlgorithm, AuthBody, BeaconBody};
@@ -66,11 +64,34 @@ impl ApConfig {
             shared_key: Vec::new(),
         }
     }
+
+    /// Checks the fields an AP cannot run with; the error names the
+    /// offending field. [`EssBuilder::try_build`] returns it. A zero
+    /// `beacon_interval` would re-arm the beacon timer at the same
+    /// instant forever.
+    ///
+    /// [`EssBuilder::try_build`]: crate::builder::EssBuilder::try_build
+    pub fn validate(&self) -> Result<(), String> {
+        if self.beacon_interval == SimDuration::ZERO {
+            return Err("beacon_interval must be > 0".into());
+        }
+        Ok(())
+    }
 }
 
-/// Observable AP-side state for scenarios and assertions.
-#[derive(Debug, Default)]
-pub struct ApShared {
+#[derive(Debug)]
+struct StaEntry {
+    aid: u16,
+    power_save: bool,
+    buffered: VecDeque<(MacAddr, Vec<u8>)>,
+}
+
+/// The AP upper-layer logic. The public fields are its observable
+/// state; read them back through the world
+/// ([`WlanWorld::upper`](wn_mac80211::sim::WlanWorld::upper), or
+/// [`Ess::ap`](crate::builder::Ess::ap)).
+#[derive(Debug)]
+pub struct ApLogic {
     /// (time, STA) association log.
     pub associations: Vec<(SimTime, MacAddr)>,
     /// (time, STA) disassociation log.
@@ -87,42 +108,31 @@ pub struct ApShared {
     pub ps_buffered: u64,
     /// Beacons transmitted.
     pub beacons: u64,
-}
-
-/// A cloneable handle to [`ApShared`].
-pub type ApSharedHandle = Arc<Mutex<ApShared>>;
-
-struct StaEntry {
-    aid: u16,
-    power_save: bool,
-    buffered: VecDeque<(MacAddr, Vec<u8>)>,
-}
-
-/// The AP upper-layer logic.
-pub struct ApLogic {
     cfg: ApConfig,
     ds: Option<DsHandle>,
     stas: HashMap<MacAddr, StaEntry>,
     pending_challenges: HashMap<MacAddr, Vec<u8>>,
     next_aid: u16,
-    shared: ApSharedHandle,
 }
 
 impl ApLogic {
     /// Creates an AP; `ds` is `None` for a standalone BSS.
-    pub fn new(cfg: ApConfig, ds: Option<DsHandle>) -> (Self, ApSharedHandle) {
-        let shared: ApSharedHandle = Arc::new(Mutex::new(ApShared::default()));
-        (
-            ApLogic {
-                cfg,
-                ds,
-                stas: HashMap::new(),
-                pending_challenges: HashMap::new(),
-                next_aid: 1,
-                shared: shared.clone(),
-            },
-            shared,
-        )
+    pub fn new(cfg: ApConfig, ds: Option<DsHandle>) -> Self {
+        ApLogic {
+            associations: Vec::new(),
+            disassociations: Vec::new(),
+            bridged_local: 0,
+            to_ds: 0,
+            from_ds: 0,
+            to_portal: 0,
+            ps_buffered: 0,
+            beacons: 0,
+            cfg,
+            ds,
+            stas: HashMap::new(),
+            pending_challenges: HashMap::new(),
+            next_aid: 1,
+        }
     }
 
     fn beacon_body(&self) -> BeaconBody {
@@ -146,7 +156,7 @@ impl ApLogic {
             if entry.power_save {
                 if entry.buffered.len() < self.cfg.ps_buffer_limit {
                     entry.buffered.push_back((sa, payload));
-                    self.shared.lock().expect("shared state lock").ps_buffered += 1;
+                    self.ps_buffered += 1;
                 }
                 return;
             }
@@ -178,13 +188,12 @@ impl ApLogic {
             );
             ctx.send(f);
             if let Some(ds) = &self.ds {
-                let latency = ds.lock().expect("shared state lock").wire_latency;
-                let targets = ds.lock().expect("shared state lock").route_broadcast(
-                    ctx.now,
-                    ctx.id,
-                    DsFrame { da, sa, payload },
-                );
-                self.shared.lock().expect("shared state lock").to_ds += 1;
+                let (latency, targets) = {
+                    let mut ds = ds.lock().expect("DS lock");
+                    let targets = ds.route_broadcast(ctx.now, ctx.id, DsFrame { da, sa, payload });
+                    (ds.wire_latency, targets)
+                };
+                self.to_ds += 1;
                 for ap in targets {
                     ctx.command(Command::SignalStation {
                         station: ap,
@@ -196,21 +205,20 @@ impl ApLogic {
             return;
         }
         if self.stas.contains_key(&da) {
-            self.shared.lock().expect("shared state lock").bridged_local += 1;
+            self.bridged_local += 1;
             self.send_downlink(ctx, da, sa, payload);
             return;
         }
         match &self.ds {
             Some(ds) => {
-                let latency = ds.lock().expect("shared state lock").wire_latency;
-                let target = ds.lock().expect("shared state lock").route(
-                    ctx.now,
-                    ctx.id,
-                    DsFrame { da, sa, payload },
-                );
+                let (latency, target) = {
+                    let mut ds = ds.lock().expect("DS lock");
+                    let target = ds.route(ctx.now, ctx.id, DsFrame { da, sa, payload });
+                    (ds.wire_latency, target)
+                };
                 match target {
                     Some(ap) => {
-                        self.shared.lock().expect("shared state lock").to_ds += 1;
+                        self.to_ds += 1;
                         ctx.command(Command::SignalStation {
                             station: ap,
                             tag: TAG_DS,
@@ -218,14 +226,14 @@ impl ApLogic {
                         });
                     }
                     None => {
-                        self.shared.lock().expect("shared state lock").to_portal += 1;
+                        self.to_portal += 1;
                     }
                 }
             }
             None => {
                 // No backbone: unknown destinations "leave" via the
                 // AP's own uplink.
-                self.shared.lock().expect("shared state lock").to_portal += 1;
+                self.to_portal += 1;
             }
         }
     }
@@ -256,16 +264,16 @@ impl UpperLayer for ApLogic {
                     body,
                 );
                 ctx.send(f);
-                self.shared.lock().expect("shared state lock").beacons += 1;
+                self.beacons += 1;
                 ctx.set_timer(self.cfg.beacon_interval, TAG_BEACON);
             }
             TAG_DS => {
                 let frames = match &self.ds {
-                    Some(ds) => ds.lock().expect("shared state lock").drain(ctx.id),
+                    Some(ds) => ds.lock().expect("DS lock").drain(ctx.id),
                     None => Vec::new(),
                 };
                 for df in frames {
-                    self.shared.lock().expect("shared state lock").from_ds += 1;
+                    self.from_ds += 1;
                     if df.da.is_group() {
                         let f = Frame::data(
                             DsBits::FromAp,
@@ -355,15 +363,9 @@ impl UpperLayer for ApLogic {
                             }
                         };
                         if let Some(ds) = &self.ds {
-                            ds.lock()
-                                .expect("shared state lock")
-                                .associate(from, ctx.id);
+                            ds.lock().expect("DS lock").associate(from, ctx.id);
                         }
-                        self.shared
-                            .lock()
-                            .expect("shared state lock")
-                            .associations
-                            .push((ctx.now, from));
+                        self.associations.push((ctx.now, from));
                         ctx.emit(
                             Level::Info,
                             TraceEvent::Assoc {
@@ -397,13 +399,9 @@ impl UpperLayer for ApLogic {
             Subtype::Disassoc | Subtype::Deauth => {
                 self.stas.remove(&from);
                 if let Some(ds) = &self.ds {
-                    ds.lock().expect("shared state lock").disassociate(from);
+                    ds.lock().expect("DS lock").disassociate(from);
                 }
-                self.shared
-                    .lock()
-                    .expect("shared state lock")
-                    .disassociations
-                    .push((ctx.now, from));
+                self.disassociations.push((ctx.now, from));
             }
             Subtype::ProbeReq => {
                 let f = Frame::management(
@@ -452,7 +450,7 @@ mod tests {
 
     #[test]
     fn beacon_body_contains_tim_only_for_buffered_ps_stas() {
-        let (mut ap, _sh) = ApLogic::new(ApConfig::open(Ssid::new("N").unwrap(), 1), None);
+        let mut ap = ApLogic::new(ApConfig::open(Ssid::new("N").unwrap(), 1), None);
         ap.stas.insert(
             MacAddr::station(1),
             StaEntry {

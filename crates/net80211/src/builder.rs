@@ -2,13 +2,11 @@
 //! (the two §3.2 architectures), plus mobility and traffic helpers.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
-use std::sync::Mutex;
 
-use crate::ap::{ApConfig, ApLogic, ApSharedHandle};
+use crate::ap::{ApConfig, ApLogic};
 use crate::ds::{new_ds, DsHandle};
 use crate::ssid::Ssid;
-use crate::sta::{StaConfig, StaLogic, StaSharedHandle, TAG_APP};
+use crate::sta::{StaConfig, StaLogic, TAG_APP};
 use wn_mac80211::addr::MacAddr;
 use wn_mac80211::frame::{DsBits, Frame, SequenceControl};
 use wn_mac80211::sim::{MacConfig, MacEvent, StationId, UpperCtx, UpperLayer, WlanWorld};
@@ -26,20 +24,65 @@ pub struct EssBuilder {
     wire_latency: SimDuration,
 }
 
-/// The constructed ESS: world plus handles for observation.
+/// The constructed ESS: the booted world, whose APs and STAs are read
+/// back through [`Ess::ap`] and [`Ess::sta`].
 pub struct Ess {
     /// The simulation, booted and ready to run.
     pub sim: Simulation<WlanWorld>,
     /// AP station ids (in declaration order).
     pub ap_ids: Vec<StationId>,
-    /// AP observation handles.
-    pub ap_shared: Vec<ApSharedHandle>,
-    /// STA station ids.
+    /// STA station ids (in declaration order).
     pub sta_ids: Vec<StationId>,
-    /// STA observation handles.
-    pub sta_shared: Vec<StaSharedHandle>,
     /// The distribution system.
     pub ds: DsHandle,
+}
+
+impl Ess {
+    /// AP `i` (declaration order).
+    pub fn ap(&self, i: usize) -> &ApLogic {
+        upper(&self.sim, self.ap_ids[i])
+    }
+
+    /// STA `i` (declaration order).
+    pub fn sta(&self, i: usize) -> &StaLogic {
+        upper(&self.sim, self.sta_ids[i])
+    }
+
+    /// Queues application data at STA `i` and wakes its upper layer at
+    /// `at`; the STA sends what is queued once it is associated.
+    pub fn send_app_data(&mut self, i: usize, da: MacAddr, payload: Vec<u8>, at: SimTime) {
+        let id = self.sta_ids[i];
+        upper_mut::<StaLogic>(&mut self.sim, id)
+            .outgoing
+            .push_back((da, payload));
+        wake_app(&mut self.sim, id, at);
+    }
+}
+
+/// Station `id`'s upper layer, which its builder installed as a `T`.
+fn upper<T: UpperLayer>(sim: &Simulation<WlanWorld>, id: StationId) -> &T {
+    sim.world()
+        .upper(id)
+        .expect("builder-installed upper layer")
+}
+
+/// [`upper`], mutably.
+fn upper_mut<T: UpperLayer>(sim: &mut Simulation<WlanWorld>, id: StationId) -> &mut T {
+    sim.world_mut()
+        .upper_mut(id)
+        .expect("builder-installed upper layer")
+}
+
+/// Schedules the [`TAG_APP`] timer that makes station `id` drain its
+/// outbox at `at`.
+fn wake_app(sim: &mut Simulation<WlanWorld>, station: StationId, at: SimTime) {
+    sim.scheduler_mut().schedule_at(
+        at,
+        MacEvent::UpperTimer {
+            station,
+            tag: TAG_APP,
+        },
+    );
 }
 
 impl EssBuilder {
@@ -98,61 +141,50 @@ impl EssBuilder {
     }
 
     /// Builds and boots the network.
+    ///
+    /// # Panics
+    ///
+    /// On a configuration [`try_build`](Self::try_build) rejects, with
+    /// its message.
     pub fn build(self) -> Ess {
+        match self.try_build() {
+            Ok(ess) => ess,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// [`build`](Self::build) for configurations that may be invalid.
+    /// The error names the rejected field: a [`MacConfig`] field
+    /// [`WlanWorld::try_new`] refuses, or an [`ApConfig::validate`] /
+    /// [`StaConfig::validate`] field prefixed with the AP or STA index.
+    pub fn try_build(self) -> Result<Ess, String> {
         let ds = new_ds(self.wire_latency);
-        let mut world = WlanWorld::new(self.mac);
+        let mut world = WlanWorld::try_new(self.mac).map_err(|e| e.to_string())?;
         let mut ap_ids = Vec::new();
-        let mut ap_shared = Vec::new();
         for (i, (pos, cfg)) in self.aps.into_iter().enumerate() {
+            cfg.validate().map_err(|e| format!("ap {i}: {e}"))?;
             let channel = cfg.channel;
-            let (logic, shared) = ApLogic::new(cfg, Some(ds.clone()));
+            let logic = ApLogic::new(cfg, Some(ds.clone()));
             let id = world.add_station(MacAddr::access_point(i as u32), pos, Box::new(logic));
             world.set_channel(id, channel);
             ap_ids.push(id);
-            ap_shared.push(shared);
         }
         let mut sta_ids = Vec::new();
-        let mut sta_shared = Vec::new();
         for (i, (pos, cfg)) in self.stas.into_iter().enumerate() {
-            let (logic, shared) = StaLogic::new(cfg);
+            cfg.validate().map_err(|e| format!("sta {i}: {e}"))?;
+            let logic = StaLogic::new(cfg);
             let id = world.add_station(MacAddr::station(i as u32), pos, Box::new(logic));
             sta_ids.push(id);
-            sta_shared.push(shared);
         }
         let mut sim = Simulation::new(world);
         wn_mac80211::sim::boot(&mut sim);
-        Ess {
+        Ok(Ess {
             sim,
             ap_ids,
-            ap_shared,
             sta_ids,
-            sta_shared,
             ds,
-        }
+        })
     }
-}
-
-/// Queues application data at a STA and nudges its upper layer.
-pub fn send_app_data(
-    sim: &mut Simulation<WlanWorld>,
-    sta: StationId,
-    shared: &StaSharedHandle,
-    da: MacAddr,
-    payload: Vec<u8>,
-    at: SimTime,
-) {
-    shared
-        .lock()
-        .expect("shared state lock")
-        .outgoing
-        .push_back((da, payload));
-    sim.scheduler_mut().schedule_at(
-        at,
-        MacEvent::UpperTimer {
-            station: sta,
-            tag: TAG_APP,
-        },
-    );
 }
 
 /// Schedules a straight-line walk: `SetPosition` events every `step`
@@ -230,9 +262,11 @@ pub fn schedule_random_waypoint(
 
 // ----- ad hoc mode (§3.2) -----
 
-/// Observable state of an ad hoc node.
-#[derive(Debug, Default)]
-pub struct IbssNodeShared {
+/// An ad hoc (IBSS) peer: §3.2 "devices transmit directly peer-to-peer
+/// … No access point is required". The public fields are its
+/// observable state, read back through [`Ibss::node`].
+#[derive(Debug)]
+pub struct IbssNode {
     /// Payloads to send `(destination, data)`.
     pub outgoing: VecDeque<(MacAddr, Vec<u8>)>,
     /// Payloads received `(time, source, data)`.
@@ -241,43 +275,26 @@ pub struct IbssNodeShared {
     pub tx_ok: u64,
     /// MSDUs dropped.
     pub tx_fail: u64,
-}
-
-/// Handle to an ad hoc node's shared state.
-pub type IbssShared = Arc<Mutex<IbssNodeShared>>;
-
-/// An ad hoc (IBSS) peer: §3.2 "devices transmit directly peer-to-peer
-/// … No access point is required".
-pub struct IbssNode {
     bssid: MacAddr,
-    shared: IbssShared,
 }
 
 impl IbssNode {
     /// Creates a node for the IBSS identified by `bssid`.
-    pub fn new(bssid: MacAddr) -> (Self, IbssShared) {
-        let shared: IbssShared = Arc::new(Mutex::new(IbssNodeShared::default()));
-        (
-            IbssNode {
-                bssid,
-                shared: shared.clone(),
-            },
-            shared,
-        )
+    pub fn new(bssid: MacAddr) -> Self {
+        IbssNode {
+            outgoing: VecDeque::new(),
+            delivered: Vec::new(),
+            tx_ok: 0,
+            tx_fail: 0,
+            bssid,
+        }
     }
 }
 
 impl UpperLayer for IbssNode {
     fn on_timer(&mut self, ctx: &mut UpperCtx, tag: u64) {
         if tag == TAG_APP {
-            loop {
-                let item = self
-                    .shared
-                    .lock()
-                    .expect("shared state lock")
-                    .outgoing
-                    .pop_front();
-                let Some((da, payload)) = item else { break };
+            while let Some((da, payload)) = self.outgoing.pop_front() {
                 let f = Frame::data(
                     DsBits::Ibss,
                     da,
@@ -294,20 +311,15 @@ impl UpperLayer for IbssNode {
     fn on_frame(&mut self, ctx: &mut UpperCtx, frame: &Frame, _rssi: Dbm) {
         if frame.fc.subtype == wn_mac80211::frame::Subtype::Data {
             let sa = frame.source().unwrap_or(MacAddr::ZERO);
-            self.shared
-                .lock()
-                .expect("shared state lock")
-                .delivered
-                .push((ctx.now, sa, frame.body.to_vec()));
+            self.delivered.push((ctx.now, sa, frame.body.to_vec()));
         }
     }
 
     fn on_tx_result(&mut self, _ctx: &mut UpperCtx, _frame: &Frame, success: bool) {
-        let mut sh = self.shared.lock().expect("shared state lock");
         if success {
-            sh.tx_ok += 1;
+            self.tx_ok += 1;
         } else {
-            sh.tx_fail += 1;
+            self.tx_fail += 1;
         }
     }
 }
@@ -318,16 +330,31 @@ pub struct IbssBuilder {
     nodes: Vec<Point>,
 }
 
-/// The constructed IBSS.
+/// The constructed IBSS: the booted world, whose nodes are read back
+/// through [`Ibss::node`].
 pub struct Ibss {
     /// The simulation, booted.
     pub sim: Simulation<WlanWorld>,
-    /// Node ids.
+    /// Node ids (in declaration order).
     pub ids: Vec<StationId>,
-    /// Node observation handles.
-    pub shared: Vec<IbssShared>,
     /// The generated IBSS BSSID.
     pub bssid: MacAddr,
+}
+
+impl Ibss {
+    /// Node `i` (declaration order).
+    pub fn node(&self, i: usize) -> &IbssNode {
+        upper(&self.sim, self.ids[i])
+    }
+
+    /// Queues data at node `i` and wakes it to send at `at`.
+    pub fn send(&mut self, i: usize, da: MacAddr, payload: Vec<u8>, at: SimTime) {
+        let id = self.ids[i];
+        upper_mut::<IbssNode>(&mut self.sim, id)
+            .outgoing
+            .push_back((da, payload));
+        wake_app(&mut self.sim, id, at);
+    }
 }
 
 impl IbssBuilder {
@@ -350,45 +377,14 @@ impl IbssBuilder {
         let bssid = MacAddr::random_ibss_bssid(self.mac.seed);
         let mut world = WlanWorld::new(self.mac);
         let mut ids = Vec::new();
-        let mut shared = Vec::new();
         for (i, &pos) in self.nodes.iter().enumerate() {
-            let (node, sh) = IbssNode::new(bssid);
-            let id = world.add_station(MacAddr::station(i as u32), pos, Box::new(node));
-            ids.push(id);
-            shared.push(sh);
+            let node = IbssNode::new(bssid);
+            ids.push(world.add_station(MacAddr::station(i as u32), pos, Box::new(node)));
         }
         let mut sim = Simulation::new(world);
         wn_mac80211::sim::boot(&mut sim);
-        Ibss {
-            sim,
-            ids,
-            shared,
-            bssid,
-        }
+        Ibss { sim, ids, bssid }
     }
-}
-
-/// Queues data at an IBSS node and nudges it.
-pub fn ibss_send(
-    sim: &mut Simulation<WlanWorld>,
-    node: StationId,
-    shared: &IbssShared,
-    da: MacAddr,
-    payload: Vec<u8>,
-    at: SimTime,
-) {
-    shared
-        .lock()
-        .expect("shared state lock")
-        .outgoing
-        .push_back((da, payload));
-    sim.scheduler_mut().schedule_at(
-        at,
-        MacEvent::UpperTimer {
-            station: node,
-            tag: TAG_APP,
-        },
-    );
 }
 
 #[cfg(test)]
@@ -414,7 +410,7 @@ mod tests {
             .sta(Point::new(10.0, 0.0))
             .build();
         ess.sim.run_until(SimTime::from_secs(3));
-        let sh = ess.sta_shared[0].lock().expect("shared state lock");
+        let sh = ess.sta(0);
         assert_eq!(sh.state, StaState::Associated);
         assert_eq!(sh.bssid, Some(MacAddr::access_point(0)));
         assert_eq!(sh.aid, 1);
@@ -422,7 +418,7 @@ mod tests {
         assert!(ess
             .ds
             .lock()
-            .expect("shared state lock")
+            .expect("DS lock")
             .serving_ap(MacAddr::station(0))
             .is_some());
     }
@@ -438,19 +434,15 @@ mod tests {
         ess.sim.run_until(SimTime::from_secs(2));
         let dst = MacAddr::station(1);
         for k in 0..5u64 {
-            let sta0 = ess.sta_ids[0];
-            let sh0 = ess.sta_shared[0].clone();
-            send_app_data(
-                &mut ess.sim,
-                sta0,
-                &sh0,
+            ess.send_app_data(
+                0,
                 dst,
                 format!("msg-{k}").into_bytes(),
                 SimTime::from_millis(2000 + k * 20),
             );
         }
         ess.sim.run_until(SimTime::from_secs(4));
-        let got = ess.sta_shared[1].lock().expect("shared state lock");
+        let got = ess.sta(1);
         assert_eq!(got.delivered.len(), 5);
         assert_eq!(
             got.delivered[0].1,
@@ -458,13 +450,7 @@ mod tests {
             "SA preserved through relay"
         );
         assert_eq!(got.delivered[0].2, b"msg-0");
-        assert_eq!(
-            ess.ap_shared[0]
-                .lock()
-                .expect("shared state lock")
-                .bridged_local,
-            5
-        );
+        assert_eq!(ess.ap(0).bridged_local, 5);
     }
 
     #[test]
@@ -475,29 +461,11 @@ mod tests {
             .build();
         ess.sim.run_until(SimTime::from_secs(2));
         let wired = MacAddr([0x00, 0xDE, 0xAD, 0xBE, 0xEF, 0x01]);
-        let sta0 = ess.sta_ids[0];
-        let sh0 = ess.sta_shared[0].clone();
-        send_app_data(
-            &mut ess.sim,
-            sta0,
-            &sh0,
-            wired,
-            b"GET /".to_vec(),
-            SimTime::from_secs(2),
-        );
+        ess.send_app_data(0, wired, b"GET /".to_vec(), SimTime::from_secs(2));
         ess.sim.run_until(SimTime::from_secs(3));
+        assert_eq!(ess.ds.lock().expect("DS lock").portal_frames().len(), 1);
         assert_eq!(
-            ess.ds
-                .lock()
-                .expect("shared state lock")
-                .portal_frames()
-                .len(),
-            1
-        );
-        assert_eq!(
-            ess.ds.lock().expect("shared state lock").portal_frames()[0]
-                .1
-                .payload,
+            ess.ds.lock().expect("DS lock").portal_frames()[0].1.payload,
             b"GET /"
         );
     }
@@ -513,38 +481,25 @@ mod tests {
             .sta(Point::new(295.0, 0.0))
             .build();
         ess.sim.run_until(SimTime::from_secs(3));
-        assert_eq!(
-            ess.sta_shared[0].lock().expect("shared state lock").state,
-            StaState::Associated
-        );
-        assert_eq!(
-            ess.sta_shared[1].lock().expect("shared state lock").state,
-            StaState::Associated
-        );
+        assert_eq!(ess.sta(0).state, StaState::Associated);
+        assert_eq!(ess.sta(1).state, StaState::Associated);
         assert_ne!(
-            ess.sta_shared[0].lock().expect("shared state lock").bssid,
-            ess.sta_shared[1].lock().expect("shared state lock").bssid,
+            ess.sta(0).bssid,
+            ess.sta(1).bssid,
             "each STA should pick its nearby AP"
         );
-        let sta0 = ess.sta_ids[0];
-        let sh0 = ess.sta_shared[0].clone();
-        send_app_data(
-            &mut ess.sim,
-            sta0,
-            &sh0,
+        ess.send_app_data(
+            0,
             MacAddr::station(1),
             b"across the ESS".to_vec(),
             SimTime::from_secs(3),
         );
         ess.sim.run_until(SimTime::from_secs(5));
-        let got = ess.sta_shared[1].lock().expect("shared state lock");
+        let got = ess.sta(1);
         assert_eq!(got.delivered.len(), 1, "frame must traverse the DS");
         assert_eq!(got.delivered[0].2, b"across the ESS");
-        assert_eq!(ess.ap_shared[0].lock().expect("shared state lock").to_ds, 1);
-        assert_eq!(
-            ess.ap_shared[1].lock().expect("shared state lock").from_ds,
-            1
-        );
+        assert_eq!(ess.ap(0).to_ds, 1);
+        assert_eq!(ess.ap(1).from_ds, 1);
     }
 
     #[test]
@@ -561,7 +516,7 @@ mod tests {
         ess.sim.world_mut().trace.set_min_level(Level::Info);
         ess.sim.run_until(SimTime::from_secs(2));
         assert_eq!(
-            ess.sta_shared[0].lock().expect("shared state lock").bssid,
+            ess.sta(0).bssid,
             Some(MacAddr::access_point(0)),
             "starts on the near AP"
         );
@@ -577,7 +532,7 @@ mod tests {
             SimTime::from_secs(2),
         );
         ess.sim.run_until(SimTime::from_secs(80));
-        let sh = ess.sta_shared[0].lock().expect("shared state lock");
+        let sh = ess.sta(0);
         assert_eq!(
             sh.state,
             StaState::Associated,
@@ -596,12 +551,11 @@ mod tests {
         assert_eq!(
             ess.ds
                 .lock()
-                .expect("shared state lock")
+                .expect("DS lock")
                 .serving_ap(MacAddr::station(0)),
             Some(ess.ap_ids[1]),
             "DS association moved to AP1"
         );
-        drop(sh);
         // Typed-event ordering: the first association precedes the
         // handoff decision, and the handoff was actually traced.
         let trace = &ess.sim.world().trace;
@@ -623,27 +577,19 @@ mod tests {
             .node(Point::new(12.0, 0.0))
             .node(Point::new(6.0, 8.0))
             .build();
-        let a = net.ids[0];
-        let sh_a = net.shared[0].clone();
-        ibss_send(
-            &mut net.sim,
-            a,
-            &sh_a,
+        net.send(
+            0,
             MacAddr::station(1),
             b"peer to peer".to_vec(),
             SimTime::from_millis(10),
         );
         net.sim.run_until(SimTime::from_secs(1));
-        let got = net.shared[1].lock().expect("shared state lock");
+        let got = net.node(1);
         assert_eq!(got.delivered.len(), 1);
         assert_eq!(got.delivered[0].1, MacAddr::station(0));
-        assert_eq!(net.shared[0].lock().expect("shared state lock").tx_ok, 1);
+        assert_eq!(net.node(0).tx_ok, 1);
         // The third node saw nothing (unicast).
-        assert!(net.shared[2]
-            .lock()
-            .expect("shared state lock")
-            .delivered
-            .is_empty());
+        assert!(net.node(2).delivered.is_empty());
     }
 
     #[test]
@@ -654,27 +600,15 @@ mod tests {
             .node(Point::new(0.0, 10.0))
             .node(Point::new(10.0, 10.0))
             .build();
-        let a = net.ids[0];
-        let sh_a = net.shared[0].clone();
-        ibss_send(
-            &mut net.sim,
-            a,
-            &sh_a,
+        net.send(
+            0,
             MacAddr::BROADCAST,
             b"hello all".to_vec(),
             SimTime::from_millis(10),
         );
         net.sim.run_until(SimTime::from_secs(1));
         for i in 1..4 {
-            assert_eq!(
-                net.shared[i]
-                    .lock()
-                    .expect("shared state lock")
-                    .delivered
-                    .len(),
-                1,
-                "node {i}"
-            );
+            assert_eq!(net.node(i).delivered.len(), 1, "node {i}");
         }
     }
 
@@ -688,37 +622,22 @@ mod tests {
             .sta_with(Point::new(-5.0, 0.0), cfg)
             .build();
         ess.sim.run_until(SimTime::from_secs(3));
-        assert_eq!(
-            ess.sta_shared[1].lock().expect("shared state lock").state,
-            StaState::Associated
-        );
+        assert_eq!(ess.sta(1).state, StaState::Associated);
         // Give the PS STA time to settle into its doze cycle, then send.
-        let sta0 = ess.sta_ids[0];
-        let sh0 = ess.sta_shared[0].clone();
         for k in 0..3u64 {
-            send_app_data(
-                &mut ess.sim,
-                sta0,
-                &sh0,
+            ess.send_app_data(
+                0,
                 MacAddr::station(1),
                 format!("buffered-{k}").into_bytes(),
                 SimTime::from_millis(3000 + k * 7),
             );
         }
         ess.sim.run_until(SimTime::from_secs(6));
-        let sh = ess.sta_shared[1].lock().expect("shared state lock");
+        let sh = ess.sta(1);
         assert_eq!(sh.delivered.len(), 3, "all buffered frames retrieved");
         assert!(sh.ps_polls >= 1, "PS-Poll was used: {}", sh.ps_polls);
         assert!(sh.dozes >= 2, "the STA dozed between beacons: {}", sh.dozes);
-        assert!(
-            ess.ap_shared[0]
-                .lock()
-                .expect("shared state lock")
-                .ps_buffered
-                >= 1,
-            "AP buffered for the dozer"
-        );
-        drop(sh);
+        assert!(ess.ap(0).ps_buffered >= 1, "AP buffered for the dozer");
         // The doze/wake cycle is visible as typed PowerSave events.
         use wn_sim::trace::TraceEvent;
         let trace = &ess.sim.world().trace;
@@ -749,18 +668,12 @@ mod tests {
         // secret" succeeds.
         let mut good = build(b"wep-shared-secret");
         good.sim.run_until(SimTime::from_secs(3));
-        assert_eq!(
-            good.sta_shared[0].lock().expect("shared state lock").state,
-            StaState::Associated
-        );
+        assert_eq!(good.sta(0).state, StaState::Associated);
 
         // Wrong key: authentication refused, never associates.
         let mut bad = build(b"wrong-key");
         bad.sim.run_until(SimTime::from_secs(3));
-        assert_ne!(
-            bad.sta_shared[0].lock().expect("shared state lock").state,
-            StaState::Associated
-        );
+        assert_ne!(bad.sta(0).state, StaState::Associated);
 
         // Open-auth STA against a shared-key AP is refused too.
         let mut ap_cfg = ApConfig::open(ssid(), 1);
@@ -771,10 +684,7 @@ mod tests {
             .sta(Point::new(8.0, 0.0))
             .build();
         open.sim.run_until(SimTime::from_secs(3));
-        assert_ne!(
-            open.sta_shared[0].lock().expect("shared state lock").state,
-            StaState::Associated
-        );
+        assert_ne!(open.sta(0).state, StaState::Associated);
     }
 
     #[test]
@@ -795,32 +705,20 @@ mod tests {
         let mut active = build(true, 41);
         active.sim.run_until(SimTime::from_millis(600));
         assert_eq!(
-            active.sta_shared[0]
-                .lock()
-                .expect("shared state lock")
-                .state,
+            active.sta(0).state,
             StaState::Associated,
             "active scan should join within one dwell"
         );
         let mut passive = build(false, 41);
         passive.sim.run_until(SimTime::from_millis(600));
         assert_ne!(
-            passive.sta_shared[0]
-                .lock()
-                .expect("shared state lock")
-                .state,
+            passive.sta(0).state,
             StaState::Associated,
             "passive scan cannot have seen a 900 ms beacon yet"
         );
         // Passive still converges eventually.
         passive.sim.run_until(SimTime::from_secs(30));
-        assert_eq!(
-            passive.sta_shared[0]
-                .lock()
-                .expect("shared state lock")
-                .state,
-            StaState::Associated
-        );
+        assert_eq!(passive.sta(0).state, StaState::Associated);
     }
 
     #[test]
@@ -835,15 +733,15 @@ mod tests {
         let mut ess = b.build();
         ess.sim.run_until(SimTime::from_secs(4));
         let mut aids = Vec::new();
-        for sh in &ess.sta_shared {
-            let sh = sh.lock().expect("shared state lock");
+        for i in 0..ess.sta_ids.len() {
+            let sh = ess.sta(i);
             assert_eq!(sh.state, StaState::Associated);
             aids.push(sh.aid);
         }
         aids.sort_unstable();
         aids.dedup();
         assert_eq!(aids.len(), 8, "every STA got a distinct AID");
-        assert_eq!(ess.ds.lock().expect("shared state lock").station_count(), 8);
+        assert_eq!(ess.ds.lock().expect("DS lock").station_count(), 8);
     }
 
     #[test]
@@ -877,7 +775,7 @@ mod tests {
         }
         ess.sim.run_until(SimTime::from_secs(70));
         // The STA stayed (or got back) on the network.
-        let sh = ess.sta_shared[0].lock().expect("shared state lock");
+        let sh = ess.sta(0);
         assert!(
             !sh.assoc_events.is_empty(),
             "station should have associated at least once"
@@ -893,18 +791,77 @@ mod tests {
                 .sta(Point::new(12.0, 0.0))
                 .build();
             ess.sim.run_until(SimTime::from_secs(2));
-            let a = ess.sta_shared[0]
-                .lock()
-                .expect("shared state lock")
-                .assoc_events
-                .clone();
-            let b = ess.sta_shared[1]
-                .lock()
-                .expect("shared state lock")
-                .assoc_events
-                .clone();
+            let a = ess.sta(0).assoc_events.clone();
+            let b = ess.sta(1).assoc_events.clone();
             (a, b)
         };
         assert_eq!(run(), run());
+    }
+
+    /// The message `try_build` rejects `b` with.
+    fn rejection(b: EssBuilder) -> String {
+        match b.try_build() {
+            Ok(_) => panic!("configuration accepted"),
+            Err(e) => e,
+        }
+    }
+
+    #[test]
+    fn try_build_rejects_an_empty_channel_list() {
+        let cfg = StaConfig::open(ssid(), Vec::new());
+        let b = EssBuilder::new(mac(1), ssid())
+            .ap(Point::new(0.0, 0.0), 1)
+            .sta_with(Point::new(5.0, 0.0), cfg);
+        assert_eq!(rejection(b), "sta 0: channels must not be empty");
+    }
+
+    #[test]
+    fn try_build_rejects_a_zero_scan_dwell() {
+        let mut cfg = StaConfig::open(ssid(), vec![1]);
+        cfg.scan_dwell = SimDuration::ZERO;
+        let b = EssBuilder::new(mac(1), ssid())
+            .ap(Point::new(0.0, 0.0), 1)
+            .sta(Point::new(5.0, 0.0))
+            .sta_with(Point::new(-5.0, 0.0), cfg);
+        assert_eq!(rejection(b), "sta 1: scan_dwell must be > 0");
+    }
+
+    #[test]
+    fn try_build_rejects_a_zero_beacon_interval() {
+        let mut cfg = ApConfig::open(ssid(), 6);
+        cfg.beacon_interval = SimDuration::ZERO;
+        let b = EssBuilder::new(mac(1), ssid())
+            .ap(Point::new(0.0, 0.0), 1)
+            .ap_with(Point::new(100.0, 0.0), cfg)
+            .sta(Point::new(5.0, 0.0));
+        assert_eq!(rejection(b), "ap 1: beacon_interval must be > 0");
+    }
+
+    #[test]
+    fn try_build_rejects_an_invalid_mac_config() {
+        let mut m = mac(1);
+        m.queue_limit = 0;
+        let b = EssBuilder::new(m, ssid()).ap(Point::new(0.0, 0.0), 1);
+        assert_eq!(rejection(b), "invalid MacConfig: queue_limit must be >= 1");
+    }
+
+    #[test]
+    #[should_panic(expected = "ap 0: beacon_interval must be > 0")]
+    fn build_panics_with_the_rejection() {
+        let mut cfg = ApConfig::open(ssid(), 1);
+        cfg.beacon_interval = SimDuration::ZERO;
+        EssBuilder::new(mac(1), ssid())
+            .ap_with(Point::new(0.0, 0.0), cfg)
+            .build();
+    }
+
+    #[test]
+    fn open_defaults_validate_and_build() {
+        assert_eq!(StaConfig::open(ssid(), vec![1, 6]).validate(), Ok(()));
+        assert_eq!(ApConfig::open(ssid(), 1).validate(), Ok(()));
+        let b = EssBuilder::new(mac(1), ssid())
+            .ap(Point::new(0.0, 0.0), 1)
+            .sta(Point::new(5.0, 0.0));
+        assert!(b.try_build().is_ok());
     }
 }

@@ -42,7 +42,9 @@ pub struct DistributionSystem {
     pub wire_latency: SimDuration,
 }
 
-/// A cheap cloneable handle to a [`DistributionSystem`].
+/// A cheap cloneable handle to a [`DistributionSystem`]. Every AP of an
+/// ESS routes through the same one, so it is net80211's only shared
+/// state.
 pub type DsHandle = Arc<Mutex<DistributionSystem>>;
 
 /// Creates a fresh DS handle with the given wire latency.

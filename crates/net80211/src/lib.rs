@@ -16,6 +16,13 @@
 //!   freely roam from one access point domain to another").
 //! - [`builder`] — one-call construction of infrastructure BSSs, ESSs
 //!   and ad hoc IBSSs (Figs. 1.9 / 1.10), plus mobility helpers.
+//!
+//! Each STA, AP and IBSS node owns its observable state as plain
+//! fields and lives in the MAC world as its station's upper layer;
+//! callers read it back through the world ([`Ess::sta`], [`Ess::ap`],
+//! [`Ibss::node`], or `WlanWorld::upper` directly). The distribution
+//! system is the one object several APs share, so [`DsHandle`] is the
+//! crate's only lock.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,8 +34,8 @@ pub mod ie;
 pub mod ssid;
 pub mod sta;
 
-pub use ap::{ApConfig, ApLogic, ApShared};
-pub use builder::{EssBuilder, IbssBuilder, IbssNode, IbssShared};
+pub use ap::{ApConfig, ApLogic};
+pub use builder::{Ess, EssBuilder, Ibss, IbssBuilder, IbssNode};
 pub use ds::{DistributionSystem, DsHandle};
 pub use ssid::Ssid;
-pub use sta::{StaConfig, StaLogic, StaShared, StaState};
+pub use sta::{StaConfig, StaLogic, StaState};

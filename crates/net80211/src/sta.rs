@@ -19,8 +19,6 @@
 //!    TIM, PS-Poll buffered frames out of the AP (§4.2).
 
 use std::collections::VecDeque;
-use std::sync::Arc;
-use std::sync::Mutex;
 
 use crate::ie::{AssocReqBody, AssocRespBody, AuthAlgorithm, AuthBody, BeaconBody};
 use crate::ssid::Ssid;
@@ -85,6 +83,23 @@ impl StaConfig {
             rescan_below_dbm: -78.0,
         }
     }
+
+    /// Checks the fields a STA cannot run with; the error names the
+    /// offending field. [`EssBuilder::try_build`] returns it. An empty
+    /// `channels` list would index out of bounds at boot, and a zero
+    /// `scan_dwell` would re-arm the scan timer at the same instant
+    /// forever.
+    ///
+    /// [`EssBuilder::try_build`]: crate::builder::EssBuilder::try_build
+    pub fn validate(&self) -> Result<(), String> {
+        if self.channels.is_empty() {
+            return Err("channels must not be empty".into());
+        }
+        if self.scan_dwell == SimDuration::ZERO {
+            return Err("scan_dwell must be > 0".into());
+        }
+        Ok(())
+    }
 }
 
 /// The STA lifecycle states.
@@ -102,9 +117,20 @@ pub enum StaState {
     Associated,
 }
 
-/// Observable STA-side state shared with the scenario.
 #[derive(Debug)]
-pub struct StaShared {
+struct Candidate {
+    bssid: MacAddr,
+    channel: u8,
+    rssi: Dbm,
+    interval_ms: u16,
+}
+
+/// The STA upper-layer logic. The public fields are its observable
+/// state; read them back through the world
+/// ([`WlanWorld::upper`](wn_mac80211::sim::WlanWorld::upper), or
+/// [`Ess::sta`](crate::builder::Ess::sta)).
+#[derive(Debug)]
+pub struct StaLogic {
     /// Current lifecycle state.
     pub state: StaState,
     /// Serving BSSID once associated.
@@ -128,40 +154,7 @@ pub struct StaShared {
     pub dozes: u64,
     /// PS-Polls sent.
     pub ps_polls: u64,
-}
-
-impl Default for StaShared {
-    fn default() -> Self {
-        StaShared {
-            state: StaState::Idle,
-            bssid: None,
-            aid: 0,
-            outgoing: VecDeque::new(),
-            delivered: Vec::new(),
-            assoc_events: Vec::new(),
-            tx_ok: 0,
-            tx_fail: 0,
-            beacons_heard: 0,
-            dozes: 0,
-            ps_polls: 0,
-        }
-    }
-}
-
-/// A cloneable handle to [`StaShared`].
-pub type StaSharedHandle = Arc<Mutex<StaShared>>;
-
-struct Candidate {
-    bssid: MacAddr,
-    channel: u8,
-    rssi: Dbm,
-    interval_ms: u16,
-}
-
-/// The STA upper-layer logic.
-pub struct StaLogic {
     cfg: StaConfig,
-    shared: StaSharedHandle,
     scan_index: usize,
     best: Option<Candidate>,
     serving: Option<Candidate>,
@@ -174,29 +167,35 @@ pub struct StaLogic {
 
 impl StaLogic {
     /// Creates a station client.
-    pub fn new(cfg: StaConfig) -> (Self, StaSharedHandle) {
-        let shared: StaSharedHandle = Arc::new(Mutex::new(StaShared::default()));
-        (
-            StaLogic {
-                cfg,
-                shared: shared.clone(),
-                scan_index: 0,
-                best: None,
-                serving: None,
-                beacons_missed: 0,
-                beacon_seen_since_watch: false,
-                join_generation: 0,
-                current_rssi: f64::NEG_INFINITY,
-                weak_beacons: 0,
-            },
-            shared,
-        )
+    pub fn new(cfg: StaConfig) -> Self {
+        StaLogic {
+            state: StaState::Idle,
+            bssid: None,
+            aid: 0,
+            outgoing: VecDeque::new(),
+            delivered: Vec::new(),
+            assoc_events: Vec::new(),
+            tx_ok: 0,
+            tx_fail: 0,
+            beacons_heard: 0,
+            dozes: 0,
+            ps_polls: 0,
+            cfg,
+            scan_index: 0,
+            best: None,
+            serving: None,
+            beacons_missed: 0,
+            beacon_seen_since_watch: false,
+            join_generation: 0,
+            current_rssi: f64::NEG_INFINITY,
+            weak_beacons: 0,
+        }
     }
 
     fn start_scan(&mut self, ctx: &mut UpperCtx) {
         // Leaving an established association to reacquire (beacon loss,
         // weak signal, deauth) is the other half of §3.2 roaming.
-        if self.shared.lock().expect("shared state lock").state == StaState::Associated {
+        if self.state == StaState::Associated {
             ctx.emit(
                 Level::Info,
                 TraceEvent::Handoff {
@@ -204,8 +203,8 @@ impl StaLogic {
                 },
             );
         }
-        self.shared.lock().expect("shared state lock").state = StaState::Scanning;
-        self.shared.lock().expect("shared state lock").bssid = None;
+        self.state = StaState::Scanning;
+        self.bssid = None;
         self.serving = None;
         self.best = None;
         self.scan_index = 0;
@@ -239,7 +238,7 @@ impl StaLogic {
             return;
         };
         ctx.command(Command::SetChannel(best.channel));
-        self.shared.lock().expect("shared state lock").state = StaState::Authenticating;
+        self.state = StaState::Authenticating;
         let body = AuthBody {
             algorithm: self.cfg.auth,
             transaction: 1,
@@ -264,26 +263,10 @@ impl StaLogic {
     }
 
     fn drain_app_queue(&mut self, ctx: &mut UpperCtx) {
-        let bssid = {
-            let sh = self.shared.lock().expect("shared state lock");
-            match sh.state {
-                StaState::Associated => sh.bssid,
-                _ => None,
-            }
-        };
-        let Some(bssid) = bssid else {
+        let (StaState::Associated, Some(bssid)) = (self.state, self.bssid) else {
             return;
         };
-        loop {
-            let item = self
-                .shared
-                .lock()
-                .expect("shared state lock")
-                .outgoing
-                .pop_front();
-            let Some((da, payload)) = item else {
-                break;
-            };
+        while let Some((da, payload)) = self.outgoing.pop_front() {
             let f = Frame::data(
                 DsBits::ToAp,
                 da,
@@ -311,7 +294,7 @@ impl StaLogic {
                 doze: true,
             },
         );
-        self.shared.lock().expect("shared state lock").dozes += 1;
+        self.dozes += 1;
         ctx.set_timer(sleep, TAG_PS_WAKE);
     }
 }
@@ -324,7 +307,7 @@ impl UpperLayer for StaLogic {
     fn on_timer(&mut self, ctx: &mut UpperCtx, tag: u64) {
         match tag & 0xFF {
             TAG_SCAN => {
-                if self.shared.lock().expect("shared state lock").state != StaState::Scanning {
+                if self.state != StaState::Scanning {
                     return;
                 }
                 self.scan_index += 1;
@@ -337,7 +320,7 @@ impl UpperLayer for StaLogic {
                 }
             }
             TAG_WATCH => {
-                if self.shared.lock().expect("shared state lock").state != StaState::Associated {
+                if self.state != StaState::Associated {
                     return;
                 }
                 if self.beacon_seen_since_watch {
@@ -359,9 +342,7 @@ impl UpperLayer for StaLogic {
                 }
             }
             TAG_APP => self.drain_app_queue(ctx),
-            TAG_PS_WAKE
-                if self.shared.lock().expect("shared state lock").state == StaState::Associated =>
-            {
+            TAG_PS_WAKE if self.state == StaState::Associated => {
                 ctx.command(Command::SetAwake(true));
                 ctx.emit(
                     Level::Debug,
@@ -373,12 +354,7 @@ impl UpperLayer for StaLogic {
             }
             TAG_JOIN_TIMEOUT => {
                 let gen = tag >> 8;
-                if gen == self.join_generation
-                    && !matches!(
-                        self.shared.lock().expect("shared state lock").state,
-                        StaState::Associated
-                    )
-                {
+                if gen == self.join_generation && self.state != StaState::Associated {
                     self.start_scan(ctx);
                 }
             }
@@ -398,8 +374,7 @@ impl UpperLayer for StaLogic {
                 let bssid = frame
                     .bssid()
                     .unwrap_or(frame.transmitter().unwrap_or(MacAddr::ZERO));
-                let state = self.shared.lock().expect("shared state lock").state;
-                match state {
+                match self.state {
                     StaState::Scanning => {
                         let better = self
                             .best
@@ -415,10 +390,9 @@ impl UpperLayer for StaLogic {
                         }
                     }
                     StaState::Associated => {
-                        let my_bssid = self.shared.lock().expect("shared state lock").bssid;
-                        if Some(bssid) == my_bssid {
+                        if Some(bssid) == self.bssid {
                             self.beacon_seen_since_watch = true;
-                            self.shared.lock().expect("shared state lock").beacons_heard += 1;
+                            self.beacons_heard += 1;
                             // Exponentially-smoothed serving RSSI.
                             self.current_rssi = if self.current_rssi.is_finite() {
                                 0.8 * self.current_rssi + 0.2 * rssi.value()
@@ -440,9 +414,9 @@ impl UpperLayer for StaLogic {
                             }
                             // Power save: poll if the TIM lists us, else doze.
                             if self.cfg.power_save {
-                                let aid = self.shared.lock().expect("shared state lock").aid;
+                                let aid = self.aid;
                                 if body.tim.contains(&aid) {
-                                    self.shared.lock().expect("shared state lock").ps_polls += 1;
+                                    self.ps_polls += 1;
                                     ctx.command(Command::SetAwake(true));
                                     ctx.send(Frame::ps_poll(bssid, ctx.addr, aid));
                                 } else {
@@ -470,8 +444,7 @@ impl UpperLayer for StaLogic {
                 }
             }
             Subtype::Auth => {
-                if self.shared.lock().expect("shared state lock").state != StaState::Authenticating
-                {
+                if self.state != StaState::Authenticating {
                     return;
                 }
                 let Ok(body) = AuthBody::decode(&frame.body) else {
@@ -506,8 +479,7 @@ impl UpperLayer for StaLogic {
                     }
                     (2, 0) | (4, 0) => {
                         // Authenticated: associate.
-                        self.shared.lock().expect("shared state lock").state =
-                            StaState::Associating;
+                        self.state = StaState::Associating;
                         let req = AssocReqBody {
                             ssid: self.cfg.ssid.clone(),
                         };
@@ -528,7 +500,7 @@ impl UpperLayer for StaLogic {
                 }
             }
             Subtype::AssocResp | Subtype::ReassocResp => {
-                if self.shared.lock().expect("shared state lock").state != StaState::Associating {
+                if self.state != StaState::Associating {
                     return;
                 }
                 let Ok(body) = AssocRespBody::decode(&frame.body) else {
@@ -543,13 +515,10 @@ impl UpperLayer for StaLogic {
                     .as_ref()
                     .map(|s| s.bssid)
                     .unwrap_or(MacAddr::ZERO);
-                {
-                    let mut sh = self.shared.lock().expect("shared state lock");
-                    sh.state = StaState::Associated;
-                    sh.bssid = Some(bssid);
-                    sh.aid = body.aid;
-                    sh.assoc_events.push((ctx.now, bssid));
-                }
+                self.state = StaState::Associated;
+                self.bssid = Some(bssid);
+                self.aid = body.aid;
+                self.assoc_events.push((ctx.now, bssid));
                 ctx.emit(
                     Level::Info,
                     TraceEvent::Assoc {
@@ -590,30 +559,18 @@ impl UpperLayer for StaLogic {
             }
             Subtype::Data if frame.fc.from_ds => {
                 let sa = frame.source().unwrap_or(MacAddr::ZERO);
-                self.shared
-                    .lock()
-                    .expect("shared state lock")
-                    .delivered
-                    .push((ctx.now, sa, frame.body.to_vec()));
+                self.delivered.push((ctx.now, sa, frame.body.to_vec()));
                 if self.cfg.power_save {
                     if frame.fc.more_data {
-                        let aid = self.shared.lock().expect("shared state lock").aid;
-                        let bssid = self
-                            .shared
-                            .lock()
-                            .expect("shared state lock")
-                            .bssid
-                            .unwrap_or(MacAddr::ZERO);
-                        self.shared.lock().expect("shared state lock").ps_polls += 1;
-                        ctx.send(Frame::ps_poll(bssid, ctx.addr, aid));
+                        let bssid = self.bssid.unwrap_or(MacAddr::ZERO);
+                        self.ps_polls += 1;
+                        ctx.send(Frame::ps_poll(bssid, ctx.addr, self.aid));
                     } else {
                         self.doze_until_next_beacon(ctx);
                     }
                 }
             }
-            Subtype::Deauth | Subtype::Disassoc
-                if self.shared.lock().expect("shared state lock").state == StaState::Associated =>
-            {
+            Subtype::Deauth | Subtype::Disassoc if self.state == StaState::Associated => {
                 self.start_scan(ctx);
             }
             _ => {}
@@ -622,11 +579,10 @@ impl UpperLayer for StaLogic {
 
     fn on_tx_result(&mut self, _ctx: &mut UpperCtx, frame: &Frame, success: bool) {
         if frame.fc.subtype == Subtype::Data {
-            let mut sh = self.shared.lock().expect("shared state lock");
             if success {
-                sh.tx_ok += 1;
+                self.tx_ok += 1;
             } else {
-                sh.tx_fail += 1;
+                self.tx_fail += 1;
             }
         }
     }

@@ -8,7 +8,7 @@
 use wireless_networks::core::scenarios::fig_1_10_ess_roaming;
 use wireless_networks::mac80211::addr::MacAddr;
 use wireless_networks::mac80211::sim::MacConfig;
-use wireless_networks::net80211::builder::{schedule_walk, send_app_data, EssBuilder};
+use wireless_networks::net80211::builder::{schedule_walk, EssBuilder};
 use wireless_networks::net80211::ssid::Ssid;
 use wireless_networks::phy::geom::Point;
 use wireless_networks::phy::modulation::PhyStandard;
@@ -29,10 +29,7 @@ fn main() {
         .build();
 
     ess.sim.run_until(SimTime::from_secs(2));
-    println!(
-        "t=2s: laptop associated to {:?}",
-        ess.sta_shared[0].lock().expect("shared state lock").bssid
-    );
+    println!("t=2s: laptop associated to {:?}", ess.sta(0).bssid);
 
     // Walk from AP0's office to AP1's office at 5 m/s (a brisk walk).
     let laptop = ess.sta_ids[0];
@@ -47,14 +44,10 @@ fn main() {
     );
 
     // The server streams messages to the laptop through the whole walk.
-    let server = ess.sta_ids[1];
-    let server_sh = ess.sta_shared[1].clone();
     let total = 55u64;
     for k in 0..total {
-        send_app_data(
-            &mut ess.sim,
-            server,
-            &server_sh,
+        ess.send_app_data(
+            1,
             MacAddr::station(0),
             format!("chunk-{k:03}").into_bytes(),
             SimTime::from_millis(2500 + k * 1000),
@@ -62,7 +55,7 @@ fn main() {
     }
     ess.sim.run_until(SimTime::from_secs(80));
 
-    let sh = ess.sta_shared[0].lock().expect("shared state lock");
+    let sh = ess.sta(0);
     println!("\nassociation history:");
     for (t, bssid) in &sh.assoc_events {
         println!("  {t} -> {bssid}");
@@ -77,7 +70,7 @@ fn main() {
         "DS now maps the laptop to AP id {:?}",
         ess.ds
             .lock()
-            .expect("shared state lock")
+            .expect("DS lock")
             .serving_ap(MacAddr::station(0))
     );
 

@@ -7,7 +7,7 @@ use wireless_networks::core::registry::comparison_table;
 use wireless_networks::core::scenarios::wlan_saturation_mbps;
 use wireless_networks::mac80211::addr::MacAddr;
 use wireless_networks::mac80211::sim::MacConfig;
-use wireless_networks::net80211::builder::{send_app_data, EssBuilder};
+use wireless_networks::net80211::builder::EssBuilder;
 use wireless_networks::net80211::ssid::Ssid;
 use wireless_networks::net80211::sta::StaState;
 use wireless_networks::phy::geom::Point;
@@ -27,8 +27,8 @@ fn main() {
 
     // Let scanning, authentication and association complete.
     net.sim.run_until(SimTime::from_secs(2));
-    for (i, sh) in net.sta_shared.iter().enumerate() {
-        let sh = sh.lock().expect("shared state lock");
+    for i in 0..net.sta_ids.len() {
+        let sh = net.sta(i);
         println!(
             "station {i}: state={:?} bssid={:?} aid={} (beacons heard: {})",
             sh.state, sh.bssid, sh.aid, sh.beacons_heard
@@ -37,21 +37,14 @@ fn main() {
     }
 
     // 2. The laptop sends the desktop a message — relayed by the AP.
-    let laptop = net.sta_ids[0];
-    let handle = net.sta_shared[0].clone();
-    send_app_data(
-        &mut net.sim,
-        laptop,
-        &handle,
+    net.send_app_data(
+        0,
         MacAddr::station(1),
         b"hello across the BSS".to_vec(),
         SimTime::from_millis(2100),
     );
     net.sim.run_until(SimTime::from_secs(3));
-    let delivered = &net.sta_shared[1]
-        .lock()
-        .expect("shared state lock")
-        .delivered;
+    let delivered = &net.sta(1).delivered;
     println!(
         "\ndesktop received {} message(s): {:?}",
         delivered.len(),
@@ -64,13 +57,7 @@ fn main() {
             ))
             .collect::<Vec<_>>()
     );
-    println!(
-        "AP bridged {} frame(s) locally",
-        net.ap_shared[0]
-            .lock()
-            .expect("shared state lock")
-            .bridged_local
-    );
+    println!("AP bridged {} frame(s) locally", net.ap(0).bridged_local);
 
     // 3. Saturation throughput of the cell (the MAC-efficiency story).
     let mbps = wlan_saturation_mbps(PhyStandard::Dot11g, 4, false, 42);

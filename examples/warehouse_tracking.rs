@@ -9,7 +9,7 @@
 use wireless_networks::core::traffic::{telemetry, Flow};
 use wireless_networks::mac80211::addr::MacAddr;
 use wireless_networks::mac80211::sim::{boot, MacConfig, NullUpper, WlanWorld};
-use wireless_networks::net80211::builder::{schedule_random_waypoint, send_app_data, EssBuilder};
+use wireless_networks::net80211::builder::{schedule_random_waypoint, EssBuilder};
 use wireless_networks::net80211::ssid::Ssid;
 use wireless_networks::phy::geom::Point;
 use wireless_networks::phy::modulation::PhyStandard;
@@ -81,21 +81,17 @@ fn main() {
         SimTime::from_secs(120),
     );
     // Dispatch pings the forklift once a second throughout.
-    let dispatch = ess.sta_ids[1];
-    let dsh = ess.sta_shared[1].clone();
     let pings = 115u64;
     for k in 0..pings {
-        send_app_data(
-            &mut ess.sim,
-            dispatch,
-            &dsh,
+        ess.send_app_data(
+            1,
             MacAddr::station(0),
             format!("pick-order-{k}").into_bytes(),
             SimTime::from_millis(2500 + k * 1000),
         );
     }
     ess.sim.run_until(SimTime::from_secs(125));
-    let sh = ess.sta_shared[0].lock().expect("shared state lock");
+    let sh = ess.sta(0);
     println!(
         "forklift: {} pick orders of {} received while wandering; association history:",
         sh.delivered.len(),

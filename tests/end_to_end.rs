@@ -5,7 +5,7 @@ use wireless_networks::core::registry::Technology;
 use wireless_networks::core::taxonomy::NetworkClass;
 use wireless_networks::mac80211::addr::MacAddr;
 use wireless_networks::mac80211::sim::MacConfig;
-use wireless_networks::net80211::builder::{send_app_data, EssBuilder, IbssBuilder};
+use wireless_networks::net80211::builder::{EssBuilder, IbssBuilder};
 use wireless_networks::net80211::ssid::Ssid;
 use wireless_networks::net80211::sta::StaState;
 use wireless_networks::phy::geom::Point;
@@ -38,10 +38,7 @@ fn wpa2_protected_payload_over_the_air() {
         .sta(Point::new(-6.0, 0.0))
         .build();
     ess.sim.run_until(SimTime::from_secs(2));
-    assert_eq!(
-        ess.sta_shared[0].lock().expect("shared state lock").state,
-        StaState::Associated
-    );
+    assert_eq!(ess.sta(0).state, StaState::Associated);
 
     // STA0 encrypts for STA1 with the session TK and ships ciphertext.
     let mut tx = CcmpSession::new(ptk.tk, spa);
@@ -50,24 +47,11 @@ fn wpa2_protected_payload_over_the_air() {
     let mut wire = pkt.pn.to_be_bytes().to_vec();
     wire.extend_from_slice(&pkt.ciphertext);
 
-    let sta0 = ess.sta_ids[0];
-    let sh0 = ess.sta_shared[0].clone();
-    send_app_data(
-        &mut ess.sim,
-        sta0,
-        &sh0,
-        MacAddr::station(1),
-        wire,
-        SimTime::from_millis(2100),
-    );
+    ess.send_app_data(0, MacAddr::station(1), wire, SimTime::from_millis(2100));
     ess.sim.run_until(SimTime::from_secs(3));
 
     // STA1 receives the ciphertext through the AP and decrypts.
-    let delivered = ess.sta_shared[1]
-        .lock()
-        .expect("shared state lock")
-        .delivered
-        .clone();
+    let delivered = ess.sta(1).delivered.clone();
     assert_eq!(delivered.len(), 1);
     let body = &delivered[0].2;
     let pn = u64::from_be_bytes(body[..8].try_into().unwrap());
@@ -112,8 +96,6 @@ fn tkip_protected_payload_over_the_air() {
     ess.sim.run_until(SimTime::from_secs(2));
 
     // Two protected payloads cross the network.
-    let sta0 = ess.sta_ids[0];
-    let sh0 = ess.sta_shared[0].clone();
     for (k, msg) in [b"first secret".as_slice(), b"second secret".as_slice()]
         .iter()
         .enumerate()
@@ -121,10 +103,8 @@ fn tkip_protected_payload_over_the_air() {
         let pkt = tx.encrypt(&da, &spa, msg).expect("countermeasures off");
         let mut wire = pkt.tsc.to_be_bytes().to_vec();
         wire.extend_from_slice(&pkt.ciphertext);
-        send_app_data(
-            &mut ess.sim,
-            sta0,
-            &sh0,
+        ess.send_app_data(
+            0,
             MacAddr::station(1),
             wire,
             SimTime::from_millis(2100 + k as u64 * 50),
@@ -132,11 +112,7 @@ fn tkip_protected_payload_over_the_air() {
     }
     ess.sim.run_until(SimTime::from_secs(3));
 
-    let delivered = ess.sta_shared[1]
-        .lock()
-        .expect("shared state lock")
-        .delivered
-        .clone();
+    let delivered = ess.sta(1).delivered.clone();
     assert_eq!(delivered.len(), 2);
     let mut plain = Vec::new();
     let mut packets = Vec::new();
@@ -166,25 +142,14 @@ fn both_architectures_carry_traffic() {
         .node(Point::new(0.0, 0.0))
         .node(Point::new(15.0, 0.0))
         .build();
-    let n0 = ibss.ids[0];
-    let s0 = ibss.shared[0].clone();
-    wireless_networks::net80211::builder::ibss_send(
-        &mut ibss.sim,
-        n0,
-        &s0,
+    ibss.send(
+        0,
         MacAddr::station(1),
         b"adhoc".to_vec(),
         SimTime::from_millis(5),
     );
     ibss.sim.run_until(SimTime::from_secs(1));
-    assert_eq!(
-        ibss.shared[1]
-            .lock()
-            .expect("shared state lock")
-            .delivered
-            .len(),
-        1
-    );
+    assert_eq!(ibss.node(1).delivered.len(), 1);
 
     let ssid = Ssid::new("Infra").unwrap();
     let mut ess = EssBuilder::new(mac, ssid)
@@ -193,25 +158,14 @@ fn both_architectures_carry_traffic() {
         .sta(Point::new(15.0, 0.0))
         .build();
     ess.sim.run_until(SimTime::from_secs(2));
-    let sta0 = ess.sta_ids[0];
-    let sh0 = ess.sta_shared[0].clone();
-    send_app_data(
-        &mut ess.sim,
-        sta0,
-        &sh0,
+    ess.send_app_data(
+        0,
         MacAddr::station(1),
         b"infra".to_vec(),
         SimTime::from_millis(2100),
     );
     ess.sim.run_until(SimTime::from_secs(3));
-    assert_eq!(
-        ess.sta_shared[1]
-            .lock()
-            .expect("shared state lock")
-            .delivered
-            .len(),
-        1
-    );
+    assert_eq!(ess.sta(1).delivered.len(), 1);
     assert!(
         ess.sim.world().stats(ess.ap_ids[0]).tx_frames > 0,
         "the AP relayed"
@@ -235,17 +189,14 @@ fn portal_injection_reaches_wireless_sta() {
         .sta(Point::new(7.0, 0.0))
         .build();
     ess.sim.run_until(SimTime::from_secs(2));
-    assert_eq!(
-        ess.sta_shared[0].lock().expect("shared state lock").state,
-        StaState::Associated
-    );
+    assert_eq!(ess.sta(0).state, StaState::Associated);
 
     // A wired host pushes a frame into the distribution system.
     let wired_host = MacAddr([0x00, 0x50, 0x56, 0x01, 0x02, 0x03]);
     let target_ap = ess
         .ds
         .lock()
-        .expect("shared state lock")
+        .expect("DS lock")
         .inject_from_portal(DsFrame {
             da: MacAddr::station(0),
             sa: wired_host,
@@ -263,11 +214,7 @@ fn portal_injection_reaches_wireless_sta() {
     );
     ess.sim.run_until(SimTime::from_secs(3));
 
-    let delivered = ess.sta_shared[0]
-        .lock()
-        .expect("shared state lock")
-        .delivered
-        .clone();
+    let delivered = ess.sta(0).delivered.clone();
     assert_eq!(delivered.len(), 1);
     assert_eq!(delivered[0].1, wired_host, "SA preserved end to end");
     assert_eq!(delivered[0].2, b"web page bytes");
@@ -305,29 +252,23 @@ fn whole_stack_deterministic() {
             .sta(Point::new(-10.0, 0.0))
             .build();
         ess.sim.run_until(SimTime::from_secs(2));
-        let sta0 = ess.sta_ids[0];
-        let sh0 = ess.sta_shared[0].clone();
         for k in 0..10 {
-            send_app_data(
-                &mut ess.sim,
-                sta0,
-                &sh0,
+            ess.send_app_data(
+                0,
                 MacAddr::station(1),
                 vec![k as u8; 200],
                 SimTime::from_millis(2000 + k * 17),
             );
         }
         ess.sim.run_until(SimTime::from_secs(4));
-        let deliveries: Vec<(u64, Vec<u8>)> = ess.sta_shared[1]
-            .lock()
-            .expect("shared state lock")
+        let deliveries: Vec<(u64, Vec<u8>)> = ess
+            .sta(1)
             .delivered
             .iter()
             .map(|(t, _, b)| (t.as_nanos(), b.clone()))
             .collect();
-        let assoc: Vec<u64> = ess.sta_shared[0]
-            .lock()
-            .expect("shared state lock")
+        let assoc: Vec<u64> = ess
+            .sta(0)
             .assoc_events
             .iter()
             .map(|(t, _)| t.as_nanos())
