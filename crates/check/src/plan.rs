@@ -8,10 +8,12 @@
 //! evidence that the neighborhood never omits a coupled pair. Tests
 //! and the `fuzz --propagation-diff` planning leg compare the two.
 //!
-//! The comparison holds for bounded models (every world the scenario
-//! builders make). Under a model without a distance floor the
-//! production planner deliberately unions whole channel classes, a
-//! coarser but still sound partition.
+//! The comparison holds at every range for bounded models (every world
+//! the scenario builders make). Under a model without a distance floor
+//! the production planner plans at an unbounded range whatever range
+//! it is given — every spectrally overlapping pair couples, a coarser
+//! but still sound partition — so its plan equals the reference's at
+//! `None`.
 
 use std::collections::BTreeMap;
 

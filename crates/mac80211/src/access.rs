@@ -19,7 +19,8 @@
 use std::collections::VecDeque;
 use std::ops::Range;
 
-use super::{AccessCategory, AmpduFlight, MacConfig, MacEvent, Msdu, StationId, WlanWorld};
+use super::qos::AmpduFlight;
+use super::{AccessCategory, MacConfig, MacEvent, Msdu, StationId, WlanWorld};
 use wn_sim::trace::{Level, TraceEvent};
 use wn_sim::{Scheduler, SimDuration, SimTime};
 

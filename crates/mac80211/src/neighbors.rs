@@ -1,4 +1,7 @@
-//! Propagation neighbor cache and event-fan-out wait-list structures.
+//! Propagation neighbor cache and event-fan-out wait-list structures,
+//! and the world's propagation glue: received power, the lazily built
+//! cache and its spatial grid, and the mobility patch
+//! ([`WlanWorld::set_position`]) that keeps both in step with positions.
 //!
 //! The DCF hot path in [`crate::sim`] used to pay O(n) per
 //! transmission three times over: a link-budget evaluation for every
@@ -44,8 +47,12 @@
 
 use std::sync::Arc;
 
-use crate::sim::StationId;
+use crate::grid::SpatialGrid;
+use crate::sim::{StationId, WlanWorld};
+use wn_phy::geom::Point;
+use wn_phy::medium::coupled_rx_power;
 use wn_phy::units::Dbm;
+use wn_sim::SimTime;
 
 /// One transmitter's received-power row, as snapshotted by an
 /// in-flight transmission record.
@@ -469,6 +476,223 @@ impl IdBitSet {
                 w &= w - 1;
             }
         }
+    }
+}
+
+impl WlanWorld {
+    /// The link-budget received power from `src` at `dst` at `now`.
+    pub(crate) fn rx_power_at(&self, src: StationId, dst: StationId, now: SimTime) -> Dbm {
+        let a = &self.stations[src];
+        let b = &self.stations[dst];
+        let loss = self.loss.loss(a.pos, b.pos, self.budget.frequency, now);
+        coupled_rx_power(&a.radio, &b.radio, loss)
+    }
+
+    /// Drops the neighbor cache and its backing grid together (they
+    /// are built as a unit and must die as one).
+    pub(crate) fn invalidate_neighbors(&mut self) {
+        self.neighbors.clear();
+        self.grid = None;
+    }
+
+    /// The maximum distance at which any pair of this world's radios
+    /// can meet the carrier-sense threshold, probed radially against
+    /// the loss model's distance floor (exponential search for the
+    /// first inaudible distance, then bisection — the same shape as
+    /// `LinkBudget::max_range_for_rate`). Uses the worst-case coupling
+    /// over the radios actually present: the strongest EIRP paired
+    /// with the highest receive gain, so the bound holds for every
+    /// pair. The real loss never undercuts the floor, so no pair is
+    /// audible beyond the reach. `None` when the model has no floor
+    /// (time-varying or unbounded), the world is empty, or the reach
+    /// exceeds the probe horizon.
+    pub fn audible_reach_m(&self, _now: SimTime) -> Option<f64> {
+        let floor = self.loss.floor()?;
+        if self.stations.is_empty() {
+            return None;
+        }
+        let mut eirp = f64::NEG_INFINITY;
+        let mut rx_gain = f64::NEG_INFINITY;
+        for s in &self.stations {
+            eirp = eirp.max(s.radio.tx_power.value() + s.radio.tx_gain.value());
+            rx_gain = rx_gain.max(s.radio.rx_gain.value());
+        }
+        let max_loss = eirp + rx_gain - self.config().cs_threshold.value();
+        let loss_at = |d: f64| floor.loss(d, self.budget.frequency).value();
+        // Propagation models clamp below 1 m, and the grid clamps its
+        // cell edge to 1 m anyway.
+        if loss_at(1.0) > max_loss {
+            return Some(1.0);
+        }
+        const HORIZON_M: f64 = 1.0e7;
+        let mut hi = 2.0;
+        while loss_at(hi) <= max_loss {
+            hi *= 2.0;
+            if hi > HORIZON_M {
+                return None;
+            }
+        }
+        let mut lo = hi / 2.0;
+        for _ in 0..64 {
+            let mid = 0.5 * (lo + hi);
+            if loss_at(mid) <= max_loss {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        // The upper bisection bound: strictly inaudible, so every
+        // audible pair is strictly inside one cell edge.
+        Some(hi)
+    }
+
+    /// A distance at and beyond which no pair is audible: the audible
+    /// reach, or infinite when the reach is past the probe horizon.
+    /// As a grid cell edge it makes a 27-cell neighborhood cover every
+    /// audible pair (one all-covering cell when infinite). `None` when
+    /// the model has no distance floor — no distance then bounds
+    /// audibility.
+    pub(crate) fn audible_bound_m(&self, now: SimTime) -> Option<f64> {
+        self.loss.floor()?;
+        Some(self.audible_reach_m(now).unwrap_or(f64::INFINITY))
+    }
+
+    /// Builds the sparse neighbor rows and their grid if they are not
+    /// current (otherwise they are built lazily at the first
+    /// transmission). Returns whether the cached path is live: false
+    /// under a model without a distance floor, which the world
+    /// evaluates directly instead.
+    fn ensure_neighbors(&mut self, now: SimTime) -> bool {
+        if self.grid.is_some() {
+            return true;
+        }
+        let Some(cell) = self.audible_bound_m(now) else {
+            return false;
+        };
+        let grid = SpatialGrid::build(cell, self.stations.iter().map(|s| s.pos));
+        let mut cache = std::mem::take(&mut self.neighbors);
+        cache.build(
+            self.stations.len(),
+            |a, b| self.rx_power_at(a, b, now),
+            |src, out| grid.neighborhood_into(grid.cell_of(src), out),
+        );
+        self.neighbors = cache;
+        self.grid = Some(grid);
+        true
+    }
+
+    /// Forces the lazy neighbor-cache build now; no-op under a model
+    /// the world evaluates directly. Test/bench hook.
+    pub fn prime_neighbor_cache(&mut self, now: SimTime) {
+        self.ensure_neighbors(now);
+    }
+
+    /// `(sparse, stored pair entries)` of the built neighbor cache —
+    /// `None` before the lazy build and under direct evaluation. Rows
+    /// are always sparse (the flag stays for callers that read it);
+    /// they store only grid neighborhoods, and this is the hook the
+    /// storage-factor claims and the flagship grid-coherence test read.
+    pub fn neighbor_cache_stats(&self) -> Option<(bool, usize)> {
+        self.grid
+            .as_ref()
+            .map(|_| (true, self.neighbors.stored_entries()))
+    }
+
+    /// Compares every cached (src, dst) power and audibility entry
+    /// against a fresh link-budget evaluation at `now`; `None` means
+    /// coherent (trivially so before the cache is built). The oracle
+    /// behind the mobility-invalidation property test.
+    pub fn neighbor_cache_incoherence(
+        &self,
+        now: SimTime,
+    ) -> Option<(StationId, StationId, Dbm, Dbm)> {
+        self.neighbors
+            .find_incoherence(self.config().cs_threshold, |a, b| {
+                self.rx_power_at(a, b, now)
+            })
+    }
+
+    /// Grid/world coherence for the `grid-coherence` fuzz oracle:
+    /// the spatial grid's structural invariants against the current
+    /// positions, plus the sparse rows' stored-vs-fresh check — which
+    /// includes the grid-soundness claim that every omitted pair is
+    /// below the carrier-sense floor. Empty when coherent, or when no
+    /// grid is active (directly evaluated worlds have nothing
+    /// grid-shaped to contradict).
+    pub fn grid_incoherence(&self, now: SimTime) -> Vec<String> {
+        let mut out = Vec::new();
+        let Some(grid) = &self.grid else {
+            return out;
+        };
+        if let Some(e) = grid.find_incoherence(|id| self.stations[id].pos) {
+            out.push(format!("grid structure: {e}"));
+        }
+        if let Some((src, dst, cached, fresh)) = self.neighbor_cache_incoherence(now) {
+            out.push(format!(
+                "sparse row {src}->{dst}: cached {cached:?}, fresh {fresh:?}"
+            ));
+        }
+        out
+    }
+
+    /// Moves a station (the
+    /// [`MacEvent::SetPosition`](crate::sim::MacEvent::SetPosition)
+    /// handler, exposed for mobility models driving the world
+    /// directly). With a live
+    /// grid the patch is O(k): the mover's cell membership updates,
+    /// its sparse row rebuilds over the *new* neighborhood, and only
+    /// the rows of stations entering or leaving that neighborhood are
+    /// touched — stations two cells away never were and never become
+    /// audible, so their rows are correct untouched.
+    pub fn set_position(&mut self, station: StationId, pos: Point, now: SimTime) {
+        self.stations[station].pos = pos;
+        let Some(mut grid) = self.grid.take() else {
+            return;
+        };
+        // Rows snapshotted by in-flight records keep their start-time
+        // values (copy-on-write).
+        let mut cache = std::mem::take(&mut self.neighbors);
+        let mut old_hood = std::mem::take(&mut self.hood_scratch);
+        old_hood.clear();
+        grid.neighborhood_into(grid.cell_of(station), &mut old_hood);
+        grid.move_station(station, pos);
+        let mut new_hood = Vec::new();
+        grid.neighborhood_into(grid.cell_of(station), &mut new_hood);
+        // Stations in the old neighborhood but not the new one fell
+        // out of audible reach on both sides of the pair.
+        let stale: Vec<StationId> = old_hood
+            .iter()
+            .copied()
+            .filter(|id| new_hood.binary_search(id).is_err())
+            .collect();
+        cache.patch_station(
+            station,
+            |a, b| self.rx_power_at(a, b, now),
+            &new_hood,
+            &stale,
+        );
+        self.hood_scratch = old_hood;
+        self.grid = Some(grid);
+        self.neighbors = cache;
+    }
+
+    /// Start-time received powers for a transmission from `id`: the
+    /// cached sparse row under a bounded static model, a fresh O(n)
+    /// evaluation otherwise.
+    pub(crate) fn tx_powers(&mut self, id: StationId, now: SimTime) -> RxRow {
+        if self.ensure_neighbors(now) {
+            return self.neighbors.row(id);
+        }
+        let row = (0..self.stations.len())
+            .map(|r| {
+                if r == id {
+                    Dbm(f64::INFINITY)
+                } else {
+                    self.rx_power_at(id, r, now)
+                }
+            })
+            .collect();
+        RxRow::Direct(Arc::new(row))
     }
 }
 

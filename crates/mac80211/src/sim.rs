@@ -21,13 +21,30 @@
 //! Higher layers (association, beacons, the distribution system — the
 //! `wn-net80211` crate) plug in through the [`UpperLayer`] trait and
 //! drive the MAC with [`Command`]s.
+//!
+//! This file holds the world, its configuration and events, queueing
+//! and the transmit path. Four child modules work on the same private
+//! state:
+//!
+//! - `access.rs` — the DCF/EDCA channel-access engine;
+//! - `reception.rs` — the end of a transmission: SINR decisions,
+//!   delivery, ACK/CTS handling, retries and response timeouts;
+//! - `qos.rs` — the 802.11e A-MPDU exchange and its block ack;
+//! - `source.rs` — injections and periodic traffic sources.
+//!
+//! The propagation glue (received power, the neighbor cache and its
+//! spatial grid, mobility) is in [`crate::neighbors`], and the shard
+//! planner in [`crate::shard`].
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 
 #[path = "access.rs"]
 mod access;
+#[path = "qos.rs"]
+mod qos;
+#[path = "reception.rs"]
+mod reception;
 #[path = "source.rs"]
 mod source;
 
@@ -35,18 +52,18 @@ use crate::addr::MacAddr;
 use crate::arena::{FrameArena, FrameId};
 use crate::arf::{Arf, ArfParams};
 use crate::dedup::DedupCache;
-use crate::duration::{ack_airtime, airtime, cts_airtime, data_duration, rts_duration};
+use crate::duration::{airtime, data_duration, rts_duration};
 use crate::frame::{Frame, FrameType, SequenceControl, SequenceCounter, Subtype};
-use crate::grid::{CellKey, SpatialGrid};
+use crate::grid::SpatialGrid;
 use crate::loss::LossModel;
 use crate::neighbors::{AudibleSet, IdBitSet, NeighborCache, RxRow};
 use access::TxQueues;
 pub use source::{add_source, inject_at, qos_inject_at, Source};
 use wn_phy::geom::Point;
-use wn_phy::medium::{coupled_rx_power, LinkBudget, Radio};
-use wn_phy::modulation::{PhyStandard, RateStep, SETTLE_BAND};
+use wn_phy::medium::{LinkBudget, Radio};
+use wn_phy::modulation::{PhyStandard, RateStep};
 use wn_phy::propagation::LogDistance;
-use wn_phy::units::{Db, Dbm};
+use wn_phy::units::Dbm;
 use wn_sim::metrics::{MetricsRegistry, MetricsSnapshot};
 use wn_sim::stats::{Histogram, Summary, TimeWeighted};
 use wn_sim::trace::{DropReason, FrameKind, Level, Trace, TraceEvent};
@@ -516,36 +533,6 @@ enum Expecting {
     BlockAck,
 }
 
-/// One MPDU riding (or waiting to re-ride) an A-MPDU aggregate.
-struct AmpduMpdu {
-    msdu: Msdu,
-    seq: u16,
-    retries: u32,
-}
-
-/// The in-flight A-MPDU attempt of one access category: the MPDUs not
-/// yet block-acked, plus the cached aggregate wire frame.
-struct AmpduFlight {
-    mpdus: Vec<AmpduMpdu>,
-    rate: RateStep,
-    /// Starting sequence number — the first (lowest) MPDU's seq; the
-    /// block-ack bitmap is relative to it.
-    ssn: u16,
-    /// Cached aggregate wire frame (one arena reference), rebuilt when
-    /// the MPDU set changes (partial block ack trims it).
-    built: Option<FrameId>,
-}
-
-/// How an in-flight A-MPDU was answered.
-enum BaResult {
-    /// A block ack arrived with this SSN and bitmap.
-    Ba(u16, u64),
-    /// The block-ack timeout fired; nothing was acked.
-    Timeout,
-    /// Group-addressed aggregate: complete everything, no response.
-    Broadcast,
-}
-
 /// A scheduled SIFS response (ACK/CTS) or follow-on fragment.
 enum PendingTx {
     Control(Frame),
@@ -553,10 +540,10 @@ enum PendingTx {
     DataAfterCts,
 }
 
-struct Station {
+pub(crate) struct Station {
     addr: MacAddr,
-    pos: Point,
-    radio: Radio,
+    pub(crate) pos: Point,
+    pub(crate) radio: Radio,
     power_mgmt: bool,
     upper: Option<Box<dyn UpperLayer>>,
     /// The legacy exchange in progress (the DCF queue's head MSDU).
@@ -739,31 +726,6 @@ pub enum MacEvent {
     },
 }
 
-/// The candidate pairs of one distance-bounded shard scan, built by
-/// `WlanWorld::candidate_pairs`: every pair `(i, j)`, `i < j`, whose
-/// channels spectrally overlap and whose grid cells are adjacent — a
-/// superset of the coupled pairs.
-struct CandidatePairs {
-    /// Station → its `(cell, channel)` group.
-    group_of: Vec<u32>,
-    /// Group `g`'s neighborhood is
-    /// `hood_ids[hood_start[g]..hood_start[g + 1]]`, ascending.
-    hood_start: Vec<usize>,
-    hood_ids: Vec<StationId>,
-    /// The audible reach (infinite past the probe horizon): no pair
-    /// this far apart is audible.
-    reach: f64,
-}
-
-impl CandidatePairs {
-    /// Station `i`'s candidates `j > i`, ascending.
-    fn after(&self, i: StationId) -> &[StationId] {
-        let g = self.group_of[i] as usize;
-        let hood = &self.hood_ids[self.hood_start[g]..self.hood_start[g + 1]];
-        &hood[hood.partition_point(|&j| j <= i)..]
-    }
-}
-
 /// How the reception loop settled its PER decisions (see
 /// [`WlanWorld::per_decisions`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -780,11 +742,11 @@ pub struct WlanWorld {
     /// Per-station ARF controllers clone this template — a refcount
     /// bump on the shared rate ladder instead of a rebuild per station.
     arf_template: Arf,
-    budget: LinkBudget,
+    pub(crate) budget: LinkBudget,
     /// The propagation description; its floor decides between the
     /// cached grid path and direct evaluation.
-    loss: LossModel,
-    stations: Vec<Station>,
+    pub(crate) loss: LossModel,
+    pub(crate) stations: Vec<Station>,
     /// Per-station DCF state, flattened column-wise ([`DcfState`]).
     dcf: DcfState,
     /// Per-queue backoff state, MSDU queues and A-MPDU flights, with
@@ -804,14 +766,14 @@ pub struct WlanWorld {
     sources: Vec<Source>,
     /// Sparse pairwise rx-power / audibility rows (built lazily at
     /// the first transmission under a bounded static loss model).
-    neighbors: NeighborCache,
+    pub(crate) neighbors: NeighborCache,
     /// The spatial hash grid keying the sparse rows; alive exactly
     /// while they are built, kept in sync with station positions by
     /// [`set_position`](Self::set_position).
-    grid: Option<SpatialGrid>,
+    pub(crate) grid: Option<SpatialGrid>,
     /// Reused scratch for grid neighborhood queries during mobility
     /// patches.
-    hood_scratch: Vec<StationId>,
+    pub(crate) hood_scratch: Vec<StationId>,
     /// Contender wait-list: stations with an armed backoff whose
     /// access timer is not running — the only ones an idle edge can
     /// affect.
@@ -1063,6 +1025,11 @@ impl WlanWorld {
         self.dcf.channel[id] = channel;
     }
 
+    /// Every station's channel, indexed by [`StationId`].
+    pub(crate) fn channels(&self) -> &[u8] {
+        &self.dcf.channel
+    }
+
     /// Number of stations.
     pub fn station_count(&self) -> usize {
         self.stations.len()
@@ -1233,517 +1200,9 @@ impl WlanWorld {
 
     // ----- internals -----
 
-    fn rx_power_at(&self, src: StationId, dst: StationId, now: SimTime) -> Dbm {
-        let a = &self.stations[src];
-        let b = &self.stations[dst];
-        let loss = self.loss.loss(a.pos, b.pos, self.budget.frequency, now);
-        coupled_rx_power(&a.radio, &b.radio, loss)
-    }
-
-    /// Drops the neighbor cache and its backing grid together (they
-    /// are built as a unit and must die as one).
-    fn invalidate_neighbors(&mut self) {
-        self.neighbors.clear();
-        self.grid = None;
-    }
-
-    /// The maximum distance at which any pair of this world's radios
-    /// can meet the carrier-sense threshold, probed radially against
-    /// the loss model's distance floor (exponential search for the
-    /// first inaudible distance, then bisection — the same shape as
-    /// `LinkBudget::max_range_for_rate`). Uses the worst-case coupling
-    /// over the radios actually present: the strongest EIRP paired
-    /// with the highest receive gain, so the bound holds for every
-    /// pair. The real loss never undercuts the floor, so no pair is
-    /// audible beyond the reach. `None` when the model has no floor
-    /// (time-varying or unbounded), the world is empty, or the reach
-    /// exceeds the probe horizon.
-    pub fn audible_reach_m(&self, _now: SimTime) -> Option<f64> {
-        let floor = self.loss.floor()?;
-        if self.stations.is_empty() {
-            return None;
-        }
-        let mut eirp = f64::NEG_INFINITY;
-        let mut rx_gain = f64::NEG_INFINITY;
-        for s in &self.stations {
-            eirp = eirp.max(s.radio.tx_power.value() + s.radio.tx_gain.value());
-            rx_gain = rx_gain.max(s.radio.rx_gain.value());
-        }
-        let max_loss = eirp + rx_gain - self.cfg.cs_threshold.value();
-        let loss_at = |d: f64| floor.loss(d, self.budget.frequency).value();
-        // Propagation models clamp below 1 m, and the grid clamps its
-        // cell edge to 1 m anyway.
-        if loss_at(1.0) > max_loss {
-            return Some(1.0);
-        }
-        const HORIZON_M: f64 = 1.0e7;
-        let mut hi = 2.0;
-        while loss_at(hi) <= max_loss {
-            hi *= 2.0;
-            if hi > HORIZON_M {
-                return None;
-            }
-        }
-        let mut lo = hi / 2.0;
-        for _ in 0..64 {
-            let mid = 0.5 * (lo + hi);
-            if loss_at(mid) <= max_loss {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        // The upper bisection bound: strictly inaudible, so every
-        // audible pair is strictly inside one cell edge.
-        Some(hi)
-    }
-
-    /// The grid cell edge that makes a 27-cell neighborhood cover
-    /// every audible pair: the audible reach, and a single
-    /// all-covering cell when the reach is past the probe horizon.
-    /// `None` when the model has no distance floor — no distance then
-    /// bounds audibility.
-    fn grid_cell_m(&self, now: SimTime) -> Option<f64> {
-        self.loss.floor()?;
-        Some(self.audible_reach_m(now).unwrap_or(f64::INFINITY))
-    }
-
-    /// Builds the sparse neighbor rows and their grid if they are not
-    /// current (otherwise they are built lazily at the first
-    /// transmission). Returns whether the cached path is live: false
-    /// under a model without a distance floor, which the world
-    /// evaluates directly instead.
-    fn ensure_neighbors(&mut self, now: SimTime) -> bool {
-        if self.grid.is_some() {
-            return true;
-        }
-        let Some(cell) = self.grid_cell_m(now) else {
-            return false;
-        };
-        let grid = SpatialGrid::build(cell, self.stations.iter().map(|s| s.pos));
-        let mut cache = std::mem::take(&mut self.neighbors);
-        cache.build(
-            self.stations.len(),
-            |a, b| self.rx_power_at(a, b, now),
-            |src, out| grid.neighborhood_into(grid.cell_of(src), out),
-        );
-        self.neighbors = cache;
-        self.grid = Some(grid);
-        true
-    }
-
-    /// Forces the lazy neighbor-cache build now; no-op under a model
-    /// the world evaluates directly. Test/bench hook.
-    pub fn prime_neighbor_cache(&mut self, now: SimTime) {
-        self.ensure_neighbors(now);
-    }
-
-    /// `(sparse, stored pair entries)` of the built neighbor cache —
-    /// `None` before the lazy build and under direct evaluation. Rows
-    /// are always sparse (the flag stays for callers that read it);
-    /// they store only grid neighborhoods, and this is the hook the
-    /// storage-factor claims and the flagship grid-coherence test read.
-    pub fn neighbor_cache_stats(&self) -> Option<(bool, usize)> {
-        self.grid
-            .as_ref()
-            .map(|_| (true, self.neighbors.stored_entries()))
-    }
-
-    /// Compares every cached (src, dst) power and audibility entry
-    /// against a fresh link-budget evaluation at `now`; `None` means
-    /// coherent (trivially so before the cache is built). The oracle
-    /// behind the mobility-invalidation property test.
-    pub fn neighbor_cache_incoherence(
-        &self,
-        now: SimTime,
-    ) -> Option<(StationId, StationId, Dbm, Dbm)> {
-        self.neighbors
-            .find_incoherence(self.cfg.cs_threshold, |a, b| self.rx_power_at(a, b, now))
-    }
-
-    /// Grid/world coherence for the `grid-coherence` fuzz oracle:
-    /// the spatial grid's structural invariants against the current
-    /// positions, plus the sparse rows' stored-vs-fresh check — which
-    /// includes the grid-soundness claim that every omitted pair is
-    /// below the carrier-sense floor. Empty when coherent, or when no
-    /// grid is active (directly evaluated worlds have nothing
-    /// grid-shaped to contradict).
-    pub fn grid_incoherence(&self, now: SimTime) -> Vec<String> {
-        let mut out = Vec::new();
-        let Some(grid) = &self.grid else {
-            return out;
-        };
-        if let Some(e) = grid.find_incoherence(|id| self.stations[id].pos) {
-            out.push(format!("grid structure: {e}"));
-        }
-        if let Some((src, dst, cached, fresh)) = self.neighbor_cache_incoherence(now) {
-            out.push(format!(
-                "sparse row {src}->{dst}: cached {cached:?}, fresh {fresh:?}"
-            ));
-        }
-        out
-    }
-
-    /// Moves a station (the [`MacEvent::SetPosition`] handler, exposed
-    /// for mobility models driving the world directly). With a live
-    /// grid the patch is O(k): the mover's cell membership updates,
-    /// its sparse row rebuilds over the *new* neighborhood, and only
-    /// the rows of stations entering or leaving that neighborhood are
-    /// touched — stations two cells away never were and never become
-    /// audible, so their rows are correct untouched.
-    pub fn set_position(&mut self, station: StationId, pos: Point, now: SimTime) {
-        self.stations[station].pos = pos;
-        let Some(mut grid) = self.grid.take() else {
-            return;
-        };
-        // Rows snapshotted by in-flight records keep their start-time
-        // values (copy-on-write).
-        let mut cache = std::mem::take(&mut self.neighbors);
-        let mut old_hood = std::mem::take(&mut self.hood_scratch);
-        old_hood.clear();
-        grid.neighborhood_into(grid.cell_of(station), &mut old_hood);
-        grid.move_station(station, pos);
-        let mut new_hood = Vec::new();
-        grid.neighborhood_into(grid.cell_of(station), &mut new_hood);
-        // Stations in the old neighborhood but not the new one fell
-        // out of audible reach on both sides of the pair.
-        let stale: Vec<StationId> = old_hood
-            .iter()
-            .copied()
-            .filter(|id| new_hood.binary_search(id).is_err())
-            .collect();
-        cache.patch_station(
-            station,
-            |a, b| self.rx_power_at(a, b, now),
-            &new_hood,
-            &stale,
-        );
-        self.hood_scratch = old_hood;
-        self.grid = Some(grid);
-        self.neighbors = cache;
-    }
-
-    /// Computes the interference-shard partition of the current
-    /// deployment (DESIGN.md §15): the connected components of the
-    /// conflict graph that couples two stations when their channels
-    /// spectrally overlap **and** they are within
-    /// `max_interference_range_m` of each other or audible in either
-    /// direction per the propagation model. Stations in different
-    /// components can never exchange MAC-observable energy, so each
-    /// component can advance as an independent world.
-    ///
-    /// `None` for the range couples every overlapping-channel pair
-    /// regardless of distance unless neither direction is audible —
-    /// the most conservative co-channel split.
-    ///
-    /// The scan is O(n·k): stations pair only against the
-    /// spectrally overlapping part of their 27-cell grid neighborhood
-    /// (`CandidatePairs`), with the cell edge at `max(range, audible
-    /// reach)` so any omitted pair is uncoupled by construction. An
-    /// infinite range collapses to channel-class unions (distance is
-    /// irrelevant there), and so does a model without a distance
-    /// floor, where no distance bounds audibility — a conservative
-    /// plan that never splits a coupled pair.
-    pub fn shard_plan(
-        &self,
-        now: SimTime,
-        max_interference_range_m: Option<f64>,
-    ) -> crate::shard::ShardPlan {
-        let n = self.stations.len();
-        let range = max_interference_range_m.unwrap_or(f64::INFINITY);
-        let mut parent: Vec<usize> = (0..n).collect();
-        let Some(pairs) = self.candidate_pairs(now, range) else {
-            // Every spectrally overlapping pair couples, so the
-            // components are unions of channel classes, O(n + C²)
-            // with no geometry at all.
-            let mut first_on: HashMap<u8, usize> = HashMap::new();
-            let mut channels: Vec<u8> = Vec::new();
-            for i in 0..n {
-                let ch = self.dcf.channel[i];
-                match first_on.get(&ch) {
-                    Some(&rep) => Self::uf_union(&mut parent, rep, i),
-                    None => {
-                        first_on.insert(ch, i);
-                        channels.push(ch);
-                    }
-                }
-            }
-            channels.sort_unstable();
-            for (ai, &ca) in channels.iter().enumerate() {
-                for &cb in &channels[ai + 1..] {
-                    if Self::channel_overlap(ca, cb) > 0.0 {
-                        Self::uf_union(&mut parent, first_on[&ca], first_on[&cb]);
-                    }
-                }
-            }
-            return self.shard_plan_finish(parent, range);
-        };
-        for i in 0..n {
-            for &j in pairs.after(i) {
-                if Self::uf_find(&mut parent, i) != Self::uf_find(&mut parent, j)
-                    && self.coupled_within(i, j, range, pairs.reach, now)
-                {
-                    Self::uf_union(&mut parent, i, j);
-                }
-            }
-        }
-        self.shard_plan_finish(parent, range)
-    }
-
-    /// The candidate-pair scan behind [`shard_plan`](Self::shard_plan)
-    /// and [`shard_plan_incoherence`](Self::shard_plan_incoherence)
-    /// for a finite `range`. `None` when no distance bounds coupling:
-    /// an infinite range, or a model without a distance floor.
-    ///
-    /// Coupled ⇒ within the cell edge `max(range, reach)` ⇒ cell
-    /// indices differ by at most one per axis ⇒ the 27-cell
-    /// neighborhood enumerates every coupled pair. Stations sharing a
-    /// cell and a channel share that neighborhood, so it is built once
-    /// per `(cell, channel)` group and holds only the stations whose
-    /// channel spectrally overlaps the group's.
-    fn candidate_pairs(&self, now: SimTime, range: f64) -> Option<CandidatePairs> {
-        if !range.is_finite() {
-            return None;
-        }
-        self.loss.floor()?;
-        let reach = self.audible_reach_m(now).unwrap_or(f64::INFINITY);
-        let grid = SpatialGrid::build(range.max(reach), self.stations.iter().map(|s| s.pos));
-        let channel = &self.dcf.channel;
-        let mut group_ids: HashMap<(CellKey, u8), u32> = HashMap::new();
-        let mut pairs = CandidatePairs {
-            group_of: Vec::with_capacity(channel.len()),
-            hood_start: vec![0],
-            hood_ids: Vec::new(),
-            reach,
-        };
-        for (i, &ch) in channel.iter().enumerate() {
-            let key = grid.cell_of(i);
-            let next = (pairs.hood_start.len() - 1) as u32;
-            let g = *group_ids.entry((key, ch)).or_insert_with(|| {
-                let start = pairs.hood_ids.len();
-                for members in grid.neighborhood_cells(key) {
-                    pairs.hood_ids.extend(
-                        members
-                            .iter()
-                            .filter(|&&j| Self::channel_overlap(ch, channel[j]) > 0.0),
-                    );
-                }
-                pairs.hood_ids[start..].sort_unstable();
-                pairs.hood_start.push(pairs.hood_ids.len());
-                next
-            });
-            pairs.group_of.push(g);
-        }
-        Some(pairs)
-    }
-
-    /// Union-find with path halving; roots are always the smallest
-    /// member seen so far, but the canonical numbering in
-    /// [`shard_plan_finish`](Self::shard_plan_finish) does not depend
-    /// on it.
-    fn uf_find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        x
-    }
-
-    fn uf_union(parent: &mut [usize], a: usize, b: usize) {
-        let (ra, rb) = (Self::uf_find(parent, a), Self::uf_find(parent, b));
-        if ra != rb {
-            parent[ra.max(rb)] = ra.min(rb);
-        }
-    }
-
-    /// The shard-coupling predicate for one pair: spectral overlap,
-    /// and within `range` metres or audible in either direction.
-    /// Public so brute-force reference planners can ask it of every
-    /// pair; it is `coupled_within` with no
-    /// distance known to silence the pair.
-    pub fn shard_coupled(&self, i: StationId, j: StationId, range: f64, now: SimTime) -> bool {
-        self.coupled_within(i, j, range, f64::INFINITY, now)
-    }
-
-    /// The one coupling predicate every planning and validation scan
-    /// asks. `reach` is a distance at and beyond which no pair is
-    /// audible ([`audible_reach_m`](Self::audible_reach_m): its loss
-    /// floor already exceeds the strongest coupling), so a pair that
-    /// far apart is settled by `range` alone, without evaluating the
-    /// link budget.
-    fn coupled_within(
-        &self,
-        i: StationId,
-        j: StationId,
-        range: f64,
-        reach: f64,
-        now: SimTime,
-    ) -> bool {
-        if Self::channel_overlap(self.dcf.channel[i], self.dcf.channel[j]) <= 0.0 {
-            return false;
-        }
-        let d = self.stations[i].pos.distance_to(self.stations[j].pos);
-        d <= range
-            || (d < reach
-                && (self.audible_at(self.rx_power_at(i, j, now))
-                    || self.audible_at(self.rx_power_at(j, i, now))))
-    }
-
-    /// Renumbers a union-find forest into the canonical plan:
-    /// components in first-occurrence order (each shard's index is
-    /// determined by its smallest member id, so the partition is a
-    /// pure function of the deployment).
-    fn shard_plan_finish(&self, mut parent: Vec<usize>, range: f64) -> crate::shard::ShardPlan {
-        let n = parent.len();
-        let mut shard_of = vec![usize::MAX; n];
-        let mut shards: Vec<Vec<StationId>> = Vec::new();
-        let mut root_shard: HashMap<usize, usize> = HashMap::new();
-        for (i, slot) in shard_of.iter_mut().enumerate() {
-            let r = Self::uf_find(&mut parent, i);
-            let s = *root_shard.entry(r).or_insert_with(|| {
-                shards.push(Vec::new());
-                shards.len() - 1
-            });
-            *slot = s;
-            shards[s].push(i);
-        }
-        crate::shard::ShardPlan {
-            shard_of,
-            shards,
-            max_interference_range_m: range,
-        }
-    }
-
-    /// Re-validates a [`ShardPlan`](crate::shard::ShardPlan) against
-    /// the world's *current* state: station count unchanged and no
-    /// coupled pair straddling shards. `None` means coherent. The
-    /// check behind the `shard-coherence` oracle — mobility patches
-    /// move stations after the plan is computed, and a stale plan must
-    /// be caught, not trusted.
-    ///
-    /// Coupling is distance-bounded by the grid cell edge
-    /// [`shard_plan`](Self::shard_plan) uses, so the same
-    /// `CandidatePairs` scan enumerates every pair that could
-    /// straddle shards while coupled, station-major with `j`
-    /// ascending: the witness is the lexicographically smallest
-    /// straddling coupled pair, as an exhaustive scan would report
-    /// it. An infinite range needs no geometry: any
-    /// spectral overlap couples, so violations reduce to channel
-    /// classes straddling shards. A model without a distance floor is
-    /// checked the same conservative way, matching its plans.
-    pub fn shard_plan_incoherence(
-        &self,
-        plan: &crate::shard::ShardPlan,
-        now: SimTime,
-    ) -> Option<crate::shard::ShardIncoherence> {
-        use crate::shard::ShardIncoherence;
-        use std::collections::BTreeMap;
-        if plan.shard_of.len() != self.stations.len() {
-            return Some(ShardIncoherence::StationCountChanged {
-                planned: plan.shard_of.len(),
-                actual: self.stations.len(),
-            });
-        }
-        let n = self.stations.len();
-        let range = plan.max_interference_range_m;
-        let Some(pairs) = self.candidate_pairs(now, range) else {
-            // BTreeMaps keep the scan — and the reported witness pair
-            // — deterministic.
-            let mut classes: BTreeMap<u8, BTreeMap<usize, StationId>> = BTreeMap::new();
-            for i in 0..n {
-                classes
-                    .entry(self.dcf.channel[i])
-                    .or_default()
-                    .entry(plan.shard_of[i])
-                    .or_insert(i);
-            }
-            let chans: Vec<u8> = classes.keys().copied().collect();
-            for (ai, &ca) in chans.iter().enumerate() {
-                for &cb in &chans[ai..] {
-                    if Self::channel_overlap(ca, cb) <= 0.0 {
-                        continue;
-                    }
-                    let witness = if ca == cb {
-                        let mut it = classes[&ca].values();
-                        it.next().copied().zip(it.next().copied())
-                    } else {
-                        classes[&ca].iter().find_map(|(&sa, &a)| {
-                            classes[&cb]
-                                .iter()
-                                .find(|&(&sb, _)| sb != sa)
-                                .map(|(_, &b)| (a, b))
-                        })
-                    };
-                    if let Some((a, b)) = witness {
-                        let (a, b) = (a.min(b), a.max(b));
-                        return Some(ShardIncoherence::CoupledAcrossShards {
-                            a,
-                            b,
-                            dist_m: self.stations[a].pos.distance_to(self.stations[b].pos),
-                        });
-                    }
-                }
-            }
-            return None;
-        };
-        for i in 0..n {
-            for &j in pairs.after(i) {
-                if plan.shard_of[i] != plan.shard_of[j]
-                    && self.coupled_within(i, j, range, pairs.reach, now)
-                {
-                    return Some(ShardIncoherence::CoupledAcrossShards {
-                        a: i,
-                        b: j,
-                        dist_m: self.stations[i].pos.distance_to(self.stations[j].pos),
-                    });
-                }
-            }
-        }
-        None
-    }
-
-    /// Start-time received powers for a transmission from `id`: the
-    /// cached sparse row under a bounded static model, a fresh O(n)
-    /// evaluation otherwise.
-    fn tx_powers(&mut self, id: StationId, now: SimTime) -> RxRow {
-        if self.ensure_neighbors(now) {
-            return self.neighbors.row(id);
-        }
-        let row = (0..self.stations.len())
-            .map(|r| {
-                if r == id {
-                    Dbm(f64::INFINITY)
-                } else {
-                    self.rx_power_at(id, r, now)
-                }
-            })
-            .collect();
-        RxRow::Direct(Arc::new(row))
-    }
-
-    fn audible_at(&self, power: Dbm) -> bool {
+    /// Whether `power` meets the carrier-sense threshold.
+    pub(crate) fn audible_at(&self, power: Dbm) -> bool {
         power.value() >= self.cfg.cs_threshold.value()
-    }
-
-    /// The exact reception probability: SINR in dB over `noise` plus
-    /// `intf_mw` of interference (none when zero), through the PER
-    /// model. The two-term dB↔mW round trip is byte-for-byte
-    /// `sum_powers(&[noise, from_mw(intf)])` with the noise conversion
-    /// hoisted to `noise_mw`.
-    fn reception_prob(
-        rate: RateStep,
-        power: Dbm,
-        noise: Dbm,
-        noise_mw: f64,
-        intf_mw: f64,
-        bits: u64,
-    ) -> f64 {
-        let denom = if intf_mw == 0.0 {
-            noise
-        } else {
-            Dbm::from_milliwatts(noise_mw + Dbm::from_milliwatts(intf_mw).to_milliwatts())
-        };
-        rate.success_prob((power - denom).value(), bits)
     }
 
     /// Spectral overlap between two 2.4 GHz channels (1.0 co-channel,
@@ -2146,14 +1605,17 @@ impl WlanWorld {
             }
         };
         self.start_transmission(id, frame, rate, now, sched);
-        // The response timeout is armed when our transmission *ends*
-        // (handled in TxEnd for the source); remember what we expect.
-        if let Some(e) = expect {
+        self.expect_response(id, expect);
+    }
+
+    /// Remembers the response a transmission just started solicits,
+    /// under a fresh timer generation; its timeout is armed when the
+    /// transmission ends (`continue_after_own_tx`).
+    fn expect_response(&mut self, id: StationId, expect: Option<Expecting>) {
+        self.dcf.expecting[id] = expect.map(|e| {
             self.dcf.timer_gen[id] += 1;
-            self.dcf.expecting[id] = Some((e, self.dcf.timer_gen[id]));
-        } else {
-            self.dcf.expecting[id] = None;
-        }
+            (e, self.dcf.timer_gen[id])
+        });
     }
 
     fn schedule_sifs(&mut self, id: StationId, action: PendingTx, sched: &mut Scheduler<MacEvent>) {
@@ -2161,987 +1623,6 @@ impl WlanWorld {
         let gen = self.dcf.timer_gen[id];
         self.stations[id].pending = Some((action, gen));
         sched.schedule_in(self.sifs, MacEvent::SifsAction { station: id, gen });
-    }
-
-    fn handle_tx_end(&mut self, tx_id: u64, now: SimTime, sched: &mut Scheduler<MacEvent>) {
-        // Records are pushed with ascending ids and retired in place, so
-        // the lookup can bisect instead of scanning.
-        let Ok(idx) = self.records.binary_search_by_key(&tx_id, |r| r.id) else {
-            return;
-        };
-        self.records[idx].done = true;
-        let src = self.records[idx].src;
-        let channel = self.records[idx].channel;
-        let frame_id = self.records[idx].frame;
-        let rate = self.records[idx].rate;
-        self.dcf.transmitting[src] = None;
-        let (subtype, is_group, wire_bits) = {
-            let f = self.frames.get(frame_id);
-            (
-                f.fc.subtype,
-                f.receiver().is_group(),
-                f.wire_len() as u64 * 8,
-            )
-        };
-
-        // Decide reception — only at the stations the start-time row
-        // puts at or above CS. Everyone else had raw power below the CS
-        // threshold, was never put on an audible set, and would fall
-        // straight through the `!audible_at && !was_audible` skip below
-        // with no side effect.
-        let mut decoded = std::mem::take(&mut self.decoded_scratch);
-        decoded.clear();
-        // Only records overlapping this frame in time can trip the
-        // half-duplex or interference checks — pre-filter them once
-        // instead of rescanning every retained record for every
-        // station (O(records·n) → O(records + n·concurrent)). Indices
-        // stay ascending so the linear-domain interference sum keeps
-        // its float accumulation order.
-        let (rec_start, rec_end) = (self.records[idx].start, self.records[idx].end);
-        let mut overlapping = std::mem::take(&mut self.overlap_scratch);
-        overlapping.clear();
-        overlapping.extend(
-            (0..self.records.len())
-                .filter(|&o| self.records[o].start < rec_end && self.records[o].end > rec_start),
-        );
-        let rx_power = self.records[idx].rx_power.clone();
-        // Half-duplex sources among the overlapping records, collected
-        // once into a bitset so the per-receiver check is O(1) instead
-        // of a rescan of the overlap list.
-        let mut tx_srcs = std::mem::take(&mut self.txsrc_scratch);
-        tx_srcs.clear();
-        for &o in &overlapping {
-            tx_srcs.insert(self.records[o].src);
-        }
-        // The noise floor is a pure function of the link budget; one
-        // evaluation per frame serves every receiver bit-identically —
-        // as does its milliwatt image, hoisted here so the SINR loop
-        // below pays one `powf` fewer per candidate.
-        let noise = self.budget.noise_floor();
-        let noise_mw = noise.to_milliwatts();
-        // Interference sums, precomputed column-wise. Every receiver
-        // that reaches the SINR decision shares the same interferer
-        // set — the overlapping records minus the completing frame;
-        // the per-receiver `src == r` exclusion is vacuous because
-        // those receivers already failed the half-duplex check. So one
-        // pass per record accumulates its milliwatt row into a single
-        // per-station vector, in the same ascending record order (and
-        // therefore the same float rounding) as a per-receiver scalar
-        // sum. Records that carry a cached milliwatt row contribute a
-        // straight slice add; the rest convert dB→mW per entry exactly
-        // as the scalar path always did.
-        let n = self.stations.len();
-        let mut intf_acc = std::mem::take(&mut self.intf_scratch);
-        intf_acc.clear();
-        let mut intf_count = 0usize;
-        for &o in &overlapping {
-            let rec_o = &self.records[o];
-            if rec_o.id == tx_id {
-                continue;
-            }
-            let ov = Self::channel_overlap(rec_o.channel, channel);
-            if ov <= 0.0 {
-                continue;
-            }
-            if intf_count == 0 {
-                // Zero the accumulator lazily: the common uncontended
-                // frame has no interferers and skips the O(n) clear.
-                intf_acc.resize(n, 0.0);
-            }
-            intf_count += 1;
-            if ov >= 1.0 {
-                rec_o.rx_power.accumulate_mw(&mut intf_acc);
-            } else {
-                // Same per-entry expression as `leaked_power` followed
-                // by `to_milliwatts`; the dB shift is a pure function
-                // of the overlap, hoisted out of the row loop.
-                let shift = 10.0 * ov.log10();
-                rec_o.rx_power.accumulate_shifted_mw(shift, &mut intf_acc);
-            }
-        }
-        // The SINR cutoffs for this frame's rate and length, as linear
-        // power ratios: at or below `lin_lo` it decodes with
-        // probability ≤ 2⁻¹⁰, at or above `lin_hi` with probability
-        // ≥ 1 − 2⁻¹⁰ (`RateStep::settle_cutoffs_db`).
-        let (s_lo, s_hi) = rate.settle_cutoffs_db(wire_bits);
-        let (lin_lo, lin_hi) = (Db(s_lo).to_linear(), Db(s_hi).to_linear());
-        for (r, power, power_mw) in rx_power.audible(src, self.cfg.cs_threshold) {
-            let was_audible = self.dcf.audible[r].remove(tx_id);
-            if !self.dcf.awake[r] || self.dcf.channel[r] != channel {
-                continue;
-            }
-            if !self.audible_at(power) && !was_audible {
-                continue;
-            }
-            // Half-duplex: a station that transmitted during any part
-            // of the frame cannot receive it.
-            if tx_srcs.contains(r) {
-                self.stations[r].stats.rx_errors += 1;
-                continue;
-            }
-            let success = if !self.cfg.capture && intf_count > 0 {
-                false
-            } else {
-                // A receiver outside every interferer's sparse row sums
-                // to zero and gets the noise-only denominator.
-                let intf_mw = if intf_count == 0 { 0.0 } else { intf_acc[r] };
-                // Draw first: `chance(p)` is `f64() < p`, so `p` only
-                // matters when the draw lands within 2⁻¹⁰ of 0 or 1 or
-                // the linear SINR falls between the cutoffs.
-                let u = self.rng.f64();
-                let denom_mw = noise_mw + intf_mw;
-                let settled = if power_mw <= lin_lo * denom_mw && u >= SETTLE_BAND {
-                    Some(false)
-                } else if power_mw >= lin_hi * denom_mw && u < 1.0 - SETTLE_BAND {
-                    Some(true)
-                } else {
-                    None
-                };
-                let exact =
-                    || u < Self::reception_prob(rate, power, noise, noise_mw, intf_mw, wire_bits);
-                match settled {
-                    Some(ok) => {
-                        self.per_decisions.settled += 1;
-                        debug_assert_eq!(ok, exact(), "SINR bound disagrees at station {r}");
-                        ok
-                    }
-                    None => {
-                        self.per_decisions.exact += 1;
-                        exact()
-                    }
-                }
-            };
-            if success {
-                decoded.push((r, power));
-            } else {
-                self.stations[r].stats.rx_errors += 1;
-            }
-        }
-        self.txsrc_scratch = tx_srcs;
-        self.intf_scratch = intf_acc;
-        self.overlap_scratch = overlapping;
-
-        // Source-side continuation: arm response timeout or complete.
-        self.continue_after_own_tx(src, subtype, is_group, now, sched);
-
-        // Receiver-side processing. The wire frame is checked out of
-        // its slot for the duration — delivery needs `&Frame` alongside
-        // arbitrary `&mut` world mutation, and every receiver shares
-        // the same wire image. Nothing below can release the record's
-        // reference (retirement runs at the end of this function), so the
-        // slot stays allocated throughout.
-        if !decoded.is_empty() {
-            let frame = self.frames.take(frame_id);
-            for &(r, power) in &decoded {
-                self.process_decoded(r, &frame, power, now, sched);
-            }
-            self.frames.restore(frame_id, frame);
-        }
-        self.decoded_scratch = decoded;
-
-        // Idle edges: resume frozen access procedures. Only contenders
-        // (a queue holds backoff slots, timer not counting) can react;
-        // the wait-list yields them in the ascending order the old
-        // full-table scan visited them in. Stations whose timer is
-        // already counting were no-ops in that scan, and they are
-        // exactly the ones the wait-list omits.
-        let mut scratch = std::mem::take(&mut self.rearm_scratch);
-        scratch.clear();
-        self.contenders.collect_into(&mut scratch);
-        for &r in &scratch {
-            if self.medium_idle(r, now) {
-                self.try_arm_access(r, now, sched);
-            }
-        }
-        self.rearm_scratch = scratch;
-
-        // Retire every finished record no live frame can overlap,
-        // returning its frame reference to the arena. Records are
-        // pushed in start order, so the first one still on the air is
-        // the oldest; a frame completing later started at or after it
-        // (or after `now`), and overlap needs `end > start`.
-        let cutoff = self
-            .records
-            .iter()
-            .find(|rec| !rec.done)
-            .map_or(now, |rec| rec.start);
-        let frames = &mut self.frames;
-        self.records.retain(|rec| {
-            let keep = !rec.done || rec.end > cutoff;
-            if !keep {
-                frames.release(rec.frame);
-            }
-            keep
-        });
-    }
-
-    fn continue_after_own_tx(
-        &mut self,
-        src: StationId,
-        subtype: Subtype,
-        is_group: bool,
-        now: SimTime,
-        sched: &mut Scheduler<MacEvent>,
-    ) {
-        match subtype {
-            Subtype::Ack | Subtype::Cts | Subtype::BlockAck | Subtype::BlockAckReq => {
-                // Control responses need no follow-up from us.
-            }
-            Subtype::QosData => {
-                if is_group {
-                    // Group-addressed aggregate: no block ack comes.
-                    self.qos_resolve_flight(src, BaResult::Broadcast, now, sched);
-                } else if let Some((Expecting::BlockAck, gen)) = self.dcf.expecting[src] {
-                    let resp_air = crate::duration::block_ack_airtime(self.cfg.standard);
-                    let timeout = self.sifs + resp_air + self.slot * 2;
-                    sched.schedule_in(timeout, MacEvent::ResponseTimeout { station: src, gen });
-                }
-            }
-            _ => {
-                if self.stations[src].current.is_some() {
-                    if is_group {
-                        // Broadcast: complete immediately, no ACK.
-                        self.complete_attempt(src, true, now, sched);
-                    } else if let Some((exp, gen)) = self.dcf.expecting[src] {
-                        // Arm the CTS/ACK timeout.
-                        let resp_air = match exp {
-                            Expecting::Cts => cts_airtime(self.cfg.standard),
-                            Expecting::Ack => ack_airtime(self.cfg.standard),
-                            Expecting::BlockAck => {
-                                crate::duration::block_ack_airtime(self.cfg.standard)
-                            }
-                        };
-                        let timeout = self.sifs + resp_air + self.slot * 2;
-                        sched.schedule_in(timeout, MacEvent::ResponseTimeout { station: src, gen });
-                    }
-                }
-            }
-        }
-    }
-
-    fn process_decoded(
-        &mut self,
-        r: StationId,
-        frame: &Frame,
-        rssi: Dbm,
-        now: SimTime,
-        sched: &mut Scheduler<MacEvent>,
-    ) {
-        let my_addr = self.stations[r].addr;
-        let for_me = frame.receiver() == my_addr || frame.receiver().is_group();
-        if !for_me {
-            // Virtual carrier sense: honour the Duration field (§4.2).
-            if frame.duration_id & 0x8000 == 0 && frame.duration_id > 0 {
-                let nav = now + SimDuration::from_micros(frame.duration_id as u64);
-                if nav > self.dcf.nav_until[r] {
-                    self.dcf.nav_until[r] = nav;
-                    self.trace.event(
-                        now,
-                        Level::Debug,
-                        "mac",
-                        TraceEvent::Nav {
-                            station: r as u32,
-                            until_us: nav.as_nanos() / 1_000,
-                        },
-                    );
-                    self.freeze_access(r, now);
-                    sched.schedule_at(nav, MacEvent::NavExpired { station: r });
-                }
-            }
-            return;
-        }
-        match frame.fc.subtype {
-            Subtype::Ack => self.on_ack(r, now, sched),
-            Subtype::Cts => self.on_cts(r, now, sched),
-            Subtype::QosData => self.on_qos_data(r, frame, rssi, now, sched),
-            Subtype::BlockAck => self.on_block_ack(r, frame, now, sched),
-            Subtype::BlockAckReq => {
-                // This model uses implicit block-ack requests — the
-                // aggregate itself solicits the BA (DESIGN.md §16); an
-                // explicit BAR on the air is codec-exercised only.
-            }
-            Subtype::Rts => {
-                // Respond with CTS after SIFS if our NAV permits.
-                if self.dcf.nav_until[r] <= now {
-                    let std = self.cfg.standard;
-                    let cts = Frame::cts(
-                        frame.transmitter().expect("RTS carries TA"),
-                        crate::duration::cts_duration(std, frame.duration_id),
-                    );
-                    self.schedule_sifs(r, PendingTx::Control(cts), sched);
-                }
-            }
-            Subtype::PsPoll => {
-                self.stations[r].stats.rx_accepted += 1;
-                self.with_upper(r, now, sched, |u, ctx| u.on_frame(ctx, frame, rssi));
-            }
-            _ => {
-                // Data / management.
-                let unicast = !frame.receiver().is_group();
-                if unicast {
-                    // ACK after SIFS — even for duplicates (the original
-                    // ACK may be the thing that got lost).
-                    let ack = Frame::ack(frame.transmitter().expect("data carries TA"));
-                    self.schedule_sifs(r, PendingTx::Control(ack), sched);
-                }
-                let tx = frame.transmitter().expect("data carries TA");
-                let seq = frame.seq.expect("data carries sequence control");
-                if unicast && self.stations[r].dedup.check(tx, seq, frame.fc.retry) {
-                    self.stations[r].stats.rx_duplicates += 1;
-                    return;
-                }
-                // Fragment reassembly (§4.2 More Fragments).
-                if frame.fc.more_fragments || seq.fragment > 0 {
-                    let key = (tx, seq.sequence);
-                    let buf = self.stations[r].reassembly.entry(key).or_default();
-                    buf.extend_from_slice(&frame.body);
-                    if frame.fc.more_fragments {
-                        return;
-                    }
-                    let full = self.stations[r].reassembly.remove(&key).unwrap_or_default();
-                    // Rare path: reassembly builds its own buffer and
-                    // hands it over as the rebuilt body.
-                    let mut complete = frame.clone();
-                    complete.body = full.into();
-                    complete.fc.more_fragments = false;
-                    self.deliver(r, &complete, rssi, now, sched);
-                } else {
-                    self.deliver(r, frame, rssi, now, sched);
-                }
-            }
-        }
-    }
-
-    fn deliver(
-        &mut self,
-        r: StationId,
-        frame: &Frame,
-        rssi: Dbm,
-        now: SimTime,
-        sched: &mut Scheduler<MacEvent>,
-    ) {
-        let s = &mut self.stations[r];
-        s.stats.rx_accepted += 1;
-        s.stats.rx_payload_bytes += frame.body.len() as u64;
-        self.trace.event(
-            now,
-            Level::Debug,
-            "mac",
-            TraceEvent::Rx {
-                station: r as u32,
-                kind: frame_kind(frame.fc.subtype),
-                len: frame.body.len() as u32,
-                rssi_dbm: rssi.value(),
-            },
-        );
-        self.with_upper(r, now, sched, |u, ctx| u.on_frame(ctx, frame, rssi));
-    }
-
-    fn on_ack(&mut self, id: StationId, now: SimTime, sched: &mut Scheduler<MacEvent>) {
-        let Some((Expecting::Ack, _)) = self.dcf.expecting[id] else {
-            return;
-        };
-        self.dcf.expecting[id] = None;
-        self.dcf.timer_gen[id] += 1; // Cancel the timeout.
-        let peer = self.stations[id]
-            .current
-            .as_ref()
-            .map(|a| self.frames.get(a.msdu.frame).receiver());
-        if let Some(p) = peer {
-            self.stations[id].arf.on_success(p);
-        }
-        let more = {
-            let at = self.stations[id]
-                .current
-                .as_mut()
-                .expect("ACK implies attempt");
-            at.frag_ranges.pop_front();
-            at.short_retries = 0;
-            at.long_retries = 0;
-            at.is_retry = false;
-            if let Some(b) = at.built.take() {
-                // The acknowledged fragment's wire frame is done; only
-                // the in-flight record still references it.
-                self.frames.release(b);
-            }
-            if !at.frag_ranges.is_empty() {
-                at.frag_number += 1;
-                true
-            } else {
-                false
-            }
-        };
-        if more {
-            // Continue the burst SIFS-spaced without re-contending.
-            self.schedule_sifs(id, PendingTx::NextFragment, sched);
-        } else {
-            self.complete_attempt(id, true, now, sched);
-        }
-    }
-
-    fn on_cts(&mut self, id: StationId, now: SimTime, sched: &mut Scheduler<MacEvent>) {
-        let _ = now;
-        let Some((Expecting::Cts, _)) = self.dcf.expecting[id] else {
-            return;
-        };
-        self.dcf.expecting[id] = None;
-        self.dcf.timer_gen[id] += 1;
-        if let Some(at) = self.stations[id].current.as_mut() {
-            at.cts_received = true;
-        }
-        self.schedule_sifs(id, PendingTx::DataAfterCts, sched);
-    }
-
-    fn complete_attempt(
-        &mut self,
-        id: StationId,
-        success: bool,
-        now: SimTime,
-        sched: &mut Scheduler<MacEvent>,
-    ) {
-        let Some(at) = self.stations[id].current.take() else {
-            return;
-        };
-        self.dcf.expecting[id] = None;
-        self.queues.reset_cw(id, 0);
-        if success {
-            let s = &mut self.stations[id];
-            s.stats.tx_completions += 1;
-            let delay_us = now
-                .saturating_duration_since(at.msdu.enqueued)
-                .as_micros_f64();
-            s.stats.access_delay_us.record(delay_us);
-            self.access_delay_hist.record(delay_us as u64);
-        } else {
-            self.stations[id].stats.tx_failures += 1;
-        }
-        // Hand the upper layer the MSDU as it queued it: moved out of
-        // the arena, its body whole and the More Fragments bit clear —
-        // fragmentation is a MAC transfer detail, finished either way
-        // by now.
-        let mut frame = self.frames.unwrap_or_clone(at.msdu.frame);
-        frame.fc.more_fragments = false;
-        if let Some(b) = at.built {
-            // A failed attempt can still hold a cached wire frame.
-            self.frames.release(b);
-        }
-        self.trace.event(
-            now,
-            Level::Debug,
-            "mac",
-            TraceEvent::TxOutcome {
-                station: id as u32,
-                ok: success,
-            },
-        );
-        if !success {
-            self.trace.event(
-                now,
-                Level::Warn,
-                "mac",
-                TraceEvent::Drop {
-                    station: id as u32,
-                    kind: frame_kind(frame.fc.subtype),
-                    reason: DropReason::RetryLimit,
-                },
-            );
-        }
-        self.with_upper(id, now, sched, |u, ctx| {
-            u.on_tx_result(ctx, &frame, success)
-        });
-        // Post-transmission backoff, then next MSDU.
-        self.maybe_start_next(id, now, sched);
-    }
-
-    fn handle_response_timeout(
-        &mut self,
-        id: StationId,
-        gen: u64,
-        now: SimTime,
-        sched: &mut Scheduler<MacEvent>,
-    ) {
-        let Some((exp, g)) = self.dcf.expecting[id] else {
-            return;
-        };
-        if g != gen {
-            return;
-        }
-        if exp == Expecting::BlockAck {
-            // The block ack never came: every MPDU of the aggregate
-            // missed this round.
-            self.dcf.expecting[id] = None;
-            self.qos_resolve_flight(id, BaResult::Timeout, now, sched);
-            return;
-        }
-        self.dcf.expecting[id] = None;
-
-        let peer = self.stations[id]
-            .current
-            .as_ref()
-            .map(|a| self.frames.get(a.msdu.frame).receiver());
-        if let Some(p) = peer {
-            self.stations[id].arf.on_failure(p);
-        }
-        let overrun = u32::from(self.cfg.failpoint_retry_overrun);
-        let cfg_short = self.cfg.retry_limit_short + overrun;
-        let cfg_long = self.cfg.retry_limit_long + overrun;
-        let (exceeded, short, long) = {
-            let Some(at) = self.stations[id].current.as_mut() else {
-                return;
-            };
-            if !at.is_retry {
-                // The retry bit flips into the wire image; release the
-                // cached frame so the next transmit rebuilds it. Later
-                // retries of the same fragment reuse that rebuild.
-                at.is_retry = true;
-                if let Some(b) = at.built.take() {
-                    self.frames.release(b);
-                }
-            }
-            let exceeded = match exp {
-                Expecting::Cts => {
-                    at.short_retries += 1;
-                    at.cts_received = false;
-                    at.short_retries > cfg_short
-                }
-                Expecting::Ack => {
-                    if at.use_rts {
-                        at.long_retries += 1;
-                        at.cts_received = false;
-                        at.long_retries > cfg_long
-                    } else {
-                        at.short_retries += 1;
-                        at.short_retries > cfg_short
-                    }
-                }
-                Expecting::BlockAck => unreachable!("handled by qos_resolve_flight above"),
-            };
-            (exceeded, at.short_retries, at.long_retries)
-        };
-        if exceeded {
-            self.complete_attempt(id, false, now, sched);
-        } else {
-            self.stations[id].stats.retries += 1;
-            self.trace.event(
-                now,
-                Level::Debug,
-                "mac",
-                TraceEvent::Retry {
-                    station: id as u32,
-                    short,
-                    long,
-                },
-            );
-            // Double the contention window and re-contend (BEB).
-            self.queues.widen_cw(id, 0);
-            self.begin_access(id, 0, now, sched);
-        }
-    }
-
-    fn handle_sifs_action(
-        &mut self,
-        id: StationId,
-        gen: u64,
-        now: SimTime,
-        sched: &mut Scheduler<MacEvent>,
-    ) {
-        let Some((action, g)) = self.stations[id].pending.take() else {
-            return;
-        };
-        if g != gen {
-            return;
-        }
-        if self.dcf.transmitting[id].is_some() {
-            return; // Half-duplex guard.
-        }
-        match action {
-            PendingTx::Control(frame) => {
-                let rate = self.cfg.standard.base_rate();
-                let fid = self.frames.insert(frame);
-                self.start_transmission(id, fid, rate, now, sched);
-            }
-            PendingTx::NextFragment | PendingTx::DataAfterCts => {
-                self.transmit_current(id, now, sched);
-            }
-        }
-    }
-
-    // ----- A-MPDU exchange (802.11e; DESIGN.md §16) -----
-    //
-    // On an EDCA world each station's four access-category queues
-    // contend in the shared access engine (`access.rs`). A winning
-    // queue does not build a legacy `Attempt`: it sends an A-MPDU
-    // flight (its head-of-line run of MSDUs to one receiver) and waits
-    // for a compressed block ack. The station's `tx_ac` names the queue
-    // whose flight is on the air. Legacy worlds never reach this code.
-
-    /// Builds a fresh [`AmpduFlight`] for one AC from its queue head:
-    /// a same-receiver run of MSDUs capped by the aggregation limits,
-    /// the AC's TXOP budget and the 64-wide block-ack window.
-    fn edca_build_flight(&mut self, id: StationId, aci: usize, now: SimTime) -> bool {
-        let std = self.cfg.standard;
-        let max_bytes = self.cfg.ampdu_max_bytes;
-        let txop_us = self.queues.params[aci].txop_us;
-        let k = self.queues.index(id, aci);
-        let (peer, head_wire) = {
-            let Some(head) = self.queues.msdus[k].front() else {
-                return false;
-            };
-            let f = self.frames.get(head.frame);
-            (
-                f.receiver(),
-                f.header_len() + f.body.len() + 4 + crate::duration::AMPDU_DELIMITER_LEN,
-            )
-        };
-        let rate = if peer.is_group() {
-            std.base_rate()
-        } else {
-            self.stations[id].arf.current_rate(peer)
-        };
-        let budget = crate::duration::txop_mpdu_budget(std, rate, txop_us, head_wire);
-        let n_cap = self.cfg.ampdu_max_mpdus.clamp(1, 64).min(budget);
-        let mut mpdus: Vec<AmpduMpdu> = Vec::new();
-        let mut bytes = 0usize;
-        while mpdus.len() < n_cap {
-            let take = self.queues.msdus[k].front().is_some_and(|m| {
-                let f = self.frames.get(m.frame);
-                f.receiver() == peer && (mpdus.is_empty() || bytes + f.body.len() <= max_bytes)
-            });
-            if !take {
-                break;
-            }
-            let m = self.queues.msdus[k].pop_front().expect("peeked above");
-            bytes += self.frames.get(m.frame).body.len();
-            self.queue_gauge.add(now, -1.0);
-            let seq = self.stations[id].seq.next();
-            mpdus.push(AmpduMpdu {
-                msdu: m,
-                seq,
-                retries: 0,
-            });
-        }
-        if mpdus.is_empty() {
-            return false;
-        }
-        let ssn = mpdus[0].seq;
-        self.queues.flights[k] = Some(AmpduFlight {
-            mpdus,
-            rate,
-            ssn,
-            built: None,
-        });
-        true
-    }
-
-    /// Puts the AC's aggregate on the air and arms the block-ack wait.
-    fn edca_transmit(
-        &mut self,
-        id: StationId,
-        aci: usize,
-        now: SimTime,
-        sched: &mut Scheduler<MacEvent>,
-    ) {
-        let k = self.queues.index(id, aci);
-        let have_flight = self.queues.flights[k].is_some() || self.edca_build_flight(id, aci, now);
-        if !have_flight {
-            return; // Queue drained underneath the access win.
-        }
-        let std = self.cfg.standard;
-        // Build (or reuse after a lost BA) the aggregate wire frame:
-        // one QosData whose body is a [seq, len, payload] run.
-        let (fid, rate, ssn, bits) = {
-            let flight = self.queues.flights[k].as_mut().expect("checked above");
-            let ssn = flight.ssn;
-            let mut bits = 0u64;
-            for m in &flight.mpdus {
-                let off = m.seq.wrapping_sub(ssn) & 0x0FFF;
-                debug_assert!((off as usize) < 64, "aggregate exceeds BA window");
-                bits |= 1 << (off & 63);
-            }
-            let fid = match flight.built {
-                Some(f) => f,
-                None => {
-                    let mut f = self.frames.get(flight.mpdus[0].msdu.frame).clone();
-                    f.fc.subtype = Subtype::QosData;
-                    f.fc.retry = flight.mpdus.iter().any(|m| m.retries > 0);
-                    f.fc.more_fragments = false;
-                    f.seq = Some(SequenceControl {
-                        fragment: 0,
-                        sequence: ssn,
-                    });
-                    f.duration_id = if f.receiver().is_group() {
-                        0
-                    } else {
-                        crate::duration::ampdu_duration(std)
-                    };
-                    let len = flight
-                        .mpdus
-                        .iter()
-                        .map(|m| 4 + self.frames.get(m.msdu.frame).body.len())
-                        .sum();
-                    let mut body = Vec::with_capacity(len);
-                    for m in &flight.mpdus {
-                        let mb = &self.frames.get(m.msdu.frame).body;
-                        // Enqueue refuses bodies the 16-bit field
-                        // cannot carry.
-                        let mb_len = u16::try_from(mb.len()).expect("checked at enqueue");
-                        body.extend_from_slice(&m.seq.to_le_bytes());
-                        body.extend_from_slice(&mb_len.to_le_bytes());
-                        body.extend_from_slice(mb);
-                    }
-                    f.body = body.into();
-                    let fid = self.frames.insert(f);
-                    flight.built = Some(fid);
-                    fid
-                }
-            };
-            (fid, flight.rate, ssn, bits)
-        };
-        self.trace.event(
-            now,
-            Level::Debug,
-            "mac",
-            TraceEvent::AmpduTx {
-                station: id as u32,
-                ac: aci as u8,
-                ssn,
-                bitmap: bits,
-            },
-        );
-        let is_group = self.frames.get(fid).receiver().is_group();
-        self.frames.retain(fid); // The record's reference.
-        self.stations[id].tx_ac = Some(aci);
-        self.start_transmission(id, fid, rate, now, sched);
-        if is_group {
-            self.dcf.expecting[id] = None;
-        } else {
-            self.dcf.timer_gen[id] += 1;
-            self.dcf.expecting[id] = Some((Expecting::BlockAck, self.dcf.timer_gen[id]));
-        }
-    }
-
-    /// Receiver side of a QoS aggregate: per-MPDU loss draws, dedup,
-    /// delivery, and the SIFS-spaced compressed block ack.
-    fn on_qos_data(
-        &mut self,
-        r: StationId,
-        frame: &Frame,
-        rssi: Dbm,
-        now: SimTime,
-        sched: &mut Scheduler<MacEvent>,
-    ) {
-        let Some(tx) = frame.transmitter() else {
-            return;
-        };
-        let ssn = frame.seq.map_or(0, |s| s.sequence);
-        let unicast = !frame.receiver().is_group();
-        let loss = self.cfg.ampdu_per_mpdu_loss;
-        // One MPDU frame per subframe: the aggregate's header with the
-        // subframe's sequence number and a window onto its payload.
-        let mut one = frame.clone();
-        one.fc.more_fragments = false;
-        let mut bitmap = 0u64;
-        let body: &[u8] = &frame.body;
-        let mut off = 0usize;
-        while off + 4 <= body.len() {
-            let seq = u16::from_le_bytes([body[off], body[off + 1]]);
-            let len = u16::from_le_bytes([body[off + 2], body[off + 3]]) as usize;
-            off += 4;
-            if off + len > body.len() {
-                break; // Truncated delimiter run; stop parsing.
-            }
-            let mpdu = off..off + len;
-            off += len;
-            if loss > 0.0 && self.rng.chance(loss) {
-                // The delimiter/CRC of this subframe failed even though
-                // the PPDU decoded: the BA simply omits its bit.
-                self.stations[r].stats.rx_errors += 1;
-                continue;
-            }
-            let bit = seq.wrapping_sub(ssn) & 0x0FFF;
-            if (bit as usize) < 64 {
-                bitmap |= 1 << bit;
-            }
-            let sc = SequenceControl {
-                fragment: 0,
-                sequence: seq,
-            };
-            // Duplicates still get their BA bit (the lost thing may
-            // have been the previous BA), but are not re-delivered.
-            if unicast && self.stations[r].dedup.check(tx, sc, frame.fc.retry) {
-                self.stations[r].stats.rx_duplicates += 1;
-                continue;
-            }
-            one.body = frame.body.slice(mpdu);
-            one.seq = Some(sc);
-            self.deliver(r, &one, rssi, now, sched);
-        }
-        if unicast {
-            let my = self.stations[r].addr;
-            let ba = Frame::block_ack(tx, my, ssn, bitmap);
-            self.schedule_sifs(r, PendingTx::Control(ba), sched);
-        }
-    }
-
-    /// Sender side of a received block ack.
-    fn on_block_ack(
-        &mut self,
-        id: StationId,
-        frame: &Frame,
-        now: SimTime,
-        sched: &mut Scheduler<MacEvent>,
-    ) {
-        let Some((Expecting::BlockAck, _)) = self.dcf.expecting[id] else {
-            return;
-        };
-        let (Some(ssn), Some(bitmap)) = (frame.ba_ssn(), frame.ba_bitmap()) else {
-            return;
-        };
-        self.dcf.expecting[id] = None;
-        self.dcf.timer_gen[id] += 1; // Cancel the BA timeout.
-        self.qos_resolve_flight(id, BaResult::Ba(ssn, bitmap), now, sched);
-    }
-
-    /// Settles the in-flight aggregate against a block ack (or its
-    /// absence): acked MPDUs complete, the rest retry until the limit,
-    /// and the flight either re-contends with the survivors or ends.
-    fn qos_resolve_flight(
-        &mut self,
-        id: StationId,
-        ba: BaResult,
-        now: SimTime,
-        sched: &mut Scheduler<MacEvent>,
-    ) {
-        let Some(aci) = self.stations[id].tx_ac.take() else {
-            return;
-        };
-        let k = self.queues.index(id, aci);
-        let Some(mut flight) = self.queues.flights[k].take() else {
-            return;
-        };
-        if let Some(b) = flight.built.take() {
-            self.frames.release(b);
-        }
-        let limit = self.cfg.retry_limit_short + u32::from(self.cfg.failpoint_retry_overrun);
-        let peer = self.frames.get(flight.mpdus[0].msdu.frame).receiver();
-        let flight_ssn = flight.ssn;
-        let mut acked_bits = 0u64;
-        let mut any_acked = false;
-        let mut remaining: Vec<AmpduMpdu> = Vec::new();
-        let mut outcomes: Vec<(Frame, bool)> = Vec::new();
-        for mut m in flight.mpdus.drain(..) {
-            let acked = match ba {
-                BaResult::Ba(ssn, bm) => {
-                    let o = m.seq.wrapping_sub(ssn) & 0x0FFF;
-                    (o as usize) < 64 && (bm >> o) & 1 == 1
-                }
-                BaResult::Timeout => false,
-                BaResult::Broadcast => true,
-            };
-            if acked {
-                any_acked = true;
-                let off = m.seq.wrapping_sub(flight_ssn) & 0x0FFF;
-                if (off as usize) < 64 {
-                    acked_bits |= 1 << off;
-                }
-                let delay_us = now
-                    .saturating_duration_since(m.msdu.enqueued)
-                    .as_micros_f64();
-                let s = &mut self.stations[id];
-                s.stats.tx_completions += 1;
-                s.stats.access_delay_us.record(delay_us);
-                self.access_delay_hist.record(delay_us as u64);
-                self.ac_delay_hist[aci].record(delay_us as u64);
-                self.trace.event(
-                    now,
-                    Level::Debug,
-                    "mac",
-                    TraceEvent::TxOutcome {
-                        station: id as u32,
-                        ok: true,
-                    },
-                );
-                outcomes.push((self.frames.unwrap_or_clone(m.msdu.frame), true));
-            } else {
-                m.retries += 1;
-                if m.retries > limit {
-                    self.stations[id].stats.tx_failures += 1;
-                    self.trace.event(
-                        now,
-                        Level::Warn,
-                        "mac",
-                        TraceEvent::MpduDrop {
-                            station: id as u32,
-                            ac: aci as u8,
-                            seq: m.seq,
-                        },
-                    );
-                    self.trace.event(
-                        now,
-                        Level::Debug,
-                        "mac",
-                        TraceEvent::TxOutcome {
-                            station: id as u32,
-                            ok: false,
-                        },
-                    );
-                    outcomes.push((self.frames.unwrap_or_clone(m.msdu.frame), false));
-                } else {
-                    self.stations[id].stats.retries += 1;
-                    // Same shape as the legacy retry ladder so the
-                    // retry-bound and trace-metrics oracles cover the
-                    // QoS path too: `retries` is this MPDU's attempt
-                    // counter, bounded by the short limit.
-                    self.trace.event(
-                        now,
-                        Level::Debug,
-                        "mac",
-                        TraceEvent::Retry {
-                            station: id as u32,
-                            short: m.retries,
-                            long: 0,
-                        },
-                    );
-                    remaining.push(m);
-                }
-            }
-        }
-        if any_acked {
-            // The *effective* completion set: bits are relative to the
-            // transmitted aggregate's SSN, and an MPDU leaves the
-            // flight the moment it completes, so no seq can ever
-            // appear in two BlockAckRx events.
-            self.trace.event(
-                now,
-                Level::Debug,
-                "mac",
-                TraceEvent::BlockAckRx {
-                    station: id as u32,
-                    ac: aci as u8,
-                    ssn: flight_ssn,
-                    bitmap: acked_bits,
-                },
-            );
-            self.stations[id].arf.on_success(peer);
-        } else if !matches!(ba, BaResult::Broadcast) {
-            self.stations[id].arf.on_failure(peer);
-        }
-        if remaining.is_empty() {
-            self.queues.reset_cw(id, aci);
-            if !self.queues.msdus[k].is_empty() {
-                // Post-transmission backoff before the next aggregate.
-                self.begin_access(id, aci, now, sched);
-            }
-        } else {
-            flight.ssn = remaining[0].seq;
-            flight.mpdus = remaining;
-            self.queues.flights[k] = Some(flight);
-            self.queues.widen_cw(id, aci);
-            self.begin_access(id, aci, now, sched);
-        }
-        for (fr, ok) in outcomes {
-            self.with_upper(id, now, sched, |u, ctx| u.on_tx_result(ctx, &fr, ok));
-        }
     }
 }
 
@@ -4215,6 +2696,51 @@ mod tests {
         assert!(max_records <= 6, "{max_records} records retained at once");
         assert!(w.records.is_empty(), "{} records left", w.records.len());
         assert_eq!(w.frame_ledger(), (0, 0));
+    }
+
+    /// An RTS or data frame without a transmitter address (only a
+    /// caller-built frame lacks one) cannot be answered: the receiver
+    /// counts a reception error instead of panicking, and the sender's
+    /// retry ladder reports the failure.
+    #[test]
+    fn frame_without_transmitter_fails_at_its_sender() {
+        let mut data = data_frame(0, 1, 500);
+        data.addr2 = None;
+        let mut rts = Frame::rts(MacAddr::station(1), MacAddr::station(0), 0);
+        rts.addr2 = None;
+        for frame in [data, rts] {
+            let mut sim = world(2, 10.0);
+            inject(&mut sim, 1, 0, frame);
+            sim.run_until(SimTime::from_millis(100));
+            let w = sim.world();
+            assert_eq!(w.stats(0).tx_failures, 1);
+            assert_eq!(w.stats(0).tx_completions, 0);
+            // Initial + 7 short retries, each heard and refused.
+            assert_eq!(w.stats(1).rx_errors, 8);
+            assert_eq!(w.stats(1).rx_accepted, 0);
+            assert!(w.records.is_empty(), "run did not drain");
+            assert_eq!(w.frame_ledger(), (0, 0));
+        }
+    }
+
+    /// A caller-built QoS data frame on a legacy world rides the DCF
+    /// attempt: its response timeout is armed and a group-addressed one
+    /// completes at once, so neither leaves the sender waiting forever.
+    #[test]
+    fn qos_data_on_a_legacy_world_never_wedges_the_sender() {
+        for to in [MacAddr::station(1), MacAddr::BROADCAST] {
+            let mut sim = world(2, 10.0);
+            let mut frame = data_frame(0, 1, 100);
+            frame.addr1 = to;
+            frame.fc.subtype = Subtype::QosData;
+            inject(&mut sim, 1, 0, frame.clone());
+            inject(&mut sim, 2, 0, frame);
+            sim.run_until(SimTime::from_secs(1));
+            let w = sim.world();
+            assert_eq!(w.pending_msdus(0), 0, "to {to}: sender wedged");
+            assert_eq!(settled(w.stats(0)), 2, "to {to}");
+            assert_eq!(w.frame_ledger(), (0, 0));
+        }
     }
 
     // ----- EDCA / A-MPDU -----

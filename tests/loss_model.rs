@@ -4,10 +4,12 @@
 //! time-varying and unbounded ones (fading, shadowing, a wall that
 //! *removes* loss) are evaluated per transmission.
 
+use wireless_networks::check::{reference_shard_plan, reference_shard_plan_incoherence};
 use wireless_networks::core::scenarios::fading_loss_model;
 use wireless_networks::mac80211::addr::MacAddr;
 use wireless_networks::mac80211::frame::{DsBits, Frame, SequenceControl};
 use wireless_networks::mac80211::loss::LossModel;
+use wireless_networks::mac80211::shard::{ShardIncoherence, ShardPlan};
 use wireless_networks::mac80211::sim::{boot, inject_at, MacConfig, NullUpper, WlanWorld};
 use wireless_networks::phy::geom::{Point, Wall};
 use wireless_networks::phy::modulation::PhyStandard;
@@ -84,12 +86,7 @@ fn a_negative_wall_breaks_the_floor_and_runs_direct() {
         Point::new(-0.75 * reach, 0.0),
         Point::new(0.75 * reach, 0.0),
     );
-    let plan = IndoorWalls::new(vec![Wall::new(
-        Point::new(0.0, -10.0),
-        Point::new(0.0, 10.0),
-        -40.0,
-    )]);
-    let model = LossModel::walls(plan);
+    let model = negative_wall_model();
     assert!(
         model.floor().is_none(),
         "a negative wall must void the floor"
@@ -112,6 +109,80 @@ fn a_negative_wall_breaks_the_floor_and_runs_direct() {
         1,
         "an audible pair must share a shard"
     );
+}
+
+/// Walls that *remove* 40 dB along the y axis: no floor.
+fn negative_wall_model() -> LossModel {
+    LossModel::walls(IndoorWalls::new(vec![Wall::new(
+        Point::new(0.0, -10.0),
+        Point::new(0.0, 10.0),
+        -40.0,
+    )]))
+}
+
+/// Without a distance floor nothing bounds audibility, so the planner
+/// couples every spectrally overlapping pair at any range: its plan is
+/// the brute-force reference's at an unbounded range, across several
+/// channels and stations far beyond the base reach.
+#[test]
+fn a_floorless_model_plans_like_the_unbounded_reference() {
+    let reach = base_reach_m();
+    let channels = [1u8, 6, 11, 1, 6, 11, 13, 1];
+    let positions: Vec<Point> = (0..channels.len())
+        .map(|i| Point::new(3.0 * reach * i as f64, 5.0 * reach))
+        .collect();
+    let mut world = world_with(&positions, negative_wall_model());
+    for (id, &ch) in channels.iter().enumerate() {
+        world.set_channel(id, ch);
+    }
+    let reference = reference_shard_plan(&world, SimTime::ZERO, None);
+    for range in [Some(0.0), Some(reach), None] {
+        let plan = world.shard_plan(SimTime::ZERO, range);
+        assert_eq!(plan.shard_of, reference.shard_of, "range {range:?}");
+        assert_eq!(plan.shards, reference.shards, "range {range:?}");
+    }
+    // Channels 1, 6 and 11 are orthogonal; 13 overlaps 11.
+    assert_eq!(reference.shard_count(), 3);
+}
+
+/// A stale plan at an unbounded range is rejected with the witness an
+/// exhaustive scan reports — the lexicographically smallest straddling
+/// pair — with or without a distance floor. Station 0 (channel 1)
+/// couples with station 1 (channel 3) before it does with station 2,
+/// its co-channel peer.
+#[test]
+fn a_stale_unbounded_plan_names_the_smallest_straddling_pair() {
+    let reach = base_reach_m();
+    let positions: Vec<Point> = (0..4)
+        .map(|i| Point::new(3.0 * reach * i as f64, 0.0))
+        .collect();
+    let models = [
+        LossModel::distance(LogDistance::indoor()),
+        negative_wall_model(),
+    ];
+    for model in models {
+        let mut world = world_with(&positions, model);
+        for (id, ch) in [1u8, 3, 1, 11].into_iter().enumerate() {
+            world.set_channel(id, ch);
+        }
+        let stale = ShardPlan {
+            shard_of: vec![0, 1, 2, 3],
+            shards: (0..4).map(|i| vec![i]).collect(),
+            max_interference_range_m: f64::INFINITY,
+        };
+        let verdict = world.shard_plan_incoherence(&stale, SimTime::ZERO);
+        assert_eq!(
+            verdict,
+            reference_shard_plan_incoherence(&world, &stale, SimTime::ZERO)
+        );
+        assert!(
+            matches!(
+                verdict,
+                Some(ShardIncoherence::CoupledAcrossShards { a: 0, b: 1, .. })
+            ),
+            "{verdict:?}"
+        );
+    }
 }
 
 fn data_to_sink(src: usize) -> Frame {
