@@ -47,6 +47,7 @@ pub fn oracles() -> Vec<Box<dyn Invariant>> {
         Box::new(NavRespected),
         Box::new(FrameConservation),
         Box::new(FrameLedgerBalanced),
+        Box::new(MediumDrained),
         Box::new(TraceMetricsConsistent),
         Box::new(NoDuplicateDelivery),
         Box::new(AssocLegal),
@@ -273,6 +274,42 @@ impl Invariant for FrameLedgerBalanced {
                     ),
                 ));
             }
+        }
+        out
+    }
+}
+
+/// A drained run leaves a quiet medium: once the event queue is empty
+/// every transmission has ended, so no station still counts one as
+/// audible (a count stuck above zero holds that station's medium busy
+/// forever) and every transmission record has been retired. Runs that
+/// stop at their horizon with events pending are not checked.
+pub struct MediumDrained;
+
+impl Invariant for MediumDrained {
+    fn name(&self) -> &'static str {
+        "medium-drained"
+    }
+
+    fn check(&self, art: &Artifacts) -> Vec<Violation> {
+        let Some((hearing, records)) = art.wlan.as_ref().and_then(|w| w.drained_medium.as_ref())
+        else {
+            return Vec::new();
+        };
+        let mut out: Vec<Violation> = (hearing.iter().enumerate())
+            .filter(|&(_, &h)| h != 0)
+            .map(|(i, h)| {
+                v(
+                    self.name(),
+                    format!("sta {i} still hears {h} transmissions"),
+                )
+            })
+            .collect();
+        if *records != 0 {
+            out.push(v(
+                self.name(),
+                format!("{records} transmission records outlive the drain"),
+            ));
         }
         out
     }

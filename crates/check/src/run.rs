@@ -97,6 +97,11 @@ pub struct WlanFacts {
     pub ac_p50_us: [Option<u64>; 4],
     /// Per-access-category completion counts behind those medians.
     pub ac_samples: [u64; 4],
+    /// Taken only when the run drained its event queue by the horizon:
+    /// each station's hearing count (in-flight transmissions it
+    /// carrier-senses) and the number of transmission records still
+    /// retained. A drained medium has all of them at zero.
+    pub drained_medium: Option<(Vec<u32>, usize)>,
 }
 
 /// End-state facts from a ZigBee run.
@@ -302,6 +307,7 @@ fn wlan_facts(
     ledger: Vec<(u64, u64)>,
     shard_coherence: Vec<String>,
     grid_coherence: Vec<String>,
+    drained: bool,
 ) -> WlanFacts {
     let n = world.station_count();
     let acs = AccessCategory::ALL;
@@ -323,6 +329,12 @@ fn wlan_facts(
         failpoint_aifsn_swap: world.config().failpoint_aifsn_swap,
         ac_p50_us: acs.map(|ac| world.ac_delay_quantile(ac, 0.5)),
         ac_samples: acs.map(|ac| world.ac_delay_samples(ac)),
+        drained_medium: drained.then(|| {
+            (
+                (0..n).map(|i| world.hearing(i)).collect(),
+                world.retained_records(),
+            )
+        }),
     }
 }
 
@@ -481,6 +493,7 @@ fn run_wlan(seed: u64, w: &WlanScenario, prop: Propagation, offer: Offer) -> Art
         grid_coherence.extend(sim.world().grid_incoherence(slice_end));
     }
 
+    let drained = sim.scheduler().pending() == 0;
     let ops = sim.scheduler_mut().take_op_log();
     let mut world = sim.into_world();
     let delivered = std::mem::take(&mut *delivered.lock().expect("delivery log lock"));
@@ -493,6 +506,7 @@ fn run_wlan(seed: u64, w: &WlanScenario, prop: Propagation, offer: Offer) -> Art
         ledger,
         shard_coherence,
         grid_coherence,
+        drained,
     );
     Artifacts {
         trace: std::mem::take(&mut world.trace),
@@ -576,6 +590,7 @@ fn run_ess(seed: u64, e: &EssScenario, prop: Propagation) -> Artifacts {
         grid_coherence.extend(sim.world().grid_incoherence(slice_end));
     }
 
+    let drained = sim.scheduler().pending() == 0;
     let ops = sim.scheduler_mut().take_op_log();
     let mut world = sim.into_world();
     // Channel switching (scanning / roaming) silently clears NAV, so
@@ -589,6 +604,7 @@ fn run_ess(seed: u64, e: &EssScenario, prop: Propagation) -> Artifacts {
         ledger,
         shard_coherence,
         grid_coherence,
+        drained,
     );
     Artifacts {
         trace: std::mem::take(&mut world.trace),

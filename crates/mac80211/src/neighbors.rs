@@ -21,9 +21,11 @@
 //!   the stations that can hear it. Static topologies compute
 //!   propagation once, in O(n·k); mobility patches only the moved
 //!   station's neighborhood, in O(k).
-//! - [`AudibleSet`] — the per-station set of in-flight transmission
-//!   ids, with O(1) insert and O(members) removal instead of the old
-//!   `Vec::retain` full scan.
+//! - `Interferer` and `interference_mw` — a receiver's
+//!   interference sum read straight off the overlapping records' rows
+//!   through forward cursors, in ascending record order (the float
+//!   order of a column-wise accumulation), with an exact early exit
+//!   once the partial sum already settles the reception as lost.
 //! - [`IdBitSet`] — the contender wait-list: stations with an armed
 //!   backoff, iterated in ascending id order so the idle-edge rearm
 //!   visits exactly the stations the old 0..n scan would have acted
@@ -120,11 +122,36 @@ impl RxRow {
         direct.chain(cached)
     }
 
+    /// This row's linear-milliwatt term at `dst`, discounted by
+    /// `shift` dB first when given (fractional spectral overlap);
+    /// `None` where the row stores no entry (beyond a cached row's
+    /// neighborhood, or past a direct row's end), which adds no term.
+    /// Cached rows read their memoized mirror at full overlap. `cursor`
+    /// is a forward position in a cached row's keys: ask for ascending
+    /// `dst` with one cursor per row.
+    #[inline]
+    fn mw_at(&self, dst: StationId, shift: Option<f64>, cursor: &mut usize) -> Option<f64> {
+        let shifted = |p: Dbm, s: f64| Dbm(p.value() + s).to_milliwatts();
+        match self {
+            RxRow::Direct(dbm) => {
+                let p = *dbm.get(dst)?;
+                Some(shift.map_or_else(|| p.to_milliwatts(), |s| shifted(p, s)))
+            }
+            RxRow::Cached { keys, dbm, mw } => {
+                let i = seek(keys, *cursor, dst as u32);
+                *cursor = i;
+                if keys.get(i) != Some(&(dst as u32)) {
+                    return None;
+                }
+                Some(shift.map_or(mw[i], |s| shifted(dbm[i], s)))
+            }
+        }
+    }
+
     /// Adds this row's linear-milliwatt image into `acc` (full
-    /// spectral overlap): cached rows add their memoized mirror at
-    /// their key slots, in ascending key order; direct rows convert
-    /// each dBm entry in place. Each slot receives at most one term
-    /// per transmission.
+    /// spectral overlap), the eager column-wise reference the
+    /// per-receiver [`interference_mw`] must match bit for bit.
+    #[cfg(test)]
     pub fn accumulate_mw(&self, acc: &mut [f64]) {
         match self {
             RxRow::Direct(dbm) => {
@@ -142,6 +169,7 @@ impl RxRow {
 
     /// Fractional-overlap variant of [`accumulate_mw`](Self::accumulate_mw):
     /// every entry is discounted by `shift` dB before conversion.
+    #[cfg(test)]
     pub fn accumulate_shifted_mw(&self, shift: f64, acc: &mut [f64]) {
         match self {
             RxRow::Direct(dbm) => {
@@ -156,6 +184,83 @@ impl RxRow {
             }
         }
     }
+}
+
+/// The first index at or after `from` whose key is at least `key`, in
+/// strictly ascending `keys`. Distinct integers place `key` at most
+/// `key − keys[from]` slots past `from`, and exactly there when no id
+/// in between is missing — the common dense row answers in one probe;
+/// otherwise a binary search over that window.
+#[inline]
+fn seek(keys: &[u32], from: usize, key: u32) -> usize {
+    match keys.get(from) {
+        Some(&k) if k < key => {
+            let end = from.saturating_add((key - k) as usize).min(keys.len() - 1);
+            if keys[end] == key {
+                end
+            } else {
+                from + keys[from..=end].partition_point(|&k| k < key)
+            }
+        }
+        _ => from,
+    }
+}
+
+/// One transmission that overlaps a completing frame in time and
+/// leaks into its channel, as the reception loop reads it.
+pub(crate) struct Interferer {
+    /// The caller's handle on the interfering row (a record index).
+    pub(crate) rec: usize,
+    /// The spectral-mask discount in dB of a fractional overlap
+    /// (`10·log10(overlap)`); `None` co-channel.
+    shift: Option<f64>,
+    /// Forward position in a cached row's keys.
+    cursor: usize,
+}
+
+impl Interferer {
+    /// An interferer at spectral `overlap` in (0, 1].
+    pub(crate) fn new(rec: usize, overlap: f64) -> Self {
+        let shift = (overlap < 1.0).then(|| 10.0 * overlap.log10());
+        Interferer {
+            rec,
+            shift,
+            cursor: 0,
+        }
+    }
+}
+
+/// The interference at `dst` in linear milliwatts: `sum` plus the term
+/// of each of `intf` that stores one, added in slice order, each row
+/// looked up through `row`. Ask for ascending `dst` per set of
+/// interferers (their cursors only move forward).
+///
+/// `lost` sees the partial sum after every term; the first time it
+/// holds, the walk stops and returns the partial sum with the index of
+/// the next interferer, from which a later call can finish the sum.
+/// That is exact for a `lost` monotone in the sum: every term is
+/// non-negative and IEEE-754 addition never lowers a sum by adding a
+/// non-negative term, so `power ≤ k·(noise + partial)` with `k ≥ 0`
+/// implies the same for the full sum. A walk that never stops returns
+/// the full sum and `None`, bit for bit the column-wise accumulation
+/// of the same rows in the same order.
+#[inline]
+pub(crate) fn interference_mw<'r>(
+    intf: &mut [Interferer],
+    mut sum: f64,
+    dst: StationId,
+    row: impl Fn(usize) -> &'r RxRow,
+    lost: impl Fn(f64) -> bool,
+) -> (f64, Option<usize>) {
+    for (k, it) in intf.iter_mut().enumerate() {
+        if let Some(term) = row(it.rec).mw_at(dst, it.shift, &mut it.cursor) {
+            sum += term;
+            if lost(sum) {
+                return (sum, Some(k + 1));
+            }
+        }
+    }
+    (sum, None)
 }
 
 /// Sparse pairwise rx-power cache.
@@ -363,58 +468,6 @@ impl NeighborCache {
             }
         }
         None
-    }
-}
-
-/// The set of in-flight transmission ids a station can hear.
-///
-/// Membership is tiny in practice (the number of concurrent audible
-/// transmissions), so an unsorted `Vec` with `swap_remove` beats any
-/// tree: O(1) insert, one linear pass to remove or test. Order is
-/// never observed — the MAC only asks "empty?" and "contains?".
-#[derive(Default, Clone)]
-pub struct AudibleSet {
-    ids: Vec<u64>,
-}
-
-impl AudibleSet {
-    /// Adds an id (caller guarantees it is not already present) and
-    /// returns the new member count.
-    pub fn insert(&mut self, id: u64) -> usize {
-        debug_assert!(!self.ids.contains(&id), "duplicate audible id {id}");
-        self.ids.push(id);
-        self.ids.len()
-    }
-
-    /// Removes an id if present; reports whether it was a member.
-    pub fn remove(&mut self, id: u64) -> bool {
-        match self.ids.iter().position(|&t| t == id) {
-            Some(i) => {
-                self.ids.swap_remove(i);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Membership test.
-    pub fn contains(&self, id: u64) -> bool {
-        self.ids.contains(&id)
-    }
-
-    /// Whether no transmission is audible.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Number of audible transmissions.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Forgets everything (doze, channel switch).
-    pub fn clear(&mut self) {
-        self.ids.clear();
     }
 }
 
@@ -700,23 +753,110 @@ impl WlanWorld {
 mod tests {
     use super::*;
 
+    /// A random row over `n` stations: a direct row (with the +∞
+    /// diagonal of its transmitter `src` and some −∞ entries) or a
+    /// cached sparse row over a random ascending key subset.
+    fn random_row(rng: &mut wn_sim::Rng, n: usize, src: StationId) -> RxRow {
+        let power = |rng: &mut wn_sim::Rng| {
+            if rng.chance(0.1) {
+                Dbm(f64::NEG_INFINITY)
+            } else {
+                Dbm(rng.f64_range(-100.0, -30.0))
+            }
+        };
+        if rng.chance(0.3) {
+            let row = (0..n)
+                .map(|r| {
+                    if r == src {
+                        Dbm(f64::INFINITY)
+                    } else {
+                        power(rng)
+                    }
+                })
+                .collect();
+            return RxRow::Direct(Arc::new(row));
+        }
+        let keys: Vec<u32> = (0..n as u32)
+            .filter(|&k| k as usize != src && rng.chance(0.7))
+            .collect();
+        let dbm: Vec<Dbm> = keys.iter().map(|_| power(rng)).collect();
+        let mw = dbm.iter().map(|p| p.to_milliwatts()).collect();
+        RxRow::Cached {
+            keys: Arc::new(keys),
+            dbm: Arc::new(dbm),
+            mw: Arc::new(mw),
+        }
+    }
+
     #[test]
-    fn audible_set_tracks_overlapping_transmissions() {
-        // Two transmissions overlap in time; the first to end must be
-        // removed without disturbing the second — the bookkeeping the
-        // MAC does at every tx-end edge.
-        let mut s = AudibleSet::default();
-        assert!(s.is_empty());
-        assert_eq!(s.insert(7), 1);
-        assert_eq!(s.insert(9), 2);
-        assert!(s.contains(7) && s.contains(9));
-        assert!(s.remove(7));
-        assert!(!s.contains(7));
-        assert!(s.contains(9));
-        assert_eq!(s.len(), 1);
-        assert!(!s.remove(7), "double-remove must report absence");
-        assert!(s.remove(9));
-        assert!(s.is_empty());
+    fn per_receiver_interference_matches_the_eager_column_sum() {
+        // Spectral overlaps of 2.4 GHz channel pairs 0, 1, 2 and 3 apart
+        // (DSSS, 22 MHz wide) plus a non-channel fraction.
+        let overlaps = [1.0, 17.0 / 22.0, 12.0 / 22.0, 7.0 / 22.0, 0.013];
+        let mut rng = wn_sim::Rng::new(0x1f7e);
+        let (mut stops, mut full_walks) = (0, 0);
+        for _ in 0..300 {
+            let n = 1 + rng.below(48) as usize;
+            let count = 1 + rng.below(6) as usize;
+            let rows: Vec<(RxRow, f64)> = (0..count)
+                .map(|_| {
+                    let src = rng.below(n as u64) as usize;
+                    (random_row(&mut rng, n, src), *rng.choose(&overlaps))
+                })
+                .collect();
+            // The eager reference: every row into one column, in order.
+            let mut column = vec![0.0; n];
+            for (row, ov) in &rows {
+                if *ov >= 1.0 {
+                    row.accumulate_mw(&mut column);
+                } else {
+                    row.accumulate_shifted_mw(10.0 * ov.log10(), &mut column);
+                }
+            }
+            let fresh = || -> Vec<Interferer> {
+                let ovs = rows.iter().map(|&(_, ov)| ov);
+                ovs.enumerate()
+                    .map(|(i, ov)| Interferer::new(i, ov))
+                    .collect()
+            };
+            let row = |i: usize| &rows[i].0;
+            // A random ascending subset of receivers, each summed with
+            // no early exit: bit for bit the column entry.
+            let mut intf = fresh();
+            for dst in (0..n).filter(|_| rng.chance(0.6)) {
+                let (sum, stopped) = interference_mw(&mut intf, 0.0, dst, row, |_| false);
+                assert_eq!(stopped, None);
+                assert_eq!(sum.to_bits(), column[dst].to_bits(), "receiver {dst}");
+            }
+            // With the early exit: a stop only where the full sum
+            // settles the reception as lost too, and finishing the walk
+            // from where it stopped gives the same bits.
+            let mut intf = fresh();
+            let receivers: Vec<StationId> = (0..n).filter(|_| rng.chance(0.6)).collect();
+            for dst in receivers {
+                let power_mw = Dbm(rng.f64_range(-90.0, -40.0)).to_milliwatts();
+                let lin_lo = rng.f64_range(0.5, 300.0);
+                let noise_mw = Dbm(-95.0).to_milliwatts();
+                let lost = |intf_mw: f64| power_mw <= lin_lo * (noise_mw + intf_mw);
+                let (partial, stopped) = interference_mw(&mut intf, 0.0, dst, row, lost);
+                let full = match stopped {
+                    Some(next) => {
+                        stops += 1;
+                        assert!(lost(column[dst]), "stopped at {dst} on a decodable sum");
+                        interference_mw(&mut intf[next..], partial, dst, row, |_| false).0
+                    }
+                    None => {
+                        full_walks += 1;
+                        partial
+                    }
+                };
+                assert_eq!(full.to_bits(), column[dst].to_bits(), "receiver {dst}");
+            }
+        }
+        assert!(
+            stops > 100 && full_walks > 100,
+            "{stops} stops, {full_walks} full walks"
+        );
     }
 
     #[test]

@@ -19,6 +19,7 @@ use super::qos::BaResult;
 use super::{frame_kind, Expecting, MacEvent, PendingTx, StationId, WlanWorld};
 use crate::duration::{ack_airtime, block_ack_airtime, cts_airtime};
 use crate::frame::{Frame, Subtype};
+use crate::neighbors::{interference_mw, Interferer};
 use wn_phy::modulation::{RateStep, SETTLE_BAND};
 use wn_phy::units::{Db, Dbm};
 use wn_sim::trace::{DropReason, Level, TraceEvent};
@@ -77,10 +78,11 @@ impl WlanWorld {
         };
 
         // Decide reception — only at the stations the start-time row
-        // puts at or above CS. Everyone else had raw power below the CS
-        // threshold, was never put on an audible set, and would fall
-        // straight through the `!audible_at && !was_audible` skip below
-        // with no side effect.
+        // puts at or above CS, in ascending order: the order the start
+        // sweep pushed the frame's `heard` list in, so one cursor
+        // compare tells whether a visited station was counting it.
+        let mut heard = std::mem::take(&mut self.records[idx].heard);
+        let mut heard_at = 0;
         let mut decoded = std::mem::take(&mut self.decoded_scratch);
         decoded.clear();
         // Only records overlapping this frame in time can trip the
@@ -105,64 +107,41 @@ impl WlanWorld {
         for &o in &overlapping {
             tx_srcs.insert(self.records[o].src);
         }
-        // The noise floor is a pure function of the link budget; one
-        // evaluation per frame serves every receiver bit-identically —
-        // as does its milliwatt image, hoisted here so the SINR loop
-        // below pays one `powf` fewer per candidate.
-        let noise = self.budget.noise_floor();
-        let noise_mw = noise.to_milliwatts();
-        // Interference sums, precomputed column-wise. Every receiver
-        // that reaches the SINR decision shares the same interferer
-        // set — the overlapping records minus the completing frame;
+        let (noise, noise_mw) = self.noise;
+        // The interferers: every overlapping record but this one that
+        // leaks into its channel, in ascending record order. Every
+        // receiver that reaches the SINR decision shares this set —
         // the per-receiver `src == r` exclusion is vacuous because
-        // those receivers already failed the half-duplex check. So one
-        // pass per record accumulates its milliwatt row into a single
-        // per-station vector, in the same ascending record order (and
-        // therefore the same float rounding) as a per-receiver scalar
-        // sum. Records that carry a cached milliwatt row contribute a
-        // straight slice add; the rest convert dB→mW per entry exactly
-        // as the scalar path always did.
-        let n = self.stations.len();
-        let mut intf_acc = std::mem::take(&mut self.intf_scratch);
-        intf_acc.clear();
-        let mut intf_count = 0usize;
+        // those receivers already failed the half-duplex check — and
+        // sums it in this order, so its float rounding is that of a
+        // column-wise accumulation of the same rows.
+        let mut intf = std::mem::take(&mut self.interferer_scratch);
+        intf.clear();
         for &o in &overlapping {
             let rec_o = &self.records[o];
-            if rec_o.id == tx_id {
-                continue;
-            }
             let ov = Self::channel_overlap(rec_o.channel, channel);
-            if ov <= 0.0 {
-                continue;
-            }
-            if intf_count == 0 {
-                // Zero the accumulator lazily: the common uncontended
-                // frame has no interferers and skips the O(n) clear.
-                intf_acc.resize(n, 0.0);
-            }
-            intf_count += 1;
-            if ov >= 1.0 {
-                rec_o.rx_power.accumulate_mw(&mut intf_acc);
-            } else {
-                // Same per-entry expression as `leaked_power` followed
-                // by `to_milliwatts`; the dB shift is a pure function
-                // of the overlap, hoisted out of the row loop.
-                let shift = 10.0 * ov.log10();
-                rec_o.rx_power.accumulate_shifted_mw(shift, &mut intf_acc);
+            if rec_o.id != tx_id && ov > 0.0 {
+                intf.push(Interferer::new(o, ov));
             }
         }
         // The SINR cutoffs for this frame's rate and length, as linear
         // power ratios: at or below `lin_lo` it decodes with
         // probability ≤ 2⁻¹⁰, at or above `lin_hi` with probability
         // ≥ 1 − 2⁻¹⁰ (`RateStep::settle_cutoffs_db`).
-        let (s_lo, s_hi) = rate.settle_cutoffs_db(wire_bits);
-        let (lin_lo, lin_hi) = (Db(s_lo).to_linear(), Db(s_hi).to_linear());
+        let (lin_lo, lin_hi) = *self
+            .settle_cutoffs
+            .entry((rate.min_snr_db.to_bits(), wire_bits))
+            .or_insert_with(|| {
+                let (s_lo, s_hi) = rate.settle_cutoffs_db(wire_bits);
+                (Db(s_lo).to_linear(), Db(s_hi).to_linear())
+            });
+        let row = |o: usize| &self.records[o].rx_power;
         for (r, power, power_mw) in rx_power.audible(src, self.cfg.cs_threshold) {
-            let was_audible = self.dcf.audible[r].remove(tx_id);
-            if !self.dcf.awake[r] || self.dcf.channel[r] != channel {
-                continue;
+            if heard.get(heard_at) == Some(&(r as u32)) {
+                heard_at += 1;
+                self.dcf.hearing[r] -= 1;
             }
-            if !self.audible_at(power) && !was_audible {
+            if !self.dcf.awake[r] || self.dcf.channel[r] != channel {
                 continue;
             }
             // Half-duplex: a station that transmitted during any part
@@ -171,20 +150,29 @@ impl WlanWorld {
                 self.stations[r].stats.rx_errors += 1;
                 continue;
             }
-            let success = if !self.cfg.capture && intf_count > 0 {
+            let success = if !self.cfg.capture && !intf.is_empty() {
                 false
             } else {
-                // A receiver outside every interferer's sparse row sums
-                // to zero and gets the noise-only denominator.
-                let intf_mw = if intf_count == 0 { 0.0 } else { intf_acc[r] };
                 // Draw first: `chance(p)` is `f64() < p`, so `p` only
                 // matters when the draw lands within 2⁻¹⁰ of 0 or 1 or
                 // the linear SINR falls between the cutoffs.
                 let u = self.rng.f64();
-                let denom_mw = noise_mw + intf_mw;
-                let settled = if power_mw <= lin_lo * denom_mw && u >= SETTLE_BAND {
+                // A draw that would settle a low SINR as lost lets the
+                // interference sum stop as soon as its partial sum
+                // settles it (exact: see `interference_mw`). A
+                // receiver outside every interferer's sparse row sums
+                // to zero and gets the noise-only denominator.
+                let lost =
+                    |intf_mw: f64| u >= SETTLE_BAND && power_mw <= lin_lo * (noise_mw + intf_mw);
+                let (mut intf_mw, stopped) = interference_mw(&mut intf, 0.0, r, row, lost);
+                if let (Some(next), true) = (stopped, cfg!(debug_assertions)) {
+                    // Debug builds finish the sum, so the cross-check
+                    // below sees it whole.
+                    intf_mw = interference_mw(&mut intf[next..], intf_mw, r, row, |_| false).0;
+                }
+                let settled = if stopped.is_some() || lost(intf_mw) {
                     Some(false)
-                } else if power_mw >= lin_hi * denom_mw && u < 1.0 - SETTLE_BAND {
+                } else if power_mw >= lin_hi * (noise_mw + intf_mw) && u < 1.0 - SETTLE_BAND {
                     Some(true)
                 } else {
                     None
@@ -208,8 +196,11 @@ impl WlanWorld {
                 self.stations[r].stats.rx_errors += 1;
             }
         }
+        debug_assert_eq!(heard_at, heard.len(), "a heard station was not visited");
+        heard.clear();
+        self.heard_pool.push(heard);
         self.txsrc_scratch = tx_srcs;
-        self.intf_scratch = intf_acc;
+        self.interferer_scratch = intf;
         self.overlap_scratch = overlapping;
 
         // Source-side continuation: arm response timeout or complete.
@@ -337,7 +328,9 @@ impl WlanWorld {
         match frame.fc.subtype {
             Subtype::Ack => self.on_ack(r, now, sched),
             Subtype::Cts => self.on_cts(r, sched),
-            Subtype::QosData => self.on_qos_data(r, frame, rssi, now, sched),
+            // An A-MPDU only on an EDCA world; a legacy world takes a QoS
+            // data frame as plain data (ACKed, deduplicated, delivered).
+            Subtype::QosData if self.cfg.edca => self.on_qos_data(r, frame, rssi, now, sched),
             Subtype::BlockAck => self.on_block_ack(r, frame, now, sched),
             Subtype::BlockAckReq => {
                 // This model uses implicit block-ack requests — the

@@ -38,6 +38,7 @@
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
+use std::sync::LazyLock;
 
 #[path = "access.rs"]
 mod access;
@@ -56,7 +57,7 @@ use crate::duration::{airtime, data_duration, rts_duration};
 use crate::frame::{Frame, FrameType, SequenceControl, SequenceCounter, Subtype};
 use crate::grid::SpatialGrid;
 use crate::loss::LossModel;
-use crate::neighbors::{AudibleSet, IdBitSet, NeighborCache, RxRow};
+use crate::neighbors::{IdBitSet, Interferer, NeighborCache, RxRow};
 use access::TxQueues;
 pub use source::{add_source, inject_at, qos_inject_at, Source};
 use wn_phy::geom::Point;
@@ -574,8 +575,9 @@ pub(crate) struct Station {
 struct DcfState {
     /// Virtual carrier sense: the NAV reservation horizon.
     nav_until: Vec<SimTime>,
-    /// In-flight transmissions this station can hear (physical CS).
-    audible: Vec<AudibleSet>,
+    /// How many in-flight transmissions this station hears (physical
+    /// CS): the live records whose [`TxRecord::heard`] lists it.
+    hearing: Vec<u32>,
     /// The record id of this station's own in-flight transmission.
     transmitting: Vec<Option<u64>>,
     /// When the currently-armed access timer started counting.
@@ -594,7 +596,7 @@ impl DcfState {
     /// Appends one station's worth of initial state.
     fn push(&mut self) {
         self.nav_until.push(SimTime::ZERO);
-        self.audible.push(AudibleSet::default());
+        self.hearing.push(0);
         self.transmitting.push(None);
         self.access_armed_at.push(None);
         self.timer_gen.push(0);
@@ -606,7 +608,7 @@ impl DcfState {
     /// Pre-sizes every column for `additional` more stations.
     fn reserve(&mut self, additional: usize) {
         self.nav_until.reserve(additional);
-        self.audible.reserve(additional);
+        self.hearing.reserve(additional);
         self.transmitting.reserve(additional);
         self.access_armed_at.reserve(additional);
         self.timer_gen.reserve(additional);
@@ -638,6 +640,14 @@ struct TxRecord {
     /// above the CS threshold ([`RxRow::audible`]) are the only
     /// stations busy-edge delivery and reception decisions visit.
     rx_power: RxRow,
+    /// The stations counting this frame in their
+    /// [`DcfState::hearing`], ascending: pushed by the start sweep in
+    /// row order, edited by doze, wake and channel switches, and
+    /// consumed by the end sweep (which walks the same row in the same
+    /// order, so one cursor compare answers "was this station
+    /// counting?"). Empty once the frame ended; the buffer goes back
+    /// to the world's pool.
+    heard: Vec<u32>,
     done: bool,
 }
 
@@ -783,9 +793,18 @@ pub struct WlanWorld {
     /// Reused scratch for the half-duplex source bitset in
     /// [`handle_tx_end`](Self::handle_tx_end).
     txsrc_scratch: IdBitSet,
-    /// Reused scratch for the column-wise interference accumulator in
+    /// Reused scratch for the interferers of the completing frame in
     /// [`handle_tx_end`](Self::handle_tx_end).
-    intf_scratch: Vec<f64>,
+    interferer_scratch: Vec<Interferer>,
+    /// Emptied [`TxRecord::heard`] buffers, reused by later records.
+    heard_pool: Vec<Vec<u32>>,
+    /// The link budget's noise floor, and its milliwatt image: a pure
+    /// function of the budget, evaluated once per world.
+    noise: (Dbm, f64),
+    /// The linear SINR settle cutoffs of each (rate threshold, wire
+    /// bits) pair seen so far, keyed by `min_snr_db`'s bits
+    /// (`RateStep::settle_cutoffs_db` through `Db::to_linear`).
+    settle_cutoffs: HashMap<(u64, u64), (f64, f64)>,
     /// Reused scratch for the receivers that decoded the completing
     /// frame in [`handle_tx_end`](Self::handle_tx_end).
     decoded_scratch: Vec<(StationId, Dbm)>,
@@ -835,6 +854,7 @@ impl WlanWorld {
         cfg.validate().map_err(ConfigError)?;
         let std = cfg.standard;
         let budget = LinkBudget::for_standard(std, Radio::consumer_wifi());
+        let noise = budget.noise_floor();
         let rng = Rng::new(cfg.seed);
         let arf_template = Arf::new(
             std,
@@ -862,7 +882,10 @@ impl WlanWorld {
             contenders: IdBitSet::new(),
             rearm_scratch: Vec::new(),
             txsrc_scratch: IdBitSet::new(),
-            intf_scratch: Vec::new(),
+            interferer_scratch: Vec::new(),
+            heard_pool: Vec::new(),
+            noise: (noise, noise.to_milliwatts()),
+            settle_cutoffs: HashMap::new(),
             decoded_scratch: Vec::new(),
             overlap_scratch: Vec::new(),
             cmd_scratch: Vec::new(),
@@ -1041,6 +1064,19 @@ impl WlanWorld {
         &self.cfg
     }
 
+    /// How many in-flight transmissions station `id` hears (physical
+    /// carrier sense). Zero everywhere once the event queue drains.
+    pub fn hearing(&self, id: StationId) -> u32 {
+        self.dcf.hearing[id]
+    }
+
+    /// Transmission records still retained: frames on the air and
+    /// ended ones a frame still on the air overlaps. None once the
+    /// event queue drains.
+    pub fn retained_records(&self) -> usize {
+        self.records.len()
+    }
+
     /// MSDUs accepted for `id` but not yet completed: queued plus the
     /// one currently being attempted. Together with [`StationStats`]
     /// this closes the frame-conservation ledger
@@ -1208,17 +1244,26 @@ impl WlanWorld {
     /// Spectral overlap between two 2.4 GHz channels (1.0 co-channel,
     /// 0.0 orthogonal) — adjacent channels leak energy into each other,
     /// the §6 interference mechanism behind the 1/6/11 channel plan.
+    /// Answered from a table of every channel-number pair below 15;
+    /// numbers that are no 2.4 GHz channel overlap only themselves.
     pub(crate) fn channel_overlap(a: u8, b: u8) -> f64 {
+        static OVERLAP: LazyLock<[[f64; 15]; 15]> = LazyLock::new(|| {
+            let ism24 = |n: usize| wn_phy::bands::Channel::ism24(n as u8);
+            std::array::from_fn(|a| {
+                std::array::from_fn(|b| match (ism24(a), ism24(b)) {
+                    (Ok(ca), Ok(cb)) => ca.overlap_with(cb),
+                    _ => 0.0,
+                })
+            })
+        });
         if a == b {
             return 1.0;
         }
-        match (
-            wn_phy::bands::Channel::ism24(a),
-            wn_phy::bands::Channel::ism24(b),
-        ) {
-            (Ok(ca), Ok(cb)) => ca.overlap_with(cb),
-            _ => 0.0,
-        }
+        OVERLAP
+            .get(usize::from(a))
+            .and_then(|row| row.get(usize::from(b)))
+            .copied()
+            .unwrap_or(0.0)
     }
 
     /// Received power of a cross-channel emission after the spectral
@@ -1233,8 +1278,48 @@ impl WlanWorld {
         }
     }
 
+    /// Takes `id` off every live record's [`TxRecord::heard`] list (a
+    /// dozing or retuned radio hears nothing).
+    fn stop_hearing(&mut self, id: StationId) {
+        if self.dcf.hearing[id] == 0 {
+            return;
+        }
+        let key = id as u32;
+        for rec in self.records.iter_mut().filter(|rec| !rec.done) {
+            if let Ok(i) = rec.heard.binary_search(&key) {
+                rec.heard.remove(i);
+            }
+        }
+        self.dcf.hearing[id] = 0;
+    }
+
+    /// Puts `id` (just woken) on the [`TxRecord::heard`] list, in
+    /// sorted position, of every live record it hears from the
+    /// record's start-time power snapshot.
+    fn rehear(&mut self, id: StationId) {
+        let (key, channel) = (id as u32, self.dcf.channel[id]);
+        let cs = self.cfg.cs_threshold.value();
+        for rec in self.records.iter_mut() {
+            if rec.done || rec.src == id {
+                continue;
+            }
+            let ov = Self::channel_overlap(rec.channel, channel);
+            let audible =
+                Self::leaked_power(rec.rx_power.get(id), ov).is_some_and(|p| p.value() >= cs);
+            if !audible {
+                continue;
+            }
+            if let Err(i) = rec.heard.binary_search(&key) {
+                rec.heard.insert(i, key);
+                self.dcf.hearing[id] += 1;
+            } else {
+                debug_assert!(false, "station {id} already hears record {}", rec.id);
+            }
+        }
+    }
+
     fn medium_idle(&self, id: StationId, now: SimTime) -> bool {
-        self.dcf.audible[id].is_empty()
+        self.dcf.hearing[id] == 0
             && self.dcf.transmitting[id].is_none()
             && self.dcf.nav_until[id] <= now
     }
@@ -1284,38 +1369,22 @@ impl WlanWorld {
                 self.dcf.awake[id] = awake;
                 if !awake {
                     // A dozing radio hears nothing.
-                    self.dcf.audible[id].clear();
+                    self.stop_hearing(id);
                 } else if !was {
                     // Waking mid-frame: re-hear what is still in the
                     // air from the records' start-time power snapshots.
                     // Without this the medium looks spuriously idle and
                     // the station can arm backoff (and collide) under
                     // an ongoing audible transmission.
-                    let channel = self.dcf.channel[id];
-                    let mut heard_any = false;
-                    for i in 0..self.records.len() {
-                        let rec = &self.records[i];
-                        if rec.done || rec.src == id {
-                            continue;
-                        }
-                        let ov = Self::channel_overlap(rec.channel, channel);
-                        let heard = Self::leaked_power(rec.rx_power.get(id), ov)
-                            .map(|p| self.audible_at(p))
-                            .unwrap_or(false);
-                        if heard {
-                            let tx_id = rec.id;
-                            self.dcf.audible[id].insert(tx_id);
-                            heard_any = true;
-                        }
-                    }
-                    if heard_any {
+                    self.rehear(id);
+                    if self.dcf.hearing[id] > 0 {
                         self.freeze_access(id, now);
                     }
                 }
             }
             Command::SetChannel(ch) => {
                 self.dcf.channel[id] = ch;
-                self.dcf.audible[id].clear();
+                self.stop_hearing(id);
                 self.dcf.nav_until[id] = now;
             }
             Command::SignalStation {
@@ -1504,17 +1573,6 @@ impl WlanWorld {
                 rate_mbps: rate.rate.mbps(),
             },
         );
-        self.records.push(TxRecord {
-            id: tx_id,
-            src: id,
-            channel,
-            frame,
-            rate,
-            start: now,
-            end: now + dur,
-            rx_power: rx_power.clone(),
-            done: false,
-        });
         self.dcf.transmitting[id] = Some(tx_id);
         self.stations[id].stats.tx_frames += 1;
         self.stations[id].stats.tx_airtime_us += dur.as_nanos() / 1_000;
@@ -1523,15 +1581,32 @@ impl WlanWorld {
         // cross-channel power never exceeds raw power. That is a
         // superset of anything any receiver configuration can hear;
         // the per-station awake/channel/leak checks stay here.
+        let mut heard = self.heard_pool.pop().unwrap_or_default();
         for (r, power, _) in rx_power.audible(id, self.cfg.cs_threshold) {
             let overlap = Self::channel_overlap(channel, self.dcf.channel[r]);
-            let heard = Self::leaked_power(power, overlap)
+            let audible = Self::leaked_power(power, overlap)
                 .map(|p| self.audible_at(p))
                 .unwrap_or(false);
-            if self.dcf.awake[r] && heard && self.dcf.audible[r].insert(tx_id) == 1 {
-                self.freeze_access(r, now);
+            if self.dcf.awake[r] && audible {
+                heard.push(r as u32);
+                self.dcf.hearing[r] += 1;
+                if self.dcf.hearing[r] == 1 {
+                    self.freeze_access(r, now);
+                }
             }
         }
+        self.records.push(TxRecord {
+            id: tx_id,
+            src: id,
+            channel,
+            frame,
+            rate,
+            start: now,
+            end: now + dur,
+            rx_power,
+            heard,
+            done: false,
+        });
         sched.schedule_in(dur, MacEvent::TxEnd { tx_id });
         tx_id
     }
@@ -2158,6 +2233,93 @@ mod tests {
         assert_eq!(w.stats(sink).rx_accepted, 2);
     }
 
+    /// Every live record's `heard` list is strictly ascending, and each
+    /// station's `hearing` count is the number of lists it is on.
+    fn assert_hearing_consistent(w: &WlanWorld) {
+        let mut on_lists = vec![0u32; w.station_count()];
+        for rec in &w.records {
+            assert!(
+                rec.heard.windows(2).all(|p| p[0] < p[1]),
+                "record {} heard list unsorted: {:?}",
+                rec.id,
+                rec.heard
+            );
+            assert!(
+                !rec.done || rec.heard.is_empty(),
+                "ended record keeps a list"
+            );
+            for &r in &rec.heard {
+                on_lists[r as usize] += 1;
+            }
+        }
+        assert_eq!(on_lists, w.dcf.hearing);
+    }
+
+    #[test]
+    fn doze_wake_and_retune_keep_the_heard_lists_sorted() {
+        // Hidden senders A and B put two long frames on the air at
+        // once; the middle station dozes before they start, wakes while
+        // both are on the air (re-hearing both, inserted between its
+        // neighbours on each sorted list), retunes away (taken off both)
+        // and back (hears neither: a channel switch does not re-hear).
+        struct Script;
+        impl UpperLayer for Script {
+            fn on_start(&mut self, ctx: &mut UpperCtx) {
+                for (us, tag) in [(500, 1), (2_000, 2), (2_500, 3), (3_000, 4)] {
+                    ctx.set_timer(SimDuration::from_micros(us), tag);
+                }
+            }
+            fn on_timer(&mut self, ctx: &mut UpperCtx, tag: u64) {
+                ctx.command(match tag {
+                    1 => Command::SetAwake(false),
+                    2 => Command::SetAwake(true),
+                    3 => Command::SetChannel(6),
+                    _ => Command::SetChannel(1),
+                });
+            }
+        }
+        let mut cfg = MacConfig::new(PhyStandard::Dot11b);
+        cfg.seed = 3;
+        cfg.arf = false;
+        let mut w = WlanWorld::new(cfg);
+        let xs = [0.0, 115.0, 120.0, 125.0, 240.0];
+        for (i, &x) in xs.iter().enumerate() {
+            let upper: Box<dyn UpperLayer> = if i == 2 {
+                Box::new(Script)
+            } else {
+                Box::new(NullUpper)
+            };
+            w.add_station(MacAddr::station(i as u32), Point::new(x, 0.0), upper);
+        }
+        let mut sim = Simulation::new(w);
+        boot(&mut sim);
+        inject(&mut sim, 1, 0, data_frame(0, 1, 4000));
+        inject(&mut sim, 1, 4, data_frame(4, 3, 4000));
+        let live = |w: &WlanWorld| w.records.iter().filter(|r| !r.done).count();
+        sim.run_until(SimTime::from_micros(1_900));
+        assert_eq!(live(sim.world()), 2, "A and B overlap");
+        assert_eq!(sim.world().dcf.hearing[2], 0, "dozing");
+        assert_eq!(sim.world().dcf.hearing[1..4], [2, 0, 2]);
+        assert_hearing_consistent(sim.world());
+        sim.run_until(SimTime::from_micros(2_100));
+        assert_eq!(live(sim.world()), 2);
+        assert_eq!(sim.world().dcf.hearing[1..4], [2, 2, 2], "woke into both");
+        assert!(sim.world().records.iter().all(|r| r.heard == [1, 2, 3]));
+        assert_hearing_consistent(sim.world());
+        sim.run_until(SimTime::from_micros(2_600));
+        assert_eq!(sim.world().dcf.hearing[1..4], [2, 0, 2], "retuned away");
+        assert_hearing_consistent(sim.world());
+        sim.run_until(SimTime::from_micros(3_100));
+        assert_eq!(live(sim.world()), 2);
+        assert_eq!(sim.world().dcf.hearing[2], 0, "a retune does not re-hear");
+        assert_hearing_consistent(sim.world());
+        sim.run_until(SimTime::from_secs(1));
+        let w = sim.world();
+        assert!(w.stats(0).tx_frames + w.stats(4).tx_frames > 2, "retried");
+        assert!(w.records.is_empty(), "every record retired");
+        assert!(w.dcf.hearing.iter().all(|&h| h == 0));
+    }
+
     #[test]
     fn overlapping_transmissions_clean_up_audible_sets() {
         // Hidden terminals A and B overlap on the air at the middle
@@ -2195,8 +2357,8 @@ mod tests {
             "hidden terminals should have overlapped at least once"
         );
         for id in [a, r, b] {
-            assert!(
-                w.dcf.audible[id].is_empty(),
+            assert_eq!(
+                w.dcf.hearing[id], 0,
                 "station {id} still hears a finished transmission"
             );
             assert!(w.dcf.transmitting[id].is_none());
@@ -2726,6 +2888,8 @@ mod tests {
     /// A caller-built QoS data frame on a legacy world rides the DCF
     /// attempt: its response timeout is armed and a group-addressed one
     /// completes at once, so neither leaves the sender waiting forever.
+    /// The receiver takes it as plain data: a unicast one is ACKed and
+    /// delivered, a broadcast one delivered.
     #[test]
     fn qos_data_on_a_legacy_world_never_wedges_the_sender() {
         for to in [MacAddr::station(1), MacAddr::BROADCAST] {
@@ -2740,6 +2904,12 @@ mod tests {
             assert_eq!(w.pending_msdus(0), 0, "to {to}: sender wedged");
             assert_eq!(settled(w.stats(0)), 2, "to {to}");
             assert_eq!(w.frame_ledger(), (0, 0));
+            // Delivered as plain data, not parsed as an aggregate.
+            assert_eq!(w.stats(1).rx_accepted, 2, "to {to}");
+            if !to.is_group() {
+                assert_eq!(w.stats(0).tx_completions, 2, "to {to}");
+                assert_eq!(w.stats(0).tx_failures, 0, "to {to}");
+            }
         }
     }
 

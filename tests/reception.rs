@@ -185,8 +185,14 @@ fn adjacent_channel_collisions_hold_their_digests() {
     assert_eq!(cached, direct, "cached and direct paths diverged");
     let (trace, metrics, rx) = cached;
     for (accepted, errors) in rx {
-        assert!(accepted > 0 && errors > 0, "receivers (accepted, errors) {rx:?}");
+        assert!(
+            accepted > 0 && errors > 0,
+            "receivers (accepted, errors) {rx:?}"
+        );
     }
     assert_eq!(trace, ADJACENT_TRACE_FNV, "trace JSONL moved off its pin");
-    assert_eq!(metrics, ADJACENT_METRICS_FNV, "metrics JSONL moved off its pin");
+    assert_eq!(
+        metrics, ADJACENT_METRICS_FNV,
+        "metrics JSONL moved off its pin"
+    );
 }
