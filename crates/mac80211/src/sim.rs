@@ -1293,8 +1293,8 @@ impl WlanWorld {
         self.dcf.hearing[id] = 0;
     }
 
-    /// Puts `id` (just woken) on the [`TxRecord::heard`] list, in
-    /// sorted position, of every live record it hears from the
+    /// Puts `id` (just woken or retuned) on the [`TxRecord::heard`]
+    /// list, in sorted position, of every live record it hears from the
     /// record's start-time power snapshot.
     fn rehear(&mut self, id: StationId) {
         let (key, channel) = (id as u32, self.dcf.channel[id]);
@@ -1386,6 +1386,14 @@ impl WlanWorld {
                 self.dcf.channel[id] = ch;
                 self.stop_hearing(id);
                 self.dcf.nav_until[id] = now;
+                // Retuning into an ongoing frame: hear what is already
+                // on the new channel, as waking mid-frame does.
+                if self.dcf.awake[id] {
+                    self.rehear(id);
+                    if self.dcf.hearing[id] > 0 {
+                        self.freeze_access(id, now);
+                    }
+                }
             }
             Command::SignalStation {
                 station,
@@ -2261,7 +2269,7 @@ mod tests {
         // once; the middle station dozes before they start, wakes while
         // both are on the air (re-hearing both, inserted between its
         // neighbours on each sorted list), retunes away (taken off both)
-        // and back (hears neither: a channel switch does not re-hear).
+        // and back (re-hearing both, like a wake).
         struct Script;
         impl UpperLayer for Script {
             fn on_start(&mut self, ctx: &mut UpperCtx) {
@@ -2311,13 +2319,79 @@ mod tests {
         assert_hearing_consistent(sim.world());
         sim.run_until(SimTime::from_micros(3_100));
         assert_eq!(live(sim.world()), 2);
-        assert_eq!(sim.world().dcf.hearing[2], 0, "a retune does not re-hear");
+        assert_eq!(sim.world().dcf.hearing[2], 2, "retuned back into both");
+        assert!(sim.world().records.iter().all(|r| r.heard == [1, 2, 3]));
         assert_hearing_consistent(sim.world());
         sim.run_until(SimTime::from_secs(1));
         let w = sim.world();
         assert!(w.stats(0).tx_frames + w.stats(4).tx_frames > 2, "retried");
         assert!(w.records.is_empty(), "every record retired");
         assert!(w.dcf.hearing.iter().all(|&h| h == 0));
+    }
+
+    #[test]
+    fn retune_onto_a_busy_channel_defers_backoff() {
+        // Regression: a station whose access timer is counting down
+        // when it retunes into an ongoing frame must hear that frame
+        // and freeze — not count down on a spuriously idle medium and
+        // put its own frame on the air under A's.
+        struct Retune;
+        impl UpperLayer for Retune {
+            fn on_start(&mut self, ctx: &mut UpperCtx) {
+                ctx.set_timer(SimDuration::from_micros(2_010), 1);
+            }
+            fn on_timer(&mut self, ctx: &mut UpperCtx, _tag: u64) {
+                ctx.command(Command::SetChannel(1));
+            }
+        }
+        // 11b: A's 4000 B frame (injected at 1 ms) holds channel 1 for
+        // ~3 ms. B queues on idle channel 6 at 2 ms, so its DIFS+backoff
+        // is running when it retunes 10 µs later.
+        let mut cfg = MacConfig::new(PhyStandard::Dot11b);
+        cfg.seed = 9;
+        cfg.capture = false;
+        cfg.arf = false;
+        let mut w = WlanWorld::new(cfg);
+        let a = w.add_station(
+            MacAddr::station(0),
+            Point::new(0.0, 0.0),
+            Box::new(NullUpper),
+        );
+        let b = w.add_station(MacAddr::station(1), Point::new(5.0, 0.0), Box::new(Retune));
+        let sink = w.add_station(
+            MacAddr::station(2),
+            Point::new(10.0, 0.0),
+            Box::new(NullUpper),
+        );
+        w.set_channel(b, 6);
+        let mut sim = Simulation::new(w);
+        boot(&mut sim);
+        inject(&mut sim, 1, a, data_frame(0, 2, 4000));
+        inject_at(
+            &mut sim,
+            SimTime::from_micros(2_000),
+            b,
+            data_frame(1, 2, 400),
+        );
+        sim.run_until(SimTime::from_secs(1));
+        let w = sim.world();
+        let first = |pred: &dyn Fn(&TraceEvent) -> bool| {
+            w.trace.events().find(|(_, e)| pred(e)).map(|(at, _)| at)
+        };
+        let a_ends =
+            first(&|e| matches!(e, TraceEvent::Rx { station, .. } if *station == sink as u32))
+                .expect("A's frame reaches the sink");
+        let b_starts =
+            first(&|e| matches!(e, TraceEvent::Tx { station, .. } if *station == b as u32))
+                .expect("B transmits");
+        assert!(
+            b_starts >= a_ends,
+            "B went on the air at {b_starts}, before A's frame reached the sink at {a_ends}"
+        );
+        assert_eq!(w.stats(a).tx_completions, 1);
+        assert_eq!(w.stats(b).tx_completions, 1);
+        assert_eq!(w.stats(a).retries + w.stats(b).retries, 0);
+        assert_eq!(w.stats(sink).rx_accepted, 2);
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //!   used by the experiment harness to regenerate the paper's figures.
 //! - [`metrics`] — a registry that names those instruments per layer and
 //!   per station and snapshots them into deterministic JSONL.
-//! - [`trace`] — a bounded event trace carrying typed
-//!   [`trace::TraceEvent`]s for debugging, ordering assertions in tests,
-//!   and JSONL export.
+//! - [`trace`] — a bounded ring of trace records, each exactly one typed
+//!   [`trace::TraceEvent`], for ordering assertions in tests, the
+//!   invariant oracles and fixed-field JSONL export.
 //! - [`par`] — a std-only scoped-thread pool ([`par_map`]) that fans the
 //!   independent sweep points of a campaign across cores while keeping
 //!   results in input order, so parallel runs stay byte-identical.
@@ -75,6 +75,5 @@ pub use par::{par_for_each_ordered, par_map, par_map_with, worker_count};
 pub use rng::Rng;
 pub use time::{SimDuration, SimTime};
 pub use trace::{
-    observability_enabled, set_observability, DropReason, FrameKind, Level, Lookup, Trace,
-    TraceEvent,
+    observability_enabled, set_observability, DropReason, FrameKind, Level, Trace, TraceEvent,
 };

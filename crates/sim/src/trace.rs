@@ -1,32 +1,27 @@
 //! Bounded event tracing.
 //!
-//! A [`Trace`] is a ring buffer of timestamped records. Each record
-//! carries either a human-readable message or, when emitted through
-//! [`Trace::event`], a typed [`TraceEvent`] that tests and exporters can
-//! match on structurally instead of by substring. A typed record's text
-//! is rendered from the event only when it is read
-//! ([`Record::message`]), so the records the ring evicts unread cost no
-//! formatting.
+//! A [`Trace`] is a ring buffer of timestamped records, each holding
+//! exactly one typed [`TraceEvent`]. Every producer in the workspace
+//! records through [`Trace::event`]; recording copies the event and
+//! formats nothing. `Debug` is the only text rendering, for interactive
+//! inspection.
 //!
-//! The buffer exists for three reasons: interactive debugging of
-//! protocol exchanges (print the last N MAC events), test assertions
-//! about *ordering* ("the CTS was sent after the RTS", "no data frame
-//! preceded association"), and machine-readable JSONL export
-//! ([`Trace::to_jsonl`]) for offline analysis of campaign runs.
+//! The buffer exists for three reasons: test assertions about
+//! *ordering* ("the CTS was sent after the RTS", "no data frame preceded
+//! association") through [`Trace::happened_before_events`], the
+//! invariant oracles that walk [`Trace::events`], and machine-readable
+//! JSONL export ([`Trace::to_jsonl`]) for offline analysis of campaign
+//! runs. Each record exports as one fixed-field line.
 //!
 //! # Eviction contract
 //!
 //! The buffer is bounded: once `capacity` records are retained, each new
-//! record evicts the oldest and increments [`Trace::dropped`]. All query
-//! methods operate on the *retained window only*. Ordering queries
-//! ([`Trace::happened_before`], [`Trace::happened_before_events`])
-//! **panic** when any record has been evicted, because the first
-//! occurrence of either needle may have been lost and the answer would
-//! be arbitrary. Use [`Trace::happened_before_retained`] when
-//! window-relative ordering is genuinely what you want, or size the
-//! buffer so nothing is evicted ([`Trace::new`] with a larger capacity).
-//! [`Trace::lookup_containing`] reports eviction explicitly via
-//! [`Lookup::Evicted`].
+//! record evicts the oldest and increments [`Trace::dropped`]. The
+//! queries see the *retained window only*. The ordering query
+//! [`Trace::happened_before_events`] **panics** when any record has been
+//! evicted, because the first occurrence of either event may have been
+//! lost and the answer would be arbitrary; size the buffer so nothing is
+//! evicted ([`Trace::new`] with a larger capacity).
 //!
 //! # Process-global kill switch
 //!
@@ -36,9 +31,7 @@
 //! it off). Simulation results never depend on trace contents, so
 //! toggling it cannot change figures.
 
-use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::json;
@@ -65,7 +58,7 @@ pub fn observability_enabled() -> bool {
 pub enum Level {
     /// High-volume per-frame detail.
     Debug,
-    /// Normal protocol milestones (association, handoff, crack success).
+    /// Normal protocol milestones (association, handoff).
     Info,
     /// Abnormal but recoverable conditions (retry limit, CRC failure).
     Warn,
@@ -326,15 +319,6 @@ pub enum TraceEvent {
         /// Hops traversed so far.
         hops: u32,
     },
-    /// Key-recovery progress in a security experiment.
-    Crack {
-        /// Attacking station.
-        station: u32,
-        /// Attack method label.
-        method: &'static str,
-        /// Whether the key was recovered.
-        ok: bool,
-    },
     /// EDCA per-access-category contention backoff armed (802.11e).
     EdcaBackoff {
         /// Station deferring.
@@ -384,105 +368,6 @@ pub enum TraceEvent {
     },
 }
 
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            TraceEvent::Tx {
-                station,
-                kind,
-                len,
-                rate_mbps,
-            } => write!(f, "tx {kind:?} sta={station} len={len} rate={rate_mbps:.1}"),
-            TraceEvent::Rx {
-                station,
-                kind,
-                len,
-                rssi_dbm,
-            } => write!(f, "rx {kind:?} sta={station} len={len} rssi={rssi_dbm:.1}"),
-            TraceEvent::Drop {
-                station,
-                kind,
-                reason,
-            } => write!(f, "drop {kind:?} sta={station} reason={reason:?}"),
-            TraceEvent::Backoff { station, slots, cw } => {
-                write!(f, "backoff sta={station} slots={slots} cw={cw}")
-            }
-            TraceEvent::Nav { station, until_us } => {
-                write!(f, "nav sta={station} until={until_us}us")
-            }
-            TraceEvent::Retry {
-                station,
-                short,
-                long,
-            } => write!(f, "retry sta={station} short={short} long={long}"),
-            TraceEvent::TxOutcome { station, ok } => {
-                write!(f, "tx-outcome sta={station} ok={ok}")
-            }
-            TraceEvent::Assoc { station, aid } => write!(f, "assoc sta={station} aid={aid}"),
-            TraceEvent::Handoff { station } => write!(f, "handoff sta={station}"),
-            TraceEvent::PowerSave { station, doze } => {
-                write!(f, "power-save sta={station} doze={doze}")
-            }
-            TraceEvent::Join { station, parent } => {
-                write!(f, "join sta={station} parent={parent}")
-            }
-            TraceEvent::Poll {
-                station,
-                peer,
-                slots,
-            } => write!(f, "poll master={station} slave={peer} slots={slots}"),
-            TraceEvent::Grant {
-                station,
-                bytes,
-                uplink,
-            } => write!(f, "grant ss={station} bytes={bytes} uplink={uplink}"),
-            TraceEvent::Deliver {
-                station,
-                bytes,
-                hops,
-            } => write!(f, "deliver sta={station} bytes={bytes} hops={hops}"),
-            TraceEvent::Forward { station, dst, hops } => {
-                write!(f, "forward sta={station} dst={dst} hops={hops}")
-            }
-            TraceEvent::Crack {
-                station,
-                method,
-                ok,
-            } => write!(f, "crack sta={station} method={method} ok={ok}"),
-            TraceEvent::EdcaBackoff {
-                station,
-                ac,
-                slots,
-                cw,
-            } => write!(
-                f,
-                "edca-backoff sta={station} ac={ac} slots={slots} cw={cw}"
-            ),
-            TraceEvent::AmpduTx {
-                station,
-                ac,
-                ssn,
-                bitmap,
-            } => write!(
-                f,
-                "ampdu-tx sta={station} ac={ac} ssn={ssn} bitmap={bitmap:#x}"
-            ),
-            TraceEvent::BlockAckRx {
-                station,
-                ac,
-                ssn,
-                bitmap,
-            } => write!(
-                f,
-                "block-ack-rx sta={station} ac={ac} ssn={ssn} bitmap={bitmap:#x}"
-            ),
-            TraceEvent::MpduDrop { station, ac, seq } => {
-                write!(f, "mpdu-drop sta={station} ac={ac} seq={seq}")
-            }
-        }
-    }
-}
-
 impl TraceEvent {
     /// Stable discriminant used as the JSON `type` field.
     pub fn type_tag(&self) -> &'static str {
@@ -502,7 +387,6 @@ impl TraceEvent {
             TraceEvent::Grant { .. } => "grant",
             TraceEvent::Deliver { .. } => "deliver",
             TraceEvent::Forward { .. } => "forward",
-            TraceEvent::Crack { .. } => "crack",
             TraceEvent::EdcaBackoff { .. } => "edca_backoff",
             TraceEvent::AmpduTx { .. } => "ampdu_tx",
             TraceEvent::BlockAckRx { .. } => "block_ack_rx",
@@ -528,7 +412,6 @@ impl TraceEvent {
             | TraceEvent::Grant { station, .. }
             | TraceEvent::Deliver { station, .. }
             | TraceEvent::Forward { station, .. }
-            | TraceEvent::Crack { station, .. }
             | TraceEvent::EdcaBackoff { station, .. }
             | TraceEvent::AmpduTx { station, .. }
             | TraceEvent::BlockAckRx { station, .. }
@@ -608,10 +491,6 @@ impl TraceEvent {
                 json::push_u64_field(out, "dst", u64::from(dst));
                 json::push_u64_field(out, "hops", u64::from(hops));
             }
-            TraceEvent::Crack { method, ok, .. } => {
-                json::push_str_field(out, "method", method);
-                json::push_bool_field(out, "ok", ok);
-            }
             TraceEvent::EdcaBackoff { ac, slots, cw, .. } => {
                 json::push_u64_field(out, "ac", u64::from(ac));
                 json::push_u64_field(out, "slots", u64::from(slots));
@@ -635,52 +514,13 @@ impl TraceEvent {
     }
 }
 
-/// One trace record.
+/// One trace record: a typed event stamped with its time, level and tag.
 #[derive(Clone, Debug)]
-pub struct Record {
-    /// Virtual time of the record.
-    pub at: SimTime,
-    /// Importance.
-    pub level: Level,
-    /// Short category tag, e.g. `"mac"`, `"phy"`, `"sec"`.
-    pub tag: &'static str,
-    /// Message text of a string-API record; empty for typed events.
-    text: String,
-    /// Structured payload when emitted through [`Trace::event`].
-    pub event: Option<TraceEvent>,
-}
-
-impl Record {
-    /// Human-readable message: a typed event rendered through its
-    /// `Display` impl, or the text given to the string API.
-    pub fn message(&self) -> Cow<'_, str> {
-        match &self.event {
-            Some(e) => Cow::Owned(e.to_string()),
-            None => Cow::Borrowed(&self.text),
-        }
-    }
-}
-
-impl fmt::Display for Record {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{} {:?} {}] ", self.at, self.level, self.tag)?;
-        match &self.event {
-            Some(e) => write!(f, "{e}"),
-            None => f.write_str(&self.text),
-        }
-    }
-}
-
-/// Result of an eviction-aware lookup ([`Trace::lookup_containing`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Lookup {
-    /// Found at this index within the retained window.
-    Found(usize),
-    /// Not present, and nothing was ever evicted — a definitive miss.
-    Absent,
-    /// Not present in the retained window, but records were evicted, so
-    /// a match may have been lost. The answer is unknowable.
-    Evicted,
+struct Record {
+    at: SimTime,
+    level: Level,
+    tag: &'static str,
+    event: TraceEvent,
 }
 
 /// A bounded ring buffer of trace records.
@@ -719,73 +559,26 @@ impl Trace {
         self.min_level = level;
     }
 
-    fn push(&mut self, record: Record) {
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(record);
-    }
-
-    /// Appends a record, evicting the oldest when full.
-    pub fn emit(&mut self, at: SimTime, level: Level, tag: &'static str, message: String) {
-        if level < self.min_level || !observability_enabled() {
-            return;
-        }
-        self.push(Record {
-            at,
-            level,
-            tag,
-            text: message,
-            event: None,
-        });
-    }
-
     /// Appends a typed event, evicting the oldest record when full.
-    ///
-    /// Only the event is stored; its human-readable message is rendered
-    /// through the `Display` impl when read ([`Record::message`]), so
-    /// recording costs no formatting or allocation.
     pub fn event(&mut self, at: SimTime, level: Level, tag: &'static str, event: TraceEvent) {
         if level < self.min_level || !observability_enabled() {
             return;
         }
-        self.push(Record {
+        if self.records.len() == self.capacity {
+            self.records.pop_front();
+            self.dropped += 1;
+        }
+        self.records.push_back(Record {
             at,
             level,
             tag,
-            text: String::new(),
-            event: Some(event),
+            event,
         });
     }
 
-    /// Convenience: emit at [`Level::Debug`].
-    pub fn debug(&mut self, at: SimTime, tag: &'static str, message: impl Into<String>) {
-        self.emit(at, Level::Debug, tag, message.into());
-    }
-
-    /// Convenience: emit at [`Level::Info`].
-    pub fn info(&mut self, at: SimTime, tag: &'static str, message: impl Into<String>) {
-        self.emit(at, Level::Info, tag, message.into());
-    }
-
-    /// Convenience: emit at [`Level::Warn`].
-    pub fn warn(&mut self, at: SimTime, tag: &'static str, message: impl Into<String>) {
-        self.emit(at, Level::Warn, tag, message.into());
-    }
-
-    /// Records currently retained, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &Record> {
-        self.records.iter()
-    }
-
-    /// Typed events currently retained, oldest first, with timestamps.
-    ///
-    /// Records emitted through the string API are skipped.
+    /// Events currently retained, oldest first, with timestamps.
     pub fn events(&self) -> impl Iterator<Item = (SimTime, &TraceEvent)> {
-        self.records
-            .iter()
-            .filter_map(|r| r.event.as_ref().map(|e| (r.at, e)))
+        self.records.iter().map(|r| (r.at, &r.event))
     }
 
     /// Number of retained records.
@@ -803,97 +596,18 @@ impl Trace {
         self.dropped
     }
 
-    /// Eviction-aware lookup of the first retained record whose message
-    /// contains `needle`.
+    /// `true` if an event matching `a` precedes one matching `b`.
     ///
-    /// Unlike [`Trace::position_containing`] this never panics: a miss
-    /// is reported as [`Lookup::Absent`] when the buffer has never
-    /// evicted (definitive) and as [`Lookup::Evicted`] when records have
-    /// been lost (unknowable).
-    pub fn lookup_containing(&self, needle: &str) -> Lookup {
-        match self
-            .records
-            .iter()
-            .position(|r| r.message().contains(needle))
-        {
-            Some(i) => Lookup::Found(i),
-            None if self.dropped == 0 => Lookup::Absent,
-            None => Lookup::Evicted,
-        }
-    }
-
-    /// Index of the first retained record whose message contains
-    /// `needle`.
-    ///
-    /// The index is relative to the retained window (what [`Trace::records`]
-    /// iterates), not to the full emission history.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `needle` is not found *and* records have been
-    /// evicted: the match may have been lost, so `None` would be a lie.
-    /// Use [`Trace::lookup_containing`] for a non-panicking,
-    /// eviction-aware answer.
-    pub fn position_containing(&self, needle: &str) -> Option<usize> {
-        match self.lookup_containing(needle) {
-            Lookup::Found(i) => Some(i),
-            Lookup::Absent => None,
-            Lookup::Evicted => panic!(
-                "Trace::position_containing({needle:?}): no retained match, but {} record(s) \
-                 were evicted — the answer is unknowable; use lookup_containing() or a larger \
-                 trace capacity",
-                self.dropped
-            ),
-        }
-    }
-
-    /// `true` if a record containing `a` precedes one containing `b`.
-    ///
-    /// The canonical ordering assertion for protocol tests.
+    /// The canonical ordering assertion for protocol tests: predicates
+    /// match on [`TraceEvent`] variants, e.g. "the CTS was sent after
+    /// the RTS".
     ///
     /// # Panics
     ///
     /// Panics when any record has been evicted, because the *first*
-    /// occurrence of either needle may have been lost and the observed
-    /// order of the survivors is not evidence of the true order. Use
-    /// [`Trace::happened_before_retained`] for window-relative ordering,
-    /// or a trace capacity large enough that nothing is evicted.
-    pub fn happened_before(&self, a: &str, b: &str) -> bool {
-        assert!(
-            self.dropped == 0,
-            "Trace::happened_before({a:?}, {b:?}): {} record(s) were evicted, so first \
-             occurrences may be lost and the ordering is unknowable; use \
-             happened_before_retained() or a larger trace capacity",
-            self.dropped
-        );
-        self.happened_before_retained(a, b)
-    }
-
-    /// `true` if, *within the retained window*, a record containing `a`
-    /// precedes one containing `b`.
-    ///
-    /// Unlike [`Trace::happened_before`] this does not panic on
-    /// eviction; it answers the weaker, always-well-defined question
-    /// about the surviving records.
-    pub fn happened_before_retained(&self, a: &str, b: &str) -> bool {
-        let ia = self.records.iter().position(|r| r.message().contains(a));
-        let ib = self.records.iter().position(|r| r.message().contains(b));
-        match (ia, ib) {
-            (Some(ia), Some(ib)) => ia < ib,
-            _ => false,
-        }
-    }
-
-    /// `true` if an event matching `a` precedes one matching `b`.
-    ///
-    /// The typed counterpart of [`Trace::happened_before`]: predicates
-    /// match on [`TraceEvent`] variants, so tests assert protocol
-    /// orderings structurally instead of by substring.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any record has been evicted, for the same reason as
-    /// [`Trace::happened_before`].
+    /// occurrence of either event may have been lost and the observed
+    /// order of the survivors is not evidence of the true order. Size
+    /// the trace so nothing is evicted.
     pub fn happened_before_events(
         &self,
         a: impl Fn(&TraceEvent) -> bool,
@@ -913,42 +627,9 @@ impl Trace {
         }
     }
 
-    /// Counts retained records whose message contains `needle`.
-    pub fn count_containing(&self, needle: &str) -> usize {
-        self.records
-            .iter()
-            .filter(|r| r.message().contains(needle))
-            .count()
-    }
-
-    /// Counts retained typed events matching `pred`.
+    /// Counts retained events matching `pred`.
     pub fn count_events(&self, pred: impl Fn(&TraceEvent) -> bool) -> usize {
         self.events().filter(|(_, e)| pred(e)).count()
-    }
-
-    /// Typed events attributed to `station`, oldest first.
-    ///
-    /// The per-station view invariant oracles reason over: events
-    /// whose [`TraceEvent::station`] does not match are skipped.
-    pub fn events_for(&self, station: u32) -> impl Iterator<Item = (SimTime, &TraceEvent)> {
-        self.events().filter(move |(_, e)| e.station() == station)
-    }
-
-    /// The most recent retained event strictly before `at` matching
-    /// `pred`, if any.
-    ///
-    /// Oracles use this to find the *governing* event for a later
-    /// observation — e.g. the NAV reservation in force when a station
-    /// started transmitting.
-    pub fn last_event_before(
-        &self,
-        at: SimTime,
-        pred: impl Fn(&TraceEvent) -> bool,
-    ) -> Option<(SimTime, &TraceEvent)> {
-        self.events()
-            .take_while(|&(t, _)| t < at)
-            .filter(|(_, e)| pred(e))
-            .last()
     }
 
     /// Serialises every retained record as one JSON object per line.
@@ -969,13 +650,7 @@ impl Trace {
             out.push_str("\",\"tag\":");
             json::push_str(&mut out, r.tag);
             out.push(',');
-            match &r.event {
-                Some(e) => e.write_json_fields(&mut out),
-                None => {
-                    out.push_str("\"type\":\"msg\",\"message\":");
-                    json::push_str(&mut out, &r.text);
-                }
-            }
+            r.event.write_json_fields(&mut out);
             out.push_str("}\n");
         }
         out
@@ -990,68 +665,58 @@ mod tests {
         SimTime::from_millis(ms)
     }
 
+    fn backoff(station: u32) -> TraceEvent {
+        TraceEvent::Backoff {
+            station,
+            slots: 7,
+            cw: 31,
+        }
+    }
+
+    fn tx_of(kind: FrameKind) -> impl Fn(&TraceEvent) -> bool {
+        move |e| matches!(e, TraceEvent::Tx { kind: k, .. } if *k == kind)
+    }
+
+    fn tx(station: u32, kind: FrameKind) -> TraceEvent {
+        TraceEvent::Tx {
+            station,
+            kind,
+            len: 20,
+            rate_mbps: 6.0,
+        }
+    }
+
+    /// A field added to every record shows up here: an 802.11 world's
+    /// ring holds up to 8,192 of them.
     #[test]
-    fn emits_and_reads_back() {
-        let mut tr = Trace::new(10);
-        tr.info(t(1), "mac", "rts sent");
-        tr.info(t(2), "mac", "cts sent");
-        assert_eq!(tr.len(), 2);
-        let msgs: Vec<String> = tr.records().map(|r| r.message().into_owned()).collect();
-        assert_eq!(msgs, vec!["rts sent", "cts sent"]);
+    fn record_and_event_sizes_are_pinned() {
+        assert_eq!(std::mem::size_of::<Record>(), 56);
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 24);
     }
 
     #[test]
     fn ring_buffer_evicts_oldest() {
         let mut tr = Trace::new(3);
         for i in 0..5 {
-            tr.info(t(i), "x", format!("m{i}"));
+            tr.event(t(i), Level::Info, "x", backoff(i as u32));
         }
         assert_eq!(tr.len(), 3);
         assert_eq!(tr.dropped(), 2);
-        let msgs: Vec<String> = tr.records().map(|r| r.message().into_owned()).collect();
-        assert_eq!(msgs, vec!["m2", "m3", "m4"]);
+        let kept: Vec<(SimTime, u32)> = tr.events().map(|(at, e)| (at, e.station())).collect();
+        assert_eq!(kept, vec![(t(2), 2), (t(3), 3), (t(4), 4)]);
     }
 
     #[test]
     fn level_filter_drops_below_min() {
         let mut tr = Trace::new(10);
         tr.set_min_level(Level::Info);
-        tr.debug(t(0), "x", "noise");
-        tr.info(t(1), "x", "signal");
-        tr.warn(t(2), "x", "alarm");
+        tr.event(t(0), Level::Debug, "x", backoff(0));
+        tr.event(t(1), Level::Info, "x", backoff(1));
+        tr.event(t(2), Level::Warn, "x", backoff(2));
         assert_eq!(tr.len(), 2);
-    }
-
-    #[test]
-    fn happened_before_orders_correctly() {
-        let mut tr = Trace::new(10);
-        tr.info(t(1), "mac", "rts to ap");
-        tr.info(t(2), "mac", "cts from ap");
-        tr.info(t(3), "mac", "data to ap");
-        assert!(tr.happened_before("rts", "cts"));
-        assert!(tr.happened_before("cts", "data"));
-        assert!(!tr.happened_before("data", "rts"));
-        assert!(!tr.happened_before("missing", "rts"));
-    }
-
-    #[test]
-    fn count_containing_counts() {
-        let mut tr = Trace::new(10);
-        tr.info(t(1), "mac", "retry 1");
-        tr.info(t(2), "mac", "retry 2");
-        tr.info(t(3), "mac", "ack");
-        assert_eq!(tr.count_containing("retry"), 2);
-        assert_eq!(tr.count_containing("nak"), 0);
-    }
-
-    #[test]
-    fn display_includes_time_and_tag() {
-        let mut tr = Trace::new(4);
-        tr.warn(t(5), "phy", "crc failure");
-        let s = tr.records().next().unwrap().to_string();
-        assert!(s.contains("phy"), "{s}");
-        assert!(s.contains("crc failure"), "{s}");
-        assert!(s.contains("5.000ms"), "{s}");
+        assert_eq!(tr.dropped(), 0, "filtered records are not evictions");
+        let kept: Vec<u32> = tr.events().map(|(_, e)| e.station()).collect();
+        assert_eq!(kept, vec![1, 2]);
     }
 
     #[test]
@@ -1060,130 +725,61 @@ mod tests {
         let _ = Trace::new(0);
     }
 
+    /// An RTS/CTS/DATA exchange, one typed record per frame.
+    fn exchange() -> Trace {
+        let mut tr = Trace::new(10);
+        tr.event(t(1), Level::Debug, "mac", tx(3, FrameKind::Rts));
+        tr.event(t(2), Level::Debug, "mac", tx(0, FrameKind::Cts));
+        tr.event(t(3), Level::Debug, "mac", tx(3, FrameKind::Data));
+        tr
+    }
+
+    #[test]
+    fn emits_and_reads_back() {
+        assert!(Trace::new(4).is_empty());
+        let tr = exchange();
+        let read: Vec<(SimTime, TraceEvent)> = tr.events().map(|(at, e)| (at, *e)).collect();
+        assert_eq!(
+            read,
+            vec![
+                (t(1), tx(3, FrameKind::Rts)),
+                (t(2), tx(0, FrameKind::Cts)),
+                (t(3), tx(3, FrameKind::Data)),
+            ]
+        );
+    }
+
+    #[test]
+    fn happened_before_orders_correctly() {
+        let tr = exchange();
+        assert!(tr.happened_before_events(tx_of(FrameKind::Rts), tx_of(FrameKind::Cts)));
+        assert!(tr.happened_before_events(tx_of(FrameKind::Cts), tx_of(FrameKind::Data)));
+        assert!(!tr.happened_before_events(tx_of(FrameKind::Data), tx_of(FrameKind::Rts)));
+        assert!(!tr.happened_before_events(tx_of(FrameKind::Ack), tx_of(FrameKind::Rts)));
+    }
+
     #[test]
     fn typed_events_round_trip() {
-        let mut tr = Trace::new(10);
-        tr.event(
-            t(1),
-            Level::Debug,
-            "mac",
-            TraceEvent::Tx {
-                station: 3,
-                kind: FrameKind::Rts,
-                len: 20,
-                rate_mbps: 6.0,
-            },
-        );
-        tr.event(
-            t(2),
-            Level::Debug,
-            "mac",
-            TraceEvent::Tx {
-                station: 0,
-                kind: FrameKind::Cts,
-                len: 14,
-                rate_mbps: 6.0,
-            },
-        );
-        assert_eq!(tr.events().count(), 2);
-        assert!(tr.happened_before_events(
-            |e| matches!(
-                e,
-                TraceEvent::Tx {
-                    kind: FrameKind::Rts,
-                    ..
-                }
-            ),
-            |e| matches!(
-                e,
-                TraceEvent::Tx {
-                    kind: FrameKind::Cts,
-                    ..
-                }
-            ),
-        ));
+        let tr = exchange();
+        assert_eq!(tr.len(), 3);
         assert_eq!(
             tr.count_events(|e| matches!(e, TraceEvent::Tx { station: 3, .. })),
-            1
+            2
         );
-        // The rendered message matches the Display impl.
-        let first = tr.records().next().unwrap();
-        assert_eq!(first.message(), "tx Rts sta=3 len=20 rate=6.0");
+        assert_eq!(tr.count_events(tx_of(FrameKind::Cts)), 1);
+        assert_eq!(tr.count_events(tx_of(FrameKind::Ack)), 0);
     }
 
-    #[test]
-    fn events_for_and_last_event_before_query_by_station_and_time() {
-        let mut tr = Trace::new(10);
-        for (ms, sta, slots) in [(1u64, 0u32, 3u32), (2, 1, 7), (3, 0, 15)] {
-            tr.event(
-                t(ms),
-                Level::Debug,
-                "mac",
-                TraceEvent::Backoff {
-                    station: sta,
-                    slots,
-                    cw: 31,
-                },
-            );
-        }
-        assert_eq!(tr.events_for(0).count(), 2);
-        assert_eq!(tr.events_for(1).count(), 1);
-        assert_eq!(tr.events_for(9).count(), 0);
-        // Strictly-before: the event at t=3 is excluded when at == t(3).
-        let (when, ev) = tr
-            .last_event_before(t(3), |e| e.station() == 0)
-            .expect("governing event");
-        assert_eq!(when, t(1));
-        assert!(matches!(ev, TraceEvent::Backoff { slots: 3, .. }));
-        assert!(tr.last_event_before(t(1), |_| true).is_none());
-    }
-
-    #[test]
-    fn lookup_is_eviction_aware() {
-        let mut tr = Trace::new(2);
-        tr.info(t(0), "x", "alpha");
-        assert_eq!(tr.lookup_containing("alpha"), Lookup::Found(0));
-        assert_eq!(tr.lookup_containing("beta"), Lookup::Absent);
-        tr.info(t(1), "x", "bravo");
-        tr.info(t(2), "x", "charlie"); // evicts "alpha"
-        assert_eq!(tr.dropped(), 1);
-        assert_eq!(tr.lookup_containing("alpha"), Lookup::Evicted);
-        assert_eq!(tr.lookup_containing("charlie"), Lookup::Found(1));
-    }
-
-    /// Regression: pre-fix, a miss after eviction silently returned
-    /// `None`, so ordering assertions in long runs could pass or fail
-    /// arbitrarily depending on buffer size.
-    #[test]
-    #[should_panic(expected = "unknowable")]
-    fn position_containing_panics_on_evicted_miss() {
-        let mut tr = Trace::new(2);
-        tr.info(t(0), "x", "alpha");
-        tr.info(t(1), "x", "bravo");
-        tr.info(t(2), "x", "charlie"); // evicts "alpha"
-        let _ = tr.position_containing("alpha");
-    }
-
-    /// Regression: pre-fix, `happened_before` silently returned `false`
-    /// once the ring had evicted either needle's first occurrence.
+    /// Regression: an ordering answer over a ring that has evicted
+    /// records would silently depend on the buffer size.
     #[test]
     #[should_panic(expected = "unknowable")]
     fn happened_before_panics_after_eviction() {
         let mut tr = Trace::new(2);
-        tr.info(t(0), "x", "rts");
-        tr.info(t(1), "x", "cts");
-        tr.info(t(2), "x", "data"); // evicts "rts"
-        let _ = tr.happened_before("rts", "cts");
-    }
-
-    #[test]
-    fn happened_before_retained_answers_window_question() {
-        let mut tr = Trace::new(2);
-        tr.info(t(0), "x", "rts");
-        tr.info(t(1), "x", "cts");
-        tr.info(t(2), "x", "data"); // evicts "rts"
-        assert!(tr.happened_before_retained("cts", "data"));
-        assert!(!tr.happened_before_retained("rts", "cts"));
+        tr.event(t(0), Level::Debug, "mac", tx(1, FrameKind::Rts));
+        tr.event(t(1), Level::Debug, "mac", tx(0, FrameKind::Cts));
+        tr.event(t(2), Level::Debug, "mac", tx(1, FrameKind::Data)); // evicts the RTS
+        let _ = tr.happened_before_events(tx_of(FrameKind::Cts), tx_of(FrameKind::Data));
     }
 
     /// One instance of every [`TraceEvent`] variant.
@@ -1254,11 +850,6 @@ mod tests {
                 dst: 17,
                 hops: 1,
             },
-            TraceEvent::Crack {
-                station: 18,
-                method: "fms",
-                ok: true,
-            },
             TraceEvent::EdcaBackoff {
                 station: 19,
                 ac: 1,
@@ -1285,21 +876,19 @@ mod tests {
         ]
     }
 
-    /// Typed records keep only the event; their text is rendered on
-    /// read, equals the `Display` output, and the JSONL export is
-    /// written from the fields exactly as before.
+    /// Each record keeps its event as recorded, and the JSONL export
+    /// writes it from the fields as one fixed-field line.
     #[test]
-    fn typed_records_render_their_message_on_read() {
+    fn every_variant_exports_one_fixed_field_line() {
         let events = every_variant();
         let mut tr = Trace::new(64);
         for (i, e) in events.iter().enumerate() {
             tr.event(t(i as u64), Level::Debug, "mac", *e);
         }
         assert_eq!(tr.len(), events.len());
-        for (r, e) in tr.records().zip(&events) {
-            assert_eq!(r.event, Some(*e));
-            assert_eq!(r.message(), e.to_string());
-            assert_eq!(r.to_string(), format!("[{} Debug mac] {e}", r.at));
+        for ((at, r), (i, e)) in tr.events().zip(events.iter().enumerate()) {
+            assert_eq!((at, r), (t(i as u64), e));
+            assert_eq!(r.station(), e.station());
         }
         let expected = [
             r#""type":"tx","station":1,"kind":"Rts","len":20,"rate_mbps":6"#,
@@ -1317,7 +906,6 @@ mod tests {
             r#""type":"grant","station":14,"bytes":4096,"uplink":true"#,
             r#""type":"deliver","station":15,"bytes":512,"hops":3"#,
             r#""type":"forward","station":16,"dst":17,"hops":1"#,
-            r#""type":"crack","station":18,"method":"fms","ok":true"#,
             r#""type":"edca_backoff","station":19,"ac":1,"slots":5,"cw":15"#,
             r#""type":"ampdu_tx","station":20,"ac":2,"ssn":4095,"bitmap":255"#,
             r#""type":"block_ack_rx","station":21,"ac":0,"ssn":7,"bitmap":5"#,
@@ -1335,60 +923,5 @@ mod tests {
                 )
             );
         }
-    }
-
-    /// The substring queries see typed records through their rendered
-    /// text, alongside string-API records.
-    #[test]
-    fn substring_queries_match_typed_records() {
-        let mut tr = Trace::new(64);
-        tr.info(t(0), "mac", "association started");
-        for (i, e) in every_variant().into_iter().enumerate() {
-            tr.event(t(i as u64 + 1), Level::Debug, "mac", e);
-        }
-        tr.info(t(30), "mac", "association finished");
-        assert_eq!(tr.count_containing("sta=1 "), 1);
-        assert_eq!(tr.count_containing("tx Rts"), 1);
-        assert_eq!(tr.count_containing("bitmap=0xff"), 1);
-        assert_eq!(tr.count_containing("association"), 2);
-        assert_eq!(tr.count_containing("tx"), 3); // tx, tx-outcome, ampdu-tx
-        assert_eq!(tr.lookup_containing("handoff sta=9"), Lookup::Found(9));
-        assert_eq!(tr.lookup_containing("teardown"), Lookup::Absent);
-        assert_eq!(tr.position_containing("mpdu-drop"), Some(20));
-        assert!(tr.happened_before("association started", "tx Rts"));
-        assert!(tr.happened_before("tx Rts", "rx Data"));
-        assert!(tr.happened_before("mpdu-drop", "association finished"));
-        assert!(!tr.happened_before("rx Data", "tx Rts"));
-        assert!(tr.happened_before_retained("crack", "edca-backoff"));
-    }
-
-    #[test]
-    fn jsonl_serialises_typed_and_string_records() {
-        let mut tr = Trace::new(8);
-        tr.event(
-            t(1),
-            Level::Debug,
-            "mac",
-            TraceEvent::Tx {
-                station: 1,
-                kind: FrameKind::Data,
-                len: 1534,
-                rate_mbps: 54.0,
-            },
-        );
-        tr.warn(t(2), "phy", "crc \"failure\"\n".to_string());
-        let jsonl = tr.to_jsonl("FIG-0.0");
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(
-            lines[0],
-            "{\"exp\":\"FIG-0.0\",\"at_ns\":1000000,\"level\":\"debug\",\"tag\":\"mac\",\
-             \"type\":\"tx\",\"station\":1,\"kind\":\"Data\",\"len\":1534,\"rate_mbps\":54}"
-        );
-        assert_eq!(
-            lines[1],
-            "{\"exp\":\"FIG-0.0\",\"at_ns\":2000000,\"level\":\"warn\",\"tag\":\"phy\",\
-             \"type\":\"msg\",\"message\":\"crc \\\"failure\\\"\\n\"}"
-        );
     }
 }

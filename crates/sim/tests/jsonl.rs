@@ -223,14 +223,6 @@ fn every_variant() -> Vec<(TraceEvent, &'static str)> {
             r#""type":"forward","station":16,"dst":17,"hops":1"#,
         ),
         (
-            TraceEvent::Crack {
-                station: 18,
-                method: "k\"o\\rek",
-                ok: true,
-            },
-            r#""type":"crack","station":18,"method":"k\"o\\rek","ok":true"#,
-        ),
-        (
             TraceEvent::EdcaBackoff {
                 station: 19,
                 ac: 1,
@@ -339,28 +331,48 @@ fn every_frame_kind_renders_its_variant_name() {
     assert_eq!(tr.to_jsonl("K"), want);
 }
 
-/// String-API records: a message that needs no escaping, one that
-/// needs every escape the writer knows, and an empty one, under an
-/// experiment id that needs escaping too.
+/// Typed records under experiment ids that need no escaping, every
+/// escape the writer knows, and none at all, at each level.
 #[test]
-fn string_records_escape_every_special_character() {
-    let mut tr = Trace::new(4);
-    tr.info(SimTime::from_micros(3), "phy", "plain text, no escapes");
-    tr.warn(
-        SimTime::from_millis(7),
-        "sec",
-        "q\"b\\n\nr\rt\tu\u{1}e\u{1f} µ\u{7f}",
+fn experiment_ids_escape_every_special_character() {
+    let mut tr = Trace::new(1);
+    let mut line = |at, level, tag, exp: &str| {
+        tr.event(at, level, tag, TraceEvent::Handoff { station: 9 });
+        tr.to_jsonl(exp)
+    };
+    assert_eq!(
+        line(
+            SimTime::from_micros(3),
+            Level::Info,
+            "phy",
+            "plain text, no escapes"
+        ),
+        concat!(
+            r#"{"exp":"plain text, no escapes","at_ns":3000,"level":"info","tag":"phy","type":"handoff","station":9}"#,
+            "\n",
+        )
     );
-    tr.debug(SimTime::ZERO, "net", "");
-    let want = concat!(
-        r#"{"exp":"E\"x\\1","at_ns":3000,"level":"info","tag":"phy","type":"msg","message":"plain text, no escapes"}"#,
-        "\n",
-        r#"{"exp":"E\"x\\1","at_ns":7000000,"level":"warn","tag":"sec","type":"msg","message":"q\"b\\n\nr\rt\tu\u0001e\u001f µ"#,
-        "\u{7f}\"}\n",
-        r#"{"exp":"E\"x\\1","at_ns":0,"level":"debug","tag":"net","type":"msg","message":""}"#,
-        "\n",
+    assert_eq!(
+        line(
+            SimTime::from_millis(7),
+            Level::Warn,
+            "sec",
+            "q\"b\\n\nr\rt\tu\u{1}e\u{1f} µ\u{7f}"
+        ),
+        concat!(
+            r#"{"exp":"q\"b\\n\nr\rt\tu\u0001e\u001f µ"#,
+            "\u{7f}",
+            r#"","at_ns":7000000,"level":"warn","tag":"sec","type":"handoff","station":9}"#,
+            "\n",
+        )
     );
-    assert_eq!(tr.to_jsonl("E\"x\\1"), want);
+    assert_eq!(
+        line(SimTime::ZERO, Level::Debug, "net", ""),
+        concat!(
+            r#"{"exp":"","at_ns":0,"level":"debug","tag":"net","type":"handoff","station":9}"#,
+            "\n",
+        )
+    );
 }
 
 /// A snapshot with one instrument of each kind, world-level and

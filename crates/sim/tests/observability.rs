@@ -11,21 +11,23 @@ use wn_sim::{observability_enabled, set_observability, SimTime};
 fn kill_switch_suppresses_retention_and_restores() {
     assert!(observability_enabled(), "default must be enabled");
     let mut tr = Trace::new(16);
+    let handoff = |station| TraceEvent::Handoff { station };
 
-    tr.info(SimTime::ZERO, "x", "before");
+    tr.event(SimTime::ZERO, Level::Info, "x", handoff(0));
     set_observability(false);
     assert!(!observability_enabled());
-    tr.info(SimTime::from_millis(1), "x", "while off");
-    tr.event(
-        SimTime::from_millis(2),
-        Level::Warn,
-        "x",
-        TraceEvent::Handoff { station: 1 },
-    );
+    tr.event(SimTime::from_millis(1), Level::Info, "x", handoff(1));
+    tr.event(SimTime::from_millis(2), Level::Warn, "x", handoff(2));
     set_observability(true);
-    tr.info(SimTime::from_millis(3), "x", "after");
+    tr.event(SimTime::from_millis(3), Level::Info, "x", handoff(3));
 
-    let msgs: Vec<String> = tr.records().map(|r| r.message().into_owned()).collect();
-    assert_eq!(msgs, vec!["before", "after"]);
+    let kept: Vec<(SimTime, TraceEvent)> = tr.events().map(|(at, e)| (at, *e)).collect();
+    assert_eq!(
+        kept,
+        vec![
+            (SimTime::ZERO, handoff(0)),
+            (SimTime::from_millis(3), handoff(3))
+        ]
+    );
     assert_eq!(tr.dropped(), 0, "suppressed records are not 'evictions'");
 }
