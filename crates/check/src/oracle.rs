@@ -282,8 +282,11 @@ impl Invariant for FrameLedgerBalanced {
 /// A drained run leaves a quiet medium: once the event queue is empty
 /// every transmission has ended, so no station still counts one as
 /// audible (a count stuck above zero holds that station's medium busy
-/// forever) and every transmission record has been retired. Runs that
-/// stop at their horizon with events pending are not checked.
+/// forever), every transmission record has been retired, and every
+/// station's frame exchange has ended with no SIFS action pending (a
+/// transition that forgot its reset leaves the station waiting for a
+/// response that no scheduled event can bring). Runs that stop at
+/// their horizon with events pending are not checked.
 pub struct MediumDrained;
 
 impl Invariant for MediumDrained {
@@ -311,6 +314,13 @@ impl Invariant for MediumDrained {
                 format!("{records} transmission records outlive the drain"),
             ));
         }
+        let open = art.wlan.as_ref().and_then(|w| w.drained_exchanges.as_ref());
+        out.extend(open.into_iter().flatten().map(|i| {
+            v(
+                self.name(),
+                format!("sta {i} is still mid-exchange after the drain"),
+            )
+        }));
         out
     }
 }

@@ -102,6 +102,9 @@ pub struct WlanFacts {
     /// carrier-senses) and the number of transmission records still
     /// retained. A drained medium has all of them at zero.
     pub drained_medium: Option<(Vec<u32>, usize)>,
+    /// Taken with `drained_medium`: the stations still mid-exchange
+    /// (`WlanWorld::exchange_open`). A drained world has none.
+    pub drained_exchanges: Option<Vec<u32>>,
 }
 
 /// End-state facts from a ZigBee run.
@@ -334,6 +337,12 @@ fn wlan_facts(
                 (0..n).map(|i| world.hearing(i)).collect(),
                 world.retained_records(),
             )
+        }),
+        drained_exchanges: drained.then(|| {
+            (0..n)
+                .filter(|&i| world.exchange_open(i))
+                .map(|i| i as u32)
+                .collect()
         }),
     }
 }

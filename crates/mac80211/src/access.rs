@@ -242,8 +242,7 @@ impl WlanWorld {
         if self.dcf.access_armed_at[id].is_some() {
             return;
         }
-        self.dcf.timer_gen[id] += 1;
-        let gen = self.dcf.timer_gen[id];
+        let gen = self.next_gen(id);
         self.dcf.access_armed_at[id] = Some(now);
         // The timer is counting down; idle edges can't affect it until
         // a busy edge freezes it again.
@@ -334,7 +333,7 @@ impl WlanWorld {
         if self.cfg.edca {
             self.edca_transmit(id, win, now, sched);
         } else if self.stations[id].current.is_some() {
-            self.transmit_current(id, now, sched);
+            self.transmit_current(id, true, now, sched);
         }
     }
 }

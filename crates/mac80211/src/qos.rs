@@ -4,7 +4,8 @@
 //! access engine (`access.rs`). A winning queue does not build a legacy
 //! `Attempt`: it sends an A-MPDU flight (its head-of-line run of MSDUs
 //! to one receiver) and waits for a compressed block ack. The station's
-//! `tx_ac` names the queue whose flight is on the air. The receiver
+//! one exchange state (`Exchange::Flight`) names the queue whose
+//! flight is on the air or awaits its block ack. The receiver
 //! draws per-MPDU losses, filters duplicates, delivers and answers
 //! with the block ack; the sender completes the acked MPDUs and
 //! retries the rest. Legacy worlds never reach this code.
@@ -12,7 +13,7 @@
 //! This file is a child module of `sim`, so the exchange works on the
 //! world's private state directly.
 
-use super::{Expecting, MacEvent, Msdu, PendingTx, StationId, WlanWorld};
+use super::{Exchange, MacEvent, Msdu, PendingTx, StationId, WlanWorld};
 use crate::arena::FrameId;
 use crate::frame::{Frame, SequenceControl, Subtype};
 use wn_phy::modulation::RateStep;
@@ -53,15 +54,16 @@ pub(super) enum BaResult {
 impl WlanWorld {
     /// Builds a fresh [`AmpduFlight`] for one AC from its queue head:
     /// a same-receiver run of MSDUs capped by the aggregation limits,
-    /// the AC's TXOP budget and the 64-wide block-ack window.
-    fn edca_build_flight(&mut self, id: StationId, aci: usize, now: SimTime) -> bool {
+    /// the AC's TXOP budget and the 64-wide block-ack window. An empty
+    /// queue builds none.
+    fn edca_build_flight(&mut self, id: StationId, aci: usize, now: SimTime) {
         let std = self.cfg.standard;
         let max_bytes = self.cfg.ampdu_max_bytes;
         let txop_us = self.queues.params[aci].txop_us;
         let k = self.queues.index(id, aci);
         let (peer, head_wire) = {
             let Some(head) = self.queues.msdus[k].front() else {
-                return false;
+                return;
             };
             let f = self.frames.get(head.frame);
             (
@@ -96,17 +98,15 @@ impl WlanWorld {
                 retries: 0,
             });
         }
-        if mpdus.is_empty() {
-            return false;
-        }
-        let ssn = mpdus[0].seq;
+        let Some(ssn) = mpdus.first().map(|m| m.seq) else {
+            return;
+        };
         self.queues.flights[k] = Some(AmpduFlight {
             mpdus,
             rate,
             ssn,
             built: None,
         });
-        true
     }
 
     /// Puts the AC's aggregate on the air and arms the block-ack wait.
@@ -118,15 +118,16 @@ impl WlanWorld {
         sched: &mut Scheduler<MacEvent>,
     ) {
         let k = self.queues.index(id, aci);
-        let have_flight = self.queues.flights[k].is_some() || self.edca_build_flight(id, aci, now);
-        if !have_flight {
-            return; // Queue drained underneath the access win.
+        if self.queues.flights[k].is_none() {
+            self.edca_build_flight(id, aci, now);
         }
         let std = self.cfg.standard;
         // Build (or reuse after a lost BA) the aggregate wire frame:
         // one QosData whose body is a [seq, len, payload] run.
         let (fid, rate, ssn, bits) = {
-            let flight = self.queues.flights[k].as_mut().expect("checked above");
+            let Some(flight) = self.queues.flights[k].as_mut() else {
+                return; // Queue drained underneath the access win.
+            };
             let ssn = flight.ssn;
             let mut bits = 0u64;
             for m in &flight.mpdus {
@@ -186,9 +187,13 @@ impl WlanWorld {
         );
         let is_group = self.frames.get(fid).receiver().is_group();
         self.frames.retain(fid); // The record's reference.
-        self.stations[id].tx_ac = Some(aci);
         self.start_transmission(id, fid, rate, now, sched);
-        self.expect_response(id, (!is_group).then_some(Expecting::BlockAck));
+        let ba = (!is_group).then(|| self.next_gen(id));
+        // ROADMAP item 1 Step 1: the one transition that replaces an
+        // open exchange. While another queue's flight awaits its block
+        // ack, this flight takes the station's exchange, so that flight
+        // is never resolved and its MSDUs stay queued for good.
+        self.open_exchange(id, Exchange::Flight { ac: aci, ba });
     }
 
     /// Receiver side of a QoS aggregate: per-MPDU loss draws, dedup,
@@ -262,30 +267,29 @@ impl WlanWorld {
         now: SimTime,
         sched: &mut Scheduler<MacEvent>,
     ) {
-        let Some((Expecting::BlockAck, _)) = self.dcf.expecting[id] else {
-            return;
-        };
         let (Some(ssn), Some(bitmap)) = (frame.ba_ssn(), frame.ba_bitmap()) else {
             return;
         };
-        self.dcf.expecting[id] = None;
+        let awaits_ba = |e: Exchange| matches!(e, Exchange::Flight { ba: Some(_), .. });
+        let Some(Exchange::Flight { ac, .. }) = self.end_exchange(id, awaits_ba) else {
+            return;
+        };
         self.dcf.timer_gen[id] += 1; // Cancel the BA timeout.
-        self.qos_resolve_flight(id, BaResult::Ba(ssn, bitmap), now, sched);
+        self.qos_resolve_flight(id, ac, BaResult::Ba(ssn, bitmap), now, sched);
     }
 
-    /// Settles the in-flight aggregate against a block ack (or its
-    /// absence): acked MPDUs complete, the rest retry until the limit,
-    /// and the flight either re-contends with the survivors or ends.
+    /// Settles queue `aci`'s aggregate, whose exchange just ended,
+    /// against a block ack (or its absence): acked MPDUs complete, the
+    /// rest retry until the limit, and the flight either re-contends
+    /// with the survivors or ends.
     pub(super) fn qos_resolve_flight(
         &mut self,
         id: StationId,
+        aci: usize,
         ba: BaResult,
         now: SimTime,
         sched: &mut Scheduler<MacEvent>,
     ) {
-        let Some(aci) = self.stations[id].tx_ac.take() else {
-            return;
-        };
         let k = self.queues.index(id, aci);
         let Some(mut flight) = self.queues.flights[k].take() else {
             return;
@@ -293,7 +297,7 @@ impl WlanWorld {
         if let Some(b) = flight.built.take() {
             self.frames.release(b);
         }
-        let limit = self.cfg.retry_limit_short + u32::from(self.cfg.failpoint_retry_overrun);
+        let limit = self.retry_limits().0;
         let peer = self.frames.get(flight.mpdus[0].msdu.frame).receiver();
         let flight_ssn = flight.ssn;
         let mut acked_bits = 0u64;
@@ -333,21 +337,9 @@ impl WlanWorld {
                     self.settle_msdu(id, m.msdu.enqueued, false, Some(aci), now);
                     outcomes.push((self.frames.unwrap_or_clone(m.msdu.frame), false));
                 } else {
-                    self.stations[id].stats.retries += 1;
-                    // Same shape as the legacy retry ladder so the
-                    // retry-bound and trace-metrics oracles cover the
-                    // QoS path too: `retries` is this MPDU's attempt
-                    // counter, bounded by the short limit.
-                    self.trace.event(
-                        now,
-                        Level::Debug,
-                        "mac",
-                        TraceEvent::Retry {
-                            station: id as u32,
-                            short: m.retries,
-                            long: 0,
-                        },
-                    );
+                    // The MPDU's attempt counter, bounded by the short
+                    // limit.
+                    self.count_retry(id, m.retries, 0, now);
                     remaining.push(m);
                 }
             }

@@ -16,7 +16,7 @@
 //! the world's private state directly.
 
 use super::qos::BaResult;
-use super::{frame_kind, Expecting, MacEvent, PendingTx, StationId, WlanWorld};
+use super::{frame_kind, Exchange, MacEvent, PendingTx, StationId, WlanWorld};
 use crate::duration::{ack_airtime, block_ack_airtime, cts_airtime};
 use crate::frame::{Frame, Subtype};
 use crate::neighbors::{interference_mw, Interferer};
@@ -68,13 +68,9 @@ impl WlanWorld {
         let frame_id = self.records[idx].frame;
         let rate = self.records[idx].rate;
         self.dcf.transmitting[src] = None;
-        let (subtype, is_group, wire_bits) = {
+        let (subtype, wire_bits) = {
             let f = self.frames.get(frame_id);
-            (
-                f.fc.subtype,
-                f.receiver().is_group(),
-                f.wire_len() as u64 * 8,
-            )
+            (f.fc.subtype, f.wire_len() as u64 * 8)
         };
 
         // Decide reception — only at the stations the start-time row
@@ -204,7 +200,7 @@ impl WlanWorld {
         self.overlap_scratch = overlapping;
 
         // Source-side continuation: arm response timeout or complete.
-        self.continue_after_own_tx(src, subtype, is_group, now, sched);
+        self.continue_after_own_tx(src, subtype, now, sched);
 
         // Receiver-side processing. The wire frame is checked out of
         // its slot for the duration — delivery needs `&Frame` alongside
@@ -261,7 +257,6 @@ impl WlanWorld {
         &mut self,
         src: StationId,
         subtype: Subtype,
-        is_group: bool,
         now: SimTime,
         sched: &mut Scheduler<MacEvent>,
     ) {
@@ -272,26 +267,24 @@ impl WlanWorld {
             // Control responses need no follow-up from us.
             return;
         }
-        if is_group {
-            // Group-addressed: complete at once, no response comes. An
-            // EDCA station's frame is its A-MPDU flight; anything else
-            // (a QoS data frame on a legacy world too) is its attempt.
-            if self.stations[src].tx_ac.is_some() {
-                self.qos_resolve_flight(src, BaResult::Broadcast, now, sched);
-            } else {
-                self.complete_attempt(src, true, now, sched);
+        // The exchange the frame opened at its tx start says what comes
+        // next. A group frame awaits nothing and completes at once: an
+        // EDCA station's frame is its A-MPDU flight, anything else (a
+        // QoS data frame on a legacy world too) is its attempt.
+        let std = self.cfg.standard;
+        let (resp_air, gen) = match self.stations[src].exchange {
+            Exchange::Idle => return self.complete_attempt(src, true, now, sched),
+            Exchange::Flight { ac, ba: None } => {
+                self.end_exchange(src, |_| true);
+                return self.qos_resolve_flight(src, ac, BaResult::Broadcast, now, sched);
             }
-        } else if let Some((exp, gen)) = self.dcf.expecting[src] {
-            // Arm the CTS/ACK/block-ack timeout.
-            let std = self.cfg.standard;
-            let resp_air = match exp {
-                Expecting::Cts => cts_airtime(std),
-                Expecting::Ack => ack_airtime(std),
-                Expecting::BlockAck => block_ack_airtime(std),
-            };
-            let timeout = self.sifs + resp_air + self.slot * 2;
-            sched.schedule_in(timeout, MacEvent::ResponseTimeout { station: src, gen });
-        }
+            Exchange::AwaitCts(gen) => (cts_airtime(std), gen),
+            Exchange::AwaitAck(gen) => (ack_airtime(std), gen),
+            Exchange::Flight { ba: Some(gen), .. } => (block_ack_airtime(std), gen),
+        };
+        // Arm the CTS/ACK/block-ack timeout.
+        let timeout = self.sifs + resp_air + self.slot * 2;
+        sched.schedule_in(timeout, MacEvent::ResponseTimeout { station: src, gen });
     }
 
     fn process_decoded(
@@ -422,13 +415,14 @@ impl WlanWorld {
     }
 
     fn on_ack(&mut self, id: StationId, now: SimTime, sched: &mut Scheduler<MacEvent>) {
-        let Some((Expecting::Ack, _)) = self.dcf.expecting[id] else {
+        let Some(_) = self.end_exchange(id, |e| matches!(e, Exchange::AwaitAck(_))) else {
             return;
         };
-        self.dcf.expecting[id] = None;
         self.dcf.timer_gen[id] += 1; // Cancel the timeout.
         let s = &mut self.stations[id];
-        let at = s.current.as_mut().expect("ACK implies attempt");
+        let Some(at) = s.current.as_mut() else {
+            return; // Unreachable: only an attempt awaits an ACK.
+        };
         s.arf.on_success(self.frames.get(at.msdu.frame).receiver());
         at.frag_ranges.pop_front();
         at.short_retries = 0;
@@ -444,20 +438,16 @@ impl WlanWorld {
         } else {
             at.frag_number += 1;
             // Continue the burst SIFS-spaced without re-contending.
-            self.schedule_sifs(id, PendingTx::NextFragment, sched);
+            self.schedule_sifs(id, PendingTx::Fragment, sched);
         }
     }
 
     fn on_cts(&mut self, id: StationId, sched: &mut Scheduler<MacEvent>) {
-        let Some((Expecting::Cts, _)) = self.dcf.expecting[id] else {
+        let Some(_) = self.end_exchange(id, |e| matches!(e, Exchange::AwaitCts(_))) else {
             return;
         };
-        self.dcf.expecting[id] = None;
         self.dcf.timer_gen[id] += 1;
-        if let Some(at) = self.stations[id].current.as_mut() {
-            at.cts_received = true;
-        }
-        self.schedule_sifs(id, PendingTx::DataAfterCts, sched);
+        self.schedule_sifs(id, PendingTx::Fragment, sched);
     }
 
     /// Books one MSDU's fate at its sender: the completion or failure
@@ -504,7 +494,6 @@ impl WlanWorld {
         let Some(at) = self.stations[id].current.take() else {
             return;
         };
-        self.dcf.expecting[id] = None;
         self.queues.reset_cw(id, 0);
         self.settle_msdu(id, at.msdu.enqueued, success, None, now);
         // Hand the upper layer the MSDU as it queued it: moved out of
@@ -536,6 +525,28 @@ impl WlanWorld {
         self.maybe_start_next(id, now, sched);
     }
 
+    /// The (short, long) retry limits, one higher each while the
+    /// planted `failpoint_retry_overrun` is armed (its one site).
+    pub(super) fn retry_limits(&self) -> (u32, u32) {
+        let c = &self.cfg;
+        let overrun = u32::from(c.failpoint_retry_overrun);
+        (c.retry_limit_short + overrun, c.retry_limit_long + overrun)
+    }
+
+    /// Counts and traces one retry with the attempt's (short, long)
+    /// counters. The A-MPDU ladder passes an MPDU's attempt count as
+    /// `short`, so the retry-bound and trace-metrics oracles cover both.
+    pub(super) fn count_retry(&mut self, id: StationId, short: u32, long: u32, now: SimTime) {
+        self.stations[id].stats.retries += 1;
+        let station = id as u32;
+        let retry = TraceEvent::Retry {
+            station,
+            short,
+            long,
+        };
+        self.trace.event(now, Level::Debug, "mac", retry);
+    }
+
     pub(super) fn handle_response_timeout(
         &mut self,
         id: StationId,
@@ -543,28 +554,27 @@ impl WlanWorld {
         now: SimTime,
         sched: &mut Scheduler<MacEvent>,
     ) {
-        let Some((exp, g)) = self.dcf.expecting[id] else {
+        let awaited = |e| match e {
+            Exchange::AwaitCts(g) | Exchange::AwaitAck(g) => g == gen,
+            Exchange::Flight { ba, .. } => ba == Some(gen),
+            Exchange::Idle => false,
+        };
+        let Some(ended) = self.end_exchange(id, awaited) else {
             return;
         };
-        if g != gen {
-            return;
-        }
-        self.dcf.expecting[id] = None;
         // A lost ACK after RTS/CTS charges the long retry counter; a
         // lost CTS, or the ACK of an unprotected frame, the short one.
-        let ack_lost = match exp {
-            Expecting::BlockAck => {
+        let ack_lost = match ended {
+            Exchange::Flight { ac, .. } => {
                 // The block ack never came: every MPDU of the aggregate
                 // missed this round.
-                self.qos_resolve_flight(id, BaResult::Timeout, now, sched);
+                self.qos_resolve_flight(id, ac, BaResult::Timeout, now, sched);
                 return;
             }
-            Expecting::Cts => false,
-            Expecting::Ack => true,
+            Exchange::AwaitAck(_) => true,
+            _ => false,
         };
-        let overrun = u32::from(self.cfg.failpoint_retry_overrun);
-        let cfg_short = self.cfg.retry_limit_short + overrun;
-        let cfg_long = self.cfg.retry_limit_long + overrun;
+        let (cfg_short, cfg_long) = self.retry_limits();
         let s = &mut self.stations[id];
         let Some(at) = s.current.as_mut() else {
             return;
@@ -579,9 +589,6 @@ impl WlanWorld {
                 self.frames.release(b);
             }
         }
-        // An unprotected attempt never holds a CTS, so clearing it is a
-        // no-op there.
-        at.cts_received = false;
         let exceeded = if ack_lost && at.use_rts {
             at.long_retries += 1;
             at.long_retries > cfg_long
@@ -593,17 +600,7 @@ impl WlanWorld {
         if exceeded {
             self.complete_attempt(id, false, now, sched);
         } else {
-            self.stations[id].stats.retries += 1;
-            self.trace.event(
-                now,
-                Level::Debug,
-                "mac",
-                TraceEvent::Retry {
-                    station: id as u32,
-                    short,
-                    long,
-                },
-            );
+            self.count_retry(id, short, long, now);
             // Double the contention window and re-contend (BEB).
             self.queues.widen_cw(id, 0);
             self.begin_access(id, 0, now, sched);
@@ -632,9 +629,7 @@ impl WlanWorld {
                 let fid = self.frames.insert(frame);
                 self.start_transmission(id, fid, rate, now, sched);
             }
-            PendingTx::NextFragment | PendingTx::DataAfterCts => {
-                self.transmit_current(id, now, sched);
-            }
+            PendingTx::Fragment => self.transmit_current(id, false, now, sched),
         }
     }
 }

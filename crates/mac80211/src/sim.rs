@@ -514,8 +514,9 @@ struct Attempt {
     frag_number: u8,
     short_retries: u32,
     long_retries: u32,
+    /// Every access win opens with an RTS; the SIFS-spaced data after
+    /// its CTS and later fragments of the burst do not.
     use_rts: bool,
-    cts_received: bool,
     rate: RateStep,
     is_retry: bool,
     /// The fully-built wire frame for the pending fragment (arena id,
@@ -526,19 +527,29 @@ struct Attempt {
     built: Option<FrameId>,
 }
 
-/// What the station is currently waiting for after transmitting.
+/// A station's one frame exchange. Only [`WlanWorld::open_exchange`]
+/// and [`WlanWorld::end_exchange`] write it; a `u64` is the timer
+/// generation of the awaited response's timeout.
 #[derive(Clone, Copy, Debug, PartialEq)]
-enum Expecting {
-    Cts,
-    Ack,
-    BlockAck,
+enum Exchange {
+    Idle,
+    /// An RTS is out; its CTS is awaited.
+    AwaitCts(u64),
+    /// A unicast data fragment is out; its ACK is awaited.
+    AwaitAck(u64),
+    /// Queue `ac`'s A-MPDU is on the air or awaits its block ack; a
+    /// group aggregate (`ba: None`) resolves at its tx end.
+    Flight {
+        ac: usize,
+        ba: Option<u64>,
+    },
 }
 
-/// A scheduled SIFS response (ACK/CTS) or follow-on fragment.
+/// A scheduled SIFS response (ACK/CTS/block ack), or the attempt's
+/// pending fragment after its CTS or the previous fragment's ACK.
 enum PendingTx {
     Control(Frame),
-    NextFragment,
-    DataAfterCts,
+    Fragment,
 }
 
 pub(crate) struct Station {
@@ -555,9 +566,7 @@ pub(crate) struct Station {
     reassembly: HashMap<(MacAddr, u16), Vec<u8>>,
     pending: Option<(PendingTx, u64)>,
     stats: StationStats,
-    /// Which queue's A-MPDU is on the air / awaiting its block ack
-    /// (EDCA worlds only).
-    tx_ac: Option<usize>,
+    exchange: Exchange,
 }
 
 /// Per-station carrier-sense and timer state, flattened into parallel
@@ -584,8 +593,6 @@ struct DcfState {
     access_armed_at: Vec<Option<SimTime>>,
     /// Generation guard invalidating stale scheduled timers.
     timer_gen: Vec<u64>,
-    /// The response (CTS/ACK) this station is waiting for, if any.
-    expecting: Vec<Option<(Expecting, u64)>>,
     /// The channel the station's radio is tuned to.
     channel: Vec<u8>,
     /// Whether the radio is awake (power save puts it to sleep).
@@ -600,7 +607,6 @@ impl DcfState {
         self.transmitting.push(None);
         self.access_armed_at.push(None);
         self.timer_gen.push(0);
-        self.expecting.push(None);
         self.channel.push(1);
         self.awake.push(true);
     }
@@ -612,7 +618,6 @@ impl DcfState {
         self.transmitting.reserve(additional);
         self.access_armed_at.reserve(additional);
         self.timer_gen.reserve(additional);
-        self.expecting.reserve(additional);
         self.channel.reserve(additional);
         self.awake.reserve(additional);
     }
@@ -917,12 +922,6 @@ impl WlanWorld {
         self.invalidate_neighbors();
     }
 
-    /// The live spatial grid (present only while the neighbor cache is
-    /// built). Test and oracle hook.
-    pub fn spatial_grid(&self) -> Option<&SpatialGrid> {
-        self.grid.as_ref()
-    }
-
     /// The propagation neighbor cache (empty until primed or first
     /// used). Exposed read-only so partition property tests can check
     /// shard assignments against who hears whom on the cached rows.
@@ -960,7 +959,7 @@ impl WlanWorld {
             reassembly: HashMap::new(),
             pending: None,
             stats: StationStats::default(),
-            tx_ac: None,
+            exchange: Exchange::Idle,
         });
         self.dcf.push();
         self.queues.push_station();
@@ -1002,11 +1001,6 @@ impl WlanWorld {
         start..self.stations.len()
     }
 
-    /// Station id by MAC address.
-    pub fn station_by_addr(&self, addr: MacAddr) -> Option<StationId> {
-        self.stations.iter().position(|s| s.addr == addr)
-    }
-
     /// Station `id`'s upper layer as a `T`: `None` for an unknown id or
     /// an upper layer of another type.
     pub fn upper<T: UpperLayer>(&self, id: StationId) -> Option<&T> {
@@ -1035,12 +1029,6 @@ impl WlanWorld {
     /// A station's current position.
     pub fn position(&self, id: StationId) -> Point {
         self.stations[id].pos
-    }
-
-    /// Sets a station's radio parameters (before boot).
-    pub fn set_radio(&mut self, id: StationId, radio: Radio) {
-        self.stations[id].radio = radio;
-        self.invalidate_neighbors();
     }
 
     /// Sets a station's channel directly (scenario setup).
@@ -1180,11 +1168,6 @@ impl WlanWorld {
         self.stations[id].stats.tx_airtime_us
     }
 
-    /// Aggregate delivered payload bytes across all stations.
-    pub fn total_delivered_bytes(&self) -> u64 {
-        self.stations.iter().map(|s| s.stats.rx_payload_bytes).sum()
-    }
-
     /// Exports the MAC's per-station counters and the world-level
     /// instruments into a named registry and snapshots it at `now`.
     ///
@@ -1293,10 +1276,14 @@ impl WlanWorld {
         self.dcf.hearing[id] = 0;
     }
 
-    /// Puts `id` (just woken or retuned) on the [`TxRecord::heard`]
-    /// list, in sorted position, of every live record it hears from the
-    /// record's start-time power snapshot.
-    fn rehear(&mut self, id: StationId) {
+    /// A radio that just woke or retuned re-hears what is on the air:
+    /// it joins the [`TxRecord::heard`] list, in sorted position, of
+    /// every live record it hears from the record's start-time power
+    /// snapshot (else the medium looks idle under an ongoing frame).
+    /// Then it freezes its access timer on a busy medium or arms it on
+    /// an idle one (else a contender frozen by the channel it left
+    /// waits for some other frame's tx end).
+    fn resense(&mut self, id: StationId, now: SimTime, sched: &mut Scheduler<MacEvent>) {
         let (key, channel) = (id as u32, self.dcf.channel[id]);
         let cs = self.cfg.cs_threshold.value();
         for rec in self.records.iter_mut() {
@@ -1315,6 +1302,11 @@ impl WlanWorld {
             } else {
                 debug_assert!(false, "station {id} already hears record {}", rec.id);
             }
+        }
+        if self.medium_idle(id, now) {
+            self.try_arm_access(id, now, sched);
+        } else {
+            self.freeze_access(id, now);
         }
     }
 
@@ -1371,28 +1363,15 @@ impl WlanWorld {
                     // A dozing radio hears nothing.
                     self.stop_hearing(id);
                 } else if !was {
-                    // Waking mid-frame: re-hear what is still in the
-                    // air from the records' start-time power snapshots.
-                    // Without this the medium looks spuriously idle and
-                    // the station can arm backoff (and collide) under
-                    // an ongoing audible transmission.
-                    self.rehear(id);
-                    if self.dcf.hearing[id] > 0 {
-                        self.freeze_access(id, now);
-                    }
+                    self.resense(id, now, sched);
                 }
             }
             Command::SetChannel(ch) => {
                 self.dcf.channel[id] = ch;
                 self.stop_hearing(id);
                 self.dcf.nav_until[id] = now;
-                // Retuning into an ongoing frame: hear what is already
-                // on the new channel, as waking mid-frame does.
                 if self.dcf.awake[id] {
-                    self.rehear(id);
-                    if self.dcf.hearing[id] > 0 {
-                        self.freeze_access(id, now);
-                    }
+                    self.resense(id, now, sched);
                 }
             }
             Command::SignalStation {
@@ -1541,7 +1520,6 @@ impl WlanWorld {
             short_retries: 0,
             long_retries: 0,
             use_rts,
-            cts_received: false,
             rate,
             is_retry: false,
             built: None,
@@ -1619,17 +1597,24 @@ impl WlanWorld {
         tx_id
     }
 
-    /// Transmits the next protocol unit of the current attempt (RTS or
-    /// the pending fragment).
-    fn transmit_current(&mut self, id: StationId, now: SimTime, sched: &mut Scheduler<MacEvent>) {
+    /// Transmits the next protocol unit of the current attempt: its RTS
+    /// when it `won_access` with RTS protection, else the pending
+    /// fragment.
+    fn transmit_current(
+        &mut self,
+        id: StationId,
+        won_access: bool,
+        now: SimTime,
+        sched: &mut Scheduler<MacEvent>,
+    ) {
         let std = self.cfg.standard;
         let timing = std.mac_timing();
         let addr = self.stations[id].addr;
-        let (frame, rate, expect) = {
+        let (frame, rate, awaits) = {
             let Some(at) = self.stations[id].current.as_mut() else {
                 return;
             };
-            if at.use_rts && !at.cts_received {
+            if at.use_rts && won_access {
                 // RTS first. Its NAV covers the whole exchange.
                 let body_len = at.frag_ranges.front().map_or(0, |&(a, b)| b - a);
                 let base = self.frames.get(at.msdu.frame);
@@ -1641,7 +1626,7 @@ impl WlanWorld {
                 (
                     self.frames.insert(rts),
                     std.base_rate(),
-                    Some(Expecting::Cts),
+                    Some(Exchange::AwaitCts as fn(u64) -> Exchange),
                 )
             } else {
                 // Reuse the cached wire frame on retries of the same
@@ -1682,28 +1667,54 @@ impl WlanWorld {
                 // One reference for the record on top of the attempt's
                 // cached one.
                 self.frames.retain(fid);
-                let expect =
-                    (!self.frames.get(fid).receiver().is_group()).then_some(Expecting::Ack);
-                (fid, at.rate, expect)
+                let unicast = !self.frames.get(fid).receiver().is_group();
+                (fid, at.rate, unicast.then_some(Exchange::AwaitAck as _))
             }
         };
         self.start_transmission(id, frame, rate, now, sched);
-        self.expect_response(id, expect);
+        let next = awaits.map_or(Exchange::Idle, |state| state(self.next_gen(id)));
+        self.open_exchange(id, next);
     }
 
-    /// Remembers the response a transmission just started solicits,
-    /// under a fresh timer generation; its timeout is armed when the
-    /// transmission ends (`continue_after_own_tx`).
-    fn expect_response(&mut self, id: StationId, expect: Option<Expecting>) {
-        self.dcf.expecting[id] = expect.map(|e| {
-            self.dcf.timer_gen[id] += 1;
-            (e, self.dcf.timer_gen[id])
-        });
+    /// Bumps station `id`'s timer generation, so its pending access
+    /// timer, response timeout and SIFS action all go stale, and
+    /// returns the new one.
+    fn next_gen(&mut self, id: StationId) -> u64 {
+        self.dcf.timer_gen[id] += 1;
+        self.dcf.timer_gen[id]
+    }
+
+    /// Opens the exchange a transmission just started: one awaiting its
+    /// response under a fresh [`next_gen`](Self::next_gen) (the timeout
+    /// is armed at tx end), a group flight, or `Idle` after a legacy
+    /// group frame. Only an open flight is ever replaced: the orphaning
+    /// overwrite in `edca_transmit` (ROADMAP item 1 Step 1).
+    fn open_exchange(&mut self, id: StationId, next: Exchange) {
+        let open = self.stations[id].exchange;
+        debug_assert!(
+            matches!(open, Exchange::Idle | Exchange::Flight { .. }),
+            "station {id} opens {next:?} during {open:?}"
+        );
+        self.stations[id].exchange = next;
+    }
+
+    /// Ends station `id`'s exchange if `ends` accepts it, returning the
+    /// exchange that ended; the station is `Idle` after.
+    fn end_exchange(&mut self, id: StationId, ends: impl Fn(Exchange) -> bool) -> Option<Exchange> {
+        let s = &mut self.stations[id];
+        ends(s.exchange).then(|| std::mem::replace(&mut s.exchange, Exchange::Idle))
+    }
+
+    /// Whether station `id` is mid-exchange: a response awaited, an
+    /// aggregate on the air or a SIFS-spaced action pending. False
+    /// everywhere once the event queue drains.
+    pub fn exchange_open(&self, id: StationId) -> bool {
+        let s = &self.stations[id];
+        s.exchange != Exchange::Idle || s.pending.is_some()
     }
 
     fn schedule_sifs(&mut self, id: StationId, action: PendingTx, sched: &mut Scheduler<MacEvent>) {
-        self.dcf.timer_gen[id] += 1;
-        let gen = self.dcf.timer_gen[id];
+        let gen = self.next_gen(id);
         self.stations[id].pending = Some((action, gen));
         sched.schedule_in(self.sifs, MacEvent::SifsAction { station: id, gen });
     }
@@ -2392,6 +2403,71 @@ mod tests {
         assert_eq!(w.stats(b).tx_completions, 1);
         assert_eq!(w.stats(a).retries + w.stats(b).retries, 0);
         assert_eq!(w.stats(sink).rx_accepted, 2);
+    }
+
+    #[test]
+    fn retune_onto_an_idle_channel_resumes_backoff() {
+        // Regression: a contender frozen under A's frame that retunes to
+        // an idle channel must resume its backoff there at once — not
+        // stay frozen until some frame on the channel it left ends.
+        struct Retune;
+        impl UpperLayer for Retune {
+            fn on_start(&mut self, ctx: &mut UpperCtx) {
+                ctx.set_timer(SimDuration::from_micros(2_500), 1);
+            }
+            fn on_timer(&mut self, ctx: &mut UpperCtx, _tag: u64) {
+                ctx.command(Command::SetChannel(6));
+            }
+        }
+        // 11b: A's 4000 B frame (injected at 1 ms) holds channel 1 until
+        // ~4.3 ms. B queues under it at 2 ms, freezes, and retunes to
+        // channel 6, where its peer C listens, at 2.5 ms.
+        let mut cfg = MacConfig::new(PhyStandard::Dot11b);
+        cfg.seed = 9;
+        cfg.arf = false;
+        let bound = SimTime::from_micros(2_500)
+            + crate::duration::difs(cfg.standard)
+            + crate::duration::slot(cfg.standard) * u64::from(cfg.cw_min());
+        let mut w = WlanWorld::new(cfg);
+        let a = w.add_station(
+            MacAddr::station(0),
+            Point::new(0.0, 0.0),
+            Box::new(NullUpper),
+        );
+        let b = w.add_station(MacAddr::station(1), Point::new(5.0, 0.0), Box::new(Retune));
+        let sink = w.add_station(
+            MacAddr::station(2),
+            Point::new(10.0, 0.0),
+            Box::new(NullUpper),
+        );
+        let c = w.add_station(
+            MacAddr::station(3),
+            Point::new(5.0, 5.0),
+            Box::new(NullUpper),
+        );
+        w.set_channel(c, 6);
+        let mut sim = Simulation::new(w);
+        boot(&mut sim);
+        inject(&mut sim, 1, a, data_frame(0, 2, 4000));
+        inject(&mut sim, 2, b, data_frame(1, 3, 400));
+        sim.run_until(SimTime::from_secs(1));
+        let w = sim.world();
+        let first_tx = |s: StationId| {
+            w.trace
+                .events()
+                .find(|(_, e)| matches!(e, TraceEvent::Tx { station, .. } if *station == s as u32))
+                .map(|(at, _)| at)
+                .expect("station transmits")
+        };
+        assert!(
+            first_tx(b) <= bound,
+            "B went on the air at {}, after DIFS + CWmin slots past its retune ({bound})",
+            first_tx(b)
+        );
+        assert_eq!(w.stats(a).tx_completions, 1);
+        assert_eq!(w.stats(b).tx_completions, 1);
+        assert_eq!(w.stats(sink).rx_accepted, 1);
+        assert_eq!(w.stats(c).rx_accepted, 1);
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! A known EDCA bug, recorded as a test before it is fixed.
 //!
 //! While one access category's A-MPDU waits for its block ack, another
-//! category of the same station can win the shared access timer. Its
-//! aggregate then overwrites the station's in-flight category and the
-//! awaited response, so the first category's flight is never resolved
-//! or re-contended and its MSDUs stay in the world for good. With one
-//! category per station the same run drains (the `mac80211` unit test
+//! category of the same station can win the shared access timer. One
+//! transition then replaces the open exchange: `edca_transmit` opens
+//! the new category's `Exchange::Flight` over the waiting one, so the
+//! first category's flight is never resolved or re-contended and its
+//! MSDUs stay in the world for good. With one category per station the
+//! same run drains (the `mac80211` unit test
 //! `drained_ampdu_run_retires_every_record`).
 //!
-//! The fix — one frame exchange per station at a time — is ROADMAP
-//! item 1 Step 1. It changes DENSE-OBSS behaviour, so it lands together
-//! with re-pinning the dense-obss digests in `perfbench/src/lib.rs`.
+//! The fix, one guard that defers the other categories while the
+//! station's exchange is open, is ROADMAP item 1 Step 1. It changes
+//! DENSE-OBSS behaviour, so it lands together with re-pinning the
+//! dense-obss digests in `perfbench/src/lib.rs`.
 //! Until then the test is ignored; `cargo test --test orphaned_flight
 //! -- --ignored` shows how many MSDUs are still held.
 
@@ -23,7 +25,7 @@ use wireless_networks::phy::modulation::PhyStandard;
 use wireless_networks::sim::{SimTime, Simulation};
 
 #[test]
-#[ignore = "known bug: a second AC's A-MPDU orphans the first AC's unresolved flight; fixed by ROADMAP item 1 Step 1 together with re-pinning the dense-obss digests in perfbench"]
+#[ignore = "known bug: edca_transmit opens a second AC's flight over the first AC's open exchange, orphaning that flight; fixed by ROADMAP item 1 Step 1 together with re-pinning the dense-obss digests in perfbench"]
 fn rotating_access_categories_drain_every_msdu() {
     let mut cfg = MacConfig::new(PhyStandard::Dot11g);
     cfg.seed = 7;
