@@ -1453,7 +1453,7 @@ pub struct ScaleDcfPoint {
     /// FNV-1a of the metrics snapshot JSONL — the fingerprint the
     /// equivalence checks compare across runs.
     pub metrics_fnv: u64,
-    /// Reception decisions settled by the SINR bound vs evaluated
+    /// Reception decisions settled by the settle table vs evaluated
     /// through the PER model.
     pub per_decisions: PerDecisions,
 }
@@ -2276,6 +2276,8 @@ pub struct DenseObssPoint {
     pub completed: u64,
     /// Aggregate delivered goodput \[Mbps\].
     pub aggregate_mbps: f64,
+    /// How the block's reception loop settled its PER decisions.
+    pub per_decisions: PerDecisions,
 }
 
 impl DenseObssPoint {
@@ -2297,8 +2299,9 @@ fn dense_obss_channel(cell: usize, cols: usize) -> u8 {
 
 /// Builds the apartment block and adds every AP's per-AC downlink
 /// backlog as one periodic source, spread over 90 % of the horizon with
-/// a per-AP/per-AC phase so arrivals never synchronise block-wide.
-fn dense_obss_sim(
+/// a per-AP/per-AC phase so arrivals never synchronise block-wide. The
+/// simulation behind every [`dense_obss_point_opts`], unrun.
+pub fn dense_obss_sim(
     rows: usize,
     cols: usize,
     duration_ms: u64,
@@ -2436,6 +2439,7 @@ pub fn dense_obss_point_opts(
         offered,
         completed,
         aggregate_mbps: (completed * DENSE_OBSS_PAYLOAD as u64 * 8) as f64 / duration_s / 1e6,
+        per_decisions: w.per_decisions(),
     }
 }
 

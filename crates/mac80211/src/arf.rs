@@ -7,7 +7,6 @@
 //! neighbour, since link quality is per-link.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use crate::addr::MacAddr;
 use wn_phy::modulation::{PhyStandard, RateStep};
@@ -60,15 +59,11 @@ struct LinkState {
     up_after: u32,
 }
 
-/// An ARF controller managing one station's links.
-///
-/// The rate ladder is shared (`Arc<[RateStep]>`), so cloning a template
-/// controller for each of N stations — the bulk-boot fast path in
-/// [`crate::sim::WlanWorld`] — bumps a refcount instead of reallocating
-/// the ladder N times.
+/// An ARF controller managing one station's links over its standard's
+/// static rate ladder.
 #[derive(Clone, Debug)]
 pub struct Arf {
-    ladder: Arc<[RateStep]>,
+    ladder: &'static [RateStep],
     params: ArfParams,
     links: HashMap<MacAddr, LinkState>,
     enabled: bool,
@@ -78,7 +73,7 @@ pub struct Arf {
 impl Arf {
     /// Creates a controller for `std`'s rate ladder.
     pub fn new(std: PhyStandard, params: ArfParams, enabled: bool) -> Self {
-        let ladder: Arc<[RateStep]> = std.rate_ladder().into();
+        let ladder = std.rate_ladder();
         let fixed_index = ladder.len() - 1;
         Arf {
             ladder,

@@ -20,8 +20,8 @@ use super::{frame_kind, Exchange, MacEvent, PendingTx, StationId, WlanWorld};
 use crate::duration::{ack_airtime, block_ack_airtime, cts_airtime};
 use crate::frame::{Frame, Subtype};
 use crate::neighbors::{interference_mw, Interferer};
-use wn_phy::modulation::{RateStep, SETTLE_BAND};
-use wn_phy::units::{Db, Dbm};
+use wn_phy::modulation::RateStep;
+use wn_phy::units::Dbm;
 use wn_sim::trace::{DropReason, Level, TraceEvent};
 use wn_sim::{Scheduler, SimDuration, SimTime};
 
@@ -120,17 +120,14 @@ impl WlanWorld {
                 intf.push(Interferer::new(o, ov));
             }
         }
-        // The SINR cutoffs for this frame's rate and length, as linear
-        // power ratios: at or below `lin_lo` it decodes with
-        // probability ≤ 2⁻¹⁰, at or above `lin_hi` with probability
-        // ≥ 1 − 2⁻¹⁰ (`RateStep::settle_cutoffs_db`).
-        let (lin_lo, lin_hi) = *self
-            .settle_cutoffs
+        // The settle table for this frame's rate and length: per bin of
+        // the draw, the linear SINR cutoffs that decide it. The handles
+        // are taken out of `self` for the loop, which reads the table
+        // while it updates the stations.
+        let mut tables = std::mem::take(&mut self.settle_tables);
+        let table = tables
             .entry((rate.min_snr_db.to_bits(), wire_bits))
-            .or_insert_with(|| {
-                let (s_lo, s_hi) = rate.settle_cutoffs_db(wire_bits);
-                (Db(s_lo).to_linear(), Db(s_hi).to_linear())
-            });
+            .or_insert_with(|| rate.settle_table(wire_bits));
         let row = |o: usize| &self.records[o].rx_power;
         for (r, power, power_mw) in rx_power.audible(src, self.cfg.cs_threshold) {
             if heard.get(heard_at) == Some(&(r as u32)) {
@@ -150,16 +147,16 @@ impl WlanWorld {
                 false
             } else {
                 // Draw first: `chance(p)` is `f64() < p`, so `p` only
-                // matters when the draw lands within 2⁻¹⁰ of 0 or 1 or
-                // the linear SINR falls between the cutoffs.
+                // matters when the linear SINR falls between the cutoffs
+                // of the draw's bin (`SettleTable`).
                 let u = self.rng.f64();
+                let (lin_lo, lin_hi) = table.cutoffs(u);
                 // A draw that would settle a low SINR as lost lets the
                 // interference sum stop as soon as its partial sum
                 // settles it (exact: see `interference_mw`). A
                 // receiver outside every interferer's sparse row sums
                 // to zero and gets the noise-only denominator.
-                let lost =
-                    |intf_mw: f64| u >= SETTLE_BAND && power_mw <= lin_lo * (noise_mw + intf_mw);
+                let lost = |intf_mw: f64| power_mw <= lin_lo * (noise_mw + intf_mw);
                 let (mut intf_mw, stopped) = interference_mw(&mut intf, 0.0, r, row, lost);
                 if let (Some(next), true) = (stopped, cfg!(debug_assertions)) {
                     // Debug builds finish the sum, so the cross-check
@@ -168,7 +165,7 @@ impl WlanWorld {
                 }
                 let settled = if stopped.is_some() || lost(intf_mw) {
                     Some(false)
-                } else if power_mw >= lin_hi * (noise_mw + intf_mw) && u < 1.0 - SETTLE_BAND {
+                } else if power_mw >= lin_hi * (noise_mw + intf_mw) {
                     Some(true)
                 } else {
                     None
@@ -177,7 +174,7 @@ impl WlanWorld {
                 match settled {
                     Some(ok) => {
                         self.per_decisions.settled += 1;
-                        debug_assert_eq!(ok, exact(), "SINR bound disagrees at station {r}");
+                        debug_assert_eq!(ok, exact(), "settle table disagrees at station {r}");
                         ok
                     }
                     None => {
@@ -195,6 +192,7 @@ impl WlanWorld {
         debug_assert_eq!(heard_at, heard.len(), "a heard station was not visited");
         heard.clear();
         self.heard_pool.push(heard);
+        self.settle_tables = tables;
         self.txsrc_scratch = tx_srcs;
         self.interferer_scratch = intf;
         self.overlap_scratch = overlapping;

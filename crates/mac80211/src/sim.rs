@@ -37,8 +37,8 @@
 //! planner in [`crate::shard`].
 
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
-use std::sync::LazyLock;
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::{Arc, LazyLock};
 
 #[path = "access.rs"]
 mod access;
@@ -62,7 +62,7 @@ use access::TxQueues;
 pub use source::{add_source, inject_at, qos_inject_at, Source};
 use wn_phy::geom::Point;
 use wn_phy::medium::{LinkBudget, Radio};
-use wn_phy::modulation::{PhyStandard, RateStep};
+use wn_phy::modulation::{PhyStandard, RateStep, SettleTable};
 use wn_phy::propagation::LogDistance;
 use wn_phy::units::Dbm;
 use wn_sim::metrics::{MetricsRegistry, MetricsSnapshot};
@@ -745,7 +745,8 @@ pub enum MacEvent {
 /// [`WlanWorld::per_decisions`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PerDecisions {
-    /// Decisions settled from the linear SINR bound and the draw alone.
+    /// Decisions settled by the draw's settle-table bin and the linear
+    /// SINR alone.
     pub settled: u64,
     /// Decisions that evaluated [`RateStep::success_prob`].
     pub exact: u64,
@@ -754,8 +755,7 @@ pub struct PerDecisions {
 /// The shared-medium world; drive it with [`wn_sim::Simulation`].
 pub struct WlanWorld {
     cfg: MacConfig,
-    /// Per-station ARF controllers clone this template — a refcount
-    /// bump on the shared rate ladder instead of a rebuild per station.
+    /// Per-station ARF controllers clone this template.
     arf_template: Arf,
     pub(crate) budget: LinkBudget,
     /// The propagation description; its floor decides between the
@@ -806,10 +806,10 @@ pub struct WlanWorld {
     /// The link budget's noise floor, and its milliwatt image: a pure
     /// function of the budget, evaluated once per world.
     noise: (Dbm, f64),
-    /// The linear SINR settle cutoffs of each (rate threshold, wire
+    /// Handles on the shared settle table of each (rate threshold, wire
     /// bits) pair seen so far, keyed by `min_snr_db`'s bits
-    /// (`RateStep::settle_cutoffs_db` through `Db::to_linear`).
-    settle_cutoffs: HashMap<(u64, u64), (f64, f64)>,
+    /// (`RateStep::settle_table`).
+    settle_tables: BTreeMap<(u64, u64), Arc<SettleTable>>,
     /// Reused scratch for the receivers that decoded the completing
     /// frame in [`handle_tx_end`](Self::handle_tx_end).
     decoded_scratch: Vec<(StationId, Dbm)>,
@@ -890,7 +890,7 @@ impl WlanWorld {
             interferer_scratch: Vec::new(),
             heard_pool: Vec::new(),
             noise: (noise, noise.to_milliwatts()),
-            settle_cutoffs: HashMap::new(),
+            settle_tables: BTreeMap::new(),
             decoded_scratch: Vec::new(),
             overlap_scratch: Vec::new(),
             cmd_scratch: Vec::new(),
@@ -1137,7 +1137,7 @@ impl WlanWorld {
         (self.frames.total_refs(), held)
     }
 
-    /// How many reception decisions the SINR bound settled and how
+    /// How many reception decisions the settle table settled and how
     /// many evaluated the PER model. Deterministic, and deliberately
     /// outside [`metrics_snapshot`](Self::metrics_snapshot).
     pub fn per_decisions(&self) -> PerDecisions {

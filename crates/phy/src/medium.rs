@@ -159,7 +159,7 @@ impl LinkBudget {
     ) -> f64 {
         let Some(step) = std
             .rate_ladder()
-            .into_iter()
+            .iter()
             .find(|s| (s.rate.bps() - rate.bps()).abs() < 1.0)
         else {
             return 0.0;

@@ -10,6 +10,8 @@
 
 use crate::bands::Band;
 use crate::units::{DataRate, Db};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Abramowitz & Stegun 7.1.26 approximation of erf (|ε| ≤ 1.5e-7).
 fn erf(x: f64) -> f64 {
@@ -121,18 +123,19 @@ const PER_CENTRE_DB: f64 = 1.0;
 /// like 600-bit frames.
 const PER_MIN_EXPONENT: f64 = 0.05;
 
-/// Probability band a receiver settles without evaluating
-/// [`RateStep::success_prob`]: 2⁻¹⁰. Below
-/// [`RateStep::settle_cutoffs_db`]'s low cutoff the success
-/// probability is at most this, above the high cutoff at least its
-/// complement, so a uniform draw outside the band decides `u < p`
-/// without knowing `p`.
-pub const SETTLE_BAND: f64 = 1.0 / 1024.0;
+/// Equal bins of the uniform reception draw in a [`SettleTable`]: 2¹⁰.
+const SETTLE_BINS: usize = 1024;
 
-/// Widening of both settle cutoffs, dB. It absorbs the float error of
+/// Widening of every settle cutoff, dB. It absorbs the float error of
 /// the closed-form inverse and of the dB↔mW round trips a caller
 /// compares in, all of which are below 1e-12 dB.
 const SETTLE_GUARD_DB: f64 = 0.01;
+
+/// Settle tables (16 KiB each) the process-wide memo keeps while no
+/// caller holds them: enough for every (rung, length) pair a benchmark
+/// workload sends, so its worlds build each table once, while a corpus
+/// of random frame lengths does not pile them up.
+const SETTLE_MEMO_CAP: usize = 64;
 
 /// The length exponent of the PER model for a `bits`-bit frame.
 fn per_exponent(bits: u64) -> f64 {
@@ -174,22 +177,70 @@ impl RateStep {
         self.min_snr_db + logit / PER_SLOPE - PER_CENTRE_DB
     }
 
-    /// The SINR cutoffs `(s_lo, s_hi)`, dB, that settle a reception of a
-    /// `bits`-bit frame without the PER transcendentals: at or below
-    /// `s_lo` the success probability is at most [`SETTLE_BAND`], at or
-    /// above `s_hi` at least `1 − SETTLE_BAND`. Both are the exact
-    /// inverse widened by a fixed 0.01 dB guard.
-    pub fn settle_cutoffs_db(self, bits: u64) -> (f64, f64) {
-        (
-            self.sinr_for_success(SETTLE_BAND, bits) - SETTLE_GUARD_DB,
-            self.sinr_for_success(1.0 - SETTLE_BAND, bits) + SETTLE_GUARD_DB,
-        )
+    /// The [`SettleTable`] of a `bits`-bit frame at this rung, from a
+    /// process-wide memo: every caller holding a handle shares one
+    /// table, and a table no caller holds stays memoized until more than
+    /// `SETTLE_MEMO_CAP` (64) are. A table is a pure function of
+    /// `min_snr_db` and the frame's length exponent, so sharing or
+    /// rebuilding it cannot move a decision.
+    pub fn settle_table(self, bits: u64) -> Arc<SettleTable> {
+        type Memo = BTreeMap<(u64, u64), Arc<SettleTable>>;
+        static TABLES: Mutex<Memo> = Mutex::new(BTreeMap::new());
+        let key = (self.min_snr_db.to_bits(), per_exponent(bits).to_bits());
+        let mut tables = TABLES.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(table) = tables.get(&key) {
+            return Arc::clone(table);
+        }
+        if tables.len() >= SETTLE_MEMO_CAP {
+            // Forget the tables only the memo holds.
+            tables.retain(|_, table| Arc::strong_count(table) > 1);
+        }
+        let table = Arc::new(SettleTable::new(self, bits));
+        tables.insert(key, Arc::clone(&table));
+        table
+    }
+}
+
+/// Linear SINR cutoffs that settle a reception from its uniform draw
+/// `u` without the PER transcendentals, for one rung and frame length.
+///
+/// The decision is `u < p`. Bin `i` of K = 1024 holds the draws
+/// `i/K ≤ u < (i+1)/K` and the pair `(lo, hi)`: the exact inverse of
+/// [`RateStep::success_prob`] at `i/K` and at `(i+1)/K`, widened by a
+/// fixed 0.01 dB guard and converted to linear ratios. At or below
+/// `lo` the success probability is under `i/K ≤ u`, so the frame is
+/// lost; at or above `hi` it is over `(i+1)/K > u`, so it decodes —
+/// whatever `p` is exactly. The first bin never settles a loss
+/// (`lo = 0`), the last never a success (`hi = +∞`).
+pub struct SettleTable {
+    bins: [(f64, f64); SETTLE_BINS],
+}
+
+impl SettleTable {
+    fn new(step: RateStep, bits: u64) -> Self {
+        let k = SETTLE_BINS as f64;
+        let lin = |p: f64, guard_db: f64| Db(step.sinr_for_success(p, bits) + guard_db).to_linear();
+        SettleTable {
+            bins: std::array::from_fn(|i| {
+                let lo = if i == 0 {
+                    0.0
+                } else {
+                    lin(i as f64 / k, -SETTLE_GUARD_DB)
+                };
+                let hi = if i + 1 == SETTLE_BINS {
+                    f64::INFINITY
+                } else {
+                    lin((i + 1) as f64 / k, SETTLE_GUARD_DB)
+                };
+                (lo, hi)
+            }),
+        }
     }
 
-    /// Calibrated frame-error probability (complement of
-    /// [`RateStep::success_prob`]).
-    pub fn frame_error_prob(self, sinr_db: f64, bits: u64) -> f64 {
-        1.0 - self.success_prob(sinr_db, bits)
+    /// The `(lo, hi)` cutoffs of the bin holding draw `u` ∈ \[0, 1).
+    #[inline]
+    pub fn cutoffs(&self, u: f64) -> (f64, f64) {
+        self.bins[(u * SETTLE_BINS as f64) as usize]
     }
 }
 
@@ -320,65 +371,73 @@ impl PhyStandard {
 
     /// The rate ladder: every rate the text lists for this generation,
     /// slowest first, with the minimum SNR to sustain it.
-    pub fn rate_ladder(self) -> Vec<RateStep> {
+    pub fn rate_ladder(self) -> &'static [RateStep] {
         use Modulation::*;
-        let step = |mbps: f64, m: Modulation, snr: f64| RateStep {
-            rate: DataRate::from_mbps(mbps),
-            modulation: m,
-            min_snr_db: snr,
-        };
+        const fn step(mbps: f64, modulation: Modulation, min_snr_db: f64) -> RateStep {
+            RateStep {
+                rate: DataRate::from_mbps(mbps),
+                modulation,
+                min_snr_db,
+            }
+        }
+        // "a lower bit rate speed of 1 Mbps" / 2 Mbps FHSS.
+        const DOT11: &[RateStep] = &[step(1.0, Gfsk, 4.0), step(2.0, Gfsk, 7.0)];
+        // "the slower speeds of 5.5 Mbps, 2 Mbps, and 1 Mbps".
+        const DOT11B: &[RateStep] = &[
+            step(1.0, Bpsk, 2.0),
+            step(2.0, Qpsk, 5.0),
+            step(5.5, Cck, 8.0),
+            step(11.0, Cck, 11.0),
+        ];
+        // "48, 36, 24, 18, 12, and 6 Mbps" + 9 from the OFDM set.
+        const DOT11AG: &[RateStep] = &[
+            step(6.0, Bpsk, 5.0),
+            step(9.0, Bpsk, 6.0),
+            step(12.0, Qpsk, 8.0),
+            step(18.0, Qpsk, 11.0),
+            step(24.0, Qam16, 14.0),
+            step(36.0, Qam16, 18.0),
+            step(48.0, Qam64, 23.0),
+            step(54.0, Qam64, 25.0),
+        ];
+        // 4 streams × 40 MHz, MCS 0–7 per stream: 600 Mbps peak.
+        const DOT11N: &[RateStep] = &[
+            step(60.0, Bpsk, 5.0),
+            step(120.0, Qpsk, 8.0),
+            step(180.0, Qpsk, 11.0),
+            step(240.0, Qam16, 14.0),
+            step(360.0, Qam16, 18.0),
+            step(480.0, Qam64, 24.0),
+            step(540.0, Qam64, 28.0),
+            step(600.0, Qam64, 31.0),
+        ];
+        // 3 streams × 80 MHz with 256-QAM: 1.3 Gbps peak.
+        const DOT11AC: &[RateStep] = &[
+            step(117.0, Bpsk, 5.0),
+            step(234.0, Qpsk, 8.0),
+            step(351.0, Qpsk, 11.0),
+            step(468.0, Qam16, 14.0),
+            step(702.0, Qam16, 18.0),
+            step(936.0, Qam64, 24.0),
+            step(1170.0, Qam256, 31.0),
+            step(1300.0, Qam256, 34.0),
+        ];
         match self {
-            // "a lower bit rate speed of 1 Mbps" / 2 Mbps FHSS.
-            PhyStandard::Dot11 => vec![step(1.0, Gfsk, 4.0), step(2.0, Gfsk, 7.0)],
-            // "the slower speeds of 5.5 Mbps, 2 Mbps, and 1 Mbps".
-            PhyStandard::Dot11b => vec![
-                step(1.0, Bpsk, 2.0),
-                step(2.0, Qpsk, 5.0),
-                step(5.5, Cck, 8.0),
-                step(11.0, Cck, 11.0),
-            ],
-            // "48, 36, 24, 18, 12, and 6 Mbps" + 9 from the OFDM set.
-            PhyStandard::Dot11a | PhyStandard::Dot11g => vec![
-                step(6.0, Bpsk, 5.0),
-                step(9.0, Bpsk, 6.0),
-                step(12.0, Qpsk, 8.0),
-                step(18.0, Qpsk, 11.0),
-                step(24.0, Qam16, 14.0),
-                step(36.0, Qam16, 18.0),
-                step(48.0, Qam64, 23.0),
-                step(54.0, Qam64, 25.0),
-            ],
-            // 4 streams × 40 MHz, MCS 0–7 per stream: 600 Mbps peak.
-            PhyStandard::Dot11n => vec![
-                step(60.0, Bpsk, 5.0),
-                step(120.0, Qpsk, 8.0),
-                step(180.0, Qpsk, 11.0),
-                step(240.0, Qam16, 14.0),
-                step(360.0, Qam16, 18.0),
-                step(480.0, Qam64, 24.0),
-                step(540.0, Qam64, 28.0),
-                step(600.0, Qam64, 31.0),
-            ],
-            // 3 streams × 80 MHz with 256-QAM: 1.3 Gbps peak.
-            PhyStandard::Dot11ac => vec![
-                step(117.0, Bpsk, 5.0),
-                step(234.0, Qpsk, 8.0),
-                step(351.0, Qpsk, 11.0),
-                step(468.0, Qam16, 14.0),
-                step(702.0, Qam16, 18.0),
-                step(936.0, Qam64, 24.0),
-                step(1170.0, Qam256, 31.0),
-                step(1300.0, Qam256, 34.0),
-            ],
+            PhyStandard::Dot11 => DOT11,
+            PhyStandard::Dot11b => DOT11B,
+            PhyStandard::Dot11a | PhyStandard::Dot11g => DOT11AG,
+            PhyStandard::Dot11n => DOT11N,
+            PhyStandard::Dot11ac => DOT11AC,
         }
     }
 
     /// The fastest rate usable at `snr`, if any.
     pub fn best_rate_for_snr(self, snr: Db) -> Option<RateStep> {
         self.rate_ladder()
-            .into_iter()
+            .iter()
             .rev()
             .find(|s| snr.value() >= s.min_snr_db)
+            .copied()
     }
 
     /// The base (most robust) rate — used for control frames and beacons.
@@ -525,7 +584,8 @@ mod tests {
     fn sinr_for_success_inverts_success_prob() {
         for step in PhyStandard::Dot11g.rate_ladder() {
             for bits in [1, 600, 12_000, 524_280] {
-                for p in [1e-9, SETTLE_BAND, 0.5, 0.9, 1.0 - SETTLE_BAND] {
+                let bin = 1.0 / SETTLE_BINS as f64;
+                for p in [1e-9, bin, 0.5, 0.9, 1.0 - bin] {
                     let s = step.sinr_for_success(p, bits);
                     let back = step.success_prob(s, bits);
                     assert!(
@@ -537,12 +597,13 @@ mod tests {
         }
     }
 
-    /// The reception bound's contract, swept over every rung of every
-    /// ladder, frame lengths from one bit to the largest A-MPDU
-    /// (802.11ac's 1,048,575 bytes) and a fine SINR grid on both sides
-    /// of the cutoffs.
+    /// The settle table's contract, swept over every rung of every
+    /// ladder and frame lengths from one bit to the largest A-MPDU
+    /// (802.11ac's 1,048,575 bytes): in every bin `i`, the success
+    /// probability at `lo` is under `i/K` and at `hi` over `(i+1)/K`,
+    /// read back from the stored linear ratios.
     #[test]
-    fn settle_cutoffs_bound_success_prob() {
+    fn settle_table_bins_bound_success_prob() {
         let mut lengths = vec![1u64, 2, 8, 100, 599, 600, 601, 1_000];
         let mut bits = 1_000u64;
         while bits < 8 * 1_048_575 {
@@ -550,33 +611,50 @@ mod tests {
             lengths.push(bits);
         }
         lengths.push(8 * 1_048_575);
+        let k = SETTLE_BINS as f64;
         for std in PhyStandard::ALL {
-            for step in std.rate_ladder() {
+            for &step in std.rate_ladder() {
                 for &bits in &lengths {
-                    let (s_lo, s_hi) = step.settle_cutoffs_db(bits);
-                    assert!(s_lo < s_hi, "{std:?} {step:?} {bits}");
-                    // Offsets from 0 to 160 dB, spaced quadratically:
-                    // 4e-5 dB apart at the cutoffs, coarser far out.
-                    for i in 0..=2_000 {
-                        let off = 10.0 * (f64::from(i) * 0.002).powi(2);
-                        let lo = step.success_prob(s_lo - off, bits);
-                        let hi = step.success_prob(s_hi + off, bits);
-                        assert!(
-                            lo <= SETTLE_BAND,
-                            "{std:?} {step:?} {bits} bits: {lo} at s_lo-{off}"
-                        );
-                        assert!(
-                            hi >= 1.0 - SETTLE_BAND,
-                            "{std:?} {step:?} {bits} bits: {hi} at s_hi+{off}"
-                        );
+                    let table = SettleTable::new(step, bits);
+                    let p = |lin: f64| step.success_prob(Db::from_linear(lin).value(), bits);
+                    assert_eq!(table.bins[0].0, 0.0, "{step:?} {bits}");
+                    assert_eq!(table.bins[SETTLE_BINS - 1].1, f64::INFINITY);
+                    for (i, &(lo, hi)) in table.bins.iter().enumerate() {
+                        let (floor, ceil) = (i as f64 / k, (i + 1) as f64 / k);
+                        assert!(lo < hi, "{std:?} {step:?} {bits} bits, bin {i}");
+                        if i > 0 {
+                            let at = p(lo);
+                            assert!(at < floor, "{step:?} {bits} bits, bin {i}: {at} at lo");
+                        }
+                        if i + 1 < SETTLE_BINS {
+                            let at = p(hi);
+                            assert!(at > ceil, "{step:?} {bits} bits, bin {i}: {at} at hi");
+                        }
                     }
-                    // The guard is a guard, not slack: just past either
-                    // cutoff the probability leaves the band.
-                    assert!(step.success_prob(s_lo + 0.05, bits) > SETTLE_BAND);
-                    assert!(step.success_prob(s_hi - 0.05, bits) < 1.0 - SETTLE_BAND);
+                    // The guard is a guard, not slack: 0.05 dB inside
+                    // either cutoff the probability is back in the bin.
+                    let (lo, hi) = table.bins[SETTLE_BINS / 2];
+                    let inside = Db(0.05).to_linear();
+                    assert!(p(lo * inside) > 0.5, "{step:?} {bits}");
+                    assert!(p(hi / inside) < 0.5 + 1.0 / k, "{step:?} {bits}");
                 }
             }
         }
+    }
+
+    /// The memo hands every caller the same table per rung and length
+    /// exponent: frames under 600 bits share one.
+    #[test]
+    fn settle_tables_are_shared_per_exponent() {
+        let step = PhyStandard::Dot11g.base_rate();
+        let short = step.settle_table(112);
+        assert!(Arc::ptr_eq(&short, &step.settle_table(304)));
+        assert!(!Arc::ptr_eq(&short, &step.settle_table(12_000)));
+        let u = 0.5 + 0.5 / SETTLE_BINS as f64;
+        assert_eq!(
+            step.settle_table(12_000).cutoffs(u),
+            SettleTable::new(step, 12_000).bins[SETTLE_BINS / 2]
+        );
     }
 
     #[test]

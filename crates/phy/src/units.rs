@@ -201,7 +201,7 @@ impl DataRate {
     }
 
     /// Creates from megabits per second.
-    pub fn from_mbps(mbps: f64) -> Self {
+    pub const fn from_mbps(mbps: f64) -> Self {
         DataRate(mbps * 1e6)
     }
 

@@ -165,3 +165,22 @@ fn aggregation_keeps_offered_load_and_never_loses_goodput() {
         single.completed
     );
 }
+
+/// The reception loop settles at least 99 in 100 PER decisions on the
+/// 36-AP block perfbench times (6×6, 5 s) from the draw's settle-table
+/// bin; fewer than 1% evaluate the PER model. Two cutoffs at 2⁻¹⁰ and
+/// 1 − 2⁻¹⁰ left 26% of this block's decisions on the exact path.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release-sized block; run with --release (CI does)"
+)]
+fn settle_table_settles_ninety_nine_in_a_hundred_per_decisions() {
+    let per = dense_obss_point(6, 6, 5_000, 42, DENSE_OBSS_MIX).per_decisions;
+    let decisions = per.settled + per.exact;
+    assert!(
+        per.exact * 100 < decisions,
+        "{} of {decisions} PER decisions took the exact path (must be under 1%)",
+        per.exact
+    );
+}
